@@ -11,8 +11,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "util/simd.h"
-
 #if defined(_WIN32)
 #include <process.h>
 #else
@@ -54,14 +52,33 @@ std::string json_number(double v) {
   return os.str();
 }
 
+/// True when the running CPU can execute AVX2 instructions (a CPUID probe,
+/// callable from baseline-ISA code).
+bool cpu_supports_avx2() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  return __builtin_cpu_supports("avx2") != 0;
+#else
+  return false;
+#endif
+}
+
+/// True when the running CPU has AArch64 AdvSIMD (baseline on AArch64).
+bool cpu_supports_neon() noexcept {
+#if defined(__aarch64__)
+  return true;
+#else
+  return false;
+#endif
+}
+
 }  // namespace
 
 std::string host_class() {
   const unsigned threads = std::max(1u, std::thread::hardware_concurrency());
   const char* isa = "scalar";
-  if (util::simd::cpu_supports_avx2()) {
+  if (cpu_supports_avx2()) {
     isa = "avx2";
-  } else if (util::simd::cpu_supports_neon()) {
+  } else if (cpu_supports_neon()) {
     isa = "neon";
   }
   return std::to_string(threads) + "t-" + isa;

@@ -150,8 +150,7 @@ int standalone_main(const std::string& id_or_slug, int argc, const char* const* 
 /// Hardware-class tag stamped into every BENCH_<slug>.json:
 /// "<hardware threads>t-<best ISA the CPU can run>", e.g. "8t-avx2",
 /// "4t-neon", "1t-scalar". Built from the CPU's capabilities (not the
-/// kernel actually dispatched), so two runs on the same machine always
-/// share a class regardless of NOWSCHED_KERNEL overrides.
+/// solver kernel), so two runs on the same machine always share a class.
 /// compare_baselines.py refuses (warn-only) to ratio-gate records from
 /// different classes — a laptop baseline must not fail CI's timings.
 std::string host_class();

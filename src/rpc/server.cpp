@@ -68,13 +68,12 @@ Server::~Server() {
 }
 
 void Server::stop() {
-  running_.store(false);
+  stopped_.store(true);
   if (wake_) wake_->ring();
 }
 
 void Server::serve() {
-  running_.store(true);
-  while (running_.load()) {
+  while (!stopped_.load()) {
     poll_once(-1);
   }
   if (shutdown_requested_) service_.shutdown(shutdown_mode_);
@@ -151,7 +150,7 @@ bool Server::poll_once(int timeout_ms) {
     const bool flushed = conn.out_pos >= conn.outbuf.size();
     const bool done = conn.closing || (conn.read_closed && !conn.parked);
     if (!conn.fd.valid() || (done && flushed)) {
-      if (conn.announced_shutdown) running_.store(false);
+      if (conn.announced_shutdown) stopped_.store(true);
       for (const service::JobId id : conn.owned) service_.forget(id);
       conns_.erase(conns_.begin() + static_cast<std::ptrdiff_t>(i));
       progress = true;
@@ -168,7 +167,7 @@ bool Server::poll_once(int timeout_ms) {
         still_flushing = true;
       }
     }
-    if (!still_flushing) running_.store(false);
+    if (!still_flushing) stopped_.store(true);
   }
 
   return progress;

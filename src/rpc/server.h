@@ -56,8 +56,9 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Blocks serving clients until stop() or a Shutdown RPC. On Shutdown it
-  /// flushes the reply, exits the loop, and calls service.shutdown(mode).
+  /// Blocks serving clients until stop() or a Shutdown RPC — returning at
+  /// once if either already happened. On Shutdown it flushes the reply,
+  /// exits the loop, and calls service.shutdown(mode).
   void serve();
 
   /// One pump step: polls with `timeout_ms` (0 = nonblocking probe, -1 =
@@ -67,7 +68,8 @@ class Server {
   /// with a concurrent serve().
   bool poll_once(int timeout_ms);
 
-  /// Thread-safe: wakes the loop and makes serve()/poll_once stop serving.
+  /// Thread-safe: wakes the loop and makes serve() return. Permanent — a
+  /// stop() issued before serve() makes that serve() return immediately.
   void stop();
 
   /// True once a Shutdown RPC was accepted; mode() says which kind. In
@@ -112,7 +114,9 @@ class Server {
   util::Fd listener_;
   util::Fd wake_read_;
   std::shared_ptr<WakeHandle> wake_;
-  std::atomic<bool> running_{false};
+  /// Set by stop(), by a finished Shutdown RPC, and never cleared: a stop()
+  /// that lands before serve() is entered still ends serve().
+  std::atomic<bool> stopped_{false};
   bool shutdown_requested_ = false;
   service::SchedulerService::StopMode shutdown_mode_ = service::SchedulerService::StopMode::kDrain;
   std::vector<std::unique_ptr<Connection>> conns_;

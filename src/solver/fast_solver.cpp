@@ -5,35 +5,20 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <mutex>
 #include <span>
-#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
-
-#include "solver/fill_kernel.h"
-#include "util/simd.h"
-
-// Which ISA-specific kernel TUs are linked into the library. CMake defines
-// these alongside adding the matching fast_solver_<isa>.cpp source; without
-// the definition the dispatcher must not even reference the symbol.
-#ifndef NOWSCHED_HAVE_AVX2
-#define NOWSCHED_HAVE_AVX2 0
-#endif
-#ifndef NOWSCHED_HAVE_NEON
-#define NOWSCHED_HAVE_NEON 0
-#endif
 
 namespace nowsched::solver {
 
 namespace {
 
 /// max_{t in [c, l]} min((t−c) + cur[l−t], prev[l−t]) — the legacy
-/// per-lifespan binary search. Kept as the in-tree reference the two-pointer
-/// kernels are differentially tested against (and the E10 speedup baseline).
+/// per-lifespan binary search. Kept as the in-tree reference the production
+/// kernel is differentially tested against (and the E10 speedup baseline).
 /// Reads cur[] only at indices <= l − c. Returns 0 when l < c.
 Ticks crossover_best_legacy(std::span<const Ticks> cur,
                             std::span<const Ticks> prev, Ticks l, Ticks c,
@@ -81,95 +66,94 @@ void fill_range_legacy(std::span<Ticks> cur, std::span<const Ticks> prev,
   if (steps != nullptr) *steps += probes + static_cast<std::size_t>(hi - lo);
 }
 
-SolverKernel auto_solver_kernel() {
-#if NOWSCHED_HAVE_AVX2
-  if (util::simd::cpu_supports_avx2()) return SolverKernel::kAvx2;
-#endif
-#if NOWSCHED_HAVE_NEON
-  if (util::simd::cpu_supports_neon()) return SolverKernel::kNeon;
-#endif
-  return SolverKernel::kScalar;
+/// The production level fill over lifespans [lo, hi): an inverse scan.
+///
+/// Substitute j = l − t and m = l − c in the legacy search (j ∈ [0, m]):
+///   crossover_best(l) = max_{0<=j<=m} min( (m − j) + cur[j], prev[j] ).
+/// Let w[j] = j + prev[j] − cur[j]. Under the table invariants (cur and prev
+/// non-decreasing and 1-Lipschitz, cur <= prev) w is non-decreasing, w[j] >= j,
+/// and "B <= A at j" is exactly "w[j] <= m", so the crossover index
+///   k(m) = max{ j : w[j] <= m }
+/// is non-decreasing in m, and the legacy pair around the crossover is
+///   x(m) = max( prev[k],  (m − k − 1) + cur[k + 1] ).
+/// The second (A) term never wins: w[k+1] > m gives
+/// (m − k − 1) + cur[k+1] < prev[k+1], so it is at most
+/// prev[k+1] − 1 <= prev[k] (prev is 1-Lipschitz). Hence x(m) = prev[k(m)],
+/// which is non-decreasing in m — so the carry max(x, cur[l − 1]) is
+/// redundant too, and
+///   V_p(l) = V_{p−1}(k(l − c))          for l >= c   (0 below c).
+/// Read inversely: lifespans [w[j] + c, w[j+1] + c) all take prev[j]. Walk
+/// j forward. w[j+1] − w[j] = 1 + Δprev − Δcur ∈ {0, 1, 2}, so two
+/// unconditional stores at w[j] + c and w[j] + c + 1 cover every lifespan,
+/// and a later j overwrites whichever of them is not its predecessor's.
+/// Step j reads cur[j], which the steps j' <= j − c finished writing.
+///
+/// Per j: two sequential loads, two stores, one well-predicted branch —
+/// no data-dependent load, and no binary search past the seed.
+///
+/// Bounds: the seed k(l0 − c) is binary-searched over indices < lo; the walk
+/// reads j < hi − c; every store is clipped to [lo, hi) whatever the input,
+/// so an invariant-violating table can yield wrong values but never a write
+/// outside the range or a read outside the spans.
+void fill_range_inverse(std::span<Ticks> cur_span, std::span<const Ticks> prev_span,
+                        Ticks lo, Ticks hi, Ticks c, std::size_t* steps) {
+  Ticks* const cur = cur_span.data();
+  const Ticks* const prev = prev_span.data();
+  // Lifespans below c complete no period.
+  const Ticks l0 = std::clamp(c, lo, hi);
+  std::fill(cur + lo, cur + l0, Ticks{0});
+  std::size_t probes = static_cast<std::size_t>(l0 - lo);
+  if (l0 < hi) {
+    auto w = [&](Ticks j) { return j + prev[j] - cur[j]; };
+    // Seed: k(m0) = the last j in [0, m0] with w(j) <= m0. w(0) = 0 on
+    // valid tables; on invalid ones the search still lands in [0, m0].
+    const Ticks m0 = l0 - c;
+    Ticks a = 0, b = m0 + 1;  // w(a) <= m0 < w(b); w(m0 + 1) >= m0 + 1
+    while (a + 1 < b) {
+      const Ticks mid = a + (b - a) / 2;
+      ++probes;
+      (w(mid) <= m0 ? a : b) = mid;
+    }
+    cur[l0] = prev[a];
+    if (l0 + 1 < hi) cur[l0 + 1] = prev[a];
+    const Ticks j_end = hi - c;
+    Ticks j = a + 1;
+    for (; j < j_end; ++j) {
+      const Ticks at = w(j) + c;
+      const Ticks v = prev[j];
+      if (at < l0 || at + 1 >= hi) [[unlikely]] {
+        if (at == hi - 1) cur[at] = v;
+        if (at >= hi - 1) break;
+        continue;  // at < l0: only an invariant-violating table gets here
+      }
+      cur[at] = v;
+      cur[at + 1] = v;
+    }
+    probes += static_cast<std::size_t>(j - a);
+  }
+  if (steps != nullptr) *steps += probes;
 }
 
 /// -1 = no force; otherwise the forced kernel's enum value.
 std::atomic<int> g_forced_kernel{-1};
-
-SolverKernel env_or_auto_kernel() {
-  static const SolverKernel resolved = [] {
-    std::string warning;
-    const std::optional<SolverKernel> pinned =
-        solver_kernel_from_env_value(std::getenv("NOWSCHED_KERNEL"), &warning);
-    if (!warning.empty()) {
-      std::fprintf(stderr, "nowsched: %s\n", warning.c_str());
-    }
-    return pinned.value_or(auto_solver_kernel());
-  }();
-  return resolved;
-}
 
 }  // namespace
 
 const char* solver_kernel_name(SolverKernel kernel) noexcept {
   switch (kernel) {
     case SolverKernel::kLegacy: return "legacy";
-    case SolverKernel::kScalar: return "scalar";
-    case SolverKernel::kAvx2: return "avx2";
-    case SolverKernel::kNeon: return "neon";
+    case SolverKernel::kInverseScan: return "inverse-scan";
   }
   return "unknown";
 }
 
-std::optional<SolverKernel> solver_kernel_from_name(
-    std::string_view name) noexcept {
-  if (name == "legacy") return SolverKernel::kLegacy;
-  if (name == "scalar") return SolverKernel::kScalar;
-  if (name == "avx2") return SolverKernel::kAvx2;
-  if (name == "neon") return SolverKernel::kNeon;
-  return std::nullopt;
-}
-
-bool solver_kernel_supported(SolverKernel kernel) noexcept {
-  switch (kernel) {
-    case SolverKernel::kLegacy:
-    case SolverKernel::kScalar:
-      return true;
-    case SolverKernel::kAvx2:
-#if NOWSCHED_HAVE_AVX2
-      return util::simd::cpu_supports_avx2();
-#else
-      return false;
-#endif
-    case SolverKernel::kNeon:
-#if NOWSCHED_HAVE_NEON
-      return util::simd::cpu_supports_neon();
-#else
-      return false;
-#endif
-  }
-  return false;
-}
-
-std::vector<SolverKernel> supported_solver_kernels() {
-  std::vector<SolverKernel> kernels;
-  for (SolverKernel k : {SolverKernel::kAvx2, SolverKernel::kNeon,
-                         SolverKernel::kScalar, SolverKernel::kLegacy}) {
-    if (solver_kernel_supported(k)) kernels.push_back(k);
-  }
-  return kernels;
-}
-
-SolverKernel active_solver_kernel() {
+SolverKernel active_solver_kernel() noexcept {
   const int forced = g_forced_kernel.load(std::memory_order_relaxed);
   if (forced >= 0) return static_cast<SolverKernel>(forced);
-  return env_or_auto_kernel();
+  return SolverKernel::kInverseScan;
 }
 
-void force_solver_kernel(SolverKernel kernel) {
-  if (!solver_kernel_supported(kernel)) {
-    throw std::invalid_argument(
-        std::string("force_solver_kernel: kernel \"") +
-        solver_kernel_name(kernel) + "\" is not supported by this build/CPU");
-  }
+void force_solver_kernel(SolverKernel kernel) noexcept {
   g_forced_kernel.store(static_cast<int>(kernel), std::memory_order_relaxed);
 }
 
@@ -177,61 +161,14 @@ void clear_forced_solver_kernel() noexcept {
   g_forced_kernel.store(-1, std::memory_order_relaxed);
 }
 
-std::optional<SolverKernel> solver_kernel_from_env_value(const char* value,
-                                                         std::string* warning) {
-  if (warning != nullptr) warning->clear();
-  if (value == nullptr) return std::nullopt;
-  const std::string s(value);
-  auto fail = [&](const char* why) -> std::optional<SolverKernel> {
-    if (warning != nullptr) {
-      *warning = "NOWSCHED_KERNEL=\"" + s + "\" " + why +
-                 "; using auto kernel dispatch";
-    }
-    return std::nullopt;
-  };
-  if (s == "auto") return std::nullopt;
-  if (s.empty()) return fail("is empty (expected legacy|scalar|avx2|neon|auto)");
-  const std::optional<SolverKernel> kernel = solver_kernel_from_name(s);
-  if (!kernel) return fail("is not a known kernel (expected legacy|scalar|avx2|neon|auto)");
-  if (!solver_kernel_supported(*kernel)) {
-    return fail("names a kernel this build/CPU cannot run");
-  }
-  return kernel;
-}
-
 void run_fill_kernel(SolverKernel kernel, std::span<Ticks> cur,
                      std::span<const Ticks> prev, Ticks lo, Ticks hi, Ticks c,
                      std::size_t* scan_steps) {
-  if (!solver_kernel_supported(kernel)) {
-    throw std::invalid_argument(
-        std::string("run_fill_kernel: kernel \"") + solver_kernel_name(kernel) +
-        "\" is not supported by this build/CPU");
+  if (kernel == SolverKernel::kLegacy) {
+    fill_range_legacy(cur, prev, lo, hi, c, scan_steps);
+  } else {
+    fill_range_inverse(cur, prev, lo, hi, c, scan_steps);
   }
-  switch (kernel) {
-    case SolverKernel::kLegacy:
-      fill_range_legacy(cur, prev, lo, hi, c, scan_steps);
-      return;
-    case SolverKernel::kScalar:
-      detail::fill_range_two_phase<util::simd::I64Scalar>(cur, prev, lo, hi, c,
-                                                          scan_steps);
-      return;
-    case SolverKernel::kAvx2:
-#if NOWSCHED_HAVE_AVX2
-      detail::fill_range_avx2(cur, prev, lo, hi, c, scan_steps);
-      return;
-#else
-      break;
-#endif
-    case SolverKernel::kNeon:
-#if NOWSCHED_HAVE_NEON
-      detail::fill_range_neon(cur, prev, lo, hi, c, scan_steps);
-      return;
-#else
-      break;
-#endif
-  }
-  // Unreachable: solver_kernel_supported() already rejected these.
-  throw std::logic_error("run_fill_kernel: unreachable kernel dispatch");
 }
 
 double modeled_scan_steps(SolverKernel kernel, Ticks c, Ticks lo, Ticks hi) {
@@ -256,12 +193,11 @@ double modeled_scan_steps(SolverKernel kernel, Ticks c, Ticks lo, Ticks hi) {
     }
     return n + below_c + 2.0 * scanned + depth;
   }
-  // Two-pointer kernels: one carry merge per lifespan, ~2 probes per scanned
-  // lifespan (amortized advance + stop peek), plus the block's one-off seed
-  // search for k(lo − c).
+  // Inverse scan: one step per lifespan (the walk advances j about once per
+  // lifespan), plus the range's one-off seed search for k(lo − c).
   const double seed =
       std::log2(std::max(2.0, static_cast<double>(lo - c)));
-  return n + 2.0 * scanned + seed;
+  return n + seed;
 }
 
 namespace {
@@ -401,7 +337,9 @@ WavefrontPlan plan_wavefront(int max_p, Ticks max_lifespan, const Params& params
 
 ValueTable solve_fast(int max_p, Ticks max_lifespan, const Params& params,
                       util::ThreadPool* pool, ParallelMode mode) {
-  ValueTable table(max_p, max_lifespan, params);
+  // No zero pass: level 0 and every level's L = 0 entry are written here,
+  // and the kernels write every other cell.
+  ValueTable table(max_p, max_lifespan, params, ValueTable::kUninitialized);
   const Ticks c = params.c;
   const SolverKernel kernel = active_solver_kernel();
 
@@ -409,6 +347,7 @@ ValueTable solve_fast(int max_p, Ticks max_lifespan, const Params& params,
   for (Ticks l = 0; l <= max_lifespan; ++l) {
     level0[static_cast<std::size_t>(l)] = positive_sub(l, c);
   }
+  for (int p = 1; p <= max_p; ++p) table.mutable_level(p)[0] = 0;
 
   bool wavefront = false;
   switch (mode) {
@@ -436,10 +375,10 @@ ValueTable solve_fast(int max_p, Ticks max_lifespan, const Params& params,
   //   * cur  = level p   at indices <= l − c < block start  → cells (p, <b),
   //   * prev = level p−1 at the same indices                → cells (p−1, <b),
   // so its only direct dependencies are (p, b−1) and (p−1, b−1); everything
-  // earlier follows transitively along those chains. (The two-phase kernel
-  // keeps this contract — see fill_kernel.h "Read bounds".) Level 0 and
-  // every level's l = 0 entry are final before the graph starts (filled
-  // above / zero-initialized). One task per cell, zero barriers.
+  // earlier follows transitively along those chains (run_fill_kernel's
+  // read contract; the inverse scan reads only j < hi − c <= lo). Level 0
+  // and every level's l = 0 entry are written above, before the graph
+  // starts. One task per cell, zero barriers.
   const std::size_t num_blocks =
       static_cast<std::size_t>((max_lifespan + c - 1) / c);
   util::TaskGraph graph;

@@ -1,4 +1,4 @@
-// Crossover solver for W(p)[L] — O(P·N) two-pointer/SIMD kernel with an
+// Crossover solver for W(p)[L] — an O(P·N) inverse-scan kernel with an
 // O(P·N·log N) legacy kernel kept as an in-tree reference.
 //
 // For t in [c, L] write
@@ -10,20 +10,21 @@
 // period), so
 //   V_p(L) = max( V_p(L − 1),  max_{t in [c, L]} min(A, B) ).
 //
-// The production kernels exploit that the crossover index is monotone in L,
-// replacing the per-lifespan binary search with an amortized O(1) advance
-// and a vectorizable blocked two-phase scan (crossover pass + prefix-max
-// carry merge) — the derivation and exactness argument live in
-// solver/fill_kernel.h, the ISA selection rules below. All kernels are
-// bit-identical by construction and cross-checked by
-// tests/solver_simd_kernel_test.cpp and the conformance fuzzer.
+// The legacy kernel binary-searches the crossover per lifespan. The
+// production kernel uses that, under the table invariants, the crossover
+// alone decides the value: V_p(L) = V_{p−1}(k(L − c)) for a crossover index
+// k that is monotone in L. So it never searches at all — it walks k forward
+// and writes each V_{p−1}(k) into the lifespans whose crossover is k (the
+// derivation is at fill_range_inverse in fast_solver.cpp and in DESIGN.md
+// §5.2). Both kernels are bit-identical and cross-checked by
+// tests/solver_kernel_test.cpp and the conformance fuzzer.
 //
 // Parallel structure: cut every level into blocks of c consecutive
-// lifespans. Within a block the crossover scans read V_p only at indices
+// lifespans. Within a block the kernels read V_p only at indices
 // l − t <= l − c, i.e. strictly below the block start, and V_{p−1} at the
 // same indices — so cell (p, b) of the (level, block) grid depends on
-// exactly two cells: (p, b−1) for the carry and its own level's earlier
-// values, and (p−1, b−1) for the previous level's values. solve_fast runs
+// exactly two cells: (p, b−1) for its own level's earlier values, and
+// (p−1, b−1) for the previous level's values. solve_fast runs
 // the whole grid as one task-graph wavefront on util::ThreadPool::run_dag —
 // no barrier anywhere; after a one-block pipeline fill, all max_p levels
 // advance concurrently. DESIGN.md "Parallel solver architecture" has the
@@ -32,89 +33,65 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
-#include <string_view>
-#include <vector>
 
 #include "solver/value_table.h"
 #include "util/thread_pool.h"
 
 namespace nowsched::solver {
 
-/// The level-fill kernels compiled into the library. All produce
-/// bit-identical tables; they differ only in speed.
+/// The level-fill kernels. Both produce bit-identical tables; they differ
+/// only in speed.
 enum class SolverKernel {
-  kLegacy,  ///< per-lifespan binary search (pre-SIMD kernel, kept as the
-            ///< in-tree reference and the E10 speedup baseline)
-  kScalar,  ///< two-pointer two-phase scan, width-1 lanes (every platform)
-  kAvx2,    ///< two-phase scan on 4 × int64 AVX2 lanes (x86-64, runtime-gated)
-  kNeon,    ///< two-phase scan on 2 × int64 AdvSIMD lanes (AArch64)
+  kLegacy,       ///< per-lifespan binary search (kept as the in-tree
+                 ///< reference and the E10 speedup baseline)
+  kInverseScan,  ///< the production kernel: one forward pass writing
+                 ///< V_p(L) = V_{p−1}(k(L − c)) (see fast_solver.cpp)
 };
 
-/// Stable lower-case name ("legacy", "scalar", "avx2", "neon") — the
-/// vocabulary of NOWSCHED_KERNEL and of bench/DESIGN reporting.
+/// Stable lower-case name ("legacy", "inverse-scan") for bench and
+/// DESIGN reporting.
 const char* solver_kernel_name(SolverKernel kernel) noexcept;
 
-/// Inverse of solver_kernel_name; nullopt for anything else.
-std::optional<SolverKernel> solver_kernel_from_name(std::string_view name) noexcept;
-
-/// True when `kernel` is both compiled into this binary and runnable on the
-/// current CPU. kLegacy and kScalar are always supported.
-bool solver_kernel_supported(SolverKernel kernel) noexcept;
-
-/// Every supported kernel, in preference order (fastest first).
-std::vector<SolverKernel> supported_solver_kernels();
-
-/// The kernel solve_fast will use right now. Resolution order:
-///   1. a force_solver_kernel() override (tests/benches),
-///   2. NOWSCHED_KERNEL ("legacy" | "scalar" | "avx2" | "neon" | "auto"),
-///      read once per process; malformed or unsupported values warn once on
-///      stderr and fall through to auto,
-///   3. auto: the fastest supported SIMD kernel, else scalar. Never legacy.
-SolverKernel active_solver_kernel();
+/// The kernel solve_fast will use right now: a force_solver_kernel()
+/// override if one is set (tests and benches pin kLegacy as the
+/// reference), else kInverseScan.
+SolverKernel active_solver_kernel() noexcept;
 
 /// Pins active_solver_kernel() to `kernel` until clear_forced_solver_kernel.
-/// Throws std::invalid_argument if the kernel is not supported here. Not
-/// synchronized against concurrent solves — flip it only between solves.
-void force_solver_kernel(SolverKernel kernel);
+/// Not synchronized against concurrent solves — flip it only between solves.
+void force_solver_kernel(SolverKernel kernel) noexcept;
 void clear_forced_solver_kernel() noexcept;
-
-/// Parses a NOWSCHED_KERNEL-style value. Returns the kernel to pin, or
-/// nullopt for "auto"/unset, leaving *warning empty; on a malformed or
-/// unsupported value returns nullopt and stores a one-line diagnostic in
-/// *warning. Exposed for tests; active_solver_kernel() applies it to the
-/// real environment variable.
-std::optional<SolverKernel> solver_kernel_from_env_value(const char* value,
-                                                         std::string* warning);
 
 /// Runs one level-fill over lifespans [lo, hi) with an explicit kernel:
 ///   cur[l] = max( crossover_best(l), cur[l − 1] )   for l in [lo, hi).
-/// Requires 1 <= lo <= hi <= max index + 1 and cur/prev final below lo (the
-/// same contract the wavefront cells rely on). When `scan_steps` is non-null
-/// the kernel's probe count is accumulated into it — the deterministic
-/// quantity the cost model predicts (see modeled_scan_steps). Exposed for
-/// the differential battery and the calibration path; solve_fast dispatches
+/// Requires 1 <= lo <= hi <= cur.size() == prev.size(), cur/prev final below
+/// lo, and the table invariants (prev non-decreasing and 1-Lipschitz with
+/// prev[0] == cur[0] == 0 — true of every V_{p−1}). Writes every cell of
+/// [lo, hi) and, for any input, nothing outside it. Reads stay below hi,
+/// and below lo except for cells this call has already written — the
+/// wavefront's (level, block) contract. When `scan_steps` is non-null the
+/// kernel's step count is accumulated into it — the deterministic quantity
+/// the cost model predicts (see modeled_scan_steps). Exposed for the
+/// differential battery and the calibration path; solve_fast dispatches
 /// through it.
 void run_fill_kernel(SolverKernel kernel, std::span<Ticks> cur,
                      std::span<const Ticks> prev, Ticks lo, Ticks hi, Ticks c,
                      std::size_t* scan_steps = nullptr);
 
-/// Modeled probe count for one run_fill_kernel(kernel, …, lo, hi, c) call.
-///   kLegacy:     lifespans with l < c cost O(1); the rest binary-search
-///                [c, l], ~log2(l − c) probes each — summed in closed form
-///                (NOT the old kN·log2(kN) model, which overstated the
-///                depth of every scan by using the table size for the
-///                search range).
-///   two-pointer: amortized-constant probes per lifespan.
-/// Pinned against measured counts by tests/solver_simd_kernel_test.cpp.
+/// Modeled step count for one run_fill_kernel(kernel, …, lo, hi, c) call.
+///   kLegacy:       lifespans with l < c cost O(1); the rest binary-search
+///                  [c, l], ~log2(l − c) probes each — summed in closed form.
+///   kInverseScan:  one step per lifespan plus the range's one-off seed
+///                  search for k(lo − c).
+/// Pinned against counted steps by tests/solver_kernel_test.cpp.
 double modeled_scan_steps(SolverKernel kernel, Ticks c, Ticks lo, Ticks hi);
 
 /// One calibrated scan-step cost, tagged with the kernel it was measured
 /// under and how trustworthy the number is.
 struct ScanCalibration {
-  SolverKernel kernel = SolverKernel::kScalar;
+  SolverKernel kernel = SolverKernel::kInverseScan;
   double step_ns = 0.0;
   /// "measured", or "clamped-low"/"clamped-high" when the raw measurement
   /// fell outside the plausible range for one probe (e.g. under TSan, a

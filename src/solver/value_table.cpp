@@ -1,16 +1,23 @@
 #include "solver/value_table.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
 namespace nowsched::solver {
 
 ValueTable::ValueTable(int max_p, Ticks max_lifespan, const Params& params)
+    : ValueTable(max_p, max_lifespan, params, kUninitialized) {
+  std::fill(owned_.begin(), owned_.end(), Ticks{0});
+}
+
+ValueTable::ValueTable(int max_p, Ticks max_lifespan, const Params& params,
+                       UninitializedTag)
     : max_p_(max_p), max_l_(max_lifespan), params_(params) {
   require_valid(params);
   if (max_p < 0) throw std::invalid_argument("ValueTable: max_p must be >= 0");
   if (max_lifespan < 0) throw std::invalid_argument("ValueTable: max_lifespan >= 0");
-  owned_.assign(entries(), 0);
+  owned_.resize(entries());
 }
 
 ValueTable ValueTable::view(int max_p, Ticks max_lifespan, const Params& params,

@@ -13,7 +13,7 @@
 //   V_p(L) = max_{1<=t<=L} min( (t ⊖ c) + V_p(L−t),  V_{p−1}(L−t) )
 //
 // Values are exact integers; `solve_reference` is the O(P·N²) oracle and
-// `solve_fast` the O(P·N·log N) production solver (they agree bit-for-bit;
+// `solve_fast` the O(P·N) production solver (they agree bit-for-bit;
 // see tests/solver_cross_check_test.cpp).
 //
 // Storage is one contiguous slab of (max_p+1) × (max_lifespan+1) Ticks in
@@ -38,16 +38,17 @@
 #include <memory>
 #include <new>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/types.h"
 
 namespace nowsched::solver {
 
-/// Alignment of every owning slab. 64 bytes = one cache line = two full
-/// AVX2 vectors of Ticks, so the SIMD kernels' full-width level accesses
-/// never straddle a line and the level stride keeps whatever alignment the
-/// base has. (Mapped-store views are page-aligned by mmap, which is
+/// Alignment of every owning slab: one cache line, so a table never shares
+/// its first line with a neighbouring allocation that another thread may be
+/// writing. (Mapped-store views are page-aligned by mmap, which is
 /// stricter.)
 inline constexpr std::size_t kSlabAlignment = 64;
 
@@ -67,6 +68,17 @@ struct SlabAllocator {
   void deallocate(T* p, std::size_t n) noexcept {
     ::operator delete(p, n * sizeof(T), std::align_val_t{kSlabAlignment});
   }
+  /// Default-initializes rather than value-initializes, so resize() leaves
+  /// cells unwritten (what ValueTable's kUninitialized constructor relies
+  /// on); construct(p, args...) — assign, copies — behaves as usual.
+  template <class U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
   template <class U>
   friend bool operator==(const SlabAllocator&, const SlabAllocator<U>&) noexcept {
     return true;
@@ -80,6 +92,15 @@ class ValueTable {
  public:
   /// A zero-initialized owning table; filled by the solvers.
   ValueTable(int max_p, Ticks max_lifespan, const Params& params);
+
+  struct UninitializedTag {};
+  static constexpr UninitializedTag kUninitialized{};
+
+  /// An owning table whose cells hold indeterminate values until written.
+  /// For a solver that writes every cell before anything reads one
+  /// (solve_fast): it saves the zero pass over the whole slab.
+  ValueTable(int max_p, Ticks max_lifespan, const Params& params,
+             UninitializedTag);
 
   /// A non-owning, read-only table over an externally owned slab. `slab`
   /// must hold exactly (max_p+1) × (max_lifespan+1) entries in level-major

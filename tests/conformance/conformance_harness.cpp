@@ -98,9 +98,10 @@ CheckResult check_fast_vs_reference(const sim::ScenarioSpec& spec,
 CheckResult check_kernel_differential(const sim::ScenarioSpec& spec,
                                       const Options& options) {
   const ClampedContract g = clamp_contract(spec, options);
-  // Build the table level-by-level through run_fill_kernel for every
-  // supported kernel and demand bit-identity against the scalar build. No
-  // global kernel forcing: explicit dispatch keeps this check reentrant.
+  // Build the table level-by-level through run_fill_kernel with the
+  // production inverse scan and with the legacy reference, and demand
+  // bit-identity. No global kernel forcing: explicit dispatch keeps this
+  // check reentrant.
   const std::size_t stride = static_cast<std::size_t>(g.l) + 1;
   auto build = [&](solver::SolverKernel kernel) {
     std::vector<Ticks> slab(static_cast<std::size_t>(g.p + 1) * stride, 0);
@@ -115,18 +116,14 @@ CheckResult check_kernel_differential(const sim::ScenarioSpec& spec,
     }
     return slab;
   };
-  const std::vector<Ticks> scalar = build(solver::SolverKernel::kScalar);
-  for (const solver::SolverKernel kernel : solver::supported_solver_kernels()) {
-    if (kernel == solver::SolverKernel::kScalar) continue;
-    const std::vector<Ticks> other = build(kernel);
-    for (std::size_t i = 0; i < scalar.size(); ++i) {
-      if (other[i] != scalar[i]) {
-        std::ostringstream os;
-        os << "W(" << i / stride << ")[" << i % stride << "] "
-           << solver::solver_kernel_name(kernel) << "=" << other[i]
-           << " scalar=" << scalar[i] << " (c=" << g.params.c << ")";
-        return fail("kernel-differential", os.str());
-      }
+  const std::vector<Ticks> legacy = build(solver::SolverKernel::kLegacy);
+  const std::vector<Ticks> inverse = build(solver::SolverKernel::kInverseScan);
+  for (std::size_t i = 0; i < legacy.size(); ++i) {
+    if (inverse[i] != legacy[i]) {
+      std::ostringstream os;
+      os << "W(" << i / stride << ")[" << i % stride << "] inverse-scan="
+         << inverse[i] << " legacy=" << legacy[i] << " (c=" << g.params.c << ")";
+      return fail("kernel-differential", os.str());
     }
   }
   return {};

@@ -13,7 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <functional>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -434,6 +436,29 @@ TEST(RpcServer, ClientSurfacesServerErrorAsRpcError) {
 
   server.stop();
   serve_thread.join();
+}
+
+TEST(RpcServer, StopBeforeServeIsNotLost) {
+  // A stop() that lands before serve() is entered must still end serve(),
+  // with no client around to wake the loop. The timed wait only bounds a
+  // regression (which would block in poll forever); the pass condition is
+  // that serve() returned before the rescue stop().
+  ThreadedRig rig;
+  service::SchedulerService service(rig.options);
+  Server server(service, {(rig.dir.path() / "daemon.sock").string(), 4});
+  server.stop();
+  std::promise<void> returned;
+  std::future<void> done = returned.get_future();
+  std::thread serve_thread([&] {
+    server.serve();
+    returned.set_value();
+  });
+  const bool prompt =
+      done.wait_for(std::chrono::seconds(60)) == std::future_status::ready;
+  if (!prompt) server.stop();
+  serve_thread.join();
+  EXPECT_TRUE(prompt) << "stop() issued before serve() was lost";
+  EXPECT_FALSE(server.shutdown_requested());
 }
 
 TEST(RpcServer, BindRefusesWhenAnotherDaemonIsLive) {
