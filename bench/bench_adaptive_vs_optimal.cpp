@@ -41,7 +41,7 @@ void run(harness::Context& ctx) {
     const Ticks u = ratio * params.c;
     const double ud = static_cast<double>(u);
     const double scale = std::sqrt(static_cast<double>(params.c) * ud);
-    const auto table = solver::solve_fast(max_p, u, params, &pool);
+    const auto table = solver::solve_fast(max_p, u, params);
     for (int p = 1; p <= max_p; ++p) {
       const AdaptiveGuidelinePolicy printed(PivotRule::kAsPrinted);
       const EqualizedGuidelinePolicy equalized;

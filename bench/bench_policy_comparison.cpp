@@ -48,7 +48,7 @@ void run(harness::Context& ctx) {
                                         : std::vector<Ticks>{256, 1024, 4096};
   for (Ticks ratio : ratios) {
     const Ticks u = ratio * params.c;
-    const auto table = solver::solve_fast(max_p, u, params, &pool);
+    const auto table = solver::solve_fast(max_p, u, params);
 
     util::Table out({"policy", "p=1", "p=2", "p=3", "% of opt (p=3)"},
                     {util::Align::kLeft, util::Align::kRight, util::Align::kRight,

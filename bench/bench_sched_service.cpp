@@ -11,7 +11,6 @@
 // scheduling decides when, never what.
 #include <algorithm>
 #include <cstdint>
-#include <future>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -80,20 +79,20 @@ CellResult run_cell(service::QueueKind queue, std::size_t workers,
   // to and DRR exists for.
   struct Pending {
     std::size_t tenant;
-    std::future<service::JobResult> result;
+    service::JobId id;
   };
   std::vector<Pending> pending;
   pending.reserve(total_jobs);
   std::uint64_t job_seed = 1;
   auto submit = [&](std::size_t tenant) {
-    service::Submission sub =
-        service.submit("tenant-" + std::to_string(tenant),
-                       job_specs(scenarios, keys, base_u, job_seed++));
+    const service::TicketSubmission sub =
+        service.submit_job("tenant-" + std::to_string(tenant),
+                           job_specs(scenarios, keys, base_u, job_seed++));
     if (!sub.accepted()) {
       throw std::logic_error("sched_service bench: submission rejected: " +
                              sub.reason);
     }
-    pending.push_back({tenant, std::move(sub.result)});
+    pending.push_back({tenant, sub.ticket.id});
   };
   for (std::size_t j = 0; j < hog_jobs; ++j) submit(0);
   for (std::size_t j = 0; j < other_jobs; ++j) {
@@ -104,7 +103,11 @@ CellResult run_cell(service::QueueKind queue, std::size_t workers,
   std::vector<CompletionRecord> completions;
   completions.reserve(total_jobs);
   for (Pending& p : pending) {
-    const service::JobResult result = p.result.get();
+    const service::FetchOutcome outcome = service.fetch_result(p.id, /*wait=*/true);
+    if (!outcome.done()) {
+      throw std::runtime_error("sched_service bench: job failed: " + outcome.error);
+    }
+    const service::JobResult& result = outcome.result;
     completions.push_back(
         {result.completion_index, p.tenant, result.batch.per_scenario.size()});
     cell.banked_total += result.batch.aggregate.banked_work;

@@ -45,7 +45,7 @@ void run(harness::Context& ctx) {
     const Ticks u = ratio * params.c;
     const double ud = static_cast<double>(u);
     const double scale = std::sqrt(2.0 * c * ud);
-    const auto table = solver::solve_fast(max_p, u, params, &pool);
+    const auto table = solver::solve_fast(max_p, u, params);
     for (int p = 0; p <= max_p; ++p) {
       const AdaptiveGuidelinePolicy printed(PivotRule::kAsPrinted);
       const AdaptiveGuidelinePolicy rational(PivotRule::kRationalized);

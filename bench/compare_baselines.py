@@ -36,8 +36,7 @@ candidate directory for the matching record and compares:
                   the machine, and the regressions it would catch are already
                   gated through the record's wall_ms. When either side is 0
                   no ratio is defined, so any change from/to zero warns with
-                  its own message (e.g. `wavefront_crossover_c` becoming
-                  measurable on a multicore host).
+                  its own message.
 
 Default mode is warn-only (exit 0 with warnings printed) so the CI gate can
 run before run-to-run variance data has accumulated; --strict turns warnings

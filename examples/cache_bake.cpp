@@ -60,8 +60,7 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 }
 
 int bake(nowsched::solver::MappedTableStore& store,
-         const std::vector<SolveRequest>& requests,
-         nowsched::util::ThreadPool* pool) {
+         const std::vector<SolveRequest>& requests) {
   int baked = 0;
   int skipped = 0;
   const auto start = std::chrono::steady_clock::now();
@@ -71,7 +70,7 @@ int bake(nowsched::solver::MappedTableStore& store,
       ++skipped;  // build-once: already present and valid
       continue;
     }
-    const auto table = nowsched::solver::solve_shared(req, pool);
+    const auto table = nowsched::solver::solve_shared(req);
     if (!store.store(key, table)) {
       std::fprintf(stderr, "cache_bake: failed to persist %s\n",
                    store.path_for(key).c_str());
@@ -90,8 +89,7 @@ int bake(nowsched::solver::MappedTableStore& store,
 }
 
 int check(nowsched::solver::MappedTableStore& store,
-          const std::vector<SolveRequest>& requests,
-          nowsched::util::ThreadPool* pool, double min_speedup) {
+          const std::vector<SolveRequest>& requests, double min_speedup) {
   int defects = 0;
   double solve_seconds = 0.0;
   double load_seconds = 0.0;
@@ -119,7 +117,7 @@ int check(nowsched::solver::MappedTableStore& store,
     }
 
     auto solve_start = std::chrono::steady_clock::now();
-    const auto solved = nowsched::solver::solve_shared(req, pool);
+    const auto solved = nowsched::solver::solve_shared(req);
     solve_seconds += seconds_since(solve_start);
 
     // Field-for-field: the mapped table must reproduce the fresh solve
@@ -179,8 +177,7 @@ int main(int argc, char** argv) {
         "  --min-speedup=X    (check) fail when solve/load speedup < X\n"
         "  --p=N --u=N        grid: max interrupts / base lifespan (8, 4096)\n"
         "  --keys=N --step=N  grid: key count / lifespan stride (16, 512)\n"
-        "  --c=N              checkpoint cost (16)\n"
-        "  --threads=N        solver threads (default: hardware)\n",
+        "  --c=N              checkpoint cost (16)\n",
         flags.program().c_str());
     return 0;
   }
@@ -202,18 +199,12 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const auto thread_count = flags.get_int("threads", 0);
-  // 0 → hardware concurrency (ThreadPool's own default).
-  nowsched::util::ThreadPool pool(
-      thread_count > 0 ? static_cast<std::size_t>(thread_count) : 0);
-
   try {
     nowsched::solver::MappedTableStore store({dir});
     const std::vector<SolveRequest> requests = hot_keys(grid);
     return flags.get_bool("check", false)
-               ? check(store, requests, &pool,
-                       flags.get_double("min-speedup", 0.0))
-               : bake(store, requests, &pool);
+               ? check(store, requests, flags.get_double("min-speedup", 0.0))
+               : bake(store, requests);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s: %s\n", flags.program().c_str(), e.what());
     return 1;

@@ -23,7 +23,7 @@ struct ExactValues {
 ExactValues exact_values(const sim::ScenarioSpec& spec, solver::SolveCache& cache,
                          util::ThreadPool* pool) {
   const auto table = cache.get_or_solve(
-      solver::SolveRequest{spec.max_interrupts, spec.lifespan, spec.params}, pool);
+      solver::SolveRequest{spec.max_interrupts, spec.lifespan, spec.params});
   ExactValues values;
   values.dp = table->value(spec.max_interrupts, spec.lifespan);
   if (spec.policy == sim::PolicyKind::kDpOptimal) {

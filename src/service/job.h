@@ -53,8 +53,7 @@ std::optional<JobState> job_state_from_wire(int code) noexcept;
 
 /// The pollable handle submit_job hands back: a request id plus the tenant
 /// it was issued to. Tickets are plain values — they can cross process
-/// boundaries (the daemon sends the id over the wire) and outlive the
-/// future-based shim entirely.
+/// boundaries (the daemon sends the id over the wire).
 struct JobTicket {
   JobId id = 0;
   std::string tenant;
@@ -62,7 +61,7 @@ struct JobTicket {
   bool valid() const noexcept { return id != 0; }
 };
 
-/// What a completed job hands back through its future.
+/// What fetch_result hands back for a completed job.
 struct JobResult {
   std::string tenant;
   JobId job_id = 0;
@@ -81,7 +80,7 @@ struct JobResult {
 };
 
 /// A queued unit of work as the queue disciplines see it. Move-only (it
-/// carries the promise the submitting client holds the future of).
+/// carries the promise that feeds the job record's future).
 struct QueuedJob {
   std::uint64_t seq = 0;  ///< global admission order — the FIFO sort key
   JobId id = 0;

@@ -117,11 +117,10 @@ SchedulerService::Tenant& SchedulerService::tenant_locked(const std::string& id)
   return it->second;
 }
 
-Submission SchedulerService::admit(const std::string& tenant,
-                                   std::vector<sim::ScenarioSpec> specs,
-                                   bool ticketed) {
+TicketSubmission SchedulerService::submit_job(const std::string& tenant,
+                                              std::vector<sim::ScenarioSpec> specs) {
   if (tenant.empty()) {
-    throw std::invalid_argument("SchedulerService::submit: empty tenant id");
+    throw std::invalid_argument("SchedulerService::submit_job: empty tenant id");
   }
 
   // Validate outside the lock (validation walks every spec); the verdict is
@@ -141,8 +140,7 @@ Submission SchedulerService::admit(const std::string& tenant,
   }
   const std::size_t cost = specs.size();
 
-  Submission out;
-  std::promise<JobResult> promise;
+  TicketSubmission out;
   {
     std::lock_guard<std::mutex> lock(mu_);
     Tenant& t = tenant_locked(tenant);
@@ -195,17 +193,15 @@ Submission SchedulerService::admit(const std::string& tenant,
     job.specs = std::move(specs);
     job.submitted_at = std::chrono::steady_clock::now();
     out.status = SubmitStatus::kAccepted;
-    out.job_id = job.id;
-    out.result = job.promise.get_future();
+    out.ticket.id = job.id;
+    out.ticket.tenant = tenant;
 
-    if (ticketed) {
-      // The record MUST land under the same critical section that enqueues
-      // the job: a worker popping it transitions the record it FINDS, so a
-      // late insert would shadow kRunning/kDone forever.
-      JobRecord record;
-      record.future = out.result.share();  // out.result becomes invalid
-      jobs_.emplace(job.id, std::move(record));
-    }
+    // The record MUST land under the same critical section that enqueues
+    // the job: a worker popping it transitions the record it FINDS, so a
+    // late insert would shadow kRunning/kDone forever.
+    JobRecord record;
+    record.future = job.promise.get_future().share();
+    jobs_.emplace(job.id, std::move(record));
 
     ++t.accepted_jobs;
     t.submitted_scenarios += cost;
@@ -216,23 +212,6 @@ Submission SchedulerService::admit(const std::string& tenant,
   }
   work_cv_.notify_one();
   return out;
-}
-
-TicketSubmission SchedulerService::submit_job(const std::string& tenant,
-                                              std::vector<sim::ScenarioSpec> specs) {
-  Submission sub = admit(tenant, std::move(specs), /*ticketed=*/true);
-  TicketSubmission out;
-  out.status = sub.status;
-  out.reason = std::move(sub.reason);
-  if (!sub.accepted()) return out;
-  out.ticket.id = sub.job_id;
-  out.ticket.tenant = tenant;
-  return out;
-}
-
-Submission SchedulerService::submit(const std::string& tenant,
-                                    std::vector<sim::ScenarioSpec> specs) {
-  return admit(tenant, std::move(specs), /*ticketed=*/false);
 }
 
 JobState SchedulerService::job_state(JobId id) const {

@@ -2,7 +2,7 @@
 // over sim::BatchRunner: the "millions of users, one warm solver" layer of
 // the ROADMAP (DESIGN.md §10).
 //
-// Dataflow:  submit(tenant, specs)
+// Dataflow:  submit_job(tenant, specs)
 //              └─ admission  — validate specs; bounded per-tenant and
 //                 global queue depths and a per-tenant pending-scenario
 //                 budget; overflow is REJECTED WITH A REASON (a status the
@@ -13,7 +13,8 @@
 //                 which accepted job runs next
 //              └─ execution  — a worker thread runs the job's scenario
 //                 batch through BatchRunner with the TENANT'S OWN
-//                 byte-quota SolveCache and fulfills the job's future
+//                 byte-quota SolveCache and publishes the job's outcome
+//                 for fetch_result
 //              └─ stats      — per-tenant counters, queue depths, cache
 //                 hit rates, and p50/p90/p99 job latency via stats()
 //
@@ -35,13 +36,12 @@
 // exactly this claim.
 //
 // Threading contract: every public method is safe to call from any thread.
-// Workers execute jobs outside the service lock; promise fulfillment
-// happens after the completion counters are published, so a future
-// returned by submit() is (or is about to become) ready whenever stats()
-// says the job completed. With workers == 0 the service is in MANUAL mode:
-// no threads are spawned and run_next() pumps one job at a time on the
-// calling thread — the deterministic single-thread harness the
-// scheduling-order tests drive.
+// Workers execute jobs outside the service lock; a job's outcome is
+// published after the completion counters, so fetch_result(id, true)
+// returns (or is about to) whenever stats() says the job completed. With
+// workers == 0 the service is in MANUAL mode: no threads are spawned and
+// run_next() pumps one job at a time on the calling thread — the
+// deterministic single-thread harness the scheduling-order tests drive.
 #pragma once
 
 #include <cstddef>
@@ -98,9 +98,9 @@ bool is_backpressure(SubmitStatus status) noexcept;
 
 /// What submit_job() hands back: an admission verdict plus — on acceptance —
 /// the pollable JobTicket the client later passes to job_state() /
-/// fetch_result() / cancel(). This is the primary submit surface; it is
-/// what the nowsched-rpc v1 daemon speaks, and it behaves identically
-/// in-process and over the wire.
+/// fetch_result() / cancel(). This is the only submit surface; it is what
+/// the nowsched-rpc v1 daemon speaks, and it behaves identically in-process
+/// and over the wire.
 struct TicketSubmission {
   SubmitStatus status = SubmitStatus::kAccepted;
   std::string reason;
@@ -119,18 +119,6 @@ struct FetchOutcome {
   JobResult result;   ///< meaningful only when state == kDone
 
   bool done() const noexcept { return state == JobState::kDone; }
-};
-
-/// DEPRECATED shim (kept for one release — see DESIGN.md §11): the original
-/// future-based submission result. New code uses submit_job()'s
-/// TicketSubmission; futures cannot cross the wire, tickets can.
-struct Submission {
-  SubmitStatus status = SubmitStatus::kAccepted;
-  std::string reason;
-  JobId job_id = 0;  ///< 0 when rejected
-  std::future<JobResult> result;
-
-  bool accepted() const noexcept { return status == SubmitStatus::kAccepted; }
 };
 
 struct ServiceOptions {
@@ -213,8 +201,8 @@ class SchedulerService {
 
   /// Requests cancellation of a still-queued job. Returns true when the
   /// cancel is accepted (job was kQueued; it will never execute, its state
-  /// reads kCancelled at once, and its future/fetch resolves with a
-  /// cancellation error). Returns false for running, terminal, unknown, or
+  /// reads kCancelled at once, and its fetch resolves with a cancellation
+  /// error). Returns false for running, terminal, unknown, or
   /// already-cancelled jobs — cancellation never preempts execution.
   bool cancel(JobId id);
 
@@ -226,15 +214,8 @@ class SchedulerService {
   /// leak results.
   bool forget(JobId id);
 
-  /// DEPRECATED shim (one release, DESIGN.md §11): the original future-only
-  /// submit. Same admission path and statuses as submit_job, but the job is
-  /// NOT ticket-tracked — job_state(sub.job_id) reads kUnknown and the
-  /// future is the only handle on the result.
-  Submission submit(const std::string& tenant,
-                    std::vector<sim::ScenarioSpec> specs);
-
   /// Installs a hook invoked after a job reaches a terminal state — after
-  /// its counters, job-record state, and promise resolution are published,
+  /// its counters, job-record state, and outcome are published,
   /// outside the service lock. The RPC server uses it to wake its poll loop
   /// the moment a parked result-wait can be answered. Pass nullptr to
   /// clear. Hooks run on worker threads (or the run_next caller): keep them
@@ -260,7 +241,7 @@ class SchedulerService {
 
   enum class StopMode {
     kDrain,         ///< run every queued job, then stop
-    kCancelQueued,  ///< fail queued jobs' futures, finish in-flight, stop
+    kCancelQueued,  ///< cancel queued jobs, finish in-flight, stop
   };
 
   /// Stops accepting (submits return kShuttingDown), resolves queued work
@@ -310,9 +291,8 @@ class SchedulerService {
   };
 
   /// Ticket bookkeeping for one submit_job. Guarded by mu_. The shared
-  /// future is the same promise chain the deprecated shim hands out — the
-  /// record only adds poll/fetch/cancel state on top, so exactly-once
-  /// resolution is untouched.
+  /// future is fed by the QueuedJob's promise; the record adds
+  /// poll/fetch/cancel state on top of it.
   struct JobRecord {
     JobState state = JobState::kQueued;
     /// cancel() accepted while the queue entry awaits its lazy removal
@@ -328,12 +308,6 @@ class SchedulerService {
   /// Runs `job` on the calling thread (no service lock held), updates the
   /// completion bookkeeping under the lock, then fulfills the promise.
   void execute(QueuedJob job, Tenant& tenant);
-  /// Shared admission path of submit_job and the deprecated submit. With
-  /// `ticketed` a JobRecord is registered under the same critical section
-  /// that enqueues the job (and the returned Submission's future is
-  /// consumed into it — the record becomes the only handle).
-  Submission admit(const std::string& tenant, std::vector<sim::ScenarioSpec> specs,
-                   bool ticketed);
   /// Lock held: pops queued jobs, settling cancel-requested ones into
   /// `cancelled` (their promises are resolved by the caller OUTSIDE mu_),
   /// until a runnable job emerges (true) or the queue runs dry (false).

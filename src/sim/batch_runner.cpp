@@ -120,13 +120,11 @@ BatchRunner::BatchRunner(BatchOptions options)
                  : options.cache) {}
 
 SessionMetrics BatchRunner::run_one(const ScenarioSpec& spec) {
-  // Solves inside the batch never touch the pool: run_dag is not reentrant
-  // from a worker, and the batch itself is the parallelism (header comment).
   std::shared_ptr<const SchedulingPolicy> policy;
   if (spec.policy == PolicyKind::kDpOptimal && options_.cache_enabled) {
     const solver::SolveRequest req{spec.max_interrupts, spec.lifespan, spec.params};
     policy = std::make_shared<solver::OptimalPolicy>(
-        active_cache().get_or_solve(req, nullptr));
+        active_cache().get_or_solve(req));
   } else {
     policy = make_policy(spec);
   }

@@ -20,9 +20,8 @@
 //
 // Threading contract: run() drives options.pool through one blocking
 // parallel_for, so call it from a thread that is not itself a pool worker
-// (the ThreadPool contract). Solves triggered inside the batch always run
-// sequentially — run_dag is not reentrant from a worker — which is the right
-// trade anyway: the batch already saturates the pool with sessions.
+// (the ThreadPool contract). Each solve triggered inside the batch runs on
+// the session's own thread: the batch itself is the parallelism.
 #pragma once
 
 #include <cstddef>

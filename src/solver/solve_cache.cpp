@@ -6,11 +6,10 @@
 
 namespace nowsched::solver {
 
-std::shared_ptr<const ValueTable> solve_shared(const SolveRequest& req,
-                                               util::ThreadPool* pool) {
+std::shared_ptr<const ValueTable> solve_shared(const SolveRequest& req) {
   const SolveKey key = canonical_key(req);
   return std::make_shared<const ValueTable>(
-      solve_fast(key.max_p, key.max_lifespan, Params{key.c}, pool));
+      solve_fast(key.max_p, key.max_lifespan, Params{key.c}));
 }
 
 SolveCache::SolveCache() : SolveCache(Options()) {}
@@ -25,8 +24,7 @@ void SolveCache::set_max_bytes(std::size_t max_bytes) {
   resident_.set_max_bytes(max_bytes);
 }
 
-std::shared_ptr<const ValueTable> SolveCache::get_or_solve(const SolveRequest& req,
-                                                           util::ThreadPool* pool) {
+std::shared_ptr<const ValueTable> SolveCache::get_or_solve(const SolveRequest& req) {
   const SolveKey key = canonical_key(req);
   const std::uint64_t hash = key.hash();
   Shard& shard = shards_[stripes_.index_for(hash)];
@@ -67,7 +65,7 @@ std::shared_ptr<const ValueTable> SolveCache::get_or_solve(const SolveRequest& r
       if (table != nullptr) {
         store_hits_.fetch_add(1, std::memory_order_relaxed);
       } else {
-        table = solve_shared(req, pool);
+        table = solve_shared(req);
         solved = true;
       }
       promise.set_value(table);

@@ -53,17 +53,13 @@
 #include "solver/table_store.h"
 #include "solver/value_table.h"
 #include "util/striped_lock.h"
-#include "util/thread_pool.h"
 
 namespace nowsched::solver {
 
 /// Solves the canonical form of `req` and returns the immutable table by
 /// shared_ptr — the entry point OptimalPolicy plugs into directly. No
-/// caching; SolveCache calls this on a full miss. `pool` is forwarded to
-/// solve_fast (pass nullptr from inside pool tasks — run_dag is not
-/// reentrant).
-std::shared_ptr<const ValueTable> solve_shared(const SolveRequest& req,
-                                               util::ThreadPool* pool = nullptr);
+/// caching; SolveCache calls this on a full miss.
+std::shared_ptr<const ValueTable> solve_shared(const SolveRequest& req);
 
 /// Lifetime counters. hits + misses == completed get_or_solve calls;
 /// misses == (fresh solves) + store_hits; entries/evictions/resident_bytes
@@ -115,11 +111,8 @@ class SolveCache {
   /// throws is not cached: the exception propagates to every waiter of that
   /// attempt and the key is cleared so a later call retries. Store probes
   /// and spills happen on the owner thread, outside every stripe lock.
-  ///
-  /// Safe to call from many threads, including ThreadPool workers — but
-  /// then pass pool == nullptr (see solve_shared).
-  std::shared_ptr<const ValueTable> get_or_solve(const SolveRequest& req,
-                                                 util::ThreadPool* pool = nullptr);
+  /// Safe to call from many threads, including ThreadPool workers.
+  std::shared_ptr<const ValueTable> get_or_solve(const SolveRequest& req);
 
   /// Point-in-time totals (counters are exact; `entries` sums shard sizes
   /// without a global lock, so it is approximate under concurrent writes).

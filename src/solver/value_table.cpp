@@ -1,10 +1,30 @@
 #include "solver/value_table.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace nowsched::solver {
+
+namespace {
+
+/// Validates table dimensions and returns the slab's entry count,
+/// (max_p + 1) × (max_lifespan + 1), without allocating anything.
+std::size_t checked_entries(int max_p, Ticks max_lifespan, const Params& params) {
+  require_valid(params);
+  if (max_p < 0) throw std::invalid_argument("ValueTable: max_p must be >= 0");
+  if (max_lifespan < 0) throw std::invalid_argument("ValueTable: max_lifespan >= 0");
+  const std::size_t levels = static_cast<std::size_t>(max_p) + 1;
+  const std::size_t stride = static_cast<std::size_t>(max_lifespan) + 1;
+  if (stride > std::numeric_limits<std::size_t>::max() / levels) {
+    throw std::invalid_argument("ValueTable: dimensions overflow size_t");
+  }
+  return levels * stride;
+}
+
+}  // namespace
 
 ValueTable::ValueTable(int max_p, Ticks max_lifespan, const Params& params)
     : ValueTable(max_p, max_lifespan, params, kUninitialized) {
@@ -14,29 +34,27 @@ ValueTable::ValueTable(int max_p, Ticks max_lifespan, const Params& params)
 ValueTable::ValueTable(int max_p, Ticks max_lifespan, const Params& params,
                        UninitializedTag)
     : max_p_(max_p), max_l_(max_lifespan), params_(params) {
-  require_valid(params);
-  if (max_p < 0) throw std::invalid_argument("ValueTable: max_p must be >= 0");
-  if (max_lifespan < 0) throw std::invalid_argument("ValueTable: max_lifespan >= 0");
-  owned_.resize(entries());
+  owned_.resize(checked_entries(max_p, max_lifespan, params));
 }
+
+ValueTable::ValueTable(int max_p, Ticks max_lifespan, const Params& params,
+                       const Ticks* view_data, std::shared_ptr<const void> keepalive)
+    : max_p_(max_p),
+      max_l_(max_lifespan),
+      params_(params),
+      view_data_(view_data),
+      keepalive_(std::move(keepalive)) {}
 
 ValueTable ValueTable::view(int max_p, Ticks max_lifespan, const Params& params,
                             std::span<const Ticks> slab,
                             std::shared_ptr<const void> keepalive) {
-  // Delegate dimension validation (and zero-fill of a throwaway 1-element
-  // minimum slab for degenerate dims) to the owning constructor, then swap
-  // the storage out for the external span.
-  ValueTable table(max_p, max_lifespan, params);
-  if (slab.size() != table.entries()) {
+  const std::size_t entries = checked_entries(max_p, max_lifespan, params);
+  if (slab.size() != entries) {
     throw std::invalid_argument(
         "ValueTable::view: slab has " + std::to_string(slab.size()) +
-        " entries, dims require " + std::to_string(table.entries()));
+        " entries, dims require " + std::to_string(entries));
   }
-  table.owned_.clear();
-  table.owned_.shrink_to_fit();
-  table.view_data_ = slab.data();
-  table.keepalive_ = std::move(keepalive);
-  return table;
+  return ValueTable(max_p, max_lifespan, params, slab.data(), std::move(keepalive));
 }
 
 Ticks ValueTable::value(int p, Ticks lifespan) const {

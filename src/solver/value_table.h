@@ -18,8 +18,8 @@
 //
 // Storage is one contiguous slab of (max_p+1) × (max_lifespan+1) Ticks in
 // level-major order, so level(p) / mutable_level(p) are zero-copy spans into
-// adjacent memory — the wavefront solver walks level p and level p−1
-// together and wants both streams prefetch-friendly.
+// adjacent memory — the level fill walks level p and level p−1 together and
+// wants both streams prefetch-friendly.
 //
 // Two storage modes share one read interface:
 //   * OWNING  — the constructor allocates the slab; the solvers fill it via
@@ -139,17 +139,15 @@ class ValueTable {
   /// Mutable level access for the solvers. Owning tables only: a view is
   /// immutable by construction and throws std::logic_error.
   ///
-  /// Concurrency contract (what the wavefront solver relies on): distinct
-  /// levels are disjoint element ranges of one slab, so two threads may
-  /// write different levels — or write level p while a third reads level
-  /// p−1 at indices already final — without a data race, provided the
-  /// writer/reader ordering is established externally (the thread pool's
-  /// run_dag dependency edges do this; see util/thread_pool.h). The spans
-  /// themselves are stable: no member function invalidates them after
-  /// construction.
+  /// Distinct levels are disjoint element ranges of one slab. The spans are
+  /// stable: no member function invalidates them after construction.
   std::span<Ticks> mutable_level(int p);
 
  private:
+  /// The view constructor: no slab of its own, `view_data` is the base.
+  ValueTable(int max_p, Ticks max_lifespan, const Params& params,
+             const Ticks* view_data, std::shared_ptr<const void> keepalive);
+
   std::size_t stride() const noexcept { return static_cast<std::size_t>(max_l_) + 1; }
   std::size_t entries() const noexcept {
     return (static_cast<std::size_t>(max_p_) + 1) * stride();

@@ -3,30 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <limits>
-#include <stdexcept>
 
 namespace nowsched::util {
-
-TaskGraph::TaskId TaskGraph::add_task(std::function<void()> fn) {
-  nodes_.push_back(Node{std::move(fn), {}, 0});
-  return nodes_.size() - 1;
-}
-
-void TaskGraph::add_edge(TaskId before, TaskId after) {
-  if (before >= nodes_.size() || after >= nodes_.size()) {
-    throw std::out_of_range("TaskGraph::add_edge: unknown task id");
-  }
-  if (before == after) {
-    throw std::logic_error("TaskGraph::add_edge: self-edge");
-  }
-  nodes_[before].dependents.push_back(after);
-  ++nodes_[after].num_deps;
-}
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
@@ -152,150 +134,6 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
         for (std::size_t i = lo; i < hi; ++i) fn(i);
       },
       grain);
-}
-
-namespace {
-
-/// Kahn counter pass over the graph's nodes: returns false iff some task
-/// never becomes ready (i.e. the edge set contains a cycle). Touches only a
-/// scratch copy of the in-degree counters.
-template <typename Nodes>
-bool dag_is_acyclic(const Nodes& nodes) {
-  std::vector<std::size_t> deps(nodes.size());
-  std::vector<std::size_t> ready;
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    deps[i] = nodes[i].num_deps;
-    if (deps[i] == 0) ready.push_back(i);
-  }
-  std::size_t seen = 0;
-  while (!ready.empty()) {
-    const std::size_t id = ready.back();
-    ready.pop_back();
-    ++seen;
-    for (const std::size_t dep : nodes[id].dependents) {
-      if (--deps[dep] == 0) ready.push_back(dep);
-    }
-  }
-  return seen == nodes.size();
-}
-
-}  // namespace
-
-void ThreadPool::run_dag(TaskGraph& graph) {
-  const std::size_t n = graph.nodes_.size();
-  if (n == 0) return;
-
-  if (!dag_is_acyclic(graph.nodes_)) {
-    throw std::logic_error("ThreadPool::run_dag: task graph has a cycle");
-  }
-
-  if (size() <= 1) {
-    // Serial fallback: fixed topological order — among ready tasks, lowest
-    // id first — so a 1-thread pool is deterministic. First exception wins;
-    // remaining task bodies are skipped but the walk completes (dependency
-    // bookkeeping does not matter once nothing else will run).
-    std::vector<std::size_t> deps(n);
-    for (std::size_t i = 0; i < n; ++i) deps[i] = graph.nodes_[i].num_deps;
-    // A min-ordered ready list keeps the order stable under out-of-id-order
-    // edge insertion; the solver's graphs release dependents in id order
-    // anyway, so this stays cheap (push_back + sorted insertion point).
-    std::vector<std::size_t> ready;
-    auto push_ready = [&ready](std::size_t id) {
-      ready.insert(std::lower_bound(ready.begin(), ready.end(), id,
-                                    std::greater<std::size_t>()),
-                   id);  // descending storage: back() is the smallest id
-    };
-    for (std::size_t i = n; i-- > 0;) {
-      if (graph.nodes_[i].num_deps == 0) push_ready(i);
-    }
-    std::exception_ptr error;
-    while (!ready.empty()) {
-      const std::size_t id = ready.back();
-      ready.pop_back();
-      if (!error) {
-        try {
-          graph.nodes_[id].fn();
-        } catch (...) {
-          error = std::current_exception();
-        }
-      }
-      for (const std::size_t dep : graph.nodes_[id].dependents) {
-        if (--deps[dep] == 0) push_ready(dep);
-      }
-    }
-    if (error) std::rethrow_exception(error);
-    return;
-  }
-
-  struct State {
-    explicit State(std::size_t count)
-        : deps(count), latch(count), cancelled(false) {}
-    std::vector<std::atomic<std::size_t>> deps;  // per-task in-degree
-    CompletionLatch latch;                       // tasks not yet finished
-    std::atomic<bool> cancelled;                 // set on first exception
-    std::exception_ptr error;
-    std::mutex error_mutex;
-  } state(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    state.deps[i].store(graph.nodes_[i].num_deps, std::memory_order_relaxed);
-  }
-
-  // run(id) executes one task and releases its dependents. The acq_rel
-  // fetch_sub on a dependent's counter is what publishes this task's writes
-  // to the dependent: the thread that takes the counter to zero has
-  // acquire-read every predecessor's release-decrement, and the queue mutex
-  // carries the handover to whichever worker actually runs it.
-  std::function<void(std::size_t)> run = [this, &state, &graph,
-                                          &run](std::size_t id) {
-    if (!state.cancelled.load(std::memory_order_acquire)) {
-      try {
-        graph.nodes_[id].fn();
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> lock(state.error_mutex);
-          if (!state.error) state.error = std::current_exception();
-        }
-        state.cancelled.store(true, std::memory_order_release);
-      }
-    }
-    for (const std::size_t dep : graph.nodes_[id].dependents) {
-      if (state.deps[dep].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        enqueue([&run, dep] { run(dep); });
-      }
-    }
-    state.latch.count_down();
-  };
-
-  for (std::size_t i = 0; i < n; ++i) {
-    if (graph.nodes_[i].num_deps == 0) {
-      enqueue([&run, i] { run(i); });
-    }
-  }
-  state.latch.wait();
-  if (state.error) std::rethrow_exception(state.error);
-}
-
-double ThreadPool::dispatch_overhead_ns() {
-  if (dispatch_overhead_ns_ >= 0.0) return dispatch_overhead_ns_;
-  // One chain + fan-out of no-op cells, shaped like a small solver wavefront,
-  // timed wall-clock and amortized per task. Done once per pool; the result
-  // is intentionally pessimistic on a loaded machine — engagement should err
-  // toward the always-correct sequential path.
-  constexpr std::size_t kTasks = 256;
-  TaskGraph g;
-  for (std::size_t i = 0; i < kTasks; ++i) g.add_task([] {});
-  for (std::size_t i = 1; i < kTasks; ++i) {
-    g.add_edge(i - 1, i);
-    if (i >= 4) g.add_edge(i - 4, i);
-  }
-  const auto start = std::chrono::steady_clock::now();
-  run_dag(g);
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  const double total_ns =
-      static_cast<double>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
-  dispatch_overhead_ns_ = std::max(1.0, total_ns / static_cast<double>(kTasks));
-  return dispatch_overhead_ns_;
 }
 
 std::size_t threads_from_env_value(const char* value, std::string* warning) {

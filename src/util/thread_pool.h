@@ -1,24 +1,15 @@
-// Fixed-size thread pool with a blocking parallel_for and a counter-based
-// task-graph (DAG) executor.
+// Fixed-size thread pool with a blocking parallel_for.
 //
-// Two execution disciplines, matched to the two shapes the solvers have:
-//   * parallel_for / parallel_for_chunks — level-synchronous: all iterations
-//     of one dispatch are independent and the call is a full barrier. Right
-//     for the policy-evaluation DP, whose states within a level are
-//     independent.
-//   * run_dag(TaskGraph) — wavefront: tasks carry explicit dependency edges
-//     and start the moment their last predecessor finishes, with no global
-//     barrier anywhere. Right for the fast solver's (level, block) grid,
-//     where a per-block barrier per level was measured to cost more than the
-//     blocks' own work (see DESIGN.md "Parallel solver architecture").
+// parallel_for / parallel_for_chunks are level-synchronous: all iterations
+// of one dispatch are independent and the call is a full barrier. Right for
+// the policy-evaluation DP, whose states within a level are independent,
+// and for BatchRunner's whole-session tasks.
 //
 // Thread-safety contract: a ThreadPool object may be driven from one
-// submitting thread at a time (parallel_for*/run_dag are blocking calls and
-// are not reentrant — do not call them from inside a task running on the
-// same pool). Worker threads only ever touch the tasks handed to them.
-// Happens-before: everything a task wrote is visible to every task that
-// depends on it (run_dag releases dependents through an acq_rel counter
-// decrement, and the task queue hands tasks over under a mutex), and
+// submitting thread at a time (parallel_for* are blocking calls and are not
+// reentrant — do not call them from inside a task running on the same
+// pool). Worker threads only ever touch the tasks handed to them.
+// Happens-before: the task queue hands tasks over under a mutex, and
 // everything any task wrote is visible to the submitting thread when the
 // blocking call returns.
 #pragma once
@@ -33,35 +24,6 @@
 #include <vector>
 
 namespace nowsched::util {
-
-/// A directed acyclic graph of tasks for ThreadPool::run_dag. Build it on
-/// one thread: add_task() returns dense ids 0, 1, 2, …; add_edge(a, b)
-/// declares "b runs after a". The builder itself does not reject cycles;
-/// run_dag verifies acyclicity with a counter pass before executing
-/// anything and throws std::logic_error on a cyclic graph (no task runs).
-class TaskGraph {
- public:
-  using TaskId = std::size_t;
-
-  /// Adds a task; returns its id. `fn` must be invocable exactly once.
-  TaskId add_task(std::function<void()> fn);
-
-  /// Declares that `after` must not start until `before` has finished.
-  /// Both ids must already exist. Duplicate edges are allowed (each one
-  /// counts — callers should add an edge at most once per ordered pair).
-  void add_edge(TaskId before, TaskId after);
-
-  std::size_t size() const noexcept { return nodes_.size(); }
-
- private:
-  friend class ThreadPool;
-  struct Node {
-    std::function<void()> fn;
-    std::vector<TaskId> dependents;  // edges out of this node
-    std::size_t num_deps = 0;        // edges into this node
-  };
-  std::vector<Node> nodes_;
-};
 
 class ThreadPool {
  public:
@@ -96,36 +58,6 @@ class ThreadPool {
                            const std::function<void(std::size_t, std::size_t)>& fn,
                            std::size_t grain = 64);
 
-  /// Execute every task in `graph` respecting its edges, blocking until all
-  /// have finished. Tasks with no unfinished predecessors run concurrently;
-  /// there is no barrier of any kind between "generations" — a task starts
-  /// the instant its own dependency counter reaches zero.
-  ///
-  /// Determinism: with size() <= 1 the graph runs inline on the calling
-  /// thread in a fixed topological order (ready tasks execute in ascending
-  /// id order), so a 1-thread pool is bit-for-bit reproducible.
-  ///
-  /// Errors: the first exception thrown by a task is captured and rethrown
-  /// to the caller after the graph drains. Transitive dependents of the
-  /// failed task are reliably cancelled (their bodies are skipped — the
-  /// failure is published before their counters release); cancellation of
-  /// concurrently-starting tasks on *independent* branches is best-effort
-  /// only, so side-effectful tasks may still run after another branch threw.
-  /// Cancelled tasks still release their dependents, so the drain always
-  /// terminates and the pool stays usable afterwards.
-  ///
-  /// The graph is consumed: task functions may be destroyed by execution;
-  /// reuse of a TaskGraph object after run_dag is undefined.
-  void run_dag(TaskGraph& graph);
-
-  /// Measured per-task dispatch overhead of THIS pool in nanoseconds —
-  /// enqueue, wake, run-empty-task, completion accounting — sampled once
-  /// (lazily, on first call) by timing a batch of no-op tasks through
-  /// run_dag. The fast solver's engagement heuristic compares this against
-  /// its modeled per-block work so the parallel path is only taken when a
-  /// block amortizes its own dispatch (see solver::plan_wavefront).
-  double dispatch_overhead_ns();
-
  private:
   void enqueue(std::function<void()> task);
   void worker_loop();
@@ -135,7 +67,6 @@ class ThreadPool {
   std::mutex mutex_;
   std::condition_variable cv_;
   bool stop_ = false;
-  double dispatch_overhead_ns_ = -1.0;  // < 0 until first measured
 };
 
 /// Parses a NOWSCHED_THREADS-style value. Returns the thread count (0 means

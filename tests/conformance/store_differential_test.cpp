@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
-#include <future>
 #include <memory>
 #include <string>
 #include <vector>
@@ -148,7 +147,7 @@ TEST(StoreDifferential, TieredRunsMatchStorelessBaselineExactly) {
   struct PendingJob {
     std::size_t first_index;
     std::size_t count;
-    std::future<service::JobResult> result;
+    service::JobId id;
   };
   std::vector<PendingJob> jobs;
   std::size_t cursor = 0;
@@ -158,15 +157,18 @@ TEST(StoreDifferential, TieredRunsMatchStorelessBaselineExactly) {
         1 + (cursor * 5 + job_number) % 9, specs.size() - cursor);
     std::vector<sim::ScenarioSpec> batch(specs.begin() + cursor,
                                          specs.begin() + cursor + count);
-    service::Submission sub = service.submit(
+    const service::TicketSubmission sub = service.submit_job(
         job_number % 2 == 0 ? "even" : "odd", std::move(batch));
     ASSERT_TRUE(sub.accepted()) << "job " << job_number << ": " << sub.reason;
-    jobs.push_back({cursor, count, std::move(sub.result)});
+    jobs.push_back({cursor, count, sub.ticket.id});
     cursor += count;
     ++job_number;
   }
   for (PendingJob& job : jobs) {
-    const service::JobResult result = job.result.get();
+    const service::FetchOutcome outcome =
+        service.fetch_result(job.id, /*wait=*/true);
+    ASSERT_TRUE(outcome.done()) << "job " << job.id << ": " << outcome.error;
+    const service::JobResult& result = outcome.result;
     ASSERT_EQ(result.batch.per_scenario.size(), job.count);
     for (std::size_t i = 0; i < job.count; ++i) {
       expect_metrics_eq(result.batch.per_scenario[i],

@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <future>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -290,6 +289,48 @@ TEST(SchedulerService, EmptyTenantIdIsACallerBug) {
   EXPECT_THROW(service.set_tenant_quota("", 1024), std::invalid_argument);
 }
 
+TEST(SchedulerService, EmptyTenantErrorNamesSubmitJobAndCountsNothing) {
+  SchedulerService service(manual_options(QueueKind::kFifo));
+  try {
+    (void)service.submit_job("", quick_batch(1, 1));
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("submit_job"), std::string::npos) << e.what();
+  }
+  // A caller bug is not a submission: no tenant, no counters, no id spent.
+  const ServiceStats stats = service.stats();
+  EXPECT_TRUE(stats.tenants.empty());
+  EXPECT_EQ(stats.submitted_jobs, 0u);
+  EXPECT_EQ(expect_accepted(service, "a", quick_batch(1, 2)).id, 1u);
+  service.drain();
+}
+
+TEST(SchedulerService, EveryAcceptedJobGetsARecordAndRejectedOnesNone) {
+  // Every accepted submission is ticketed: distinct increasing ids, each
+  // pollable as queued. A rejection spends no id and leaves no record.
+  ServiceOptions options = manual_options(QueueKind::kFifo);
+  options.max_queued_jobs_per_tenant = 2;
+  SchedulerService service(options);
+  std::vector<JobId> ids;
+  for (const char* tenant : {"a", "b", "a", "b"}) {
+    ids.push_back(expect_accepted(service, tenant, quick_batch(1, ids.size())).id);
+  }
+  const TicketSubmission rejected = service.submit_job("a", quick_batch(1, 9));
+  ASSERT_EQ(rejected.status, SubmitStatus::kQueueFullTenant);
+  EXPECT_EQ(ids, (std::vector<JobId>{1, 2, 3, 4}));
+  for (const JobId id : ids) EXPECT_EQ(service.job_state(id), JobState::kQueued) << id;
+  EXPECT_EQ(service.job_state(5), JobState::kUnknown);
+
+  service.drain();
+  for (const JobId id : ids) {
+    EXPECT_EQ(service.job_state(id), JobState::kDone) << id;
+    EXPECT_EQ(fetch_done(service, id).job_id, id);
+  }
+  EXPECT_EQ(expect_accepted(service, "c", quick_batch(1, 10)).id, 5u);
+  service.drain();
+  expect_conservation(service.stats());
+}
+
 TEST(SchedulerService, RunNextThrowsWhenServiceOwnsWorkers) {
   ServiceOptions options;
   options.workers = 1;
@@ -523,30 +564,27 @@ TEST(SchedulerService, WorkerModeCompletesEverythingOnDrain) {
   service.shutdown();
 }
 
-// ---------------------------------------------------------------------------
-// Deprecated future-based shim (one release — see DESIGN.md §11)
-// ---------------------------------------------------------------------------
+TEST(SchedulerService, WorkerResultsMatchADirectBatchRun) {
+  // A dp-optimal job run by the service's workers (solves through the
+  // tenant cache, on worker threads) is bit-identical to the same batch run
+  // directly on the caller's thread.
+  std::vector<sim::ScenarioSpec> specs;
+  for (int i = 0; i < 6; ++i) specs.push_back(dp_spec(512 + 160 * (i % 3), 40 + i));
+  const sim::BatchResult direct = sim::BatchRunner().run(specs);
 
-TEST(SchedulerService, DeprecatedSubmitShimStillResolvesFutures) {
-  SchedulerService service(manual_options(QueueKind::kFifo));
-  Submission sub = service.submit("legacy", quick_batch(2, 1));
-  ASSERT_TRUE(sub.accepted());
-  EXPECT_TRUE(sub.result.valid());
-  ASSERT_TRUE(service.run_next());
-  const JobResult result = sub.result.get();
-  EXPECT_EQ(result.tenant, "legacy");
-  EXPECT_EQ(result.batch.per_scenario.size(), 2u);
-
-  // Shim submissions are NOT ticketed: the handle API never learns the id,
-  // so nothing leaks when the future is the only consumer.
-  EXPECT_EQ(service.job_state(sub.job_id), JobState::kUnknown);
-
-  // Cancel-queued shutdown surfaces as a broken future, as it always did.
-  Submission cancelled = service.submit("legacy", quick_batch(1, 2));
-  ASSERT_TRUE(cancelled.accepted());
-  service.shutdown(SchedulerService::StopMode::kCancelQueued);
-  EXPECT_THROW((void)cancelled.result.get(), std::runtime_error);
-  expect_conservation(service.stats());
+  ServiceOptions options;
+  options.workers = 2;
+  SchedulerService service(options);
+  const JobTicket ticket = expect_accepted(service, "a", specs);
+  const JobResult result = fetch_done(service, ticket.id);
+  ASSERT_EQ(result.batch.per_scenario.size(), direct.per_scenario.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(result.batch.per_scenario[i].to_string(),
+              direct.per_scenario[i].to_string())
+        << i;
+  }
+  EXPECT_EQ(result.batch.aggregate.banked_work, direct.aggregate.banked_work);
+  service.shutdown();
 }
 
 // ---------------------------------------------------------------------------

@@ -2,9 +2,7 @@
 // battery (CI runs this suite with -DNOWSCHED_TSAN=ON). Assertions follow
 // the deflake discipline: conservation laws, permutation/ordering facts, and
 // bit-determinism of a canary scenario — never timing values, never "thread
-// X won" expectations. All submission goes through the JobTicket API; the
-// deprecated future shim keeps its single deterministic test in
-// tests/service_scheduler_test.cpp.
+// X won" expectations. All submission goes through the JobTicket API.
 #include "service/scheduler_service.h"
 
 #include <gtest/gtest.h>

@@ -187,6 +187,32 @@ TEST(BatchRunner, RunsOnAPoolWithTaskErrorPropagation) {
   }
 }
 
+TEST(BatchRunner, PooledDpOptimalBatchMatchesSerialAndSolvesOncePerKey) {
+  // dp-optimal sessions on pool workers resolve their tables through the
+  // runner's cache from inside the tasks: the results equal a serial run's
+  // and each canonical key is solved once however the tasks interleave.
+  std::vector<ScenarioSpec> specs;
+  for (int i = 0; i < 24; ++i) {
+    ScenarioSpec spec = basic_spec(300 + i);
+    spec.policy = PolicyKind::kDpOptimal;
+    spec.lifespan = 512 + 128 * (i % 3);  // three canonical keys
+    specs.push_back(spec);
+  }
+  const BatchResult serial = BatchRunner().run(specs);
+
+  util::ThreadPool pool(4);
+  BatchOptions options;
+  options.pool = &pool;
+  const BatchResult pooled = BatchRunner(options).run(specs);
+  ASSERT_EQ(pooled.per_scenario.size(), serial.per_scenario.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(pooled.per_scenario[i].to_string(), serial.per_scenario[i].to_string())
+        << i;
+  }
+  EXPECT_EQ(pooled.cache.misses, 3u);
+  EXPECT_EQ(pooled.cache.hits, 21u);
+}
+
 TEST(BatchRunner, ToStringNamesAreStable) {
   EXPECT_STREQ(to_string(PolicyKind::kDpOptimal), "dp-optimal");
   EXPECT_STREQ(to_string(PolicyKind::kEqualized), "equalized");

@@ -1,14 +1,12 @@
 // Level-fill kernel differential: the production inverse scan must be
 // bit-identical to the legacy binary search and to the O(P·N²) reference on
-// generated scenarios, ragged partial ranges (wavefront-sized blocks
-// included), c = 1, lifespans below c, degenerate grids and forced-wavefront
-// whole solves — plus the write contract of run_fill_kernel (every cell of
-// [lo, hi) written, nothing outside it) and the calibration and cost-model
-// contracts of solver/fast_solver.h.
+// generated scenarios, ragged partial ranges (c-wide blocks included),
+// c = 1, lifespans below c, degenerate grids and forced-kernel whole solves
+// — plus the write contract of run_fill_kernel (every cell of [lo, hi)
+// written, nothing outside it).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
@@ -24,7 +22,6 @@
 #include "solver/reference_solver.h"
 #include "util/parse.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace nowsched::solver {
 namespace {
@@ -68,8 +65,8 @@ std::vector<Ticks> fill_with(SolverKernel kernel, const std::vector<Ticks>& cur0
 }
 
 /// Fills a whole level [1, n] as consecutive ragged ranges whose lengths are
-/// drawn from [1, max_len] — the call pattern of wavefront cells (and of
-/// longer ranges when max_len > c).
+/// drawn from [1, max_len] — short ranges whose reads reach back into the
+/// earlier ranges' writes, and longer ones when max_len > c.
 std::vector<Ticks> fill_ragged(SolverKernel kernel, const std::vector<Ticks>& prev,
                                Ticks c, Ticks max_len, util::Rng& rng) {
   const Ticks n = static_cast<Ticks>(prev.size()) - 1;
@@ -82,7 +79,8 @@ std::vector<Ticks> fill_ragged(SolverKernel kernel, const std::vector<Ticks>& pr
   return cur;
 }
 
-/// Fills a whole level [1, n] in wavefront blocks [1 + b·c, 1 + (b+1)·c).
+/// Fills a whole level [1, n] in c-wide blocks [1 + b·c, 1 + (b+1)·c): each
+/// block reads only cells below its own start.
 std::vector<Ticks> fill_blocks(SolverKernel kernel, const std::vector<Ticks>& prev,
                                Ticks c) {
   const Ticks n = static_cast<Ticks>(prev.size()) - 1;
@@ -125,7 +123,7 @@ TEST(KernelDispatch, ForceAndClear) {
 TEST(KernelDifferential, GeneratedScenariosBitIdenticalAcrossKernels) {
   // NOWSCHED_FUZZ_CASES generated scenarios. Per scenario, every level is
   // built by the legacy kernel over the whole range, by the inverse scan
-  // over the whole range, in wavefront blocks and in ragged ranges up to 3c
+  // over the whole range, in c-wide blocks and in ragged ranges up to 3c
   // long, and all four must match the O(P·N²) reference entry-for-entry.
   sim::ScenarioDomain domain;
   domain.min_c = 1;
@@ -153,7 +151,7 @@ TEST(KernelDifferential, GeneratedScenariosBitIdenticalAcrossKernels) {
       ASSERT_EQ(legacy, fill_with(SolverKernel::kInverseScan, zero, prev, 1, n + 1, c))
           << "whole range, case " << i << " q=" << q << " c=" << c;
       ASSERT_EQ(legacy, fill_blocks(SolverKernel::kInverseScan, prev, c))
-          << "wavefront blocks, case " << i << " q=" << q << " c=" << c;
+          << "c-wide blocks, case " << i << " q=" << q << " c=" << c;
       ASSERT_EQ(legacy, fill_ragged(SolverKernel::kInverseScan, prev, c, 3 * c, rng))
           << "ragged ranges, case " << i << " q=" << q << " c=" << c;
       prev = legacy;
@@ -188,28 +186,19 @@ TEST(KernelDifferential, SyntheticMonotoneTablesAndPartialRanges) {
 }
 
 TEST(KernelDifferential, ForcedDispatchSolvesMatchReference) {
-  // Whole-solve path: force each kernel through the public dispatcher
-  // (sequential AND forced-wavefront on an oversubscribed pool) and demand
-  // bit-identity with the O(P·N²) oracle. Under TSan the wavefront solves
-  // exercise the kernels' cross-block reads.
+  // Whole-solve path: force each kernel through the public dispatcher and
+  // demand bit-identity with the O(P·N²) oracle.
   KernelForceGuard guard;
-  util::ThreadPool pool(4);
   for (const auto& [max_p, n, c] : std::vector<std::tuple<int, Ticks, Ticks>>{
            {3, 400, 13}, {4, 300, 1}, {2, 257, 2}, {5, 200, 64}, {3, 90, 100}}) {
     const Params params{c};
     const auto ref = solve_reference(max_p, n, params);
     for (SolverKernel k : kKernels) {
       force_solver_kernel(k);
-      const auto seq = solve_fast(max_p, n, params, nullptr,
-                                  ParallelMode::kForceSequential);
-      const auto wave = solve_fast(max_p, n, params, &pool,
-                                   ParallelMode::kForceWavefront);
-      ASSERT_TRUE(std::equal(seq.slab().begin(), seq.slab().end(),
+      const auto fast = solve_fast(max_p, n, params);
+      ASSERT_TRUE(std::equal(fast.slab().begin(), fast.slab().end(),
                              ref.slab().begin()))
-          << "sequential kernel " << solver_kernel_name(k) << " c=" << c;
-      ASSERT_TRUE(std::equal(wave.slab().begin(), wave.slab().end(),
-                             ref.slab().begin()))
-          << "wavefront kernel " << solver_kernel_name(k) << " c=" << c;
+          << "kernel " << solver_kernel_name(k) << " c=" << c;
     }
   }
 }
@@ -305,6 +294,43 @@ TEST(KernelContract, InvalidInputWritesOnlyInsideTheRange) {
   }
 }
 
+TEST(KernelContract, EmptyRangeWritesNothing) {
+  // lo == hi is a valid range at every lo in [1, n + 1]: no cell changes.
+  const Ticks n = 120, c = 9;
+  const std::vector<Ticks> prev = level_zero(n, c);
+  std::vector<Ticks> cur0(static_cast<std::size_t>(n) + 1);
+  for (Ticks l = 0; l <= n; ++l) cur0[static_cast<std::size_t>(l)] = 1000 + l;
+  cur0[0] = 0;
+  for (SolverKernel k : kKernels) {
+    for (Ticks lo = 1; lo <= n + 1; ++lo) {
+      ASSERT_EQ(fill_with(k, cur0, prev, lo, lo, c), cur0)
+          << "kernel " << solver_kernel_name(k) << " lo=" << lo;
+    }
+  }
+}
+
+TEST(KernelDifferential, SingleLifespanRangesMatchWholeRange) {
+  // The finest split: a level filled one lifespan per call, every call
+  // re-seeding from the cells the previous calls wrote, must equal the
+  // one-call fill — across c = 1, c below and above the level's length.
+  for (const auto& [n, c] : std::vector<std::pair<Ticks, Ticks>>{
+           {200, 1}, {300, 7}, {257, 64}, {90, 100}}) {
+    std::vector<Ticks> prev = level_zero(n, c);
+    for (int q = 1; q <= 3; ++q) {
+      const std::vector<Ticks> zero(prev.size(), 0);
+      const std::vector<Ticks> whole =
+          fill_with(SolverKernel::kLegacy, zero, prev, 1, n + 1, c);
+      for (SolverKernel k : kKernels) {
+        std::vector<Ticks> cur = zero;
+        for (Ticks lo = 1; lo <= n; ++lo) run_fill_kernel(k, cur, prev, lo, lo + 1, c);
+        ASSERT_EQ(cur, whole) << "kernel " << solver_kernel_name(k) << " n=" << n
+                              << " c=" << c << " q=" << q;
+      }
+      prev = whole;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Slab alignment
 // ---------------------------------------------------------------------------
@@ -323,98 +349,6 @@ TEST(ValueTableSlab, OwningSlabIsVectorAligned) {
               0u)
         << "p=" << p << " n=" << n;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Cost model + calibration
-// ---------------------------------------------------------------------------
-
-TEST(CostModel, ModeledStepsTrackCountedSteps) {
-  // The model must predict the kernels' counted steps within a small
-  // constant factor: 3× for the legacy search (this pins the "log2(l − c),
-  // not log2(table size)" fix), 2× for the inverse scan, whose walk takes
-  // between n/2 and n steps (w advances by 1 or 2 per step on average) plus
-  // the seed search. Synthetic tables, deterministic counts.
-  for (const auto& [n, c] : std::vector<std::pair<Ticks, Ticks>>{
-           {1 << 12, 64}, {1 << 12, 1024}, {5000, 7}, {300, 120}, {300, 1}}) {
-    const std::vector<Ticks> prev = level_zero(n, c);
-    for (SolverKernel k : kKernels) {
-      std::vector<Ticks> cur(static_cast<std::size_t>(n) + 1, 0);
-      std::size_t counted = 0;
-      run_fill_kernel(k, cur, prev, 1, n + 1, c, &counted);
-      const double modeled = modeled_scan_steps(k, c, 1, n + 1);
-      const double slack = k == SolverKernel::kLegacy ? 3.0 : 2.0;
-      ASSERT_GT(counted, 0u);
-      EXPECT_GT(static_cast<double>(counted), modeled / slack)
-          << "n=" << n << " c=" << c << " kernel " << solver_kernel_name(k);
-      EXPECT_LT(static_cast<double>(counted), modeled * slack)
-          << "n=" << n << " c=" << c << " kernel " << solver_kernel_name(k);
-    }
-  }
-  // A wavefront block deep in the level pays the seed search once.
-  const Ticks n = 1 << 12, c = 64, lo = 2049;
-  const std::vector<Ticks> prev = level_zero(n, c);
-  std::vector<Ticks> cur =
-      fill_with(SolverKernel::kLegacy, std::vector<Ticks>(prev.size(), 0), prev, 1,
-                n + 1, c);
-  std::size_t counted = 0;
-  run_fill_kernel(SolverKernel::kInverseScan, cur, prev, lo, lo + c, c, &counted);
-  const double modeled = modeled_scan_steps(SolverKernel::kInverseScan, c, lo, lo + c);
-  EXPECT_GT(static_cast<double>(counted), modeled / 2.0);
-  EXPECT_LT(static_cast<double>(counted), modeled * 2.0);
-}
-
-TEST(CostModel, LegacyModelReflectsSearchRangeNotTableSize) {
-  // With c close to N the scans search tiny [c, l] ranges: the fixed model
-  // must charge far fewer steps than the old kN·log2(kN) formula did, while
-  // still upper-bounding the inverse scan.
-  const Ticks n = 1 << 14;
-  const double wide = modeled_scan_steps(SolverKernel::kLegacy, 16, 1, n + 1);
-  const double narrow =
-      modeled_scan_steps(SolverKernel::kLegacy, n - 64, 1, n + 1);
-  const double old_model =
-      static_cast<double>(n) * std::log2(static_cast<double>(n));
-  EXPECT_LT(narrow, 0.5 * old_model);
-  EXPECT_LT(narrow, wide);
-  EXPECT_GT(modeled_scan_steps(SolverKernel::kLegacy, 16, 1, n + 1),
-            modeled_scan_steps(SolverKernel::kInverseScan, 16, 1, n + 1));
-  EXPECT_EQ(modeled_scan_steps(SolverKernel::kInverseScan, 16, 5, 5), 0.0);
-}
-
-TEST(Calibration, ClampedRecalibratableAndKernelTagged) {
-  KernelForceGuard guard;
-  const ScanCalibration first = scan_calibration();
-  EXPECT_GT(first.generation, 0u);
-  EXPECT_GE(first.step_ns, 0.05);
-  EXPECT_LE(first.step_ns, 25.0);
-  const std::string source = first.source;
-  EXPECT_TRUE(source == "measured" || source == "clamped-low" ||
-              source == "clamped-high")
-      << source;
-  EXPECT_EQ(first.kernel, active_solver_kernel());
-
-  // Explicit recalibration bumps the generation; a cached read does not.
-  EXPECT_EQ(scan_calibration().generation, first.generation);
-  const ScanCalibration redo = recalibrate_scan_cost();
-  EXPECT_GT(redo.generation, first.generation);
-
-  // Switching the active kernel re-measures under the new kernel.
-  force_solver_kernel(SolverKernel::kLegacy);
-  const ScanCalibration legacy = scan_calibration();
-  EXPECT_EQ(legacy.kernel, SolverKernel::kLegacy);
-  EXPECT_GT(legacy.generation, redo.generation);
-}
-
-TEST(Calibration, PlanWavefrontReportsCalibrationSource) {
-  util::ThreadPool pool(4);
-  const WavefrontPlan plan = plan_wavefront(3, 1 << 14, Params{256}, &pool);
-  EXPECT_NE(plan.calibration.generation, 0u);
-  EXPECT_NE(plan.reason.find(plan.calibration.source), std::string::npos)
-      << plan.reason;
-  EXPECT_NE(plan.reason.find(solver_kernel_name(plan.calibration.kernel)),
-            std::string::npos)
-      << plan.reason;
-  EXPECT_GT(plan.cell_ns_estimate, 0.0);
 }
 
 }  // namespace

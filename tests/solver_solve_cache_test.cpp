@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <memory>
@@ -15,6 +16,7 @@
 #include "solver/fast_solver.h"
 #include "solver/table_store.h"
 #include "temp_dir.h"
+#include "util/thread_pool.h"
 
 namespace nowsched::solver {
 namespace {
@@ -380,6 +382,54 @@ TEST(SolveCache, ColdConcurrentRaceStillSolvesOncePerKey) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(cache.stats().misses, 4u);
+}
+
+TEST(SolveCache, GetOrSolveFromInsidePoolTasksSolvesOncePerKey) {
+  // Lookups run inside pool tasks (as BatchRunner's sessions do): a cold
+  // race over 4 keys from 4 workers must neither deadlock nor solve a key
+  // twice, and every task of a key receives the same table.
+  SolveCache cache;
+  util::ThreadPool pool(4);
+  constexpr std::size_t kTasks = 64;
+  std::vector<const ValueTable*> seen(kTasks, nullptr);
+  pool.parallel_for(
+      0, kTasks,
+      [&](std::size_t i) {
+        seen[i] = cache.get_or_solve({2, 64 + 16 * static_cast<Ticks>(i % 4), Params{16}})
+                      .get();
+      },
+      /*grain=*/1);
+  for (std::size_t i = 4; i < kTasks; ++i) {
+    EXPECT_EQ(seen[i], seen[i % 4]) << "task " << i;
+  }
+  const SolveCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 4u);
+  EXPECT_EQ(stats.hits, kTasks - 4);
+  EXPECT_EQ(stats.entries, 4u);
+}
+
+TEST(SolveShared, PoolTaskSolvesMatchSerialSolvesOfTheCanonicalKey) {
+  // solve_shared is uncached: every call, from any thread, returns a fresh
+  // table of the request's canonical dimensions with solve_fast's values.
+  const std::vector<SolveRequest> requests = {
+      {2, 97, Params{16}}, {3, 500, Params{8}}, {1, 64, Params{64}}, {0, 10, Params{4}}};
+  util::ThreadPool pool(4);
+  std::vector<std::shared_ptr<const ValueTable>> tables(requests.size() * 2);
+  pool.parallel_for(
+      0, tables.size(),
+      [&](std::size_t i) { tables[i] = solve_shared(requests[i % requests.size()]); },
+      /*grain=*/1);
+  for (std::size_t i = 0; i < tables.size(); ++i) {
+    const SolveKey key = canonical_key(requests[i % requests.size()]);
+    ASSERT_NE(tables[i], nullptr);
+    EXPECT_EQ(tables[i]->max_interrupts(), key.max_p);
+    EXPECT_EQ(tables[i]->max_lifespan(), key.max_lifespan);
+    const ValueTable serial = solve_fast(key.max_p, key.max_lifespan, Params{key.c});
+    EXPECT_TRUE(std::equal(tables[i]->slab().begin(), tables[i]->slab().end(),
+                           serial.slab().begin(), serial.slab().end()))
+        << "request " << i % requests.size();
+  }
+  EXPECT_NE(tables[0].get(), tables[requests.size()].get());  // not shared
 }
 
 // ---------------------------------------------------------------------------

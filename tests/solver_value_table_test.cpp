@@ -2,7 +2,12 @@
 // the fast solver relies on, checked on reference-solver output.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <limits>
 #include <memory>
+#include <stdexcept>
+#include <vector>
 
 #include "core/bounds.h"
 #include "solver/reference_solver.h"
@@ -160,6 +165,70 @@ TEST(ValueTable, ViewRejectsDimensionMismatch) {
                std::invalid_argument);
   EXPECT_THROW(ValueTable::view(1, -1, Params{4}, owner.slab(), nullptr),
                std::invalid_argument);
+}
+
+TEST(ValueTable, ViewChecksDimensionsWithoutAllocatingThem) {
+  // Dimensions implying a slab far larger than memory are a size mismatch,
+  // not an allocation: view never materializes a table of its dimensions.
+  const auto owner = solve_reference(1, 20, Params{4});
+  EXPECT_THROW(ValueTable::view(1 << 20, Ticks{1} << 40, Params{4}, owner.slab(),
+                                nullptr),
+               std::invalid_argument);
+  // Dimensions whose entry count overflows size_t are rejected outright.
+  EXPECT_THROW(ValueTable::view(std::numeric_limits<int>::max(),
+                                std::numeric_limits<Ticks>::max(), Params{4},
+                                owner.slab(), nullptr),
+               std::invalid_argument);
+}
+
+TEST(ValueTable, OwningConstructorSharesTheDimensionCheck) {
+  // The owning constructors reject what view rejects, before allocating:
+  // an entry count that overflows size_t is invalid_argument, not bad_alloc.
+  EXPECT_THROW(ValueTable(std::numeric_limits<int>::max(),
+                          std::numeric_limits<Ticks>::max(), Params{4}),
+               std::invalid_argument);
+  EXPECT_THROW(ValueTable(std::numeric_limits<int>::max(),
+                          std::numeric_limits<Ticks>::max(), Params{4},
+                          ValueTable::kUninitialized),
+               std::invalid_argument);
+  EXPECT_THROW(ValueTable(-1, 10, Params{8}, ValueTable::kUninitialized),
+               std::invalid_argument);
+  EXPECT_THROW(ValueTable(1, 10, Params{0}, ValueTable::kUninitialized),
+               std::invalid_argument);
+}
+
+TEST(ValueTable, ViewRejectsInvalidParamsAndNegativeLevels) {
+  const auto owner = solve_reference(1, 20, Params{4});
+  EXPECT_THROW(ValueTable::view(-1, 20, Params{4}, owner.slab(), nullptr),
+               std::invalid_argument);
+  EXPECT_THROW(ValueTable::view(1, 20, Params{0}, owner.slab(), nullptr),
+               std::invalid_argument);
+  // An empty slab matches no dimensions: even (0, 0) needs one entry.
+  EXPECT_THROW(ValueTable::view(0, 0, Params{4}, {}, nullptr), std::invalid_argument);
+}
+
+TEST(ValueTable, UninitializedTableHasTheOwningLayout) {
+  // kUninitialized skips only the zero pass: dimensions, byte size and the
+  // level-major layout of adjacent, disjoint level spans are the owning
+  // table's.
+  ValueTable table(3, 50, Params{8}, ValueTable::kUninitialized);
+  const ValueTable zeroed(3, 50, Params{8});
+  EXPECT_TRUE(table.owns_storage());
+  EXPECT_EQ(table.max_interrupts(), 3);
+  EXPECT_EQ(table.max_lifespan(), 50);
+  EXPECT_EQ(table.bytes(), zeroed.bytes());
+  EXPECT_EQ(table.slab().size(), 4u * 51u);
+  for (int p = 0; p <= 3; ++p) {
+    const auto level = table.mutable_level(p);
+    ASSERT_EQ(level.size(), 51u);
+    EXPECT_EQ(level.data(), table.slab().data() + static_cast<std::ptrdiff_t>(p) * 51);
+    for (Ticks l = 0; l <= 50; ++l) level[static_cast<std::size_t>(l)] = 100 * p + l;
+  }
+  for (int p = 0; p <= 3; ++p) {
+    for (Ticks l = 0; l <= 50; ++l) ASSERT_EQ(table.value(p, l), 100 * p + l);
+  }
+  EXPECT_TRUE(std::all_of(zeroed.slab().begin(), zeroed.slab().end(),
+                          [](Ticks v) { return v == 0; }));
 }
 
 TEST(ValueTable, ViewKeepaliveOutlivesTheSource) {

@@ -2,12 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <numeric>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace nowsched::util {
@@ -105,161 +106,48 @@ TEST(ThreadPool, ManySmallDispatchesComplete) {
   EXPECT_EQ(total.load(), 50 * 64);
 }
 
-// ---- TaskGraph / run_dag ---------------------------------------------------
-
-TEST(TaskGraph, RunDagExecutesEveryTaskExactlyOnce) {
+TEST(ThreadPool, RangeBelowTwoGrainsRunsInlineOnTheCaller) {
+  // The serial fallback runs the whole range on the submitting thread, in
+  // order, without touching the workers.
   ThreadPool pool(4);
-  constexpr std::size_t kLevels = 5, kBlocks = 40;
-  std::vector<std::atomic<int>> hits(kLevels * kBlocks);
-  TaskGraph g;
-  // The solver's grid shape: (p, b) depends on (p, b−1) and (p−1, b−1).
-  auto id = [&](std::size_t p, std::size_t b) { return p * kBlocks + b; };
-  for (std::size_t p = 0; p < kLevels; ++p) {
-    for (std::size_t b = 0; b < kBlocks; ++b) {
-      g.add_task([&hits, &id, p, b] { hits[id(p, b)].fetch_add(1); });
-    }
-  }
-  for (std::size_t p = 0; p < kLevels; ++p) {
-    for (std::size_t b = 1; b < kBlocks; ++b) {
-      g.add_edge(id(p, b - 1), id(p, b));
-      if (p > 0) g.add_edge(id(p - 1, b - 1), id(p, b));
-    }
-  }
-  pool.run_dag(g);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(TaskGraph, RunDagStartsDependentsOnlyAfterAllPredecessors) {
-  ThreadPool pool(4);
-  constexpr std::size_t kTasks = 64;
-  std::vector<std::atomic<bool>> done(kTasks);
-  for (auto& d : done) d.store(false);
-  TaskGraph g;
-  std::vector<std::vector<std::size_t>> deps_of(kTasks);
-  for (std::size_t i = 0; i < kTasks; ++i) {
-    deps_of[i] = i == 0 ? std::vector<std::size_t>{}
-                        : std::vector<std::size_t>{i - 1, i / 2};
-    g.add_task([&done, &deps_of, i] {
-      for (const std::size_t d : deps_of[i]) {
-        EXPECT_TRUE(done[d].load(std::memory_order_acquire))
-            << "task " << i << " started before dependency " << d;
-      }
-      done[i].store(true, std::memory_order_release);
-    });
-  }
-  for (std::size_t i = 1; i < kTasks; ++i) {
-    g.add_edge(i - 1, i);
-    if (i / 2 != i - 1) g.add_edge(i / 2, i);
-  }
-  pool.run_dag(g);
-  for (const auto& d : done) EXPECT_TRUE(d.load());
-}
-
-TEST(TaskGraph, RunDagHasNoGenerationBarrier) {
-  // B (a root) blocks until C (depth 1, on another worker) completes. Any
-  // barrier-between-generations scheme runs roots to completion first and
-  // deadlocks here; true wavefront dispatch lets C start while B waits.
-  ThreadPool pool(2);
-  std::atomic<bool> c_done{false};
-  TaskGraph g;
-  const auto a = g.add_task([] {});
-  g.add_task([&c_done] {  // B
-    while (!c_done.load(std::memory_order_acquire)) {
-      std::this_thread::yield();
-    }
-  });
-  const auto c = g.add_task([&c_done] { c_done.store(true, std::memory_order_release); });
-  g.add_edge(a, c);
-  pool.run_dag(g);
-  EXPECT_TRUE(c_done.load());
-}
-
-TEST(TaskGraph, RunDagPropagatesMidDagExceptionAndCancelsDownstream) {
-  ThreadPool pool(4);
-  TaskGraph g;
-  std::atomic<bool> tail_ran{false};
-  const auto head = g.add_task([] {});
-  const auto thrower = g.add_task([] { throw std::runtime_error("mid-DAG boom"); });
-  const auto tail = g.add_task([&tail_ran] { tail_ran.store(true); });
-  g.add_edge(head, thrower);
-  g.add_edge(thrower, tail);
-  EXPECT_THROW(pool.run_dag(g), std::runtime_error);
-  EXPECT_FALSE(tail_ran.load()) << "downstream of a failed cell must be cancelled";
-
-  // The pool must stay usable after a failed graph.
-  std::atomic<int> count{0};
-  pool.parallel_for(0, 100, [&](std::size_t) { count++; });
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(TaskGraph, RunDagSingleThreadIsDeterministicTopologicalOrder) {
-  // With size() <= 1 the graph runs inline: among ready tasks, lowest id
-  // first. Edges are inserted out of id order to exercise the ordering.
-  ThreadPool pool(1);
-  TaskGraph g;
+  const std::thread::id caller = std::this_thread::get_id();
   std::vector<std::size_t> order;
-  for (std::size_t i = 0; i < 6; ++i) {
-    g.add_task([&order, i] { order.push_back(i); });
+  bool all_inline = true;
+  pool.parallel_for(
+      10, 17,
+      [&](std::size_t i) {
+        all_inline = all_inline && std::this_thread::get_id() == caller;
+        order.push_back(i);
+      },
+      /*grain=*/4);
+  EXPECT_TRUE(all_inline);
+  EXPECT_EQ(order, (std::vector<std::size_t>{10, 11, 12, 13, 14, 15, 16}));
+}
+
+TEST(ThreadPool, ChunksRespectGrainAndOversubscriptionCap) {
+  // Every chunk but the last holds at least `grain` indices, and a dispatch
+  // never makes more than 4 chunks per thread.
+  for (const std::size_t grain : {std::size_t{1}, std::size_t{7}, std::size_t{64}}) {
+    ThreadPool pool(3);
+    std::mutex mu;
+    std::vector<std::pair<std::size_t, std::size_t>> chunks;
+    pool.parallel_for_chunks(
+        0, 1000,
+        [&](std::size_t lo, std::size_t hi) {
+          std::lock_guard<std::mutex> lock(mu);
+          chunks.emplace_back(lo, hi);
+        },
+        grain);
+    std::sort(chunks.begin(), chunks.end());
+    ASSERT_FALSE(chunks.empty());
+    EXPECT_LE(chunks.size(), 4 * pool.size()) << "grain " << grain;
+    EXPECT_EQ(chunks.front().first, 0u);
+    EXPECT_EQ(chunks.back().second, 1000u);
+    for (std::size_t k = 0; k + 1 < chunks.size(); ++k) {
+      EXPECT_EQ(chunks[k].second, chunks[k + 1].first) << "grain " << grain;
+      EXPECT_GE(chunks[k].second - chunks[k].first, grain) << "grain " << grain;
+    }
   }
-  g.add_edge(4, 0);  // 0 late despite its low id
-  g.add_edge(2, 1);
-  g.add_edge(5, 3);
-  pool.run_dag(g);
-  // Ready at start: {2, 4, 5}; each release unblocks its dependent.
-  const std::vector<std::size_t> expected{2, 1, 4, 0, 5, 3};
-  EXPECT_EQ(order, expected);
-
-  // Same graph shape again: the order must reproduce bit-for-bit.
-  TaskGraph g2;
-  std::vector<std::size_t> order2;
-  for (std::size_t i = 0; i < 6; ++i) {
-    g2.add_task([&order2, i] { order2.push_back(i); });
-  }
-  g2.add_edge(4, 0);
-  g2.add_edge(2, 1);
-  g2.add_edge(5, 3);
-  pool.run_dag(g2);
-  EXPECT_EQ(order2, expected);
-}
-
-TEST(TaskGraph, RunDagEmptyAndSingleton) {
-  ThreadPool pool(2);
-  TaskGraph empty;
-  pool.run_dag(empty);  // must not hang
-  TaskGraph one;
-  std::atomic<int> calls{0};
-  one.add_task([&calls] { calls++; });
-  pool.run_dag(one);
-  EXPECT_EQ(calls.load(), 1);
-}
-
-TEST(TaskGraph, RunDagRejectsCyclesWithoutRunningAnything) {
-  ThreadPool pool(2);
-  TaskGraph g;
-  std::atomic<int> ran{0};
-  const auto a = g.add_task([&ran] { ran++; });
-  const auto b = g.add_task([&ran] { ran++; });
-  const auto c = g.add_task([&ran] { ran++; });  // not on the cycle
-  g.add_edge(a, b);
-  g.add_edge(b, a);
-  (void)c;
-  EXPECT_THROW(pool.run_dag(g), std::logic_error);
-  EXPECT_EQ(ran.load(), 0);
-}
-
-TEST(TaskGraph, AddEdgeValidatesIds) {
-  TaskGraph g;
-  const auto a = g.add_task([] {});
-  EXPECT_THROW(g.add_edge(a, 7), std::out_of_range);
-  EXPECT_THROW(g.add_edge(7, a), std::out_of_range);
-  EXPECT_THROW(g.add_edge(a, a), std::logic_error);
-}
-
-TEST(ThreadPool, DispatchOverheadIsPositiveAndMemoized) {
-  ThreadPool pool(2);
-  const double first = pool.dispatch_overhead_ns();
-  EXPECT_GT(first, 0.0);
-  EXPECT_EQ(pool.dispatch_overhead_ns(), first);
 }
 
 // ---- NOWSCHED_THREADS parsing ---------------------------------------------
