@@ -17,12 +17,11 @@ SolveCache::SolveCache() : SolveCache(Options()) {}
 SolveCache::SolveCache(Options options)
     : stripes_(options.shards),
       shards_(stripes_.stripes()),
-      resident_(ResidentTableStore::Options{options.shards, options.max_bytes}),
-      store_(std::move(options.store)) {}
-
-void SolveCache::set_max_bytes(std::size_t max_bytes) {
-  resident_.set_max_bytes(max_bytes);
-}
+      store_(std::move(options.store)),
+      // An even slice per shard. A slice of 0 is legal: each shard then
+      // retains only its most recently used table (the keep-newest guarantee).
+      per_shard_budget_(options.max_bytes / shards_.size()),
+      max_bytes_(options.max_bytes) {}
 
 std::shared_ptr<const ValueTable> SolveCache::get_or_solve(const SolveRequest& req) {
   const SolveKey key = canonical_key(req);
@@ -31,75 +30,113 @@ std::shared_ptr<const ValueTable> SolveCache::get_or_solve(const SolveRequest& r
 
   std::promise<TablePtr> promise;
   Future future;
-  bool owner = false;
-  std::uint64_t my_insert_id = 0;
+  std::uint64_t my_insert_id = 0;  // stays 0 for waiters (ids start at 1)
   {
     auto guard = stripes_.lock(hash);
-    // Tier 1, probed under the in-flight stripe so a table moving from the
-    // in-flight map to the resident tier (both happen under this lock) can
-    // never be missed by a concurrent requester. Lock order is always
-    // in-flight stripe → resident stripe, so the nesting cannot deadlock.
-    if (TablePtr resident = resident_.load(key)) {
+    auto [it, inserted] = shard.map.try_emplace(key);
+    Entry& entry = it->second;
+    if (!inserted) {
       hits_.fetch_add(1, std::memory_order_relaxed);
-      return resident;
-    }
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      future = it->second.future;  // copy out, then wait outside the lock
-      hits_.fetch_add(1, std::memory_order_relaxed);
+      entry.last_used = ++shard.clock;  // a hit is a recency touch
+      future = entry.future;  // copy out, then get() outside the lock
     } else {
       future = promise.get_future().share();
-      my_insert_id = ++shard.next_id;
-      shard.map.emplace(key, Entry{future, my_insert_id});
-      owner = true;
+      entry.future = future;
+      entry.insert_id = my_insert_id = ++shard.clock;
       misses_.fetch_add(1, std::memory_order_relaxed);
     }
   }
+  // A hit or a waiter: ready once finished, else blocks; rethrows the
+  // owner's exception.
+  if (my_insert_id == 0) return future.get();
 
-  if (owner) {
-    // Resolve the miss outside the stripe lock: other keys on this stripe
-    // stay resolvable, and waiters on THIS key block on the future instead.
-    try {
-      bool solved = false;
-      TablePtr table = store_ ? store_->load(key) : nullptr;
-      if (table != nullptr) {
-        store_hits_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        table = solve_shared(req);
-        solved = true;
-      }
-      promise.set_value(table);
-      {
-        auto guard = stripes_.lock(hash);
-        auto it = shard.map.find(key);
-        // Promote to the resident tier only if OUR in-flight entry is still
-        // the one registered — a concurrent clear() may have dropped it
-        // (drop-on-arrival), or a clear()+re-request replaced it with a
-        // fresh attempt that will do its own promotion.
-        if (it != shard.map.end() && it->second.insert_id == my_insert_id) {
-          resident_.store(key, table);  // nested: in-flight → resident
-          shard.map.erase(it);
-        }
-      }
-      // Spill a FRESH solve to the persistent tier, outside every lock —
-      // a store hit is already on disk, and a failed spill only costs the
-      // next cold process a solve.
-      if (solved && store_ != nullptr && store_->store(key, table)) {
-        spills_.fetch_add(1, std::memory_order_relaxed);
-      }
-    } catch (...) {
-      promise.set_exception(std::current_exception());
-      auto guard = stripes_.lock(hash);
-      auto it = shard.map.find(key);
-      // Clear only OUR failed attempt so a later call retries — a
-      // concurrent clear()+re-request may have installed a healthy entry.
-      if (it != shard.map.end() && it->second.insert_id == my_insert_id) {
-        shard.map.erase(it);
-      }
-      throw;
+  // Owner: resolve the miss outside the stripe lock — other keys on this
+  // stripe stay resolvable, and waiters on THIS key block on the future.
+  TablePtr table;
+  bool solved = false;
+  try {
+    table = store_ ? store_->load(key) : nullptr;
+    if (table != nullptr) {
+      store_hits_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      table = solve_shared(req);
+      solved = true;
+    }
+  } catch (...) {
+    promise.set_exception(std::current_exception());
+    auto guard = stripes_.lock(hash);
+    auto it = shard.map.find(key);
+    // Erase only OUR failed attempt so a later call retries — a concurrent
+    // clear()+re-request may have installed a healthy entry.
+    if (it != shard.map.end() && it->second.insert_id == my_insert_id) {
+      shard.map.erase(it);
+    }
+    throw;
+  }
+  promise.set_value(table);
+  {
+    auto guard = stripes_.lock(hash);
+    auto it = shard.map.find(key);
+    // Finish the entry in place only if OUR insertion is still the one
+    // registered — a concurrent clear() may have dropped it (drop-on-
+    // arrival), or a clear()+re-request replaced it with a fresh attempt
+    // that will finish itself.
+    if (it != shard.map.end() && it->second.insert_id == my_insert_id) {
+      Entry& entry = it->second;
+      entry.bytes = table->bytes();
+      entry.last_used = ++shard.clock;
+      shard.bytes += entry.bytes;
+      evict_excess_locked(shard, key);
     }
   }
-  return future.get();  // rethrows the owner's exception for waiters
+  // Spill a FRESH solve to the persistent tier, outside every lock — a
+  // store hit is already on disk, and a failed spill only costs the next
+  // cold process a solve.
+  if (solved && store_ != nullptr && store_->store(key, table)) {
+    spills_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return table;
+}
+
+void SolveCache::evict_excess_locked(Shard& shard, const SolveKey& keep) {
+  // `keep` — the table whose arrival triggered this pass — always survives,
+  // so a single oversized table parks in its shard instead of thrashing.
+  const std::size_t budget = per_shard_budget_.load(std::memory_order_relaxed);
+  while (shard.bytes > budget) {
+    auto victim = shard.map.end();
+    for (auto it = shard.map.begin(); it != shard.map.end(); ++it) {
+      if (it->second.bytes == 0 || it->first == keep) continue;
+      if (victim == shard.map.end() ||
+          it->second.last_used < victim->second.last_used) {
+        victim = it;
+      }
+    }
+    if (victim == shard.map.end()) break;  // nothing evictable remains
+    shard.bytes -= victim->second.bytes;
+    shard.map.erase(victim);
+    evictions_.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+void SolveCache::set_max_bytes(std::size_t max_bytes) {
+  max_bytes_.store(max_bytes, std::memory_order_relaxed);
+  per_shard_budget_.store(max_bytes / shards_.size(), std::memory_order_relaxed);
+  // Shrinks take effect now, not on the next arrival: walk every shard and
+  // evict down to the new slice, keeping the most recently used table (the
+  // same guarantee the arrival path gives).
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    std::unique_lock<std::mutex> guard(stripes_.stripe(i));
+    Shard& shard = shards_[i];
+    auto newest = shard.map.end();
+    for (auto it = shard.map.begin(); it != shard.map.end(); ++it) {
+      if (it->second.bytes == 0) continue;
+      if (newest == shard.map.end() ||
+          it->second.last_used > newest->second.last_used) {
+        newest = it;
+      }
+    }
+    if (newest != shard.map.end()) evict_excess_locked(shard, newest->first);
+  }
 }
 
 SolveCacheStats SolveCache::stats() const {
@@ -108,26 +145,24 @@ SolveCacheStats SolveCache::stats() const {
   s.misses = misses_.load(std::memory_order_relaxed);
   s.store_hits = store_hits_.load(std::memory_order_relaxed);
   s.spills = spills_.load(std::memory_order_relaxed);
-  const TableStoreStats resident = resident_.stats();
-  s.evictions = resident.evictions;
-  s.entries = resident.entries;
-  s.resident_bytes = resident.bytes;
+  s.evictions = evictions_.load(std::memory_order_relaxed);
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     std::unique_lock<std::mutex> guard(stripes_.stripe(i));
     s.entries += shards_[i].map.size();
+    s.resident_bytes += shards_[i].bytes;
   }
   return s;
 }
 
 void SolveCache::clear() {
-  // In-flight entries first: once an owner's insert_id no longer matches,
-  // its completion is dropped on arrival instead of repopulating the
-  // resident tier we are about to clear.
+  // Dropping an in-flight entry makes its owner's insert_id stale, so its
+  // completion is dropped on arrival. The clock is NOT reset: insert ids
+  // must stay unique across clears.
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     std::unique_lock<std::mutex> guard(stripes_.stripe(i));
     shards_[i].map.clear();
+    shards_[i].bytes = 0;
   }
-  resident_.clear();
 }
 
 }  // namespace nowsched::solver

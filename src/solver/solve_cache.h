@@ -6,22 +6,22 @@
 // holds its table through a shared_ptr. The cache exploits both facts —
 // requests are canonicalized to a SolveKey, and lookup walks the tiers:
 //
-//   1. RAM tier (ResidentTableStore)        → hit
+//   1. finished table resident in RAM       → hit
 //   2. in-flight solve for the same key     → wait on its shared_future (hit)
 //   3. persistent tier (Options::store)     → store_hit (mmap, zero-copy)
 //   4. solve_fast                           → solve, then SPILL to the store
 //
-// The storage half of the old monolithic cache now lives behind the
-// solver::TableStore interface (solver/table_store.h); what remains here is
-// the concurrency protocol. Requests hash onto one of S in-flight stripes
-// (util::StripedMutex stripe i guards stripe i's map), and concurrent
-// requests for one key perform exactly ONE solve: the first thread computes
-// outside the lock while later threads block on the future, not the stripe
-// mutex. The resident tier is probed and populated UNDER the in-flight
-// stripe lock (lock order: in-flight stripe → resident stripe, never
-// reversed), which closes the window where a finished table has left the
-// in-flight map but not yet reached the resident tier — the exactly-once
-// guarantee is a tested invariant, not best-effort.
+// Requests hash onto one of S stripes (util::StripedMutex stripe i guards
+// shard i), and each shard holds ONE map whose entry for a key carries the
+// key's shared_future from insertion to eviction: in flight until its owner
+// records the table's byte size and an LRU stamp, finished (resident) after.
+// Concurrent requests for one key perform exactly ONE solve: the first
+// thread inserts the in-flight entry, resolves it outside the lock, and
+// finishes the SAME entry in place under the same single stripe lock, while
+// later threads block on the future, not the stripe mutex. No code path holds two stripes at once, and a key never sits
+// between two structures on its way from "in flight" to "resident" — the
+// exactly-once guarantee is a tested invariant, not best-effort. Below the
+// RAM tier sits the solver::TableStore seam (solver/table_store.h).
 //
 // Canonicalization (canonical_key, solver/solve_key.h) rounds max_lifespan
 // up to the next multiple of c. This is semantically transparent — every
@@ -85,18 +85,17 @@ struct SolveCacheStats {
 class SolveCache {
  public:
   struct Options {
-    /// Stripe/shard count; rounded up to a power of two. Shared by the
-    /// in-flight map and the resident tier (same platform-stable key hash).
+    /// Stripe/shard count; rounded up to a power of two.
     std::size_t shards = 8;
     /// Total byte budget for resident tables across all shards (split
     /// evenly). Each shard always keeps its most recently used table even
     /// when it alone exceeds the slice.
     std::size_t max_bytes = 64u << 20;  // 64 MiB
     /// Optional persistent tier probed on a RAM miss and spilled to after a
-    /// fresh solve (typically a MappedTableStore; see table_store.h).
-    /// Shared_ptr so many caches — one per tenant — can mount ONE warm
-    /// store; TableStore implementations are thread-safe. nullptr = the
-    /// cache is purely resident, exactly the old behavior.
+    /// fresh solve (a MappedTableStore; see table_store.h). Shared_ptr so
+    /// many caches — one per tenant — can mount ONE warm store; TableStore
+    /// implementations are thread-safe. nullptr = the cache is purely
+    /// resident.
     std::shared_ptr<TableStore> store;
   };
 
@@ -119,9 +118,9 @@ class SolveCache {
   SolveCacheStats stats() const;
 
   /// Drops every resident table (in-flight solves complete and are dropped
-  /// on arrival — they are neither promoted to the resident tier nor
-  /// spilled). Counters are NOT reset; the persistent tier is NOT touched
-  /// (it is shared state other caches may be reading).
+  /// on arrival — they are neither kept resident nor spilled). Counters are
+  /// NOT reset; the persistent tier is NOT touched (it is shared state other
+  /// caches may be reading).
   void clear();
 
   /// Re-budgets the RAM tier to `max_bytes` total (re-split evenly across
@@ -135,7 +134,9 @@ class SolveCache {
   void set_max_bytes(std::size_t max_bytes);
 
   /// Current total RAM-tier byte budget (Options or set_max_bytes).
-  std::size_t max_bytes() const noexcept { return resident_.max_bytes(); }
+  std::size_t max_bytes() const noexcept {
+    return max_bytes_.load(std::memory_order_relaxed);
+  }
 
   std::size_t shard_count() const noexcept { return stripes_.stripes(); }
 
@@ -153,27 +154,43 @@ class SolveCache {
     }
   };
 
-  /// An in-flight solve. Finished tables do not live here — they move to
-  /// the resident tier the moment the owner records them.
+  /// One key's life in the cache. Every request for the key reads the same
+  /// shared_future: it blocks while the owner's solve is in flight and is
+  /// ready once the owner finishes the entry, so a waiter and a hit take the
+  /// one path. `bytes` marks which: 0 in flight, the table's (never-zero)
+  /// size once finished.
   struct Entry {
-    Future future;
+    Future future;                ///< the owner's shared_future
     std::uint64_t insert_id = 0;  ///< identity tag: which insertion this is
+    std::uint64_t last_used = 0;  ///< shard-local LRU clock value
+    std::size_t bytes = 0;        ///< table->bytes() once finished, else 0
   };
 
   struct Shard {
     std::unordered_map<SolveKey, Entry, KeyHash> map;
-    std::uint64_t next_id = 0;  ///< monotone per-shard insertion counter
+    std::uint64_t clock = 0;  ///< monotone per-shard insertion/use counter
+    std::size_t bytes = 0;    ///< Σ entry.bytes of this map
   };
 
-  // mutable: stats() is logically const but must lock in-flight stripes.
+  /// Evicts LRU finished tables until the shard fits its slice or only
+  /// `keep` remains (the keep-newest guarantee). In-flight entries are
+  /// never victims.
+  void evict_excess_locked(Shard& shard, const SolveKey& keep);
+
+  // mutable: stats() is logically const but must lock stripes.
   mutable util::StripedMutex stripes_;
   std::vector<Shard> shards_;
-  ResidentTableStore resident_;       ///< tier 1: finished tables in RAM
-  std::shared_ptr<TableStore> store_; ///< tier 2: optional persistent store
+  std::shared_ptr<TableStore> store_;  ///< optional persistent tier
+  // Atomic: set_max_bytes rewrites budgets while other threads evict under
+  // their own stripe locks (relaxed is enough — eviction against a briefly
+  // stale budget is corrected by the resize's own eviction pass).
+  std::atomic<std::size_t> per_shard_budget_;
+  std::atomic<std::size_t> max_bytes_;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> store_hits_{0};
   std::atomic<std::uint64_t> spills_{0};
+  std::atomic<std::uint64_t> evictions_{0};
 };
 
 }  // namespace nowsched::solver

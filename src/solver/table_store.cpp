@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "util/mmap_file.h"
 
@@ -15,109 +16,6 @@
 #endif
 
 namespace nowsched::solver {
-
-// ---------------------------------------------------------------------------
-// ResidentTableStore
-// ---------------------------------------------------------------------------
-
-ResidentTableStore::ResidentTableStore(Options options)
-    : stripes_(options.shards), shards_(stripes_.stripes()) {
-  // An even slice per shard. A slice of 0 is legal: each shard then retains
-  // only its most recently used table (the keep-newest guarantee).
-  per_shard_budget_ = options.max_bytes / shards_.size();
-  max_bytes_ = options.max_bytes;
-}
-
-std::shared_ptr<const ValueTable> ResidentTableStore::load(const SolveKey& key) {
-  const std::uint64_t hash = key.hash();
-  Shard& shard = shards_[stripes_.index_for(hash)];
-  auto guard = stripes_.lock(hash);
-  auto it = shard.map.find(key);
-  if (it == shard.map.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  it->second.last_used = ++shard.clock;
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  return it->second.table;
-}
-
-bool ResidentTableStore::store(const SolveKey& key,
-                               const std::shared_ptr<const ValueTable>& table) {
-  const std::uint64_t hash = key.hash();
-  Shard& shard = shards_[stripes_.index_for(hash)];
-  const std::size_t table_bytes = table->bytes();
-  auto guard = stripes_.lock(hash);
-  Entry& entry = shard.map[key];
-  shard.bytes -= entry.bytes;  // 0 for a fresh entry; the old size on refresh
-  entry.table = table;
-  entry.bytes = table_bytes;
-  entry.last_used = ++shard.clock;
-  shard.bytes += table_bytes;
-  evict_excess_locked(shard, key);
-  stores_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-void ResidentTableStore::evict_excess_locked(Shard& shard, const SolveKey& keep) {
-  // `keep` — the table whose arrival triggered this pass — always survives,
-  // so a single oversized table parks in its shard instead of thrashing.
-  const std::size_t budget = per_shard_budget_.load(std::memory_order_relaxed);
-  while (shard.bytes > budget) {
-    auto victim = shard.map.end();
-    for (auto it = shard.map.begin(); it != shard.map.end(); ++it) {
-      if (it->first == keep) continue;
-      if (victim == shard.map.end() ||
-          it->second.last_used < victim->second.last_used) {
-        victim = it;
-      }
-    }
-    if (victim == shard.map.end()) break;  // nothing evictable remains
-    shard.bytes -= victim->second.bytes;
-    shard.map.erase(victim);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void ResidentTableStore::set_max_bytes(std::size_t max_bytes) {
-  max_bytes_.store(max_bytes, std::memory_order_relaxed);
-  per_shard_budget_.store(max_bytes / shards_.size(), std::memory_order_relaxed);
-  // Shrinks take effect now, not on the next store: walk every shard and
-  // evict down to the new slice, keeping the most recently used table (the
-  // same guarantee the store path gives).
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    std::unique_lock<std::mutex> guard(stripes_.stripe(i));
-    Shard& shard = shards_[i];
-    if (shard.map.empty()) continue;
-    auto newest = shard.map.begin();
-    for (auto it = shard.map.begin(); it != shard.map.end(); ++it) {
-      if (it->second.last_used > newest->second.last_used) newest = it;
-    }
-    evict_excess_locked(shard, newest->first);
-  }
-}
-
-void ResidentTableStore::clear() {
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    std::unique_lock<std::mutex> guard(stripes_.stripe(i));
-    shards_[i].map.clear();
-    shards_[i].bytes = 0;
-  }
-}
-
-TableStoreStats ResidentTableStore::stats() const {
-  TableStoreStats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.stores = stores_.load(std::memory_order_relaxed);
-  s.evictions = evictions_.load(std::memory_order_relaxed);
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    std::unique_lock<std::mutex> guard(stripes_.stripe(i));
-    s.entries += shards_[i].map.size();
-    s.bytes += shards_[i].bytes;
-  }
-  return s;
-}
 
 // ---------------------------------------------------------------------------
 // MappedTableStore — the `nowsched-table v1` format

@@ -1,13 +1,13 @@
-// TableStore — the storage-backend interface beneath solver::SolveCache,
-// and its two backends: the resident RAM tier (ResidentTableStore) and the
-// content-addressed, memory-mapped persistent tier (MappedTableStore).
+// TableStore — the storage-backend interface beneath solver::SolveCache's
+// RAM tier, and its backend: the content-addressed, memory-mapped
+// persistent tier (MappedTableStore).
 //
-// The cache used to BE its resident tier; now the tier is a backend behind
-// a narrow interface (load / store / clear / stats), which is what lets a
-// second, persistent tier slot underneath it: RAM hit → mapped-store hit →
-// solve + spill, with identical results in every tier by construction
-// (solves are deterministic, stored slabs are checksummed, and a mapped
-// table is an immutable ValueTable view over the file's own pages).
+// The cache keeps finished tables resident in its own striped map; this
+// narrow interface (load / store / clear / stats) is what lets a persistent
+// tier slot underneath it: RAM hit → mapped-store hit → solve + spill, with
+// identical results in every tier by construction (solves are
+// deterministic, stored slabs are checksummed, and a mapped table is an
+// immutable ValueTable view over the file's own pages).
 //
 // ## On-disk format: `nowsched-table v1`
 //
@@ -55,17 +55,14 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "solver/solve_key.h"
 #include "solver/value_table.h"
-#include "util/striped_lock.h"
 
 namespace nowsched::solver {
 
 /// Lifetime counters of one backend. Monotone; `entries`/`bytes` are the
-/// point-in-time resident (or on-disk) set.
+/// point-in-time on-disk set.
 struct TableStoreStats {
   std::uint64_t hits = 0;        ///< load() calls that returned a table
   std::uint64_t misses = 0;      ///< load() calls with no entry for the key
@@ -76,15 +73,14 @@ struct TableStoreStats {
   std::uint64_t stores = 0;      ///< store() calls that persisted a table
   std::uint64_t store_skips = 0; ///< store() no-ops: entry already present
                                  ///< (build-once) or backend read-only
-  std::uint64_t evictions = 0;   ///< entries dropped for a byte budget
   std::size_t entries = 0;
   std::size_t bytes = 0;         ///< logical slab bytes held by the backend
 };
 
-/// The narrow storage interface SolveCache tiers sit behind. Implementations
-/// must be safe to call from many threads concurrently, must return tables
-/// that are bit-identical to a fresh solve of the key (or nothing), and must
-/// treat store() as idempotent per key.
+/// The narrow storage interface beneath SolveCache's RAM tier.
+/// Implementations must be safe to call from many threads concurrently, must
+/// return tables that are bit-identical to a fresh solve of the key (or
+/// nothing), and must treat store() as idempotent per key.
 class TableStore {
  public:
   virtual ~TableStore() = default;
@@ -105,95 +101,6 @@ class TableStore {
   virtual void clear() = 0;
 
   virtual TableStoreStats stats() const = 0;
-
-  /// Short backend identifier for logs/benches ("resident", "mapped").
-  virtual const char* name() const noexcept = 0;
-};
-
-/// The RAM tier: a sharded map of finished tables under an exact byte
-/// budget with per-shard LRU eviction — the storage half of the old
-/// SolveCache, now behind the backend interface. Sharding mirrors the
-/// cache's in-flight striping (same platform-stable key hash), the budget
-/// is split evenly across shards, and every shard always keeps its most
-/// recently used table even when that table alone exceeds the slice (a
-/// cache that cannot hold the table it just built would thrash to zero
-/// hits). set_max_bytes re-budgets live — the service layer's per-tenant
-/// quota resize.
-class ResidentTableStore final : public TableStore {
- public:
-  struct Options {
-    /// Stripe/shard count; rounded up to a power of two.
-    std::size_t shards = 8;
-    /// Total byte budget for resident tables across all shards.
-    std::size_t max_bytes = 64u << 20;  // 64 MiB
-  };
-
-  ResidentTableStore() : ResidentTableStore(Options{}) {}
-  explicit ResidentTableStore(Options options);
-
-  ResidentTableStore(const ResidentTableStore&) = delete;
-  ResidentTableStore& operator=(const ResidentTableStore&) = delete;
-
-  /// A resident table is a hit AND a recency touch (it becomes its shard's
-  /// newest-used entry).
-  std::shared_ptr<const ValueTable> load(const SolveKey& key) override;
-
-  /// Retains the table and immediately evicts least-recently-used tables
-  /// from the shard until it fits its slice again; the just-stored table
-  /// always survives the pass. Storing an already-present key refreshes the
-  /// entry (and its recency) rather than duplicating it.
-  bool store(const SolveKey& key,
-             const std::shared_ptr<const ValueTable>& table) override;
-
-  void clear() override;
-  TableStoreStats stats() const override;
-  const char* name() const noexcept override { return "resident"; }
-
-  /// Re-budgets to `max_bytes` total (re-split evenly across shards) and
-  /// immediately evicts every shard down to its new slice, keeping each
-  /// shard's most recently used table. Growing never evicts.
-  void set_max_bytes(std::size_t max_bytes);
-
-  std::size_t max_bytes() const noexcept {
-    return max_bytes_.load(std::memory_order_relaxed);
-  }
-  std::size_t shard_count() const noexcept { return stripes_.stripes(); }
-
- private:
-  struct KeyHash {
-    std::size_t operator()(const SolveKey& key) const noexcept {
-      return static_cast<std::size_t>(key.hash());
-    }
-  };
-
-  struct Entry {
-    std::shared_ptr<const ValueTable> table;
-    std::uint64_t last_used = 0;  ///< shard-local LRU clock value
-    std::size_t bytes = 0;
-  };
-
-  struct Shard {
-    std::unordered_map<SolveKey, Entry, KeyHash> map;
-    std::uint64_t clock = 0;  ///< monotone per-shard use counter
-    std::size_t bytes = 0;    ///< Σ entry.bytes of this map
-  };
-
-  /// Evicts LRU entries until the shard fits its slice or only `keep`
-  /// remains (the keep-newest guarantee).
-  void evict_excess_locked(Shard& shard, const SolveKey& keep);
-
-  // mutable: stats() is logically const but must lock shard stripes.
-  mutable util::StripedMutex stripes_;
-  std::vector<Shard> shards_;
-  // Atomic: set_max_bytes rewrites budgets while other threads evict under
-  // their own stripe locks (relaxed is enough — eviction against a briefly
-  // stale budget is corrected by the resize's own eviction pass).
-  std::atomic<std::size_t> per_shard_budget_;
-  std::atomic<std::size_t> max_bytes_;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> stores_{0};
-  std::atomic<std::uint64_t> evictions_{0};
 };
 
 /// The persistent tier: a directory of `nowsched-table v1` files (format
@@ -246,7 +153,6 @@ class MappedTableStore final : public TableStore {
   /// entries/bytes scan the directory (logical slab bytes, headers
   /// excluded) — stats() is for benches and operators, not hot paths.
   TableStoreStats stats() const override;
-  const char* name() const noexcept override { return "mapped"; }
 
   const std::string& dir() const noexcept { return options_.dir; }
   bool read_only() const noexcept { return options_.read_only; }

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <climits>
 #include <functional>
 #include <future>
 #include <string>
@@ -243,6 +244,34 @@ TEST(RpcServer, CancelQueuedJobSettlesAsCancelled) {
   const JobResultReply result = decode_job_result_reply(frame.payload);
   EXPECT_EQ(result.state, service::JobState::kCancelled);
   EXPECT_FALSE(result.error.empty());
+}
+
+TEST(RpcServer, FailedJobArrivesAsFailedReplyWithItsError) {
+  // A dp-optimal spec whose table slab overflows size_t passes admission and
+  // fails when it runs; the failure crosses the wire as kFailed + message.
+  ManualRig rig;
+  RawClient client(rig.server.socket_path());
+  SubmitBatchRequest req;
+  req.tenant = "alpha";
+  req.specs = quick_batch(1, 500);
+  req.specs[0].policy = sim::PolicyKind::kDpOptimal;
+  req.specs[0].lifespan = Ticks{1} << 40;
+  req.specs[0].max_interrupts = INT_MAX;
+  client.send(MsgType::kSubmitBatch, encode_submit_batch(req));
+  Frame frame = client.await_reply(rig.server);
+  ASSERT_EQ(frame.type, wire_code(MsgType::kSubmitReply));
+  const SubmitReply submitted = decode_submit_reply(frame.payload);
+  ASSERT_EQ(submitted.status, service::SubmitStatus::kAccepted);
+
+  ASSERT_TRUE(rig.service.run_next());
+  client.send(MsgType::kJobResult,
+              encode_job_result({submitted.job_id, /*wait=*/false}));
+  frame = client.await_reply(rig.server);
+  ASSERT_EQ(frame.type, wire_code(MsgType::kJobResultReply));
+  const JobResultReply result = decode_job_result_reply(frame.payload);
+  EXPECT_EQ(result.state, service::JobState::kFailed);
+  EXPECT_NE(result.error.find("dimensions overflow size_t"), std::string::npos)
+      << result.error;
 }
 
 TEST(RpcServer, BadPayloadDrawsErrorReplyAndConnectionSurvives) {

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -360,6 +361,30 @@ TEST(SchedulerService, FetchConsumesTheOutcomeExactlyOnce) {
   // Completion counters are untouched by the release.
   EXPECT_EQ(service.stats().tenant("a")->completed_jobs, 1u);
   expect_conservation(service.stats());
+}
+
+TEST(SchedulerService, FailedSolveSettlesAsFailedAndFetchesOnce) {
+  // Admission validates scenarios but sizes no table, so a dp-optimal spec
+  // whose slab overflows size_t is accepted and fails only when it runs.
+  SchedulerService service(manual_options(QueueKind::kFifo));
+  sim::ScenarioSpec spec = dp_spec(Ticks{1} << 40, 1);
+  spec.max_interrupts = INT_MAX;
+  const JobTicket ticket = expect_accepted(service, "a", {spec});
+  ASSERT_TRUE(service.run_next());
+  EXPECT_EQ(service.job_state(ticket.id), JobState::kFailed);
+
+  const FetchOutcome failed = service.fetch_result(ticket.id);
+  EXPECT_EQ(failed.state, JobState::kFailed);
+  EXPECT_FALSE(failed.done());
+  EXPECT_NE(failed.error.find("dimensions overflow size_t"), std::string::npos)
+      << failed.error;
+  EXPECT_EQ(service.fetch_result(ticket.id).state, JobState::kUnknown);
+
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.failed_jobs, 1u);
+  EXPECT_EQ(stats.tenant("a")->failed_jobs, 1u);
+  EXPECT_EQ(stats.tenant("a")->completed_jobs, 0u);
+  expect_conservation(stats);
 }
 
 TEST(SchedulerService, NonWaitingFetchProbesWithoutConsuming) {

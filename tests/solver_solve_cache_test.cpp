@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <climits>
 #include <cstddef>
+#include <latch>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -322,6 +324,100 @@ TEST(SolveCache, FailedSolveIsNotCachedAndRetries) {
   EXPECT_EQ(cache.stats().misses, 0u);
   // A healthy request for a nearby key still works afterwards.
   EXPECT_NE(cache.get_or_solve({1, 10, Params{16}}), nullptr);
+}
+
+TEST(SolveCache, OwnerSolveThrowLeavesNoEntryAndRetries) {
+  // Unlike the test above, the key canonicalizes fine, so the in-flight
+  // entry exists when the solve itself throws (ValueTable rejects dims whose
+  // slab size overflows size_t). Single-threaded on purpose: a concurrent
+  // waiter would rethrow the same exception object.
+  SolveCache cache;
+  const SolveRequest huge{INT_MAX, Ticks{1} << 40, Params{16}};
+  EXPECT_THROW((void)cache.get_or_solve(huge), std::invalid_argument);
+  SolveCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.resident_bytes, 0u);
+  EXPECT_EQ(stats.misses, 1u);
+
+  EXPECT_THROW((void)cache.get_or_solve(huge), std::invalid_argument);
+  stats = cache.stats();
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.misses, 2u);  // the retry solved again, not a cached failure
+  EXPECT_EQ(stats.hits, 0u);
+}
+
+/// A persistent tier that never has a table, whose FIRST load() parks its
+/// caller: it signals `entered`, then blocks until `release` opens. That
+/// freezes an owner mid-resolution — after its in-flight entry is
+/// registered, before its table arrives — so tests can interleave clear()
+/// and re-requests deterministically, with no sleeps.
+class BlockingFirstLoadStore final : public TableStore {
+ public:
+  std::latch entered{1};
+  std::latch release{1};
+
+  std::shared_ptr<const ValueTable> load(const SolveKey&) override {
+    if (loads_.fetch_add(1) == 0) {
+      entered.count_down();
+      release.wait();
+    }
+    return nullptr;
+  }
+  bool store(const SolveKey&, const std::shared_ptr<const ValueTable>&) override {
+    return false;
+  }
+  void clear() override {}
+  TableStoreStats stats() const override { return {}; }
+
+ private:
+  std::atomic<int> loads_{0};
+};
+
+TEST(SolveCache, ClearDuringInFlightSolveDropsItOnArrival) {
+  auto store = std::make_shared<BlockingFirstLoadStore>();
+  SolveCache cache({2, 1u << 20, store});
+  const SolveRequest req{1, 64, Params{16}};
+
+  std::shared_ptr<const ValueTable> stale;
+  std::thread owner([&] { stale = cache.get_or_solve(req); });
+  store->entered.wait();  // the owner's entry is registered, its load parked
+  cache.clear();
+  store->release.count_down();
+  owner.join();
+
+  // The owner still got its table, but it arrived after clear(): dropped.
+  ASSERT_NE(stale, nullptr);
+  SolveCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.resident_bytes, 0u);
+  EXPECT_EQ(stats.misses, 1u);
+
+  (void)cache.get_or_solve(req);
+  EXPECT_EQ(cache.stats().misses, 2u);
+}
+
+TEST(SolveCache, StaleOwnerNeverOverwritesTheReRequestedEntry) {
+  auto store = std::make_shared<BlockingFirstLoadStore>();
+  SolveCache cache({2, 1u << 20, store});
+  const SolveRequest req{1, 64, Params{16}};
+
+  std::shared_ptr<const ValueTable> stale;
+  std::thread owner([&] { stale = cache.get_or_solve(req); });
+  store->entered.wait();
+  cache.clear();
+  // This thread becomes the key's new owner and finishes first.
+  const auto mine = cache.get_or_solve(req);
+  store->release.count_down();
+  owner.join();
+
+  ASSERT_NE(stale, nullptr);
+  EXPECT_NE(stale.get(), mine.get());
+  const SolveCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.resident_bytes, mine->bytes());  // counted once
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(cache.get_or_solve(req).get(), mine.get());
+  EXPECT_EQ(cache.stats().hits, 1u);
 }
 
 TEST(SolveCache, ConcurrentRequestsForOneKeySolveExactlyOnce) {

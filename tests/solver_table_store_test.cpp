@@ -1,4 +1,4 @@
-// solver/table_store.h — the storage backends beneath SolveCache.
+// solver/table_store.h — the persistent storage backend beneath SolveCache.
 //
 // The persistent tier's promises are exactly what these tests pin:
 //   * a stored table round-trips FIELD-FOR-FIELD (the bit-identity the
@@ -77,55 +77,6 @@ std::pair<SolveKey, std::shared_ptr<const ValueTable>> bake_one(
   auto table = solve_shared(req);
   EXPECT_TRUE(store.store(key, table));
   return {key, table};
-}
-
-// ---------------------------------------------------------------------------
-// ResidentTableStore — the RAM tier behind the interface
-// ---------------------------------------------------------------------------
-
-TEST(ResidentTableStore, RoundTripsThroughTheInterface) {
-  ResidentTableStore store;
-  TableStore& backend = store;  // exercise through the abstract interface
-  const SolveRequest req = small_request();
-  const SolveKey key = canonical_key(req);
-  EXPECT_EQ(backend.load(key), nullptr);
-
-  auto table = solve_shared(req);
-  EXPECT_TRUE(backend.store(key, table));
-  auto loaded = backend.load(key);
-  ASSERT_NE(loaded, nullptr);
-  EXPECT_EQ(loaded.get(), table.get());  // same shared table, not a copy
-
-  const TableStoreStats stats = backend.stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.stores, 1u);
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.bytes, table->bytes());
-}
-
-TEST(ResidentTableStore, EvictsLeastRecentlyUsedAgainstByteBudget) {
-  const SolveRequest a = small_request(1, 64, 8);
-  const SolveRequest b = small_request(1, 72, 8);
-  auto table_a = solve_shared(a);
-  auto table_b = solve_shared(b);
-  // One shard; budget fits either table alone but not both.
-  ResidentTableStore store(
-      {1, table_a->bytes() + table_b->bytes() - 1});
-  store.store(canonical_key(a), table_a);
-  store.store(canonical_key(b), table_b);
-  EXPECT_EQ(store.load(canonical_key(a)), nullptr);  // a was LRU → evicted
-  EXPECT_NE(store.load(canonical_key(b)), nullptr);
-  EXPECT_EQ(store.stats().evictions, 1u);
-}
-
-TEST(ResidentTableStore, ZeroBudgetKeepsTheNewestTable) {
-  ResidentTableStore store({1, 0});
-  const SolveRequest req = small_request();
-  auto table = solve_shared(req);
-  store.store(canonical_key(req), table);
-  // The just-stored table parks even though it exceeds the (zero) slice.
-  EXPECT_NE(store.load(canonical_key(req)), nullptr);
 }
 
 // ---------------------------------------------------------------------------
