@@ -78,4 +78,5 @@
 #include "util/striped_lock.h"
 #include "util/stats.h"
 #include "util/table.h"
+#include "util/text_record.h"
 #include "util/thread_pool.h"

@@ -1,11 +1,9 @@
 #include "race/policy_race.h"
 
-#include <cstdio>
-#include <sstream>
 #include <stdexcept>
 
 #include "util/hash.h"
-#include "util/parse.h"
+#include "util/text_record.h"
 
 namespace nowsched::race {
 
@@ -15,27 +13,25 @@ namespace {
 /// hash_combine user (scenario index streams, store checksums, ...).
 constexpr std::uint64_t kRaceTag = 0xBA1DACE5;
 
-std::string format_double(double x) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", x);
-  return buf;
-}
+constexpr util::Field<VerdictRecord> kVerdictFields[] = {
+    util::field<&VerdictRecord::kind>("kind"),
+    util::field<&VerdictRecord::policy_a>("policy_a"),
+    util::field<&VerdictRecord::region_a>("region_a", false),
+    util::field<&VerdictRecord::policy_b>("policy_b"),
+    util::field<&VerdictRecord::region_b>("region_b", false),
+    util::field<&VerdictRecord::mean_a>("mean_a", false),
+    util::field<&VerdictRecord::mean_b>("mean_b", false),
+    util::field<&VerdictRecord::gap_mean>("gap_mean"),
+    util::field<&VerdictRecord::gap_lower>("gap_lower", false),
+    util::field<&VerdictRecord::gap_upper>("gap_upper", false),
+    util::field<&VerdictRecord::delta>("delta"),
+    util::field<&VerdictRecord::epsilon>("epsilon", false),
+    util::field<&VerdictRecord::pulls_a>("pulls_a", false),
+    util::field<&VerdictRecord::pulls_b>("pulls_b", false),
+    util::field<&VerdictRecord::confident>("confident", false),
+};
 
-double parse_double_field(const std::string& value, const std::string& line) {
-  const auto x = util::parse_double(value);
-  if (!x) {
-    throw std::invalid_argument("verdict: malformed number in '" + line + "'");
-  }
-  return *x;
-}
-
-std::uint64_t parse_uint_field(const std::string& value, const std::string& line) {
-  const auto x = util::parse_uint64(value);
-  if (!x) {
-    throw std::invalid_argument("verdict: malformed integer in '" + line + "'");
-  }
-  return *x;
-}
+constexpr const char* kVerdictHeader = "nowsched-verdict v1";
 
 }  // namespace
 
@@ -143,94 +139,13 @@ PolicyRaceResult PolicyRace::run() {
 // ---------------------------------------------------------------------------
 
 std::string to_verdict_string(const VerdictRecord& v) {
-  std::ostringstream os;
-  os << "nowsched-verdict v1\n";
-  os << "kind=" << v.kind << "\n";
-  os << "policy_a=" << v.policy_a << "\n";
-  os << "region_a=" << v.region_a << "\n";
-  os << "policy_b=" << v.policy_b << "\n";
-  os << "region_b=" << v.region_b << "\n";
-  os << "mean_a=" << format_double(v.mean_a) << "\n";
-  os << "mean_b=" << format_double(v.mean_b) << "\n";
-  os << "gap_mean=" << format_double(v.gap_mean) << "\n";
-  os << "gap_lower=" << format_double(v.gap_lower) << "\n";
-  os << "gap_upper=" << format_double(v.gap_upper) << "\n";
-  os << "delta=" << format_double(v.delta) << "\n";
-  os << "epsilon=" << format_double(v.epsilon) << "\n";
-  os << "pulls_a=" << v.pulls_a << "\n";
-  os << "pulls_b=" << v.pulls_b << "\n";
-  os << "confident=" << (v.confident ? 1 : 0) << "\n";
-  return os.str();
+  return util::write_record(kVerdictHeader, kVerdictFields, v);
 }
 
 VerdictRecord verdict_from_string(const std::string& text) {
-  std::istringstream is(text);
-  std::string line;
-  if (!std::getline(is, line) || line != "nowsched-verdict v1") {
-    throw std::invalid_argument("verdict: missing 'nowsched-verdict v1' header");
-  }
+  util::RecordReader in("verdict", text, kVerdictHeader);
   VerdictRecord v;
-  bool saw_kind = false, saw_policy_a = false, saw_policy_b = false,
-       saw_gap = false, saw_delta = false;
-  while (std::getline(is, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    const auto eq = line.find('=');
-    if (eq == std::string::npos) {
-      throw std::invalid_argument("verdict: expected key=value, got '" + line + "'");
-    }
-    const std::string key = line.substr(0, eq);
-    const std::string value = line.substr(eq + 1);
-    if (key == "kind") {
-      v.kind = value;
-      saw_kind = true;
-    } else if (key == "policy_a") {
-      v.policy_a = value;
-      saw_policy_a = true;
-    } else if (key == "region_a") {
-      v.region_a = value;
-    } else if (key == "policy_b") {
-      v.policy_b = value;
-      saw_policy_b = true;
-    } else if (key == "region_b") {
-      v.region_b = value;
-    } else if (key == "mean_a") {
-      v.mean_a = parse_double_field(value, line);
-    } else if (key == "mean_b") {
-      v.mean_b = parse_double_field(value, line);
-    } else if (key == "gap_mean") {
-      v.gap_mean = parse_double_field(value, line);
-      saw_gap = true;
-    } else if (key == "gap_lower") {
-      v.gap_lower = parse_double_field(value, line);
-    } else if (key == "gap_upper") {
-      v.gap_upper = parse_double_field(value, line);
-    } else if (key == "delta") {
-      v.delta = parse_double_field(value, line);
-      saw_delta = true;
-    } else if (key == "epsilon") {
-      v.epsilon = parse_double_field(value, line);
-    } else if (key == "pulls_a") {
-      v.pulls_a = parse_uint_field(value, line);
-    } else if (key == "pulls_b") {
-      v.pulls_b = parse_uint_field(value, line);
-    } else if (key == "confident") {
-      if (value == "1") {
-        v.confident = true;
-      } else if (value == "0") {
-        v.confident = false;
-      } else {
-        throw std::invalid_argument("verdict: confident must be 0 or 1, got '" +
-                                    value + "'");
-      }
-    } else {
-      throw std::invalid_argument("verdict: unknown key '" + key + "'");
-    }
-  }
-  if (!saw_kind || !saw_policy_a || !saw_policy_b || !saw_gap || !saw_delta) {
-    throw std::invalid_argument(
-        "verdict: incomplete record (need kind, policy_a, policy_b, gap_mean, "
-        "delta)");
-  }
+  in.section("", util::bind(kVerdictFields, v));
   return v;
 }
 

@@ -90,10 +90,9 @@ struct VerdictRecord {
   bool confident = false;
 };
 
-/// Bit-exact text serialization ("nowsched-verdict v1" + key=value lines,
-/// doubles at max_digits10). verdict_from_string(to_verdict_string(v))
-/// rebuilds v exactly; parsing is strict (unknown keys, malformed numbers,
-/// and missing required keys all throw std::invalid_argument).
+/// Bit-exact text serialization: a "nowsched-verdict v1" keyed record
+/// (DESIGN §8). verdict_from_string(to_verdict_string(v)) rebuilds v
+/// exactly; a breach of the keyed rule throws std::invalid_argument.
 std::string to_verdict_string(const VerdictRecord& verdict);
 VerdictRecord verdict_from_string(const std::string& text);
 

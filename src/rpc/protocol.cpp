@@ -1,198 +1,139 @@
 #include "rpc/protocol.h"
 
-#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 
 #include "sim/scenario_gen.h"
-#include "util/parse.h"
+#include "util/text_record.h"
 
 namespace nowsched::rpc {
 
 namespace {
 
-std::string format_double(double x) {
-  // max_digits10 == 17 round-trips IEEE doubles exactly through text.
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", x);
-  return buf;
-}
+constexpr const char* kFormat = "nowsched-rpc payload";
 
 [[noreturn]] void bad(const std::string& what) {
-  throw std::invalid_argument("nowsched-rpc payload: " + what);
+  throw std::invalid_argument(std::string(kFormat) + ": " + what);
+}
+
+/// status/state fields carry the frozen numeric wire codes.
+template <auto Member, auto FromWire>
+constexpr auto wire_code_field(const char* key) {
+  using R = typename util::MemberOf<decltype(Member)>::Record;
+  return util::Field<R>{
+      key,
+      [](std::string& out, const R& r) {
+        util::append_value(out, service::wire_code(r.*Member));
+      },
+      [](R& r, const std::string& v) {
+        const auto code = FromWire(util::parse_value<int>(v));
+        if (!code) throw std::invalid_argument("unknown wire code");
+        r.*Member = *code;
+      }};
 }
 
 /// Free-text fields (reason/error/message) occupy the rest of one line; a
 /// newline smuggled in via an exception message would corrupt the record,
-/// so encoders flatten them.
-std::string one_line(std::string text) {
-  for (char& c : text) {
-    if (c == '\n' || c == '\r') c = ' ';
-  }
-  return text;
+/// so the encoder flattens them and the decoder refuses a stray '\r'.
+template <auto Member>
+constexpr auto one_line_field(const char* key) {
+  using R = typename util::MemberOf<decltype(Member)>::Record;
+  return util::Field<R>{
+      key,
+      [](std::string& out, const R& r) {
+        for (const char c : r.*Member) out += (c == '\n' || c == '\r') ? ' ' : c;
+      },
+      [](R& r, const std::string& v) {
+        if (v.find('\r') != std::string::npos) throw std::invalid_argument("stray '\\r'");
+        r.*Member = v;
+      }};
 }
 
-std::uint64_t parse_u64(const std::string& value, const std::string& line) {
-  const auto x = util::parse_uint64(value);
-  if (!x) bad("malformed integer in '" + line + "'");
-  return *x;
-}
-
-std::int64_t parse_i64(const std::string& value, const std::string& line) {
-  const auto x = util::parse_int64(value);
-  if (!x) bad("malformed integer in '" + line + "'");
-  return *x;
-}
-
-double parse_dbl(const std::string& value, const std::string& line) {
-  const auto x = util::parse_double(value);
-  if (!x) bad("malformed number in '" + line + "'");
-  return *x;
-}
-
-/// Sequential strict reader over a payload's lines: every expect_* names
-/// exactly the next line, so any deviation (missing key, reordered field,
-/// trailing junk) is a typed error with the offending line in the message.
-class LineReader {
- public:
-  explicit LineReader(const std::string& text) : is_(text) {}
-
-  void expect_header(const char* header) {
-    std::string line;
-    if (!std::getline(is_, line) || line != header) {
-      bad(std::string("missing '") + header + "' header");
-    }
-  }
-
-  /// Next line must be `key=<value>`; returns the value (may be empty, may
-  /// contain anything but a newline).
-  std::string expect_value(const char* key) {
-    std::string line;
-    if (!std::getline(is_, line)) {
-      bad(std::string("truncated record (expected '") + key + "=')");
-    }
-    const std::string prefix = std::string(key) + "=";
-    if (line.compare(0, prefix.size(), prefix) != 0) {
-      bad(std::string("expected '") + key + "=', got '" + line + "'");
-    }
-    return line.substr(prefix.size());
-  }
-
-  std::uint64_t expect_u64(const char* key) {
-    const std::string value = expect_value(key);
-    return parse_u64(value, std::string(key) + "=" + value);
-  }
-
-  double expect_double(const char* key) {
-    const std::string value = expect_value(key);
-    return parse_dbl(value, std::string(key) + "=" + value);
-  }
-
-  void expect_blank() {
-    std::string line;
-    if (!std::getline(is_, line) || !line.empty()) {
-      bad("expected blank separator line, got '" + line + "'");
-    }
-  }
-
-  /// Lines up to (not including) the next blank line or EOF, newline-joined
-  /// with a trailing newline — the shape scenario_from_replay expects.
-  std::string block() {
-    std::string out;
-    std::string line;
-    while (std::getline(is_, line)) {
-      if (line.empty()) break;
-      out += line;
-      out += '\n';
-    }
-    return out;
-  }
-
-  void expect_eof() {
-    std::string line;
-    if (std::getline(is_, line)) bad("trailing data after record: '" + line + "'");
-  }
-
-  bool peek_line(std::string& line) { return static_cast<bool>(std::getline(is_, line)); }
-
- private:
-  std::istringstream is_;
+constexpr util::Field<SubmitReply> kSubmitReplyFields[] = {
+    wire_code_field<&SubmitReply::status, &service::submit_status_from_wire>("status"),
+    one_line_field<&SubmitReply::reason>("reason"),
+    util::field<&SubmitReply::job_id>("job_id"),
+};
+constexpr util::Field<JobStatusRequest> kJobStatusFields[] = {
+    util::field<&JobStatusRequest::job_id>("job_id"),
+};
+constexpr util::Field<JobStatusReply> kJobStatusReplyFields[] = {
+    wire_code_field<&JobStatusReply::state, &service::job_state_from_wire>("state"),
+};
+constexpr util::Field<JobResultRequest> kJobResultFields[] = {
+    util::field<&JobResultRequest::job_id>("job_id"),
+    util::field<&JobResultRequest::wait>("wait"),
+};
+constexpr util::Field<JobResultReply> kResultStateFields[] = {
+    wire_code_field<&JobResultReply::state, &service::job_state_from_wire>("state"),
+};
+constexpr util::Field<JobResultReply> kResultErrorFields[] = {
+    one_line_field<&JobResultReply::error>("error"),
+};
+constexpr util::Field<JobResultReply> kResultDoneFields[] = {
+    util::field<&JobResultReply::tenant>("tenant"),
+    util::field<&JobResultReply::job_id>("job_id"),
+    util::field<&JobResultReply::completion_index>("completion_index"),
+    util::field<&JobResultReply::latency_ms>("latency_ms"),
+};
+constexpr util::Field<CancelRequest> kCancelFields[] = {
+    util::field<&CancelRequest::job_id>("job_id"),
+};
+constexpr util::Field<CancelReply> kCancelReplyFields[] = {
+    util::field<&CancelReply::cancelled>("cancelled"),
+};
+constexpr util::Field<ShutdownRequest> kShutdownFields[] = {
+    {"mode",
+     [](std::string& out, const ShutdownRequest& r) {
+       out += r.mode == service::SchedulerService::StopMode::kDrain ? "drain" : "cancel";
+     },
+     [](ShutdownRequest& r, const std::string& v) {
+       if (v != "drain" && v != "cancel") {
+         throw std::invalid_argument("unknown shutdown mode (expected drain|cancel)");
+       }
+       r.mode = v == "drain" ? service::SchedulerService::StopMode::kDrain
+                             : service::SchedulerService::StopMode::kCancelQueued;
+     }},
+};
+constexpr util::Field<ErrorReply> kErrorFields[] = {
+    one_line_field<&ErrorReply::message>("message"),
 };
 
-service::SubmitStatus status_from_value(const std::string& value,
-                                        const std::string& line) {
-  const auto code = parse_i64(value, line);
-  const auto status =
-      service::submit_status_from_wire(static_cast<int>(code));
-  if (!status) bad("unknown submit-status wire code in '" + line + "'");
-  return *status;
+/// A whole single-table payload: the header, then every field in order.
+template <typename R, std::size_t N>
+R decode_fields(const std::string& payload, const char* header,
+                const util::Field<R> (&fields)[N]) {
+  util::RecordReader r(kFormat, payload, header);
+  R record;
+  r.expect_fields(fields, record);
+  r.expect_eof();
+  return record;
 }
 
-service::JobState state_from_value(const std::string& value, const std::string& line) {
-  const auto code = parse_i64(value, line);
-  const auto state = service::job_state_from_wire(static_cast<int>(code));
-  if (!state) bad("unknown job-state wire code in '" + line + "'");
-  return *state;
-}
-
-// SessionMetrics crosses as 12 space-separated decimal integers in
-// declaration order — all-integer, so bit-exactness is trivial.
-std::string metrics_to_line(const sim::SessionMetrics& m) {
-  std::ostringstream os;
-  os << m.banked_work << ' ' << m.task_work << ' ' << m.comm_overhead << ' '
-     << m.lost_work << ' ' << m.salvaged_work << ' ' << m.fragmentation << ' '
-     << m.lifespan_used << ' ' << m.interrupts << ' ' << m.episodes << ' '
-     << m.periods_completed << ' ' << m.periods_killed << ' '
-     << m.tasks_completed;
-  return os.str();
-}
-
-sim::SessionMetrics metrics_from_line(const std::string& value,
-                                      const std::string& line) {
-  std::istringstream is(value);
-  std::string field;
-  std::int64_t v[12];
-  for (int i = 0; i < 12; ++i) {
-    if (!(is >> field)) bad("metrics line has fewer than 12 fields: '" + line + "'");
-    v[i] = parse_i64(field, line);
+// SessionMetrics crosses as its field table's values, space-separated in
+// table order — all-integer, so bit-exactness is trivial.
+void append_metrics(std::string& out, const char* key, const sim::SessionMetrics& m) {
+  out += key;
+  out += '=';
+  const char* sep = "";
+  for (const auto& f : sim::kSessionMetricsFields) {
+    out += sep;
+    f.write(out, m);
+    sep = " ";
   }
-  if (is >> field) bad("metrics line has more than 12 fields: '" + line + "'");
+  out += '\n';
+}
+
+sim::SessionMetrics expect_metrics(util::RecordReader& r, const char* key) {
+  std::istringstream is(r.expect_value(key));
+  std::string token;
   sim::SessionMetrics m;
-  m.banked_work = v[0];
-  m.task_work = v[1];
-  m.comm_overhead = v[2];
-  m.lost_work = v[3];
-  m.salvaged_work = v[4];
-  m.fragmentation = v[5];
-  m.lifespan_used = v[6];
-  m.interrupts = static_cast<int>(v[7]);
-  m.episodes = static_cast<std::size_t>(v[8]);
-  m.periods_completed = static_cast<std::size_t>(v[9]);
-  m.periods_killed = static_cast<std::size_t>(v[10]);
-  m.tasks_completed = static_cast<std::size_t>(v[11]);
+  for (const auto& f : sim::kSessionMetricsFields) {
+    if (!(is >> token)) r.fail("too few metrics fields");
+    r.checked([&] { f.read(m, token); });
+  }
+  if (is >> token) r.fail("too many metrics fields");
   return m;
-}
-
-void write_cache_stats(std::ostringstream& os, const solver::SolveCacheStats& c) {
-  os << "cache_hits=" << c.hits << "\n";
-  os << "cache_misses=" << c.misses << "\n";
-  os << "cache_store_hits=" << c.store_hits << "\n";
-  os << "cache_spills=" << c.spills << "\n";
-  os << "cache_evictions=" << c.evictions << "\n";
-  os << "cache_entries=" << c.entries << "\n";
-  os << "cache_resident_bytes=" << c.resident_bytes << "\n";
-}
-
-solver::SolveCacheStats read_cache_stats(LineReader& r) {
-  solver::SolveCacheStats c;
-  c.hits = r.expect_u64("cache_hits");
-  c.misses = r.expect_u64("cache_misses");
-  c.store_hits = r.expect_u64("cache_store_hits");
-  c.spills = r.expect_u64("cache_spills");
-  c.evictions = r.expect_u64("cache_evictions");
-  c.entries = static_cast<std::size_t>(r.expect_u64("cache_entries"));
-  c.resident_bytes = static_cast<std::size_t>(r.expect_u64("cache_resident_bytes"));
-  return c;
 }
 
 }  // namespace
@@ -229,41 +170,29 @@ std::string encode_submit_batch(const SubmitBatchRequest& req) {
   // The tenant id is a line-oriented field but, unlike reason/error/message,
   // it is an identifier (quota bucket key), so flattening would silently
   // change which tenant gets billed — reject instead.
-  if (req.tenant.find('\n') != std::string::npos ||
-      req.tenant.find('\r') != std::string::npos) {
+  if (req.tenant.find_first_of("\r\n") != std::string::npos) {
     bad("tenant id must not contain newline characters");
   }
-  std::ostringstream os;
-  os << "nowsched-submit v1\n";
-  os << "tenant=" << req.tenant << "\n";
-  os << "scenarios=" << req.specs.size() << "\n";
+  std::string out = "nowsched-submit v1\ntenant=" + req.tenant +
+                    "\nscenarios=" + std::to_string(req.specs.size()) + '\n';
   for (const sim::ScenarioSpec& spec : req.specs) {
-    os << "\n" << sim::to_replay_string(spec);
+    out += '\n';
+    out += sim::to_replay_string(spec);
   }
-  return os.str();
+  return out;
 }
 
 SubmitBatchRequest decode_submit_batch(const std::string& payload) {
-  LineReader r(payload);
-  r.expect_header("nowsched-submit v1");
+  util::RecordReader r(kFormat, payload, "nowsched-submit v1");
   SubmitBatchRequest req;
   req.tenant = r.expect_value("tenant");
-  if (req.tenant.empty()) bad("empty tenant id");
-  if (req.tenant.find('\r') != std::string::npos) {
-    bad("tenant id must not contain newline characters");
+  if (req.tenant.empty() || req.tenant.find('\r') != std::string::npos) {
+    r.fail("tenant id must be non-empty and free of newline characters");
   }
-  const std::uint64_t count = r.expect_u64("scenarios");
-  // Bound the count before reserving: a valid scenario record is >130 bytes
-  // of key=value lines, so any count beyond payload/64 is structurally bogus
-  // and would otherwise drive reserve() into std::length_error/bad_alloc —
-  // neither is the typed error the server's catch handles (remote DoS).
-  if (count > payload.size() / 64) {
-    bad("scenario count " + std::to_string(count) +
-        " is impossible for a " + std::to_string(payload.size()) +
-        "-byte payload");
-  }
-  req.specs.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
+  // A valid scenario record is >130 bytes of key=value lines.
+  const std::size_t count = r.expect_count("scenarios", 64);
+  req.specs.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
     // block() consumes the blank line that terminates it, so only the first
     // record is still preceded by an unconsumed separator.
     if (i == 0) r.expect_blank();
@@ -276,24 +205,11 @@ SubmitBatchRequest decode_submit_batch(const std::string& payload) {
 }
 
 std::string encode_submit_reply(const SubmitReply& reply) {
-  std::ostringstream os;
-  os << "nowsched-submit-reply v1\n";
-  os << "status=" << service::wire_code(reply.status) << "\n";
-  os << "reason=" << one_line(reply.reason) << "\n";
-  os << "job_id=" << reply.job_id << "\n";
-  return os.str();
+  return util::write_record("nowsched-submit-reply v1", kSubmitReplyFields, reply);
 }
 
 SubmitReply decode_submit_reply(const std::string& payload) {
-  LineReader r(payload);
-  r.expect_header("nowsched-submit-reply v1");
-  SubmitReply reply;
-  const std::string status = r.expect_value("status");
-  reply.status = status_from_value(status, "status=" + status);
-  reply.reason = r.expect_value("reason");
-  reply.job_id = r.expect_u64("job_id");
-  r.expect_eof();
-  return reply;
+  return decode_fields(payload, "nowsched-submit-reply v1", kSubmitReplyFields);
 }
 
 // --------------------------------------------------------------------------
@@ -301,36 +217,20 @@ SubmitReply decode_submit_reply(const std::string& payload) {
 // --------------------------------------------------------------------------
 
 std::string encode_job_status(const JobStatusRequest& req) {
-  std::ostringstream os;
-  os << "nowsched-job-status v1\n";
-  os << "job_id=" << req.job_id << "\n";
-  return os.str();
+  return util::write_record("nowsched-job-status v1", kJobStatusFields, req);
 }
 
 JobStatusRequest decode_job_status(const std::string& payload) {
-  LineReader r(payload);
-  r.expect_header("nowsched-job-status v1");
-  JobStatusRequest req;
-  req.job_id = r.expect_u64("job_id");
-  r.expect_eof();
-  return req;
+  return decode_fields(payload, "nowsched-job-status v1", kJobStatusFields);
 }
 
 std::string encode_job_status_reply(const JobStatusReply& reply) {
-  std::ostringstream os;
-  os << "nowsched-job-status-reply v1\n";
-  os << "state=" << service::wire_code(reply.state) << "\n";
-  return os.str();
+  return util::write_record("nowsched-job-status-reply v1", kJobStatusReplyFields,
+                            reply);
 }
 
 JobStatusReply decode_job_status_reply(const std::string& payload) {
-  LineReader r(payload);
-  r.expect_header("nowsched-job-status-reply v1");
-  JobStatusReply reply;
-  const std::string state = r.expect_value("state");
-  reply.state = state_from_value(state, "state=" + state);
-  r.expect_eof();
-  return reply;
+  return decode_fields(payload, "nowsched-job-status-reply v1", kJobStatusReplyFields);
 }
 
 // --------------------------------------------------------------------------
@@ -338,62 +238,44 @@ JobStatusReply decode_job_status_reply(const std::string& payload) {
 // --------------------------------------------------------------------------
 
 std::string encode_job_result(const JobResultRequest& req) {
-  std::ostringstream os;
-  os << "nowsched-job-result v1\n";
-  os << "job_id=" << req.job_id << "\n";
-  os << "wait=" << (req.wait ? 1 : 0) << "\n";
-  return os.str();
+  return util::write_record("nowsched-job-result v1", kJobResultFields, req);
 }
 
 JobResultRequest decode_job_result(const std::string& payload) {
-  LineReader r(payload);
-  r.expect_header("nowsched-job-result v1");
-  JobResultRequest req;
-  req.job_id = r.expect_u64("job_id");
-  const std::uint64_t wait = r.expect_u64("wait");
-  if (wait > 1) bad("wait must be 0 or 1, got " + std::to_string(wait));
-  req.wait = wait == 1;
-  r.expect_eof();
-  return req;
+  return decode_fields(payload, "nowsched-job-result v1", kJobResultFields);
 }
 
 std::string encode_job_result_reply(const JobResultReply& reply) {
-  std::ostringstream os;
-  os << "nowsched-job-result-reply v1\n";
-  os << "state=" << service::wire_code(reply.state) << "\n";
+  std::string out =
+      util::write_record("nowsched-job-result-reply v1", kResultStateFields, reply);
   switch (reply.state) {
     case service::JobState::kFailed:
     case service::JobState::kCancelled:
-      os << "error=" << one_line(reply.error) << "\n";
-      return os.str();
+      util::write_fields(out, kResultErrorFields, reply);
+      return out;
     case service::JobState::kDone:
       break;
     default:
-      return os.str();  // pending / unknown: the state line says it all
+      return out;  // pending / unknown: the state line says it all
   }
-  os << "tenant=" << reply.tenant << "\n";
-  os << "job_id=" << reply.job_id << "\n";
-  os << "completion_index=" << reply.completion_index << "\n";
-  os << "latency_ms=" << format_double(reply.latency_ms) << "\n";
-  write_cache_stats(os, reply.cache);
-  os << "scenarios=" << reply.per_scenario.size() << "\n";
+  util::write_fields(out, kResultDoneFields, reply);
+  util::write_fields(out, solver::kSolveCacheStatsFields, reply.cache);
+  out += "scenarios=" + std::to_string(reply.per_scenario.size()) + '\n';
   for (const sim::SessionMetrics& m : reply.per_scenario) {
-    os << "metrics=" << metrics_to_line(m) << "\n";
+    append_metrics(out, "metrics", m);
   }
-  os << "aggregate=" << metrics_to_line(reply.aggregate) << "\n";
-  return os.str();
+  append_metrics(out, "aggregate", reply.aggregate);
+  return out;
 }
 
 JobResultReply decode_job_result_reply(const std::string& payload) {
-  LineReader r(payload);
-  r.expect_header("nowsched-job-result-reply v1");
+  util::RecordReader r(kFormat, payload, "nowsched-job-result-reply v1");
   JobResultReply reply;
-  const std::string state = r.expect_value("state");
-  reply.state = state_from_value(state, "state=" + state);
+  r.expect_fields(kResultStateFields, reply);
   switch (reply.state) {
     case service::JobState::kFailed:
     case service::JobState::kCancelled:
-      reply.error = r.expect_value("error");
+      r.expect_fields(kResultErrorFields, reply);
       r.expect_eof();
       return reply;
     case service::JobState::kDone:
@@ -402,27 +284,16 @@ JobResultReply decode_job_result_reply(const std::string& payload) {
       r.expect_eof();
       return reply;
   }
-  reply.tenant = r.expect_value("tenant");
-  reply.job_id = r.expect_u64("job_id");
-  reply.completion_index = r.expect_u64("completion_index");
-  reply.latency_ms = r.expect_double("latency_ms");
-  reply.cache = read_cache_stats(r);
-  const std::uint64_t count = r.expect_u64("scenarios");
-  // Same bound discipline as decode_submit_batch: each metrics line is at
-  // least 32 bytes ("metrics=" + 12 integers + 11 separators + newline), so
-  // a larger count cannot be genuine and must not reach reserve().
-  if (count > payload.size() / 32) {
-    bad("metrics count " + std::to_string(count) +
-        " is impossible for a " + std::to_string(payload.size()) +
-        "-byte payload");
+  r.expect_fields(kResultDoneFields, reply);
+  r.expect_fields(solver::kSolveCacheStatsFields, reply.cache);
+  // Each metrics line is at least 32 bytes ("metrics=" + 12 integers + 11
+  // separators + newline).
+  const std::size_t count = r.expect_count("scenarios", 32);
+  reply.per_scenario.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    reply.per_scenario.push_back(expect_metrics(r, "metrics"));
   }
-  reply.per_scenario.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::string value = r.expect_value("metrics");
-    reply.per_scenario.push_back(metrics_from_line(value, "metrics=" + value));
-  }
-  const std::string aggregate = r.expect_value("aggregate");
-  reply.aggregate = metrics_from_line(aggregate, "aggregate=" + aggregate);
+  reply.aggregate = expect_metrics(r, "aggregate");
   r.expect_eof();
   return reply;
 }
@@ -442,37 +313,19 @@ void decode_stats_request(const std::string& payload) {
 // --------------------------------------------------------------------------
 
 std::string encode_cancel(const CancelRequest& req) {
-  std::ostringstream os;
-  os << "nowsched-cancel v1\n";
-  os << "job_id=" << req.job_id << "\n";
-  return os.str();
+  return util::write_record("nowsched-cancel v1", kCancelFields, req);
 }
 
 CancelRequest decode_cancel(const std::string& payload) {
-  LineReader r(payload);
-  r.expect_header("nowsched-cancel v1");
-  CancelRequest req;
-  req.job_id = r.expect_u64("job_id");
-  r.expect_eof();
-  return req;
+  return decode_fields(payload, "nowsched-cancel v1", kCancelFields);
 }
 
 std::string encode_cancel_reply(const CancelReply& reply) {
-  std::ostringstream os;
-  os << "nowsched-cancel-reply v1\n";
-  os << "cancelled=" << (reply.cancelled ? 1 : 0) << "\n";
-  return os.str();
+  return util::write_record("nowsched-cancel-reply v1", kCancelReplyFields, reply);
 }
 
 CancelReply decode_cancel_reply(const std::string& payload) {
-  LineReader r(payload);
-  r.expect_header("nowsched-cancel-reply v1");
-  CancelReply reply;
-  const std::uint64_t cancelled = r.expect_u64("cancelled");
-  if (cancelled > 1) bad("cancelled must be 0 or 1, got " + std::to_string(cancelled));
-  reply.cancelled = cancelled == 1;
-  r.expect_eof();
-  return reply;
+  return decode_fields(payload, "nowsched-cancel-reply v1", kCancelReplyFields);
 }
 
 // --------------------------------------------------------------------------
@@ -480,34 +333,17 @@ CancelReply decode_cancel_reply(const std::string& payload) {
 // --------------------------------------------------------------------------
 
 std::string encode_shutdown(const ShutdownRequest& req) {
-  std::ostringstream os;
-  os << "nowsched-shutdown v1\n";
-  os << "mode="
-     << (req.mode == service::SchedulerService::StopMode::kDrain ? "drain" : "cancel") << "\n";
-  return os.str();
+  return util::write_record("nowsched-shutdown v1", kShutdownFields, req);
 }
 
 ShutdownRequest decode_shutdown(const std::string& payload) {
-  LineReader r(payload);
-  r.expect_header("nowsched-shutdown v1");
-  ShutdownRequest req;
-  const std::string mode = r.expect_value("mode");
-  if (mode == "drain") {
-    req.mode = service::SchedulerService::StopMode::kDrain;
-  } else if (mode == "cancel") {
-    req.mode = service::SchedulerService::StopMode::kCancelQueued;
-  } else {
-    bad("unknown shutdown mode '" + mode + "' (expected drain|cancel)");
-  }
-  r.expect_eof();
-  return req;
+  return decode_fields(payload, "nowsched-shutdown v1", kShutdownFields);
 }
 
 std::string encode_shutdown_reply() { return "nowsched-shutdown-reply v1\n"; }
 
 void decode_shutdown_reply(const std::string& payload) {
-  LineReader r(payload);
-  r.expect_header("nowsched-shutdown-reply v1");
+  util::RecordReader r(kFormat, payload, "nowsched-shutdown-reply v1");
   r.expect_eof();
 }
 
@@ -516,19 +352,11 @@ void decode_shutdown_reply(const std::string& payload) {
 // --------------------------------------------------------------------------
 
 std::string encode_error(const ErrorReply& reply) {
-  std::ostringstream os;
-  os << "nowsched-error v1\n";
-  os << "message=" << one_line(reply.message) << "\n";
-  return os.str();
+  return util::write_record("nowsched-error v1", kErrorFields, reply);
 }
 
 ErrorReply decode_error(const std::string& payload) {
-  LineReader r(payload);
-  r.expect_header("nowsched-error v1");
-  ErrorReply reply;
-  reply.message = r.expect_value("message");
-  r.expect_eof();
-  return reply;
+  return decode_fields(payload, "nowsched-error v1", kErrorFields);
 }
 
 }  // namespace nowsched::rpc

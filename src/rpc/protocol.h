@@ -1,10 +1,9 @@
 // nowsched-rpc v1 message vocabulary: the frozen MsgType wire codes and the
 // text codecs for every request/reply payload.
 //
-// Payloads are versioned text records in the same strict idiom as the
-// `nowsched-scenario v1` replay format (util/parse.h whole-string numbers,
-// unknown keys are hard errors, %.17g doubles). Three formats are reused
-// verbatim rather than re-invented:
+// Payloads are versioned text records read under the ordered rule of
+// util/text_record.h (DESIGN §8). Three formats are reused verbatim rather
+// than re-invented:
 //   - SubmitBatch embeds unmodified `nowsched-scenario v1` records, so the
 //     wire path is bit-identical to replay files;
 //   - StatsReply carries `nowsched-stats v1` (service/stats_format.h);
@@ -101,7 +100,7 @@ struct JobResultRequest {
 
 /// The full service::JobResult flattened for the wire. Every numeric field
 /// of every sim::SessionMetrics crosses as a decimal integer and latency as
-/// %.17g, so a decoded reply is field-for-field bit-identical to the
+/// a round-trip-exact double, so a decoded reply is bit-identical to the
 /// in-process result — the property the rpc conformance differential pins.
 struct JobResultReply {
   service::JobState state = service::JobState::kUnknown;

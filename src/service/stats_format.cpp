@@ -1,308 +1,95 @@
 #include "service/stats_format.h"
 
 #include <cstdint>
-#include <cstdio>
-#include <set>
-#include <sstream>
 #include <stdexcept>
 
-#include "util/parse.h"
+#include "util/text_record.h"
 
 namespace nowsched::service {
 
 namespace {
 
-std::string format_double(double x) {
-  // max_digits10 == 17 round-trips IEEE doubles exactly through text.
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", x);
-  return buf;
-}
+constexpr const char* kStatsHeader = "nowsched-stats v1";
 
-void write_latency(std::ostringstream& os, const LatencySummary& latency) {
-  os << "latency_count=" << latency.count << "\n";
-  os << "latency_p50_ms=" << format_double(latency.p50_ms) << "\n";
-  os << "latency_p90_ms=" << format_double(latency.p90_ms) << "\n";
-  os << "latency_p99_ms=" << format_double(latency.p99_ms) << "\n";
-  os << "latency_max_ms=" << format_double(latency.max_ms) << "\n";
-}
-
-// Throwing wrappers around the strict util/parse.h helpers: the line is the
-// diagnostic (it names both the key and the offending value).
-std::uint64_t parse_u64(const std::string& value, const std::string& line) {
-  const auto x = util::parse_uint64(value);
-  if (!x) {
-    throw std::invalid_argument("nowsched-stats: malformed integer in '" + line + "'");
-  }
-  return *x;
-}
-
-double parse_dbl(const std::string& value, const std::string& line) {
-  const auto x = util::parse_double(value);
-  if (!x) {
-    throw std::invalid_argument("nowsched-stats: malformed number in '" + line + "'");
-  }
-  return *x;
-}
-
-// One key=value consumer per section. `seen` enforces exactly-once keys so a
-// truncated-then-concatenated payload cannot silently half-overwrite fields.
-class KeySet {
- public:
-  void mark(const std::string& key) {
-    if (!seen_.insert(key).second) {
-      throw std::invalid_argument("nowsched-stats: duplicate key '" + key + "'");
-    }
-  }
-  void require(std::initializer_list<const char*> keys, const char* section) const {
-    for (const char* key : keys) {
-      if (seen_.count(key) == 0) {
-        throw std::invalid_argument(std::string("nowsched-stats: missing key '") +
-                                    key + "' in " + section + " section");
-      }
-    }
-  }
-
- private:
-  std::set<std::string> seen_;
+constexpr util::Field<ServiceStats> kGlobalFields[] = {
+    util::field<&ServiceStats::queue_policy>("queue_policy"),
+    util::field<&ServiceStats::workers>("workers"),
+    util::field<&ServiceStats::queued_jobs>("queued_jobs"),
+    util::field<&ServiceStats::inflight_jobs>("inflight_jobs"),
+    util::field<&ServiceStats::submitted_jobs>("submitted_jobs"),
+    util::field<&ServiceStats::accepted_jobs>("accepted_jobs"),
+    util::field<&ServiceStats::rejected_jobs>("rejected_jobs"),
+    util::field<&ServiceStats::completed_jobs>("completed_jobs"),
+    util::field<&ServiceStats::failed_jobs>("failed_jobs"),
+    util::field<&ServiceStats::cancelled_jobs>("cancelled_jobs"),
+    util::field<&ServiceStats::completed_scenarios>("completed_scenarios"),
 };
 
-bool consume_latency(LatencySummary& latency, const std::string& key,
-                     const std::string& value, const std::string& line) {
-  if (key == "latency_count") {
-    latency.count = parse_u64(value, line);
-  } else if (key == "latency_p50_ms") {
-    latency.p50_ms = parse_dbl(value, line);
-  } else if (key == "latency_p90_ms") {
-    latency.p90_ms = parse_dbl(value, line);
-  } else if (key == "latency_p99_ms") {
-    latency.p99_ms = parse_dbl(value, line);
-  } else if (key == "latency_max_ms") {
-    latency.max_ms = parse_dbl(value, line);
-  } else {
-    return false;
-  }
-  return true;
-}
+constexpr util::Field<TenantStats> kTenantFields[] = {
+    util::field<&TenantStats::quota_bytes>("quota_bytes"),
+    util::field<&TenantStats::submitted_jobs>("submitted_jobs"),
+    util::field<&TenantStats::accepted_jobs>("accepted_jobs"),
+    util::field<&TenantStats::rejected_tenant_full>("rejected_tenant_full"),
+    util::field<&TenantStats::rejected_global_full>("rejected_global_full"),
+    util::field<&TenantStats::rejected_throttled>("rejected_throttled"),
+    util::field<&TenantStats::rejected_invalid>("rejected_invalid"),
+    util::field<&TenantStats::rejected_shutdown>("rejected_shutdown"),
+    util::field<&TenantStats::completed_jobs>("completed_jobs"),
+    util::field<&TenantStats::failed_jobs>("failed_jobs"),
+    util::field<&TenantStats::cancelled_jobs>("cancelled_jobs"),
+    util::field<&TenantStats::submitted_scenarios>("submitted_scenarios"),
+    util::field<&TenantStats::completed_scenarios>("completed_scenarios"),
+    util::field<&TenantStats::queued_jobs>("queued_jobs"),
+    util::field<&TenantStats::inflight_jobs>("inflight_jobs"),
+    util::field<&TenantStats::pending_scenarios>("pending_scenarios"),
+};
 
-constexpr std::initializer_list<const char*> kLatencyKeys = {
-    "latency_count", "latency_p50_ms", "latency_p90_ms", "latency_p99_ms",
-    "latency_max_ms"};
+constexpr util::Field<LatencySummary> kLatencyFields[] = {
+    util::field<&LatencySummary::count>("latency_count"),
+    util::field<&LatencySummary::p50_ms>("latency_p50_ms"),
+    util::field<&LatencySummary::p90_ms>("latency_p90_ms"),
+    util::field<&LatencySummary::p99_ms>("latency_p99_ms"),
+    util::field<&LatencySummary::max_ms>("latency_max_ms"),
+};
 
 }  // namespace
 
 std::string to_stats_string(const ServiceStats& stats) {
-  std::ostringstream os;
-  os << "nowsched-stats v1\n";
-  os << "queue_policy=" << stats.queue_policy << "\n";
-  os << "workers=" << stats.workers << "\n";
-  os << "queued_jobs=" << stats.queued_jobs << "\n";
-  os << "inflight_jobs=" << stats.inflight_jobs << "\n";
-  os << "submitted_jobs=" << stats.submitted_jobs << "\n";
-  os << "accepted_jobs=" << stats.accepted_jobs << "\n";
-  os << "rejected_jobs=" << stats.rejected_jobs << "\n";
-  os << "completed_jobs=" << stats.completed_jobs << "\n";
-  os << "failed_jobs=" << stats.failed_jobs << "\n";
-  os << "cancelled_jobs=" << stats.cancelled_jobs << "\n";
-  os << "completed_scenarios=" << stats.completed_scenarios << "\n";
-  write_latency(os, stats.latency);
-  os << "tenants=" << stats.tenants.size() << "\n";
+  std::string out = util::write_record(kStatsHeader, kGlobalFields, stats);
+  util::write_fields(out, kLatencyFields, stats.latency);
+  out += "tenants=" + std::to_string(stats.tenants.size()) + '\n';
   for (const TenantStats& t : stats.tenants) {
-    os << "tenant=" << t.tenant << "\n";
-    os << "quota_bytes=" << t.quota_bytes << "\n";
-    os << "submitted_jobs=" << t.submitted_jobs << "\n";
-    os << "accepted_jobs=" << t.accepted_jobs << "\n";
-    os << "rejected_tenant_full=" << t.rejected_tenant_full << "\n";
-    os << "rejected_global_full=" << t.rejected_global_full << "\n";
-    os << "rejected_throttled=" << t.rejected_throttled << "\n";
-    os << "rejected_invalid=" << t.rejected_invalid << "\n";
-    os << "rejected_shutdown=" << t.rejected_shutdown << "\n";
-    os << "completed_jobs=" << t.completed_jobs << "\n";
-    os << "failed_jobs=" << t.failed_jobs << "\n";
-    os << "cancelled_jobs=" << t.cancelled_jobs << "\n";
-    os << "submitted_scenarios=" << t.submitted_scenarios << "\n";
-    os << "completed_scenarios=" << t.completed_scenarios << "\n";
-    os << "queued_jobs=" << t.queued_jobs << "\n";
-    os << "inflight_jobs=" << t.inflight_jobs << "\n";
-    os << "pending_scenarios=" << t.pending_scenarios << "\n";
-    os << "cache_hits=" << t.cache.hits << "\n";
-    os << "cache_misses=" << t.cache.misses << "\n";
-    os << "cache_store_hits=" << t.cache.store_hits << "\n";
-    os << "cache_spills=" << t.cache.spills << "\n";
-    os << "cache_evictions=" << t.cache.evictions << "\n";
-    os << "cache_entries=" << t.cache.entries << "\n";
-    os << "cache_resident_bytes=" << t.cache.resident_bytes << "\n";
-    write_latency(os, t.latency);
+    out += "tenant=" + t.tenant + '\n';
+    util::write_fields(out, kTenantFields, t);
+    util::write_fields(out, solver::kSolveCacheStatsFields, t.cache);
+    util::write_fields(out, kLatencyFields, t.latency);
   }
-  return os.str();
+  return out;
 }
 
 ServiceStats stats_from_string(const std::string& text) {
-  std::istringstream is(text);
-  std::string line;
-  if (!std::getline(is, line) || line != "nowsched-stats v1") {
-    throw std::invalid_argument("nowsched-stats: missing 'nowsched-stats v1' header");
-  }
-
+  util::RecordReader in("nowsched-stats", text, kStatsHeader);
   ServiceStats out;
-  // The parser is a two-state machine: the global section runs until the
-  // `tenants=N` line, after which exactly N `tenant=` blocks must follow.
-  bool in_tenants = false;
-  std::uint64_t declared_tenants = 0;
-  TenantStats current;
-  KeySet global_seen;
-  KeySet tenant_seen;
-
-  const auto finish_tenant = [&] {
-    tenant_seen.require(
-        {"quota_bytes", "submitted_jobs", "accepted_jobs", "rejected_tenant_full",
-         "rejected_global_full", "rejected_throttled", "rejected_invalid",
-         "rejected_shutdown", "completed_jobs", "failed_jobs", "cancelled_jobs",
-         "submitted_scenarios", "completed_scenarios", "queued_jobs",
-         "inflight_jobs", "pending_scenarios", "cache_hits", "cache_misses",
-         "cache_store_hits", "cache_spills", "cache_evictions", "cache_entries",
-         "cache_resident_bytes"},
-        "tenant");
-    tenant_seen.require(kLatencyKeys, "tenant");
-    out.tenants.push_back(std::move(current));
-    current = TenantStats{};
-    tenant_seen = KeySet{};
-  };
-
-  while (std::getline(is, line)) {
-    if (line.empty()) {
-      throw std::invalid_argument("nowsched-stats: unexpected blank line");
-    }
-    const auto eq = line.find('=');
-    if (eq == std::string::npos) {
-      throw std::invalid_argument("nowsched-stats: expected key=value, got '" +
-                                  line + "'");
-    }
-    const std::string key = line.substr(0, eq);
-    const std::string value = line.substr(eq + 1);
-
-    if (key == "tenant") {
-      if (!in_tenants) {
-        throw std::invalid_argument(
-            "nowsched-stats: 'tenant' before the tenants=N count line");
-      }
-      if (!current.tenant.empty()) finish_tenant();
-      if (value.empty()) {
-        throw std::invalid_argument("nowsched-stats: empty tenant id");
-      }
-      current.tenant = value;
-      continue;
-    }
-
-    if (!in_tenants) {
-      global_seen.mark(key);
-      if (key == "queue_policy") {
-        out.queue_policy = value;
-      } else if (key == "workers") {
-        out.workers = static_cast<std::size_t>(parse_u64(value, line));
-      } else if (key == "queued_jobs") {
-        out.queued_jobs = static_cast<std::size_t>(parse_u64(value, line));
-      } else if (key == "inflight_jobs") {
-        out.inflight_jobs = static_cast<std::size_t>(parse_u64(value, line));
-      } else if (key == "submitted_jobs") {
-        out.submitted_jobs = parse_u64(value, line);
-      } else if (key == "accepted_jobs") {
-        out.accepted_jobs = parse_u64(value, line);
-      } else if (key == "rejected_jobs") {
-        out.rejected_jobs = parse_u64(value, line);
-      } else if (key == "completed_jobs") {
-        out.completed_jobs = parse_u64(value, line);
-      } else if (key == "failed_jobs") {
-        out.failed_jobs = parse_u64(value, line);
-      } else if (key == "cancelled_jobs") {
-        out.cancelled_jobs = parse_u64(value, line);
-      } else if (key == "completed_scenarios") {
-        out.completed_scenarios = parse_u64(value, line);
-      } else if (consume_latency(out.latency, key, value, line)) {
-        // handled
-      } else if (key == "tenants") {
-        global_seen.require(
-            {"queue_policy", "workers", "queued_jobs", "inflight_jobs",
-             "submitted_jobs", "accepted_jobs", "rejected_jobs", "completed_jobs",
-             "failed_jobs", "cancelled_jobs", "completed_scenarios"},
-            "global");
-        global_seen.require(kLatencyKeys, "global");
-        declared_tenants = parse_u64(value, line);
-        in_tenants = true;
-      } else {
-        throw std::invalid_argument("nowsched-stats: unknown key '" + key + "'");
-      }
-      continue;
-    }
-
-    // Tenant section: every key belongs to the block opened by `tenant=`.
-    if (current.tenant.empty()) {
-      throw std::invalid_argument(
-          "nowsched-stats: tenant field '" + key + "' before any tenant= line");
-    }
-    tenant_seen.mark(key);
-    if (key == "quota_bytes") {
-      current.quota_bytes = static_cast<std::size_t>(parse_u64(value, line));
-    } else if (key == "submitted_jobs") {
-      current.submitted_jobs = parse_u64(value, line);
-    } else if (key == "accepted_jobs") {
-      current.accepted_jobs = parse_u64(value, line);
-    } else if (key == "rejected_tenant_full") {
-      current.rejected_tenant_full = parse_u64(value, line);
-    } else if (key == "rejected_global_full") {
-      current.rejected_global_full = parse_u64(value, line);
-    } else if (key == "rejected_throttled") {
-      current.rejected_throttled = parse_u64(value, line);
-    } else if (key == "rejected_invalid") {
-      current.rejected_invalid = parse_u64(value, line);
-    } else if (key == "rejected_shutdown") {
-      current.rejected_shutdown = parse_u64(value, line);
-    } else if (key == "completed_jobs") {
-      current.completed_jobs = parse_u64(value, line);
-    } else if (key == "failed_jobs") {
-      current.failed_jobs = parse_u64(value, line);
-    } else if (key == "cancelled_jobs") {
-      current.cancelled_jobs = parse_u64(value, line);
-    } else if (key == "submitted_scenarios") {
-      current.submitted_scenarios = parse_u64(value, line);
-    } else if (key == "completed_scenarios") {
-      current.completed_scenarios = parse_u64(value, line);
-    } else if (key == "queued_jobs") {
-      current.queued_jobs = static_cast<std::size_t>(parse_u64(value, line));
-    } else if (key == "inflight_jobs") {
-      current.inflight_jobs = static_cast<std::size_t>(parse_u64(value, line));
-    } else if (key == "pending_scenarios") {
-      current.pending_scenarios = static_cast<std::size_t>(parse_u64(value, line));
-    } else if (key == "cache_hits") {
-      current.cache.hits = parse_u64(value, line);
-    } else if (key == "cache_misses") {
-      current.cache.misses = parse_u64(value, line);
-    } else if (key == "cache_store_hits") {
-      current.cache.store_hits = parse_u64(value, line);
-    } else if (key == "cache_spills") {
-      current.cache.spills = parse_u64(value, line);
-    } else if (key == "cache_evictions") {
-      current.cache.evictions = parse_u64(value, line);
-    } else if (key == "cache_entries") {
-      current.cache.entries = static_cast<std::size_t>(parse_u64(value, line));
-    } else if (key == "cache_resident_bytes") {
-      current.cache.resident_bytes = static_cast<std::size_t>(parse_u64(value, line));
-    } else if (consume_latency(current.latency, key, value, line)) {
-      // handled
-    } else {
-      throw std::invalid_argument("nowsched-stats: unknown key '" + key + "'");
-    }
+  // The global section runs until the `tenants=N` line, after which exactly
+  // N sections follow, each opened by its `tenant=<id>` line.
+  if (!in.section("tenants", util::bind(kGlobalFields, out),
+                  util::bind(kLatencyFields, out.latency))) {
+    in.fail_record("missing tenants=N count line");
   }
-
-  if (!in_tenants) {
-    throw std::invalid_argument("nowsched-stats: missing tenants=N count line");
+  const auto declared = in.value_as<std::uint64_t>();
+  bool more = in.next();
+  while (more) {
+    if (in.key() != "tenant") in.fail("tenant field before any tenant= line");
+    if (in.value().empty()) in.fail("empty tenant id");
+    TenantStats& t = out.tenants.emplace_back();
+    t.tenant = in.value();
+    more = in.section("tenant", util::bind(kTenantFields, t),
+                      util::bind(solver::kSolveCacheStatsFields, t.cache),
+                      util::bind(kLatencyFields, t.latency));
   }
-  if (!current.tenant.empty()) finish_tenant();
-  if (out.tenants.size() != declared_tenants) {
-    throw std::invalid_argument(
-        "nowsched-stats: tenant count mismatch (declared " +
-        std::to_string(declared_tenants) + ", found " +
-        std::to_string(out.tenants.size()) + ")");
+  if (out.tenants.size() != declared) {
+    in.fail_record("tenant count mismatch (declared " + std::to_string(declared) +
+                   ", found " + std::to_string(out.tenants.size()) + ")");
   }
   return out;
 }

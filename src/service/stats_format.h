@@ -3,11 +3,9 @@
 // StatsReply payload with it) and the examples/sched_service printer, so
 // the two surfaces can never drift apart.
 //
-// Same discipline as the `nowsched-scenario v1` replay format: a version
-// header line, key=value records, %.17g doubles (IEEE round-trip exact),
-// strict whole-string parsing via util/parse.h, and hard errors on unknown
-// keys or missing fields. stats_from_string(to_stats_string(s)) reproduces
-// every field bit-identically.
+// A keyed record (DESIGN §8, util/text_record.h) with one global section
+// and one section per tenant. stats_from_string(to_stats_string(s))
+// reproduces every field bit-identically.
 #pragma once
 
 #include <string>
@@ -18,12 +16,11 @@ namespace nowsched::service {
 
 /// Canonical `nowsched-stats v1` text for a stats snapshot. Deterministic:
 /// tenants appear in the snapshot's order (SchedulerService::stats() sorts
-/// them by id), doubles print with %.17g.
+/// them by id), doubles print round-trip exact.
 std::string to_stats_string(const ServiceStats& stats);
 
-/// Strict inverse of to_stats_string. Throws std::invalid_argument on a
-/// missing/garbled header, unknown key, malformed number, duplicate or
-/// missing field, or a tenant-count mismatch.
+/// Strict inverse of to_stats_string. Throws std::invalid_argument on any
+/// breach of the keyed rule or a tenant-count mismatch.
 ServiceStats stats_from_string(const std::string& text);
 
 }  // namespace nowsched::service

@@ -2,9 +2,11 @@
 #pragma once
 
 #include <cstddef>
+#include <sstream>
 #include <string>
 
 #include "core/types.h"
+#include "util/text_record.h"
 
 namespace nowsched::sim {
 
@@ -47,5 +49,33 @@ struct SessionMetrics {
 
   std::string to_string() const;
 };
+
+/// The one field table of SessionMetrics, in declaration order: the session
+/// checkpoint reads and writes it keyed, the rpc JobResultReply positionally.
+inline constexpr util::Field<SessionMetrics> kSessionMetricsFields[] = {
+    util::field<&SessionMetrics::banked_work>("banked_work"),
+    util::field<&SessionMetrics::task_work>("task_work"),
+    util::field<&SessionMetrics::comm_overhead>("comm_overhead"),
+    util::field<&SessionMetrics::lost_work>("lost_work"),
+    util::field<&SessionMetrics::salvaged_work>("salvaged_work"),
+    util::field<&SessionMetrics::fragmentation>("fragmentation"),
+    util::field<&SessionMetrics::lifespan_used>("lifespan_used"),
+    util::field<&SessionMetrics::interrupts>("interrupts"),
+    util::field<&SessionMetrics::episodes>("episodes"),
+    util::field<&SessionMetrics::periods_completed>("periods_completed"),
+    util::field<&SessionMetrics::periods_killed>("periods_killed"),
+    util::field<&SessionMetrics::tasks_completed>("tasks_completed"),
+};
+
+inline std::string SessionMetrics::to_string() const {
+  std::ostringstream os;
+  os << "banked=" << banked_work << " tasks=" << tasks_completed
+     << " task_work=" << task_work << " comm=" << comm_overhead
+     << " lost=" << lost_work << " salvaged=" << salvaged_work
+     << " frag=" << fragmentation
+     << " interrupts=" << interrupts << " episodes=" << episodes
+     << " periods=" << periods_completed << "+" << periods_killed << "killed";
+  return os.str();
+}
 
 }  // namespace nowsched::sim

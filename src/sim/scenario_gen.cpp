@@ -1,13 +1,11 @@
 #include "sim/scenario_gen.h"
 
 #include <cmath>
-#include <cstdlib>
-#include <sstream>
 #include <stdexcept>
 
 #include "util/hash.h"
-#include "util/parse.h"
 #include "util/rng.h"
+#include "util/text_record.h"
 
 namespace nowsched::sim {
 
@@ -199,54 +197,31 @@ std::vector<ScenarioSpec> ScenarioGenerator::farm_group(std::size_t stations) {
 
 namespace {
 
-std::string format_double(double x) {
-  // max_digits10 == 17 round-trips IEEE doubles exactly through text.
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", x);
-  return buf;
-}
+constexpr const char* kReplayHeader = "nowsched-scenario v1";
 
-double parse_double(const std::string& value, const std::string& line) {
-  const auto x = util::parse_double(value);
-  if (!x) {
-    throw std::invalid_argument("scenario replay: malformed number in '" + line + "'");
-  }
-  return *x;
-}
-
-std::int64_t parse_int(const std::string& value, const std::string& line) {
-  const auto x = util::parse_int64(value);
-  if (!x) {
-    throw std::invalid_argument("scenario replay: malformed integer in '" + line + "'");
-  }
-  return *x;
-}
-
-std::uint64_t parse_uint(const std::string& value, const std::string& line) {
-  const auto x = util::parse_uint64(value);
-  if (!x) {
-    throw std::invalid_argument("scenario replay: malformed integer in '" + line + "'");
-  }
-  return *x;
-}
+constexpr util::Field<ScenarioSpec> kScenarioFields[] = {
+    {"policy",
+     [](std::string& out, const ScenarioSpec& s) { out += to_string(s.policy); },
+     [](ScenarioSpec& s, const std::string& v) { s.policy = policy_kind_from_string(v); }},
+    {"owner",
+     [](std::string& out, const ScenarioSpec& s) { out += to_string(s.owner); },
+     [](ScenarioSpec& s, const std::string& v) { s.owner = owner_kind_from_string(v); }},
+    util::field<&ScenarioSpec::owner_a>("owner_a", false),
+    util::field<&ScenarioSpec::owner_b>("owner_b", false),
+    util::field<&ScenarioSpec::owner_c>("owner_c", false),
+    util::field<&ScenarioSpec::owner_d>("owner_d", false),
+    {"c", [](std::string& out, const ScenarioSpec& s) { util::append_value(out, s.params.c); },
+     [](ScenarioSpec& s, const std::string& v) { s.params.c = util::parse_value<Ticks>(v); }},
+    util::field<&ScenarioSpec::lifespan>("lifespan"),
+    util::field<&ScenarioSpec::max_interrupts>("max_interrupts"),
+    util::field<&ScenarioSpec::seed>("seed"),
+    util::field<&ScenarioSpec::group_seed>("group_seed", false),
+};
 
 }  // namespace
 
 std::string to_replay_string(const ScenarioSpec& spec) {
-  std::ostringstream os;
-  os << "nowsched-scenario v1\n";
-  os << "policy=" << to_string(spec.policy) << "\n";
-  os << "owner=" << to_string(spec.owner) << "\n";
-  os << "owner_a=" << format_double(spec.owner_a) << "\n";
-  os << "owner_b=" << format_double(spec.owner_b) << "\n";
-  os << "owner_c=" << format_double(spec.owner_c) << "\n";
-  os << "owner_d=" << format_double(spec.owner_d) << "\n";
-  os << "c=" << spec.params.c << "\n";
-  os << "lifespan=" << spec.lifespan << "\n";
-  os << "max_interrupts=" << spec.max_interrupts << "\n";
-  os << "seed=" << spec.seed << "\n";
-  os << "group_seed=" << spec.group_seed << "\n";
-  return os.str();
+  return util::write_record(kReplayHeader, kScenarioFields, spec);
 }
 
 PolicyKind policy_kind_from_string(const std::string& name) {
@@ -264,61 +239,9 @@ OwnerKind owner_kind_from_string(const std::string& name) {
 }
 
 ScenarioSpec scenario_from_replay(const std::string& text) {
-  std::istringstream is(text);
-  std::string line;
-  if (!std::getline(is, line) || line != "nowsched-scenario v1") {
-    throw std::invalid_argument(
-        "scenario replay: missing 'nowsched-scenario v1' header");
-  }
+  util::RecordReader in("scenario replay", text, kReplayHeader);
   ScenarioSpec spec;
-  bool saw_policy = false, saw_owner = false, saw_c = false, saw_lifespan = false,
-       saw_p = false, saw_seed = false;
-  while (std::getline(is, line)) {
-    if (line.empty() || line[0] == '#') continue;  // committed files may annotate
-    const auto eq = line.find('=');
-    if (eq == std::string::npos) {
-      throw std::invalid_argument("scenario replay: expected key=value, got '" +
-                                  line + "'");
-    }
-    const std::string key = line.substr(0, eq);
-    const std::string value = line.substr(eq + 1);
-    if (key == "policy") {
-      spec.policy = policy_kind_from_string(value);
-      saw_policy = true;
-    } else if (key == "owner") {
-      spec.owner = owner_kind_from_string(value);
-      saw_owner = true;
-    } else if (key == "owner_a") {
-      spec.owner_a = parse_double(value, line);
-    } else if (key == "owner_b") {
-      spec.owner_b = parse_double(value, line);
-    } else if (key == "owner_c") {
-      spec.owner_c = parse_double(value, line);
-    } else if (key == "owner_d") {
-      spec.owner_d = parse_double(value, line);
-    } else if (key == "c") {
-      spec.params = Params{parse_int(value, line)};
-      saw_c = true;
-    } else if (key == "lifespan") {
-      spec.lifespan = parse_int(value, line);
-      saw_lifespan = true;
-    } else if (key == "max_interrupts") {
-      spec.max_interrupts = static_cast<int>(parse_int(value, line));
-      saw_p = true;
-    } else if (key == "seed") {
-      spec.seed = parse_uint(value, line);
-      saw_seed = true;
-    } else if (key == "group_seed") {
-      spec.group_seed = parse_uint(value, line);
-    } else {
-      throw std::invalid_argument("scenario replay: unknown key '" + key + "'");
-    }
-  }
-  if (!saw_policy || !saw_owner || !saw_c || !saw_lifespan || !saw_p || !saw_seed) {
-    throw std::invalid_argument(
-        "scenario replay: incomplete record (need policy, owner, c, lifespan, "
-        "max_interrupts, seed)");
-  }
+  in.section("", util::bind(kScenarioFields, spec));
   return spec;
 }
 

@@ -93,17 +93,16 @@ class ScenarioGenerator {
   std::uint64_t cursor_ = 0;
 };
 
-/// Replay-file serialization: a self-contained text record of one scenario
-/// ("nowsched-scenario v1" header + key=value lines). Doubles round-trip
-/// bit-exactly (max_digits10), so parse(to_replay_string(s)) rebuilds the
-/// identical spec. The conformance suite writes failing (minimized)
+/// Replay-file serialization: a self-contained "nowsched-scenario v1" keyed
+/// record (DESIGN §8) of one scenario. Doubles round-trip bit-exactly, so
+/// parse(to_replay_string(s)) rebuilds the identical spec. The conformance suite writes failing (minimized)
 /// scenarios in this format; `NOWSCHED_REPLAY=<file> conformance_test`
 /// re-runs one.
 std::string to_replay_string(const ScenarioSpec& spec);
 
 /// Parses a replay record; throws std::invalid_argument naming the first
-/// malformed line. Unknown keys are errors (typos must not silently change
-/// the scenario being reproduced).
+/// bad line. Unknown and duplicate keys are errors (typos must not silently
+/// change the scenario being reproduced).
 ScenarioSpec scenario_from_replay(const std::string& text);
 
 /// Enum round-trips for the replay format ("dp-optimal", "bursty", ...).

@@ -1,24 +1,9 @@
 #include "sim/session.h"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
-#include <vector>
-
-#include "util/parse.h"
 
 namespace nowsched::sim {
-
-std::string SessionMetrics::to_string() const {
-  std::ostringstream os;
-  os << "banked=" << banked_work << " tasks=" << tasks_completed
-     << " task_work=" << task_work << " comm=" << comm_overhead
-     << " lost=" << lost_work << " salvaged=" << salvaged_work
-     << " frag=" << fragmentation
-     << " interrupts=" << interrupts << " episodes=" << episodes
-     << " periods=" << periods_completed << "+" << periods_killed << "killed";
-  return os.str();
-}
 
 SessionActor::SessionActor(const SchedulingPolicy& policy,
                            adversary::Adversary& adversary, Opportunity opportunity,
@@ -239,97 +224,29 @@ SessionMetrics resume_session(const SchedulingPolicy& policy,
 
 namespace {
 
-long long parse_ckpt_int(const std::string& value, const std::string& line) {
-  const auto x = util::parse_int64(value);
-  if (!x) {
-    throw std::invalid_argument("session checkpoint: malformed integer in '" +
-                                line + "'");
-  }
-  return *x;
-}
+constexpr const char* kCheckpointHeader = "nowsched-session-checkpoint v1";
+
+// Every key serialize() writes is REQUIRED back: a truncated checkpoint must
+// be an error, never a silently zeroed session state.
+constexpr util::Field<SessionCheckpoint> kCheckpointFields[] = {
+    util::field<&SessionCheckpoint::residual>("residual"),
+    util::field<&SessionCheckpoint::interrupts_left>("interrupts_left"),
+    util::field<&SessionCheckpoint::finished>("finished"),
+};
 
 }  // namespace
 
 std::string serialize(const SessionCheckpoint& ckpt) {
-  std::ostringstream os;
-  os << "nowsched-session-checkpoint v1\n";
-  os << "residual=" << ckpt.residual << "\n";
-  os << "interrupts_left=" << ckpt.interrupts_left << "\n";
-  os << "finished=" << (ckpt.finished ? 1 : 0) << "\n";
-  const SessionMetrics& m = ckpt.metrics;
-  os << "banked_work=" << m.banked_work << "\n";
-  os << "task_work=" << m.task_work << "\n";
-  os << "comm_overhead=" << m.comm_overhead << "\n";
-  os << "lost_work=" << m.lost_work << "\n";
-  os << "salvaged_work=" << m.salvaged_work << "\n";
-  os << "fragmentation=" << m.fragmentation << "\n";
-  os << "lifespan_used=" << m.lifespan_used << "\n";
-  os << "interrupts=" << m.interrupts << "\n";
-  os << "episodes=" << m.episodes << "\n";
-  os << "periods_completed=" << m.periods_completed << "\n";
-  os << "periods_killed=" << m.periods_killed << "\n";
-  os << "tasks_completed=" << m.tasks_completed << "\n";
-  return os.str();
+  std::string out = util::write_record(kCheckpointHeader, kCheckpointFields, ckpt);
+  util::write_fields(out, kSessionMetricsFields, ckpt.metrics);
+  return out;
 }
 
 SessionCheckpoint parse_session_checkpoint(const std::string& text) {
-  std::istringstream is(text);
-  std::string line;
-  if (!std::getline(is, line) || line != "nowsched-session-checkpoint v1") {
-    throw std::invalid_argument(
-        "session checkpoint: missing 'nowsched-session-checkpoint v1' header");
-  }
+  util::RecordReader in("session checkpoint", text, kCheckpointHeader);
   SessionCheckpoint ckpt;
-  // Every key serialize() writes is REQUIRED back: a truncated checkpoint
-  // must be an error, never a silently zeroed session state.
-  std::vector<std::string> missing = {
-      "residual",      "interrupts_left", "finished",
-      "banked_work",   "task_work",       "comm_overhead",
-      "lost_work",     "salvaged_work",   "fragmentation",
-      "lifespan_used", "interrupts",      "episodes",
-      "periods_completed", "periods_killed", "tasks_completed"};
-  const auto mark_seen = [&missing](const std::string& key) {
-    for (auto it = missing.begin(); it != missing.end(); ++it) {
-      if (*it == key) {
-        missing.erase(it);
-        return;
-      }
-    }
-  };
-  while (std::getline(is, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    const auto eq = line.find('=');
-    if (eq == std::string::npos) {
-      throw std::invalid_argument("session checkpoint: expected key=value, got '" +
-                                  line + "'");
-    }
-    const std::string key = line.substr(0, eq);
-    const long long v = parse_ckpt_int(line.substr(eq + 1), line);
-    SessionMetrics& m = ckpt.metrics;
-    if (key == "residual") ckpt.residual = v;
-    else if (key == "interrupts_left") ckpt.interrupts_left = static_cast<int>(v);
-    else if (key == "finished") ckpt.finished = v != 0;
-    else if (key == "banked_work") m.banked_work = v;
-    else if (key == "task_work") m.task_work = v;
-    else if (key == "comm_overhead") m.comm_overhead = v;
-    else if (key == "lost_work") m.lost_work = v;
-    else if (key == "salvaged_work") m.salvaged_work = v;
-    else if (key == "fragmentation") m.fragmentation = v;
-    else if (key == "lifespan_used") m.lifespan_used = v;
-    else if (key == "interrupts") m.interrupts = static_cast<int>(v);
-    else if (key == "episodes") m.episodes = static_cast<std::size_t>(v);
-    else if (key == "periods_completed") m.periods_completed = static_cast<std::size_t>(v);
-    else if (key == "periods_killed") m.periods_killed = static_cast<std::size_t>(v);
-    else if (key == "tasks_completed") m.tasks_completed = static_cast<std::size_t>(v);
-    else {
-      throw std::invalid_argument("session checkpoint: unknown key '" + key + "'");
-    }
-    mark_seen(key);
-  }
-  if (!missing.empty()) {
-    throw std::invalid_argument("session checkpoint: incomplete record, missing '" +
-                                missing.front() + "'");
-  }
+  in.section("", util::bind(kCheckpointFields, ckpt),
+             util::bind(kSessionMetricsFields, ckpt.metrics));
   return ckpt;
 }
 

@@ -40,8 +40,8 @@ struct SessionCheckpoint {
   bool finished = false;    ///< session completed before the requested pause
 };
 
-/// Text round-trip of a checkpoint ("nowsched-session-checkpoint v1" header
-/// + key=value integer lines; parse(serialize(x)) == x exactly).
+/// Text round-trip of a checkpoint: a "nowsched-session-checkpoint v1" keyed
+/// record (DESIGN §8) with every key required; parse(serialize(x)) == x.
 std::string serialize(const SessionCheckpoint& ckpt);
 SessionCheckpoint parse_session_checkpoint(const std::string& text);
 

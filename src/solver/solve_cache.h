@@ -53,6 +53,7 @@
 #include "solver/table_store.h"
 #include "solver/value_table.h"
 #include "util/striped_lock.h"
+#include "util/text_record.h"
 
 namespace nowsched::solver {
 
@@ -80,6 +81,18 @@ struct SolveCacheStats {
     const std::uint64_t total = hits + misses;
     return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
   }
+};
+
+/// The one field table of SolveCacheStats (`cache_*` keys), shared by the
+/// `nowsched-stats v1` tenant blocks and the rpc JobResultReply.
+inline constexpr util::Field<SolveCacheStats> kSolveCacheStatsFields[] = {
+    util::field<&SolveCacheStats::hits>("cache_hits"),
+    util::field<&SolveCacheStats::misses>("cache_misses"),
+    util::field<&SolveCacheStats::store_hits>("cache_store_hits"),
+    util::field<&SolveCacheStats::spills>("cache_spills"),
+    util::field<&SolveCacheStats::evictions>("cache_evictions"),
+    util::field<&SolveCacheStats::entries>("cache_entries"),
+    util::field<&SolveCacheStats::resident_bytes>("cache_resident_bytes"),
 };
 
 class SolveCache {

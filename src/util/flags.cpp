@@ -1,8 +1,9 @@
 #include "util/flags.h"
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+
+#include "util/parse.h"
 
 namespace nowsched::util {
 
@@ -57,27 +58,17 @@ std::string Flags::get(const std::string& key, const std::string& fallback) cons
 std::int64_t Flags::get_int(const std::string& key, std::int64_t fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  const std::string& value = it->second;
-  errno = 0;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(value.c_str(), &end, 10);
-  if (value.empty() || end != value.c_str() + value.size() || errno == ERANGE) {
-    usage_error(key, "an integer", value);
-  }
-  return parsed;
+  const auto parsed = parse_int64(it->second);
+  if (!parsed) usage_error(key, "an integer", it->second);
+  return *parsed;
 }
 
 double Flags::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  const std::string& value = it->second;
-  errno = 0;
-  char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (value.empty() || end != value.c_str() + value.size() || errno == ERANGE) {
-    usage_error(key, "a number", value);
-  }
-  return parsed;
+  const auto parsed = parse_double(it->second);
+  if (!parsed) usage_error(key, "a number", it->second);
+  return *parsed;
 }
 
 bool Flags::get_bool(const std::string& key, bool fallback) const {

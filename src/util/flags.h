@@ -9,8 +9,9 @@
 //
 // Malformed input is a hard error, not silent garbage: an empty flag name
 // (`--=v`) aborts at parse time, and `get_int`/`get_double`/`get_bool` on a
-// value that does not parse in full (e.g. `--u=12abc`) or overflows print a
-// one-line usage error naming the flag and exit with status 2. Experiment
+// value that does not parse in full (e.g. `--u=12abc`), overflows, or (for
+// doubles) is not finite print a one-line usage error naming the flag and
+// exit with status 2 — util/parse.h is the shared strict parse. Experiment
 // grids are built from these flags; a mis-typed value must never become a
 // silently corrupted run.
 #pragma once

@@ -1,12 +1,13 @@
-// Strict whole-string number parsing, shared by every text-record reader
-// (scenario replay files, session checkpoints, environment tier knobs).
+// Strict whole-string number parsing, shared by util/text_record.h (every
+// text-record reader) and util::Flags.
 //
 // The repo-wide rule since PR 2 is that a malformed number is a hard error,
 // never a silently-consumed prefix — util::Flags enforces it for CLI flags
-// with exit(2); these helpers are the throwing/optional building blocks for
-// parsers that must not exit. nullopt means "not a valid number of this
-// type" (empty input, trailing junk, out of range, or a sign that the type
-// forbids); the caller owns the diagnostic.
+// with exit(2); these helpers are the optional building blocks, and
+// util/text_record.h layers the throwing, range-checked parse on them.
+// nullopt means "not a valid number of this type" (empty input, trailing
+// junk, out of range, or a sign that the type forbids); the caller owns the
+// diagnostic.
 #pragma once
 
 #include <cerrno>
@@ -42,7 +43,9 @@ namespace nowsched::util {
   errno = 0;
   char* end = nullptr;
   const double v = std::strtod(s.c_str(), &end);
-  if (end != s.c_str() + s.size() || errno == ERANGE) return std::nullopt;
+  // ERANGE also flags a subnormal result, which is exact (text records write
+  // them); only underflow to zero loses the value (overflow is caught below).
+  if (end != s.c_str() + s.size() || (errno == ERANGE && v == 0.0)) return std::nullopt;
   // "nan" and "inf" parse whole-string but are poison for every consumer
   // (NaN slides through range checks of the `x < lo || x > hi` shape and
   // can hang arrival-sampling loops); a text record never needs them.

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <limits>
+
+#include "util/parse.h"
 
 namespace nowsched::util {
 
@@ -139,28 +140,15 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
 std::size_t threads_from_env_value(const char* value, std::string* warning) {
   if (warning) warning->clear();
   if (value == nullptr) return 0;
-  const std::string s(value);
-  auto fail = [&](const char* why) -> std::size_t {
-    if (warning) {
-      *warning = "NOWSCHED_THREADS=\"" + s + "\" " + why +
-                 "; using the hardware default";
-    }
-    return 0;
-  };
-  if (s.empty()) return fail("is empty (expected a positive integer)");
-  errno = 0;
-  char* end = nullptr;
-  const long parsed = std::strtol(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size()) {
-    return fail("is not a number (expected a positive integer)");
+  const auto parsed = parse_int64(value);
+  if (parsed && *parsed >= 1 && *parsed <= std::numeric_limits<int>::max()) {
+    return static_cast<std::size_t>(*parsed);
   }
-  if (errno == ERANGE || parsed > std::numeric_limits<int>::max()) {
-    return fail("overflows (expected a positive integer)");
+  if (warning) {
+    *warning = "NOWSCHED_THREADS=\"" + std::string(value) +
+               "\" is not a positive int-range integer; using the hardware default";
   }
-  if (parsed <= 0) {
-    return fail("must be a positive integer");
-  }
-  return static_cast<std::size_t>(parsed);
+  return 0;
 }
 
 ThreadPool& global_pool() {

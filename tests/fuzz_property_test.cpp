@@ -10,14 +10,22 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
 #include <limits>
 #include <map>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/equalized.h"
 #include "core/guidelines.h"
 #include "core/transforms.h"
+#include "race/policy_race.h"
+#include "rpc/protocol.h"
 #include "sim/batch_runner.h"
 #include "sim/scenario_gen.h"
+#include "sim/session.h"
+#include "service/stats_format.h"
 #include "solver/extract.h"
 #include "solver/fast_solver.h"
 #include "solver/nonadaptive_eval.h"
@@ -316,6 +324,249 @@ TEST(Fuzz, EqualizedEpisodeAlwaysFeasible) {
     const auto sched = equalized_episode(u, p, params);
     ASSERT_EQ(sched.total(), u) << "c=" << params.c << " u=" << u << " p=" << p;
     ASSERT_GE(sched.size(), 1u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Text-record mutation fuzz: every format and every rpc payload.
+// ---------------------------------------------------------------------------
+
+/// One codec under mutation. `identity` decodes a text into an injective
+/// rendering of the value (the encoding, plus any free text the encoder
+/// would flatten); `reencode` decodes and encodes back. `samples` are valid
+/// encodings to mutate.
+struct MutationTarget {
+  std::string name;
+  std::function<std::string(const std::string&)> identity;
+  std::function<std::string(const std::string&)> reencode;
+  std::vector<std::string> samples;
+};
+
+/// Flip one byte, delete a line, duplicate a line, or truncate. The empty
+/// payload (a stats request) gains one random byte instead.
+std::string mutate(const std::string& text, util::Rng& rng) {
+  std::string out = text;
+  if (out.empty()) return std::string(1, static_cast<char>(rng.next_below(256)));
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.next_below(n));
+  };
+  // Line boundaries: line k spans [starts[k], starts[k+1]).
+  std::vector<std::size_t> starts = {0};
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (out[i] == '\n' && i + 1 < out.size()) starts.push_back(i + 1);
+  }
+  starts.push_back(out.size());
+  const std::size_t line = pick(starts.size() - 1);
+  const std::size_t begin = starts[line];
+  const std::size_t len = starts[line + 1] - begin;
+  switch (rng.next_below(4)) {
+    case 0: {
+      // Half the flips land on a byte the grammar gives meaning to.
+      static constexpr char kSyntax[] = "\r\n=#- 09";
+      char& c = out[pick(out.size())];
+      c = rng.next_below(2) == 0 ? kSyntax[pick(sizeof(kSyntax) - 1)]
+                                 : static_cast<char>(c ^ (1 + rng.next_below(255)));
+      break;
+    }
+    case 1:
+      out.erase(begin, len);
+      break;
+    case 2:
+      out.insert(begin + len, out.substr(begin, len));
+      break;
+    default:
+      out.resize(pick(out.size()));
+      break;
+  }
+  return out;
+}
+
+std::vector<MutationTarget> mutation_targets() {
+  sim::ScenarioDomain domain;
+  domain.contract_classes = 2;
+  sim::ScenarioGenerator gen(domain, 0x7E47);
+  std::vector<sim::ScenarioSpec> specs = gen.batch(5);
+  for (const auto& spec : gen.farm_group(2)) specs.push_back(spec);
+
+  std::vector<MutationTarget> targets;
+  const auto add_with_text = [&targets](std::string name, auto encode, auto decode,
+                                        auto values, auto free_text) {
+    MutationTarget t;
+    t.name = std::move(name);
+    t.identity = [encode, decode, free_text](const std::string& text) {
+      const auto value = decode(text);
+      return encode(value) + '\0' + free_text(value);
+    };
+    t.reencode = [encode, decode](const std::string& text) {
+      return encode(decode(text));
+    };
+    for (const auto& v : values) t.samples.push_back(encode(v));
+    targets.push_back(std::move(t));
+  };
+  const auto add = [&add_with_text](std::string name, auto encode, auto decode,
+                                    auto values) {
+    add_with_text(std::move(name), encode, decode, values,
+                  [](const auto&) { return std::string(); });
+  };
+
+  add("scenario", &sim::to_replay_string, &sim::scenario_from_replay, specs);
+
+  race::VerdictRecord verdict;
+  verdict.kind = "regret";
+  verdict.policy_a = "dp-optimal";
+  verdict.region_a = "small";
+  verdict.policy_b = "equalized";
+  verdict.region_b = "wide";
+  verdict.mean_a = 0.625;
+  verdict.mean_b = 0.1 + 0.2;
+  verdict.gap_mean = verdict.mean_a - verdict.mean_b;
+  verdict.gap_lower = -1e-3;
+  verdict.gap_upper = 0.75;
+  verdict.delta = 0.05;
+  verdict.epsilon = 0.01;
+  verdict.pulls_a = 4096;
+  verdict.pulls_b = 77;
+  verdict.confident = true;
+  add("verdict", &race::to_verdict_string, &race::verdict_from_string,
+      std::vector<race::VerdictRecord>{verdict});
+
+  sim::SessionCheckpoint ckpt;
+  ckpt.residual = 4321;
+  ckpt.interrupts_left = 2;
+  ckpt.metrics.banked_work = 1200;
+  ckpt.metrics.lost_work = 96;
+  ckpt.metrics.interrupts = 1;
+  ckpt.metrics.episodes = 2;
+  ckpt.metrics.periods_completed = 9;
+  ckpt.metrics.periods_killed = 1;
+  sim::SessionCheckpoint done = ckpt;
+  done.finished = true;
+  add("checkpoint",
+      [](const sim::SessionCheckpoint& c) { return sim::serialize(c); },
+      &sim::parse_session_checkpoint,
+      std::vector<sim::SessionCheckpoint>{ckpt, done});
+
+  service::ServiceStats stats;
+  stats.queue_policy = "drr";
+  stats.workers = 2;
+  stats.submitted_jobs = 9;
+  stats.latency = {9, 1.5, 2.25, 4.0 + 1e-12, 8.0};
+  for (const char* id : {"alpha", "beta"}) {
+    service::TenantStats t;
+    t.tenant = id;
+    t.submitted_jobs = 4;
+    t.cache = {3, 1, 1, 0, 0, 2, 4096};
+    t.latency = {4, 1.0, 2.0, 3.0, 3.5};
+    stats.tenants.push_back(t);
+  }
+  add("stats", &service::to_stats_string, &service::stats_from_string,
+      std::vector<service::ServiceStats>{stats});
+
+  rpc::SubmitBatchRequest submit;
+  submit.tenant = "alpha";
+  submit.specs = {specs[0], specs[5]};
+  add("rpc submit-batch", &rpc::encode_submit_batch, &rpc::decode_submit_batch,
+      std::vector<rpc::SubmitBatchRequest>{submit});
+  add_with_text("rpc submit-reply", &rpc::encode_submit_reply,
+                &rpc::decode_submit_reply,
+                std::vector<rpc::SubmitReply>{
+                    {service::SubmitStatus::kAccepted, "", 17},
+                    {service::SubmitStatus::kInvalidScenario, "spec #1: bad c", 0}},
+                [](const rpc::SubmitReply& r) { return r.reason; });
+  add("rpc job-status", &rpc::encode_job_status, &rpc::decode_job_status,
+      std::vector<rpc::JobStatusRequest>{{17}});
+  add("rpc job-status-reply", &rpc::encode_job_status_reply,
+      &rpc::decode_job_status_reply,
+      std::vector<rpc::JobStatusReply>{{service::JobState::kRunning}});
+  add("rpc job-result", &rpc::encode_job_result, &rpc::decode_job_result,
+      std::vector<rpc::JobResultRequest>{{17, true}, {18, false}});
+  rpc::JobResultReply result;
+  result.state = service::JobState::kDone;
+  result.tenant = "alpha";
+  result.job_id = 17;
+  result.completion_index = 4;
+  result.latency_ms = 0.1 + 0.7;
+  result.cache = {5, 2, 1, 1, 0, 3, 65536};
+  result.per_scenario.resize(2);
+  result.per_scenario[0].banked_work = 900;
+  result.per_scenario[1].episodes = 3;
+  result.aggregate = result.per_scenario[0];
+  result.aggregate.merge(result.per_scenario[1]);
+  rpc::JobResultReply failed;
+  failed.state = service::JobState::kFailed;
+  failed.error = "solver: table too large";
+  add_with_text("rpc job-result-reply", &rpc::encode_job_result_reply,
+                &rpc::decode_job_result_reply,
+                std::vector<rpc::JobResultReply>{result, failed},
+                [](const rpc::JobResultReply& r) { return r.error; });
+  add("rpc stats-reply", &service::to_stats_string, &service::stats_from_string,
+      std::vector<service::ServiceStats>{service::ServiceStats{}});
+  add("rpc cancel", &rpc::encode_cancel, &rpc::decode_cancel,
+      std::vector<rpc::CancelRequest>{{17}});
+  add("rpc cancel-reply", &rpc::encode_cancel_reply, &rpc::decode_cancel_reply,
+      std::vector<rpc::CancelReply>{{true}, {false}});
+  add("rpc shutdown", &rpc::encode_shutdown, &rpc::decode_shutdown,
+      std::vector<rpc::ShutdownRequest>{
+          {service::SchedulerService::StopMode::kDrain},
+          {service::SchedulerService::StopMode::kCancelQueued}});
+  add_with_text("rpc error", &rpc::encode_error, &rpc::decode_error,
+                std::vector<rpc::ErrorReply>{{"nowsched-rpc payload: bad input"}},
+                [](const rpc::ErrorReply& r) { return r.message; });
+
+  // The payload-free messages: a decode either accepts or throws.
+  MutationTarget shutdown_reply;
+  shutdown_reply.name = "rpc shutdown-reply";
+  shutdown_reply.reencode = [](const std::string& text) {
+    rpc::decode_shutdown_reply(text);
+    return rpc::encode_shutdown_reply();
+  };
+  shutdown_reply.identity = shutdown_reply.reencode;
+  shutdown_reply.samples = {rpc::encode_shutdown_reply()};
+  targets.push_back(shutdown_reply);
+  MutationTarget stats_request;
+  stats_request.name = "rpc stats";
+  stats_request.reencode = [](const std::string& text) {
+    rpc::decode_stats_request(text);
+    return rpc::encode_stats_request();
+  };
+  stats_request.identity = stats_request.reencode;
+  stats_request.samples = {rpc::encode_stats_request()};
+  targets.push_back(stats_request);
+  return targets;
+}
+
+TEST(Fuzz, MutatedTextRecordsAreRejectedOrRoundTrip) {
+  // A mutant either throws std::invalid_argument, or decodes to a value v
+  // with decode(encode(v)) == v (compared through `identity`). Any other
+  // exception fails the property; a crash kills the test.
+  const int cases = fuzz_cases(200);
+  util::Rng rng(0x3A7A);
+  for (const MutationTarget& target : mutation_targets()) {
+    for (const std::string& sample : target.samples) {
+      ASSERT_EQ(target.reencode(sample), sample) << target.name;
+    }
+    int rejected = 0;
+    for (int i = 0; i < cases; ++i) {
+      const std::string& sample =
+          target.samples[static_cast<std::size_t>(rng.next_below(target.samples.size()))];
+      std::string mutant = mutate(sample, rng);
+      if (rng.next_below(4) == 0) mutant = mutate(mutant, rng);  // stacked
+      std::string value;
+      try {
+        value = target.identity(mutant);
+      } catch (const std::invalid_argument&) {
+        ++rejected;
+        continue;
+      } catch (const std::exception& e) {
+        FAIL() << target.name << " case " << i << " threw a non-invalid_argument ("
+               << e.what() << ") on:\n" << mutant;
+      }
+      std::string back;
+      ASSERT_NO_THROW(back = target.identity(target.reencode(mutant)))
+          << target.name << " case " << i << " mutant:\n" << mutant;
+      ASSERT_EQ(back, value) << target.name << " case " << i << " mutant:\n" << mutant;
+    }
+    EXPECT_GT(rejected, 0) << target.name;  // the mutations do reach the checks
   }
 }
 

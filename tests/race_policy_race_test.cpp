@@ -395,6 +395,42 @@ TEST(PolicyRace, VerdictSerializationRoundTripsBitExactly) {
   EXPECT_EQ(to_verdict_string(back), text);
 }
 
+TEST(PolicyRace, VerdictEncoderOutputIsPinnedByteForByte) {
+  VerdictRecord v;
+  v.kind = "race";
+  v.policy_a = "dp-optimal";
+  v.region_a = "small";
+  v.policy_b = "equalized";
+  v.region_b = "large";
+  v.mean_a = 0.75;
+  v.mean_b = 0.1 + 0.2;
+  v.gap_mean = 0.45;
+  v.gap_lower = -0.015625;
+  v.gap_upper = 1e-300;
+  v.delta = 0.05;
+  v.epsilon = 0.0;
+  v.pulls_a = 128;
+  v.pulls_b = 18446744073709551615ull;
+  v.confident = true;
+  EXPECT_EQ(to_verdict_string(v), R"(nowsched-verdict v1
+kind=race
+policy_a=dp-optimal
+region_a=small
+policy_b=equalized
+region_b=large
+mean_a=0.75
+mean_b=0.30000000000000004
+gap_mean=0.45000000000000001
+gap_lower=-0.015625
+gap_upper=1e-300
+delta=0.050000000000000003
+epsilon=0
+pulls_a=128
+pulls_b=18446744073709551615
+confident=1
+)");
+}
+
 TEST(PolicyRace, VerdictParserIsStrict) {
   EXPECT_THROW(verdict_from_string("nope\n"), std::invalid_argument);
   EXPECT_THROW(verdict_from_string("nowsched-verdict v1\nbogus_key=1\n"),
@@ -409,6 +445,10 @@ TEST(PolicyRace, VerdictParserIsStrict) {
       verdict_from_string("nowsched-verdict v1\nkind=race\npolicy_a=x\n"
                           "policy_b=y\ngap_mean=0.5\ndelta=0.1\nconfident=2\n"),
       std::invalid_argument);  // confident must be 0/1
+  EXPECT_THROW(
+      verdict_from_string("nowsched-verdict v1\nkind=race\npolicy_a=x\n"
+                          "policy_b=y\ngap_mean=0.5\ndelta=0.1\ngap_mean=0.25\n"),
+      std::invalid_argument);  // duplicate key
 }
 
 TEST(PolicyRace, ConstructorValidates) {

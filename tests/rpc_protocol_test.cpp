@@ -13,6 +13,7 @@
 
 #include "service/job.h"
 #include "service/scheduler_service.h"
+#include "service/stats_format.h"
 #include "sim/batch_runner.h"
 #include "sim/scenario_gen.h"
 
@@ -139,6 +140,136 @@ TEST(RpcProtocol, JobStateWireCodesAreFrozenAndRoundTrip) {
 // --------------------------------------------------------------------------
 // Payload codec round-trips.
 // --------------------------------------------------------------------------
+
+// --------------------------------------------------------------------------
+// Golden bytes: one fixed value per MsgType payload, pinned literally. The
+// round-trip tests above cannot see a symmetric change to both codec sides;
+// these can.
+// --------------------------------------------------------------------------
+
+TEST(RpcProtocol, EveryRequestAndReplyPayloadIsPinnedByteForByte) {
+  sim::ScenarioSpec spec;
+  spec.policy = sim::PolicyKind::kEqualized;
+  spec.owner = sim::OwnerKind::kPoisson;
+  spec.owner_a = 500.0;
+  spec.params = Params{8};
+  spec.lifespan = 256;
+  spec.max_interrupts = 2;
+  spec.seed = 7;
+  SubmitBatchRequest submit;
+  submit.tenant = "alpha";
+  submit.specs = {spec};
+  EXPECT_EQ(encode_submit_batch(submit), R"(nowsched-submit v1
+tenant=alpha
+scenarios=1
+
+nowsched-scenario v1
+policy=equalized
+owner=poisson
+owner_a=500
+owner_b=1.5
+owner_c=0
+owner_d=0
+c=8
+lifespan=256
+max_interrupts=2
+seed=7
+group_seed=0
+)");
+
+  SubmitReply submit_reply;
+  submit_reply.status = service::SubmitStatus::kThrottled;
+  submit_reply.reason = "over rate";
+  EXPECT_EQ(encode_submit_reply(submit_reply),
+            "nowsched-submit-reply v1\nstatus=3\nreason=over rate\njob_id=0\n");
+
+  EXPECT_EQ(encode_job_status(JobStatusRequest{17}),
+            "nowsched-job-status v1\njob_id=17\n");
+  EXPECT_EQ(encode_job_status_reply(JobStatusReply{service::JobState::kRunning}),
+            "nowsched-job-status-reply v1\nstate=2\n");
+
+  EXPECT_EQ(encode_job_result(JobResultRequest{17, false}),
+            "nowsched-job-result v1\njob_id=17\nwait=0\n");
+
+  JobResultReply done;
+  done.state = service::JobState::kDone;
+  done.tenant = "alpha";
+  done.job_id = 17;
+  done.completion_index = 3;
+  done.latency_ms = 0.1 + 0.2;
+  done.cache = {11, 3, 2, 1, 4, 5, 1048576};
+  sim::SessionMetrics m;
+  m.banked_work = 100;
+  m.task_work = 90;
+  m.comm_overhead = 16;
+  m.lost_work = 40;
+  m.fragmentation = 10;
+  m.lifespan_used = 256;
+  m.interrupts = 2;
+  m.episodes = 3;
+  m.periods_completed = 5;
+  m.periods_killed = 2;
+  m.tasks_completed = 9;
+  done.per_scenario = {m, m};
+  done.aggregate = m;
+  done.aggregate.banked_work = 200;
+  EXPECT_EQ(encode_job_result_reply(done), R"(nowsched-job-result-reply v1
+state=3
+tenant=alpha
+job_id=17
+completion_index=3
+latency_ms=0.30000000000000004
+cache_hits=11
+cache_misses=3
+cache_store_hits=2
+cache_spills=1
+cache_evictions=4
+cache_entries=5
+cache_resident_bytes=1048576
+scenarios=2
+metrics=100 90 16 40 0 10 256 2 3 5 2 9
+metrics=100 90 16 40 0 10 256 2 3 5 2 9
+aggregate=200 90 16 40 0 10 256 2 3 5 2 9
+)");
+  JobResultReply failed;
+  failed.state = service::JobState::kFailed;
+  failed.error = "boom";
+  EXPECT_EQ(encode_job_result_reply(failed),
+            "nowsched-job-result-reply v1\nstate=4\nerror=boom\n");
+
+  EXPECT_EQ(encode_stats_request(), "");
+  service::ServiceStats stats;
+  stats.queue_policy = "fifo";
+  EXPECT_EQ(service::to_stats_string(stats), R"(nowsched-stats v1
+queue_policy=fifo
+workers=0
+queued_jobs=0
+inflight_jobs=0
+submitted_jobs=0
+accepted_jobs=0
+rejected_jobs=0
+completed_jobs=0
+failed_jobs=0
+cancelled_jobs=0
+completed_scenarios=0
+latency_count=0
+latency_p50_ms=0
+latency_p90_ms=0
+latency_p99_ms=0
+latency_max_ms=0
+tenants=0
+)");
+
+  EXPECT_EQ(encode_cancel(CancelRequest{17}), "nowsched-cancel v1\njob_id=17\n");
+  EXPECT_EQ(encode_cancel_reply(CancelReply{true}),
+            "nowsched-cancel-reply v1\ncancelled=1\n");
+  EXPECT_EQ(encode_shutdown(
+                ShutdownRequest{service::SchedulerService::StopMode::kCancelQueued}),
+            "nowsched-shutdown v1\nmode=cancel\n");
+  EXPECT_EQ(encode_shutdown_reply(), "nowsched-shutdown-reply v1\n");
+  EXPECT_EQ(encode_error(ErrorReply{"bad payload"}),
+            "nowsched-error v1\nmessage=bad payload\n");
+}
 
 TEST(RpcProtocol, SubmitBatchRoundTripsScenariosBitIdentically) {
   SubmitBatchRequest req;
@@ -321,6 +452,16 @@ TEST(RpcProtocol, MalformedPayloadsThrowTypedErrors) {
                std::invalid_argument);
   EXPECT_THROW(decode_submit_reply("nowsched-submit-reply v1\nstatus=-1\n"),
                std::invalid_argument);
+  // A wire code outside int range must not narrow onto a valid code (0).
+  EXPECT_THROW(decode_submit_reply(
+                   "nowsched-submit-reply v1\nstatus=4294967296\nreason=\njob_id=0\n"),
+               std::invalid_argument);
+  // Encoders flatten '\r' in reason/error/message, so a payload carrying one
+  // was not produced by an encoder; decoding it would not round-trip.
+  EXPECT_THROW(
+      decode_submit_reply("nowsched-submit-reply v1\nstatus=4\nreason=x\r\njob_id=0\n"),
+      std::invalid_argument);
+  EXPECT_THROW(decode_error("nowsched-error v1\nmessage=a\rb\n"), std::invalid_argument);
   EXPECT_THROW(decode_job_status("nowsched-job-status v1\njob_id=nan\n"),
                std::invalid_argument);
   EXPECT_THROW(decode_job_status_reply("nowsched-job-status-reply v1\nstate=6\n"),
@@ -391,6 +532,35 @@ TEST(RpcProtocol, ResultReplyRejectsWrongMetricsArity) {
   ASSERT_NE(last_space, std::string::npos);
   payload.erase(last_space, line_end - last_space);
   EXPECT_THROW(decode_job_result_reply(payload), std::invalid_argument);
+}
+
+TEST(RpcProtocol, SubmitBatchRejectsInterruptBoundOutsideIntRange) {
+  // 2^32 + 1 must not narrow to p = 1 and pass validation: the service would
+  // solve a different contract than the one submitted.
+  SubmitBatchRequest req;
+  req.tenant = "alpha";
+  req.specs = {sample_spec(1)};
+  std::string payload = encode_submit_batch(req);
+  const std::size_t pos = payload.find("max_interrupts=3\n");
+  ASSERT_NE(pos, std::string::npos);
+  payload.replace(pos, 17, "max_interrupts=4294967297\n");
+  EXPECT_THROW(decode_submit_batch(payload), std::invalid_argument);
+}
+
+TEST(RpcProtocol, ResultReplyRejectsNegativeUnsignedMetric) {
+  // episodes is a size_t: a negative count must not wrap to 2^64 - 1.
+  JobResultReply reply;
+  reply.state = service::JobState::kDone;
+  reply.tenant = "t";
+  reply.job_id = 1;
+  reply.per_scenario = {sample_metrics(1)};
+  const std::string payload = encode_job_result_reply(reply);
+  // sample_metrics(1): episodes (9th field) is 1 % 5 + 1 = 2.
+  const std::string good = "metrics=2 3 4 5 6 7 8 1 2 9 1 10\n";
+  ASSERT_NE(payload.find(good), std::string::npos) << payload;
+  std::string bad = payload;
+  bad.replace(bad.find(good), good.size(), "metrics=2 3 4 5 6 7 8 1 -2 9 1 10\n");
+  EXPECT_THROW(decode_job_result_reply(bad), std::invalid_argument);
 }
 
 }  // namespace

@@ -90,6 +90,88 @@ TEST(StatsFormat, HeaderAndRoundTripAreExact) {
   EXPECT_EQ(parsed.tenants[1].pending_scenarios, 16u);
 }
 
+TEST(StatsFormat, EncoderOutputIsPinnedByteForByte) {
+  // Golden bytes: the wire/printer format is a contract, so any change to
+  // key order, number formatting or section layout must show up here.
+  EXPECT_EQ(to_stats_string(sample_stats()), R"(nowsched-stats v1
+queue_policy=drr
+workers=4
+queued_jobs=2
+inflight_jobs=1
+submitted_jobs=40
+accepted_jobs=37
+rejected_jobs=3
+completed_jobs=30
+failed_jobs=1
+cancelled_jobs=3
+completed_scenarios=240
+latency_count=30
+latency_p50_ms=1.5
+latency_p90_ms=4
+latency_p99_ms=9.0000000000000995
+latency_max_ms=12.5
+tenants=2
+tenant=alpha
+quota_bytes=4194304
+submitted_jobs=25
+accepted_jobs=23
+rejected_tenant_full=1
+rejected_global_full=0
+rejected_throttled=1
+rejected_invalid=0
+rejected_shutdown=0
+completed_jobs=20
+failed_jobs=1
+cancelled_jobs=1
+submitted_scenarios=184
+completed_scenarios=160
+queued_jobs=1
+inflight_jobs=0
+pending_scenarios=8
+cache_hits=100
+cache_misses=20
+cache_store_hits=5
+cache_spills=2
+cache_evictions=3
+cache_entries=17
+cache_resident_bytes=123456
+latency_count=20
+latency_p50_ms=1.25
+latency_p90_ms=3.5
+latency_p99_ms=8.75
+latency_max_ms=12.5
+tenant=beta
+quota_bytes=0
+submitted_jobs=15
+accepted_jobs=14
+rejected_tenant_full=0
+rejected_global_full=1
+rejected_throttled=0
+rejected_invalid=0
+rejected_shutdown=0
+completed_jobs=10
+failed_jobs=0
+cancelled_jobs=2
+submitted_scenarios=112
+completed_scenarios=80
+queued_jobs=1
+inflight_jobs=1
+pending_scenarios=16
+cache_hits=0
+cache_misses=0
+cache_store_hits=0
+cache_spills=0
+cache_evictions=0
+cache_entries=0
+cache_resident_bytes=0
+latency_count=10
+latency_p50_ms=2
+latency_p90_ms=5
+latency_p99_ms=9.5
+latency_max_ms=11
+)");
+}
+
 TEST(StatsFormat, ZeroTenantSnapshotRoundTrips) {
   ServiceStats stats;
   stats.queue_policy = "fifo";
@@ -132,13 +214,13 @@ TEST(StatsFormat, RejectsMalformedText) {
   // Unknown key.
   EXPECT_THROW(stats_from_string(good + "bogus_key=1\n"), std::invalid_argument);
 
-  // Duplicate key: repeat the workers= line.
-  {
+  // Duplicate key: repeat the workers= line, then alpha's cache_spills=.
+  for (const char* key : {"workers=", "cache_spills="}) {
     std::string dup = good;
-    const std::size_t pos = dup.find("workers=");
+    const std::size_t pos = dup.find(key);
     const std::size_t end = dup.find('\n', pos);
     dup.insert(end + 1, dup.substr(pos, end - pos + 1));
-    EXPECT_THROW(stats_from_string(dup), std::invalid_argument);
+    EXPECT_THROW(stats_from_string(dup), std::invalid_argument) << key;
   }
 
   // Missing key: drop the queued_jobs= line entirely.
@@ -167,6 +249,16 @@ TEST(StatsFormat, RejectsMalformedText) {
     bad.replace(pos, end - pos, "submitted_jobs=many");
     EXPECT_THROW(stats_from_string(bad), std::invalid_argument);
   }
+}
+
+TEST(StatsFormat, SkipsBlankAndCommentLinesLikeEveryKeyedRecord) {
+  const std::string text = to_stats_string(sample_stats());
+  std::string annotated = text;
+  annotated.insert(annotated.find("tenant=beta"), "\n# second tenant\n");
+  annotated.insert(annotated.find('\n') + 1, "# captured by hand\n\n");
+  EXPECT_EQ(to_stats_string(stats_from_string(annotated)), text);
+  // Annotations go after the header, never before it.
+  EXPECT_THROW(stats_from_string("# note\n" + text), std::invalid_argument);
 }
 
 }  // namespace

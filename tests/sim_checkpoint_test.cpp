@@ -165,6 +165,73 @@ TEST(CheckpointRestart, ParserRejectsGarbage) {
   EXPECT_THROW(
       parse_session_checkpoint("nowsched-session-checkpoint v1\nresidual=5"),
       std::invalid_argument);
+  // A repeated key must not silently overwrite the first.
+  EXPECT_THROW(parse_session_checkpoint(serialize(SessionCheckpoint{}) + "residual=5\n"),
+               std::invalid_argument);
+}
+
+TEST(CheckpointRestart, CheckpointEncoderOutputIsPinnedByteForByte) {
+  SessionCheckpoint ckpt;
+  ckpt.residual = 1234;
+  ckpt.interrupts_left = 2;
+  SessionMetrics& m = ckpt.metrics;
+  m.banked_work = 1;
+  m.task_work = 2;
+  m.comm_overhead = 3;
+  m.lost_work = 4;
+  m.salvaged_work = 5;
+  m.fragmentation = 6;
+  m.lifespan_used = 7;
+  m.interrupts = 8;
+  m.episodes = 9;
+  m.periods_completed = 10;
+  m.periods_killed = 11;
+  m.tasks_completed = 12;
+  EXPECT_EQ(serialize(ckpt), R"(nowsched-session-checkpoint v1
+residual=1234
+interrupts_left=2
+finished=0
+banked_work=1
+task_work=2
+comm_overhead=3
+lost_work=4
+salvaged_work=5
+fragmentation=6
+lifespan_used=7
+interrupts=8
+episodes=9
+periods_completed=10
+periods_killed=11
+tasks_completed=12
+)");
+}
+
+TEST(CheckpointRestart, ReplayEncoderOutputIsPinnedByteForByte) {
+  ScenarioSpec spec;
+  spec.policy = PolicyKind::kDpOptimal;
+  spec.owner = OwnerKind::kMarkovModulated;
+  spec.owner_a = 0.1;  // no short decimal form: exercises %.17g
+  spec.owner_b = 1.5;
+  spec.owner_c = 250.0;
+  spec.owner_d = -2.25;
+  spec.params = Params{16};
+  spec.lifespan = 4096;
+  spec.max_interrupts = 3;
+  spec.seed = 18446744073709551615ull;
+  spec.group_seed = 42;
+  EXPECT_EQ(to_replay_string(spec), R"(nowsched-scenario v1
+policy=dp-optimal
+owner=markov
+owner_a=0.10000000000000001
+owner_b=1.5
+owner_c=250
+owner_d=-2.25
+c=16
+lifespan=4096
+max_interrupts=3
+seed=18446744073709551615
+group_seed=42
+)");
 }
 
 TEST(CheckpointRestart, ResumeContinuesBitIdenticallyUnderGeneratedTraces) {
@@ -259,6 +326,42 @@ TEST(CheckpointRestart, GeneratedScenarioTracesSurviveReplayFormat) {
     EXPECT_EQ(back.owner_a, spec.owner_a);  // bit-exact double round trip
     EXPECT_EQ(back.owner_d, spec.owner_d);
   }
+}
+
+TEST(CheckpointRestart, ParserRejectsValuesOutsideTheFieldType) {
+  // Every decoded integer is range-checked into its field's type: nothing
+  // narrows (int) or wraps (size_t), and the bool takes only 0 or 1.
+  SessionCheckpoint ckpt;
+  ckpt.residual = 100;
+  ckpt.interrupts_left = 2;
+  ckpt.metrics.episodes = 3;
+  const std::string good = serialize(ckpt);
+  ASSERT_NO_THROW(parse_session_checkpoint(good));
+  const auto with = [&good](const std::string& from, const std::string& to) {
+    std::string text = good;
+    const std::size_t pos = text.find(from);
+    EXPECT_NE(pos, std::string::npos) << from;
+    return text.replace(pos, from.size(), to);
+  };
+  EXPECT_THROW(parse_session_checkpoint(with("episodes=3\n", "episodes=-1\n")),
+               std::invalid_argument);
+  EXPECT_THROW(parse_session_checkpoint(
+                   with("interrupts_left=2\n", "interrupts_left=4294967298\n")),
+               std::invalid_argument);
+  EXPECT_THROW(parse_session_checkpoint(with("finished=0\n", "finished=7\n")),
+               std::invalid_argument);
+}
+
+TEST(CheckpointRestart, ReplayParserRejectsOutOfRangeAndDuplicateKeys) {
+  const std::string record =
+      "nowsched-scenario v1\npolicy=equalized\nowner=poisson\nc=16\n"
+      "lifespan=100\nseed=1\nmax_interrupts=";
+  EXPECT_EQ(scenario_from_replay(record + "2147483647\n").max_interrupts, 2147483647);
+  // 2^32 + 1 must not narrow to p = 1: a different contract than recorded.
+  EXPECT_THROW(scenario_from_replay(record + "4294967297\n"), std::invalid_argument);
+  // Which of two seed= lines a reader keeps must never decide the scenario
+  // being reproduced.
+  EXPECT_THROW(scenario_from_replay(record + "1\nseed=2\n"), std::invalid_argument);
 }
 
 }  // namespace
