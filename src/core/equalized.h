@@ -21,7 +21,6 @@
 // tests/integration_test.cpp and bench_adaptive_vs_optimal).
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "core/policy.h"

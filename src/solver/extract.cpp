@@ -1,6 +1,7 @@
 #include "solver/extract.h"
 
 #include <algorithm>
+#include <optional>
 #include <span>
 #include <stdexcept>
 
@@ -14,6 +15,8 @@ struct Branches {
   std::span<const Ticks> cur, prev;
   Ticks l, c;
 
+  /// V_p(l): the recurrence is the max of min(A, B) over t in [1, l].
+  Ticks target() const { return cur[static_cast<std::size_t>(l)]; }
   /// A(t) = (t ⊖ c) + V_p(l−t): non-increasing on [1, c] (pure table read),
   /// non-decreasing on [c, l] (V_p is 1-Lipschitz).
   Ticks a(Ticks t) const {
@@ -24,36 +27,103 @@ struct Branches {
   Ticks min_ab(Ticks t) const { return std::min(a(t), b(t)); }
 };
 
-/// Largest t in [lo, hi] with f.b(t) >= target (f.b is non-increasing), or
-/// 0 when even f.b(lo) < target.
-Ticks last_b_at_least(const Branches& f, Ticks lo, Ticks hi, Ticks target) {
-  if (f.b(lo) < target) return 0;
-  while (lo < hi) {
-    const Ticks mid = lo + (hi - lo + 1) / 2;
-    if (f.b(mid) >= target) lo = mid;
-    else hi = mid - 1;
+/// The branches at state (p, l), or std::out_of_range outside the
+/// documented range 1 <= p <= max_p, 1 <= l <= max_lifespan.
+Branches branches_at(const ValueTable& table, int p, Ticks l) {
+  if (p < 1 || p > table.max_interrupts()) {
+    throw std::out_of_range("best_period_length: p outside [1, max_p]");
   }
-  return lo;
+  if (l < 1 || l > table.max_lifespan()) {
+    throw std::out_of_range("best_period_length: lifespan outside [1, max_lifespan]");
+  }
+  return Branches{table.level(p), table.level(p - 1), l, table.params().c};
 }
 
-/// Largest t in [1, hi] with min(A, B) >= target on the prefix region
-/// t <= c, where BOTH branches are non-increasing in t, or 0 when none.
-Ticks last_prefix_attaining(const Branches& f, Ticks hi, Ticks target) {
-  if (f.min_ab(1) < target) return 0;
-  Ticks lo = 1;
-  while (lo < hi) {
-    const Ticks mid = lo + (hi - lo + 1) / 2;
-    if (f.min_ab(mid) >= target) lo = mid;
-    else hi = mid - 1;
+/// Largest t in [lo, hi] where `pred` holds, for a `pred` that holds up to
+/// some point of [lo, hi] and fails after it; lo − 1 when pred(lo) fails.
+/// With a hint, the search gallops out from the hint (clamped into
+/// [lo, hi]) in steps of 1, 2, 4, … until it brackets that point, then
+/// bisects the bracket: O(log d) probes when the answer is d ticks from the
+/// hint. Without one it bisects all of [lo, hi]. The hint changes only the
+/// cost, never the answer.
+template <class Pred>
+Ticks last_true(const Pred& pred, Ticks lo, Ticks hi, std::optional<Ticks> hint) {
+  Ticks yes = lo - 1;  // pred holds at every t in [lo, yes]
+  Ticks no = hi + 1;   // pred fails at every t in [no, hi]
+  if (hint && lo <= hi) {
+    const Ticks h = std::clamp(*hint, lo, hi);
+    if (pred(h)) {
+      yes = h;
+      for (Ticks step = 1; yes < hi; step *= 2) {
+        const Ticks t = std::min(hi, yes + step);
+        if (!pred(t)) {
+          no = t;
+          break;
+        }
+        yes = t;
+      }
+    } else {
+      no = h;
+      for (Ticks step = 1; no > lo; step *= 2) {
+        const Ticks t = std::max(lo, no - step);
+        if (pred(t)) {
+          yes = t;
+          break;
+        }
+        no = t;
+      }
+    }
   }
-  return lo;
+  while (no - yes > 1) {
+    const Ticks mid = yes + (no - yes) / 2;
+    if (pred(mid)) yes = mid;
+    else no = mid;
+  }
+  return yes;
+}
+
+/// Longest t in [1, f.l] attaining V_p(l); `hint` seeds the crossover
+/// search (extraction passes the previous period's length).
+Ticks best_period(const Branches& f, std::optional<Ticks> hint) {
+  const Ticks c = f.c, l = f.l;
+  const Ticks target = f.target();
+
+  // Suffix region t in [c, l]: A non-decreasing, B non-increasing — the
+  // crossover structure. Any attaining t here is >= c, hence longer than
+  // every prefix (t < c) candidate, so search it first.
+  if (l > c) {
+    // "A(t) < B(t)" holds up to the crossover x and fails after it; x is
+    // c − 1 when min == B on the whole suffix and l when min == A.
+    const Ticks x = last_true([&f](Ticks t) { return f.a(t) < f.b(t); }, c, l, hint);
+    // Past the crossover min == B, non-increasing: the longest attaining t
+    // overall is the end of B's plateau at target, galloping up from x + 1.
+    if (x < l) {
+      const Ticks t = last_true([&f, target](Ticks t) { return f.b(t) >= target; },
+                                x + 1, l, x + 1);
+      if (t > x && f.b(t) == target) return t;
+    }
+    // Before it min == A, non-decreasing: its plateau of maxima ends at x.
+    if (x >= c && f.a(x) == target) return x;
+  }
+
+  // Prefix region t in [1, min(c, l)]: t ⊖ c == 0, so A == V_p(l−t) and both
+  // branches are non-increasing — one monotone search finds the longest
+  // attaining t. Reached only when no suffix t attains (e.g. the carry case
+  // V_p(l) == V_p(l−1), attained at t = 1 because V_{p−1} >= V_p pointwise).
+  const Ticks t = last_true([&f, target](Ticks t) { return f.min_ab(t) >= target; },
+                            1, std::min(c, l), std::nullopt);
+  if (t == 0) {
+    throw std::logic_error(
+        "best_period_length: no attaining period — value table is inconsistent");
+  }
+  return t;
 }
 
 }  // namespace
 
 Ticks best_period_length_linear(const ValueTable& table, int p, Ticks l) {
-  const Branches f{table.level(p), table.level(p - 1), l, table.params().c};
-  const Ticks target = table.value(p, l);
+  const Branches f = branches_at(table, p, l);
+  const Ticks target = f.target();
   Ticks best_t = 1;
   for (Ticks t = 1; t <= l; ++t) {
     if (f.min_ab(t) >= target) best_t = t;  // never exceeds target; >= is a tie
@@ -62,49 +132,11 @@ Ticks best_period_length_linear(const ValueTable& table, int p, Ticks l) {
 }
 
 Ticks best_period_length(const ValueTable& table, int p, Ticks l) {
-  const Branches f{table.level(p), table.level(p - 1), l, table.params().c};
-  const Ticks c = f.c;
-  // V is attained by some t in [1, l]: the recurrence IS max over that range.
-  const Ticks target = table.value(p, l);
+  return best_period(branches_at(table, p, l), std::nullopt);
+}
 
-  // Suffix region t in [c, l]: A non-decreasing, B non-increasing — the
-  // crossover structure. Any attaining t here is >= c, hence longer than
-  // every prefix (t < c) candidate, so search it first.
-  if (l > c) {
-    Ticks lo = c, hi = l;
-    if (f.a(lo) >= f.b(lo)) {
-      // min == B on the whole suffix; B is non-increasing, so the longest
-      // attaining t is the last one with B == target (if B starts there).
-      const Ticks t = last_b_at_least(f, lo, hi, target);
-      if (t != 0 && f.b(t) == target) return t;
-    } else if (f.a(hi) < f.b(hi)) {
-      // min == A on the whole suffix, maximized (non-decreasing) at t = l.
-      if (f.a(hi) == target) return hi;
-    } else {
-      // Proper crossover: lo becomes the last t with A < B, hi = lo + 1.
-      while (lo + 1 < hi) {
-        const Ticks mid = lo + (hi - lo) / 2;
-        if (f.a(mid) < f.b(mid)) lo = mid;
-        else hi = mid;
-      }
-      // Past the crossover min == B: the longest attaining t overall.
-      const Ticks t = last_b_at_least(f, hi, l, target);
-      if (t != 0 && f.b(t) == target) return t;
-      // Before it min == A, non-decreasing: its plateau of maxima ends at lo.
-      if (f.a(lo) == target) return lo;
-    }
-  }
-
-  // Prefix region t in [1, min(c, l)]: t ⊖ c == 0, so A == V_p(l−t) and both
-  // branches are non-increasing — one monotone search finds the longest
-  // attaining t. Reached only when no suffix t attains (e.g. the carry case
-  // V_p(l) == V_p(l−1), attained at t = 1 because V_{p−1} >= V_p pointwise).
-  const Ticks t = last_prefix_attaining(f, std::min(c, l), target);
-  if (t == 0) {
-    throw std::logic_error(
-        "best_period_length: no attaining period — value table is inconsistent");
-  }
-  return t;
+Ticks best_period_length(const ValueTable& table, int p, Ticks l, Ticks hint) {
+  return best_period(branches_at(table, p, l), hint);
 }
 
 EpisodeSchedule extract_episode(const ValueTable& table, int p, Ticks lifespan) {
@@ -117,12 +149,15 @@ EpisodeSchedule extract_episode(const ValueTable& table, int p, Ticks lifespan) 
   if (lifespan == 0) return EpisodeSchedule{};
   if (p == 0) return EpisodeSchedule({lifespan});  // Prop 4.1(d)
 
+  // Consecutive periods of an optimal episode differ by a few ticks, so
+  // each period's search gallops out from the one before it.
+  Branches f = branches_at(table, p, lifespan);
   std::vector<Ticks> periods;
-  Ticks l = lifespan;
-  while (l > 0) {
-    const Ticks t = best_period_length(table, p, l);
+  while (f.l > 0) {
+    const Ticks t = best_period(f, periods.empty() ? std::nullopt
+                                                   : std::optional(periods.back()));
     periods.push_back(t);
-    l -= t;
+    f.l -= t;
   }
   return EpisodeSchedule(std::move(periods));
 }

@@ -15,20 +15,29 @@ namespace nowsched::solver {
 /// lifespan is exhausted. Ties prefer the longest period (this matches the
 /// paper's decreasing-period shape and avoids degenerate 1-tick chains).
 ///
-/// Cost: O(m log L) — each period is found by binary search on the same
-/// monotone A/B crossover structure the fast solver uses (A(t) non-
-/// decreasing past c, B(t) non-increasing), so extraction is cheap enough
-/// to run per episode inside batched simulations. best_period_length_linear
-/// is the O(L) scan it replaced, kept as the oracle for the equivalence
-/// test (tests/solver_extract_test.cpp): both pick the identical (longest)
-/// attaining period on every state.
+/// Cost: O(log L) for the first period, then O(log d) per period for a
+/// period d ticks from the one before it. Each period is the same monotone
+/// A/B crossover search the fast solver's structure gives (A(t) non-
+/// decreasing past c, B(t) non-increasing), galloping out from the previous
+/// period's length and then bisecting the bracket, so extraction is cheap
+/// enough to run per episode inside batched simulations.
+/// best_period_length_linear is the O(L) scan it replaced, kept as the
+/// oracle for the equivalence tests (tests/solver_extract_test.cpp): every
+/// extracted period is the identical (longest) attaining period.
 EpisodeSchedule extract_episode(const ValueTable& table, int p, Ticks lifespan);
 
 /// Longest t in [1, L] attaining V_p(L), by O(log L) crossover search.
-/// Requires 1 <= p <= table.max_interrupts() and 1 <= L <= max_lifespan.
+/// Requires 1 <= p <= table.max_interrupts() and 1 <= L <= max_lifespan;
+/// throws std::out_of_range otherwise.
 Ticks best_period_length(const ValueTable& table, int p, Ticks lifespan);
 
-/// The O(L) reference scan for best_period_length (bit-identical choice).
+/// The same search, galloping out from `hint` (any value; it is clamped
+/// into the crossover range). The answer equals the hint-free call's; the
+/// cost is O(log d) when the crossover lies d ticks from the hint.
+Ticks best_period_length(const ValueTable& table, int p, Ticks lifespan, Ticks hint);
+
+/// The O(L) reference scan for best_period_length (bit-identical choice),
+/// with the same range contract.
 Ticks best_period_length_linear(const ValueTable& table, int p, Ticks lifespan);
 
 /// Thm 4.3 predicts, for the early ("non-immune") periods,

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <optional>
+#include <vector>
 
 #include "core/bounds.h"
 #include "core/closed_form.h"
@@ -152,6 +157,111 @@ TEST(EqualizedPolicy, NameAndSpanning) {
       EXPECT_EQ(policy.episode(l, q, kParams).total(), l);
     }
   }
+}
+
+// --- Oracle: the vector-building bisection that equalized_episode replaced.
+// Every probe built the full period vector; the first one to pass decided
+// the schedule. Kept verbatim (including its own W(q)⁻¹, which recomputed
+// the deficit coefficient per call) so the allocation-free probes are held
+// to bit-identical periods and realized value.
+
+double oracle_inverse(int q, double value, double c) {
+  if (q == 0) return value + c;
+  const double a = 2.0 - std::pow(2.0, 1.0 - static_cast<double>(q));
+  const double b = a * std::sqrt(2.0 * c);
+  const double s = (b + std::sqrt(b * b + 4.0 * (value + c / 2.0))) / 2.0;
+  return s * s;
+}
+
+std::optional<std::vector<double>> oracle_try_build(double lifespan, int p, double c,
+                                                    double v) {
+  std::vector<double> lengths;
+  double t_begin = 0.0;
+  double banked = 0.0;
+  while (true) {
+    const double need = v - banked;
+    if (need <= 0.0) break;
+    const double x = oracle_inverse(p - 1, need, c);
+    const double t_end = lifespan - x;
+    const double t = t_end - t_begin;
+    if (t <= c) return std::nullopt;
+    lengths.push_back(t);
+    banked += t - c;
+    t_begin = t_end;
+    if (lengths.size() > 4096u) return std::nullopt;
+  }
+  double rest = lifespan - t_begin;
+  double total_work = banked;
+  while (rest > 3.0 * c) {
+    lengths.push_back(1.5 * c);
+    total_work += 0.5 * c;
+    rest -= 1.5 * c;
+  }
+  if (rest > 0.0) {
+    lengths.push_back(rest);
+    total_work += std::max(0.0, rest - c);
+  }
+  if (lengths.empty()) return std::nullopt;
+  if (total_work < v) return std::nullopt;
+  return lengths;
+}
+
+EpisodeSchedule oracle_episode(Ticks lifespan, int p, const Params& params,
+                               double* value_out) {
+  *value_out = 0.0;
+  if (p == 0) {
+    *value_out = static_cast<double>(positive_sub(lifespan, params.c));
+    return EpisodeSchedule({lifespan});
+  }
+  const double l = static_cast<double>(lifespan);
+  const double c = static_cast<double>(params.c);
+  double lo = 0.0, hi = std::max(0.0, l - c);
+  std::optional<std::vector<double>> best = oracle_try_build(l, p, c, 0.0);
+  double best_v = 0.0;
+  for (int iter = 0; iter < 64 && hi - lo > 0.25; ++iter) {
+    const double mid = (lo + hi) / 2.0;
+    auto attempt = oracle_try_build(l, p, c, mid);
+    if (attempt) {
+      best = std::move(attempt);
+      best_v = mid;
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  if (!best || best->empty()) return EpisodeSchedule({lifespan});
+  *value_out = best_v;
+  return EpisodeSchedule::from_real(*best, lifespan);
+}
+
+TEST(EqualizedEpisode, BitIdenticalToVectorBuildingBisection) {
+  std::size_t cases = 0;
+  for (Ticks c : {Ticks{1}, Ticks{2}, Ticks{16}, Ticks{64}, Ticks{1000}}) {
+    // U <= c, around the 3c immune threshold, a geometric sweep, and a few
+    // odd large lifespans, all within [1, 65536].
+    std::vector<Ticks> lifespans = {1,         2,         c - 1,     c,         c + 1,
+                                    2 * c,     3 * c - 1, 3 * c,     3 * c + 1, 3 * c + 2,
+                                    3 * c + 7, 4 * c,     6 * c + 1, 10 * c,    65536,
+                                    65535,     40961,     12345,     54321};
+    for (Ticks u = 3; u <= 65536; u = u * 5 / 2 + 1) lifespans.push_back(u);
+    for (Ticks u : lifespans) {
+      if (u < 1 || u > 65536) continue;
+      for (int p = 0; p <= 6; ++p) {
+        const Params params{c};
+        double want_v = -1.0, got_v = -2.0;
+        const EpisodeSchedule want = oracle_episode(u, p, params, &want_v);
+        const EpisodeSchedule got = equalized_episode(u, p, params, &got_v);
+        ASSERT_TRUE(std::ranges::equal(got.periods(), want.periods()))
+            << "c=" << c << " U=" << u << " p=" << p << "\n got  " << got.to_string()
+            << "\n want " << want.to_string();
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got_v), std::bit_cast<std::uint64_t>(want_v))
+            << "c=" << c << " U=" << u << " p=" << p << " got V=" << got_v
+            << " want V=" << want_v;
+        ++cases;
+      }
+    }
+  }
+  EXPECT_GT(cases, 900u);
 }
 
 }  // namespace

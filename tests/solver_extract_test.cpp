@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "core/closed_form.h"
+#include "solver/fast_solver.h"
 #include "solver/reference_solver.h"
 
 namespace nowsched::solver {
@@ -102,15 +103,53 @@ TEST_F(ExtractFixture, BoundsChecked) {
                std::invalid_argument);
 }
 
+TEST_F(ExtractFixture, BestPeriodLengthRangeChecked) {
+  // Documented range: 1 <= p <= max_p and 1 <= L <= max_lifespan. L = 0 once
+  // read cur[-1] (fast search) or answered 1 > L (linear scan).
+  for (Ticks l : {Ticks{0}, Ticks{-1}, kMaxL + 1}) {
+    EXPECT_THROW(best_period_length(*table_, 1, l), std::out_of_range) << "l=" << l;
+    EXPECT_THROW(best_period_length(*table_, 1, l, 5), std::out_of_range) << "l=" << l;
+    EXPECT_THROW(best_period_length_linear(*table_, 1, l), std::out_of_range) << "l=" << l;
+  }
+  for (int p : {-1, 0, kMaxP + 1}) {
+    EXPECT_THROW(best_period_length(*table_, p, 10), std::out_of_range) << "p=" << p;
+    EXPECT_THROW(best_period_length(*table_, p, 10, 5), std::out_of_range) << "p=" << p;
+    EXPECT_THROW(best_period_length_linear(*table_, p, 10), std::out_of_range) << "p=" << p;
+  }
+  // The range ends themselves are valid states.
+  EXPECT_EQ(best_period_length(*table_, 1, 1), 1);
+  EXPECT_EQ(best_period_length(*table_, kMaxP, kMaxL),
+            best_period_length_linear(*table_, kMaxP, kMaxL));
+}
+
 TEST(OptimalPolicyStandalone, NullTableRejected) {
   EXPECT_THROW(OptimalPolicy(nullptr), std::invalid_argument);
+}
+
+// Walks extract_episode(table, p, L) and checks every period against the
+// O(L) scan at the state it was chosen from. Every period after the first
+// comes from the search seeded with the previous period's length.
+void expect_every_period_linear(const ValueTable& table, int p, Ticks lifespan) {
+  const EpisodeSchedule episode = extract_episode(table, p, lifespan);
+  Ticks l = lifespan;
+  for (std::size_t k = 0; k < episode.size(); ++k) {
+    ASSERT_GT(l, 0) << "p=" << p << " L=" << lifespan << " period " << k;
+    ASSERT_EQ(episode.period(k), best_period_length_linear(table, p, l))
+        << "c=" << table.params().c << " p=" << p << " L=" << lifespan << " period " << k
+        << " at l=" << l;
+    l -= episode.period(k);
+  }
+  EXPECT_EQ(l, 0);
 }
 
 // The O(log L) crossover search must pick the bit-identical (longest
 // attaining) period the O(L) scan picks on EVERY state — extraction feeds
 // committed schedules, so a different tie-break would silently change
 // simulation results. Exhaustive over several c regimes, including c = 1
-// (no prefix region) and c > L (prefix only).
+// (no prefix region) and c > L (prefix only). The hint changes only the
+// cost: any hint — inside the crossover range [c, L], at its ends, past
+// them, or around the answer — returns the same period, and so does every
+// period extract_episode chooses with the previous period as its hint.
 TEST(BestPeriodLength, FastMatchesLinearScanExhaustively) {
   for (Ticks c : {Ticks{1}, Ticks{2}, Ticks{7}, Ticks{16}, Ticks{33}, Ticks{250}}) {
     constexpr int kMaxP = 3;
@@ -118,9 +157,34 @@ TEST(BestPeriodLength, FastMatchesLinearScanExhaustively) {
     const ValueTable table = solve_reference(kMaxP, kMaxL, Params{c});
     for (int p = 1; p <= kMaxP; ++p) {
       for (Ticks l = 1; l <= kMaxL; ++l) {
-        ASSERT_EQ(best_period_length(table, p, l),
-                  best_period_length_linear(table, p, l))
+        const Ticks want = best_period_length_linear(table, p, l);
+        ASSERT_EQ(best_period_length(table, p, l), want)
             << "c=" << c << " p=" << p << " l=" << l;
+        for (Ticks hint : {Ticks{-7}, Ticks{0}, Ticks{1}, c - 1, c, c + 1, l / 2, l - 1, l,
+                           l + 1, 4 * l + 100, want - 2, want - 1, want, want + 1,
+                           want + 2}) {
+          ASSERT_EQ(best_period_length(table, p, l, hint), want)
+              << "c=" << c << " p=" << p << " l=" << l << " hint=" << hint;
+        }
+        ASSERT_NO_FATAL_FAILURE(expect_every_period_linear(table, p, l));
+      }
+    }
+  }
+}
+
+TEST(ExtractEpisode, EveryPeriodMatchesLinearScanAtLargeU) {
+  // Sampled states on solve_fast tables at U ≈ 2^14, where episodes run to
+  // dozens of periods and consecutive periods differ by more than a tick.
+  struct Grid {
+    Ticks c, max_l;
+    int max_p;
+  };
+  for (const Grid g : {Grid{16, 16384, 4}, Grid{3, 16001, 6}}) {
+    const ValueTable table = solve_fast(g.max_p, g.max_l, Params{g.c});
+    for (int p = 1; p <= g.max_p; ++p) {
+      for (Ticks l : {Ticks{1}, g.c, g.c + 1, 3 * g.c + 1, Ticks{1000}, Ticks{4097},
+                      Ticks{9999}, g.max_l - 1, g.max_l}) {
+        ASSERT_NO_FATAL_FAILURE(expect_every_period_linear(table, p, l));
       }
     }
   }
