@@ -12,7 +12,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <future>
 #include <optional>
 #include <string>
 #include <vector>
@@ -79,15 +78,14 @@ struct JobResult {
   sim::BatchResult batch;
 };
 
-/// A queued unit of work as the queue disciplines see it. Move-only (it
-/// carries the promise that feeds the job record's future).
+/// A queued unit of work as the queue disciplines see it. It carries only
+/// the work; the job's state and outcome live in the service's job record.
 struct QueuedJob {
   std::uint64_t seq = 0;  ///< global admission order — the FIFO sort key
   JobId id = 0;
   std::string tenant;
   std::size_t cost = 0;  ///< == specs.size(); the DRR service currency
   std::vector<sim::ScenarioSpec> specs;
-  std::promise<JobResult> promise;
   std::chrono::steady_clock::time_point submitted_at{};
 };
 

@@ -94,10 +94,6 @@ class DeficitRoundRobinQueue final : public QueuePolicy {
 
 }  // namespace
 
-void QueuePolicy::drain(const std::function<void(QueuedJob&&)>& fn) {
-  while (!empty()) fn(pop());
-}
-
 const char* to_string(QueueKind kind) {
   switch (kind) {
     case QueueKind::kFifo: return "fifo";

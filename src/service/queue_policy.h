@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -56,10 +55,6 @@ class QueuePolicy {
 
   virtual std::size_t size() const noexcept = 0;
   bool empty() const noexcept { return size() == 0; }
-
-  /// Hands every queued job to `fn` in pop order and leaves the queue
-  /// empty. The shutdown/cancel path uses this to fail queued promises.
-  void drain(const std::function<void(QueuedJob&&)>& fn);
 };
 
 /// `quantum` is the DRR per-visit deficit grant in cost units (clamped

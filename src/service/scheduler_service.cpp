@@ -17,6 +17,13 @@ double ms_since(std::chrono::steady_clock::time_point start) {
 
 constexpr const char* kCancelledMessage =
     "SchedulerService: job cancelled before execution";
+constexpr const char* kShutdownMessage =
+    "SchedulerService: job cancelled by shutdown";
+
+bool is_terminal(JobState state) {
+  return state == JobState::kDone || state == JobState::kFailed ||
+         state == JobState::kCancelled;
+}
 
 constexpr SubmitStatus kAllSubmitStatuses[] = {
     SubmitStatus::kAccepted,        SubmitStatus::kQueueFullTenant,
@@ -143,7 +150,7 @@ TicketSubmission SchedulerService::submit_job(const std::string& tenant,
   TicketSubmission out;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    Tenant& t = tenant_locked(tenant);
+    TenantStats& t = tenant_locked(tenant).books;
     ++t.submitted_jobs;
 
     // Fixed rejection order: shutdown > invalid > global full > tenant full
@@ -199,9 +206,7 @@ TicketSubmission SchedulerService::submit_job(const std::string& tenant,
     // The record MUST land under the same critical section that enqueues
     // the job: a worker popping it transitions the record it FINDS, so a
     // late insert would shadow kRunning/kDone forever.
-    JobRecord record;
-    record.future = job.promise.get_future().share();
-    jobs_.emplace(job.id, std::move(record));
+    jobs_.emplace(job.id, JobRecord{});
 
     ++t.accepted_jobs;
     t.submitted_scenarios += cost;
@@ -227,87 +232,54 @@ JobState SchedulerService::job_state(JobId id) const {
 }
 
 FetchOutcome SchedulerService::fetch_result(JobId id, bool wait) {
-  for (;;) {
-    std::shared_future<JobResult> future;
-    JobState state = JobState::kUnknown;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
+  if (wait) {
+    settled_cv_.wait(lock, [this, id] {
       const auto it = jobs_.find(id);
-      if (it == jobs_.end()) {
-        FetchOutcome out;
-        out.state = JobState::kUnknown;
-        return out;
-      }
-      JobRecord& record = it->second;
-      state = record.state;
-      if (record.cancel_requested && state == JobState::kQueued) {
-        // Already consumed (a prior fetch or a forget()) but the pop path
-        // has not erased the record yet: exactly-once means any further
-        // fetch observes kUnknown, same as after the erase.
-        if (record.fetched) {
-          FetchOutcome out;
-          out.state = JobState::kUnknown;
-          return out;
-        }
-        // Decided but not yet settled by the pop path. Mark it fetched so
-        // settlement erases the record — this IS the one fetch.
-        record.fetched = true;
-        FetchOutcome out;
-        out.state = JobState::kCancelled;
-        out.error = kCancelledMessage;
-        return out;
-      }
-      const bool terminal = state == JobState::kDone ||
-                            state == JobState::kFailed ||
-                            state == JobState::kCancelled;
-      if (terminal) {
-        // Exactly-once: the record is gone before the lock drops, so a
-        // second fetch (or a concurrent one) sees kUnknown.
-        future = std::move(record.future);
-        jobs_.erase(it);
-      } else if (wait) {
-        future = record.future;  // copy; the record stays for state polls
-      } else {
-        FetchOutcome out;
-        out.state = state;
-        return out;
-      }
-    }
-
-    FetchOutcome out;
-    out.state = state;
-    if (state == JobState::kDone) {
-      out.result = future.get();  // ready: state was terminal under mu_
-      return out;
-    }
-    if (state == JobState::kFailed || state == JobState::kCancelled) {
-      try {
-        future.get();
-        out.error = "unknown error";  // unreachable: terminal non-done holds one
-      } catch (const std::exception& e) {
-        out.error = e.what();
-      } catch (...) {
-        out.error = "unknown error";
-      }
-      return out;
-    }
-    // Pending and wait requested: block outside mu_ until the job resolves,
-    // then loop — the next pass observes a terminal state and consumes it.
-    future.wait();
+      return it == jobs_.end() || it->second.cancel_requested ||
+             is_terminal(it->second.state);
+    });
   }
+  FetchOutcome out;
+  const auto it = jobs_.find(id);
+  if (it == jobs_.end()) return out;  // kUnknown
+  JobRecord& record = it->second;
+  if (record.cancel_requested && record.state == JobState::kQueued) {
+    // Decided but not yet settled by the pop path. The first fetch (or a
+    // forget()) consumes it and marks the record fetched so settlement
+    // erases it; any later fetch reads kUnknown, same as after the erase.
+    if (!record.fetched) {
+      record.fetched = true;
+      out.state = JobState::kCancelled;
+      out.error = kCancelledMessage;
+    }
+    return out;
+  }
+  out.state = record.state;
+  if (is_terminal(record.state)) {
+    // Exactly-once: the record is gone before the lock drops, so a second
+    // fetch (or a concurrent one) sees kUnknown.
+    out.error = std::move(record.error);
+    out.result = std::move(record.result);
+    jobs_.erase(it);
+  }
+  return out;
 }
 
 bool SchedulerService::cancel(JobId id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return false;
-  JobRecord& record = it->second;
-  if (record.state != JobState::kQueued || record.cancel_requested) return false;
-  // Lazy cancellation: QueuePolicy has no random-access erase, so the flag
-  // is settled (counters, promise, record state) when the pop path next
-  // encounters the job. Observers see kCancelled immediately (job_state /
-  // fetch_result special-case the flag).
-  record.cancel_requested = true;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = jobs_.find(id);
+    if (it == jobs_.end()) return false;
+    JobRecord& record = it->second;
+    if (record.state != JobState::kQueued || record.cancel_requested) return false;
+    // Lazy cancellation: QueuePolicy has no random-access erase, so the flag
+    // is settled (counters, record state) when the pop path next encounters
+    // the job. Observers see kCancelled immediately (job_state /
+    // fetch_result special-case the flag).
+    record.cancel_requested = true;
+  }
+  settled_cv_.notify_all();  // a waiting fetch can answer now
   return true;
 }
 
@@ -345,7 +317,7 @@ void SchedulerService::set_tenant_quota(const std::string& tenant,
   {
     std::lock_guard<std::mutex> lock(mu_);
     Tenant& t = tenant_locked(tenant);
-    t.quota_bytes = bytes;
+    t.books.quota_bytes = bytes;
     cache = &t.cache;
   }
   // Resize outside mu_: eviction takes the cache's stripe locks, and there is
@@ -354,28 +326,21 @@ void SchedulerService::set_tenant_quota(const std::string& tenant,
 }
 
 bool SchedulerService::next_runnable_locked(QueuedJob& job, Tenant*& tenant,
-                                            std::vector<QueuedJob>& cancelled) {
+                                            std::vector<JobId>& settled) {
   while (!queue_->empty()) {
     QueuedJob next = queue_->pop();
-    Tenant& t = tenants_.find(next.tenant)->second;
-    --queued_total_;
-    --t.queued_jobs;
-
     const auto it = jobs_.find(next.id);
     if (it != jobs_.end() && it->second.cancel_requested) {
-      // Lazy cancel settlement: the job leaves the queue here, so this is
-      // where its admission bookkeeping unwinds (keeping the conservation
-      // law accepted == completed + failed + cancelled + queued + inflight).
-      t.pending_scenarios -= next.cost;
-      ++t.cancelled_jobs;
-      it->second.state = JobState::kCancelled;
-      if (it->second.fetched) jobs_.erase(it);
-      cancelled.push_back(std::move(next));
+      // Lazy cancel settlement: the job leaves the queue here.
+      cancel_locked(next, kCancelledMessage, settled);
       continue;
     }
+    Tenant& t = tenants_.find(next.tenant)->second;
+    --queued_total_;
+    --t.books.queued_jobs;
     if (it != jobs_.end()) it->second.state = JobState::kRunning;
     ++inflight_total_;
-    ++t.inflight_jobs;
+    ++t.books.inflight_jobs;
     job = std::move(next);
     tenant = &t;
     return true;
@@ -383,36 +348,72 @@ bool SchedulerService::next_runnable_locked(QueuedJob& job, Tenant*& tenant,
   return false;
 }
 
-void SchedulerService::settle_cancelled(std::vector<QueuedJob>& cancelled) {
-  if (cancelled.empty()) return;
+void SchedulerService::cancel_locked(const QueuedJob& job, const char* message,
+                                     std::vector<JobId>& settled) {
+  // Keeps the conservation law
+  // accepted == completed + failed + cancelled + queued + inflight.
+  TenantStats& t = tenants_.find(job.tenant)->second.books;
+  --queued_total_;
+  --t.queued_jobs;
+  t.pending_scenarios -= job.cost;
+  ++t.cancelled_jobs;
+  settle_locked(job.id, JobState::kCancelled, message, JobResult{});
+  settled.push_back(job.id);
+}
+
+void SchedulerService::settle_locked(JobId id, JobState state, std::string error,
+                                     JobResult result) {
+  const auto it = jobs_.find(id);
+  if (it == jobs_.end()) return;
+  JobRecord& record = it->second;
+  if (record.fetched) {
+    // The ticket holder already walked away (forget, or the one fetch of a
+    // pending cancel): the terminal record has no reader, drop it now.
+    jobs_.erase(it);
+    return;
+  }
+  record.state = state;
+  record.error = std::move(error);
+  record.result = std::move(result);
+}
+
+void SchedulerService::notify_settled(std::vector<JobId>& settled) {
+  if (settled.empty()) return;
   std::function<void(JobId)> hook;
   {
     std::lock_guard<std::mutex> lock(mu_);
     hook = completion_hook_;
   }
-  for (QueuedJob& job : cancelled) {
-    job.promise.set_exception(
-        std::make_exception_ptr(std::runtime_error(kCancelledMessage)));
-    if (hook) hook(job.id);
+  settled_cv_.notify_all();
+  // The hook runs after the outcome is published: a waiter it wakes never
+  // blocks in fetch_result.
+  if (hook) {
+    for (const JobId id : settled) hook(id);
   }
-  idle_cv_.notify_all();  // drain() may be waiting on the queue running dry
-  cancelled.clear();
+  settled.clear();
 }
 
 void SchedulerService::worker_loop() {
+  // Reserved at thread start on purpose: a thread's first allocation
+  // attaches it to a glibc malloc arena, and attaching each worker before
+  // the serve thread's set-up allocates lets a process that runs services
+  // back to back reuse the last service's freed table pages. Without it
+  // perfbench's warm_mix set-up took more minor page faults (see ROADMAP,
+  // "malloc arena").
+  std::vector<JobId> settled;
+  settled.reserve(64);
   for (;;) {
     QueuedJob job;
     Tenant* tenant = nullptr;
-    std::vector<QueuedJob> cancelled;
     bool runnable = false;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_cv_.wait(lock, [this] { return stop_workers_ || !queue_->empty(); });
       if (queue_->empty()) return;  // stop_workers_ and nothing left to run
-      runnable = next_runnable_locked(job, tenant, cancelled);
+      runnable = next_runnable_locked(job, tenant, settled);
     }
-    settle_cancelled(cancelled);
-    if (runnable) execute(std::move(job), *tenant);
+    notify_settled(settled);
+    if (runnable) execute(std::move(job), *tenant, settled);
   }
 }
 
@@ -424,27 +425,27 @@ bool SchedulerService::run_next() {
   }
   QueuedJob job;
   Tenant* tenant = nullptr;
-  std::vector<QueuedJob> cancelled;
+  std::vector<JobId> settled;
   bool runnable = false;
-  bool popped_any = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (queue_->empty()) return false;
-    runnable = next_runnable_locked(job, tenant, cancelled);
-    popped_any = runnable || !cancelled.empty();
+    runnable = next_runnable_locked(job, tenant, settled);
   }
-  settle_cancelled(cancelled);
-  if (runnable) execute(std::move(job), *tenant);
-  // True when any queue entry was consumed — a run OR a cancel settlement —
-  // so `while (service.run_next()) {}` still pumps the queue dry.
-  return popped_any;
+  notify_settled(settled);
+  if (runnable) execute(std::move(job), *tenant, settled);
+  // A non-empty queue always yields a run OR a cancel settlement, so
+  // `while (service.run_next()) {}` pumps the queue dry.
+  return true;
 }
 
-void SchedulerService::execute(QueuedJob job, Tenant& tenant) {
+void SchedulerService::execute(QueuedJob job, Tenant& tenant,
+                               std::vector<JobId>& settled) {
   JobResult result;
   result.tenant = job.tenant;
   result.job_id = job.id;
-  std::exception_ptr error;
+  bool failed = false;
+  std::string error;
   try {
     sim::BatchOptions batch_options;
     batch_options.pool = nullptr;  // parallelism comes from service workers
@@ -452,50 +453,34 @@ void SchedulerService::execute(QueuedJob job, Tenant& tenant) {
     batch_options.shared_cache = &tenant.cache;
     sim::BatchRunner runner(batch_options);
     result.batch = runner.run(job.specs);
+  } catch (const std::exception& e) {
+    failed = true;
+    error = e.what();
   } catch (...) {
-    error = std::current_exception();
+    failed = true;
+    error = "unknown error";
   }
   result.latency_ms = ms_since(job.submitted_at);
 
-  std::function<void(JobId)> hook;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    TenantStats& t = tenant.books;
     --inflight_total_;
-    --tenant.inflight_jobs;
-    tenant.pending_scenarios -= job.cost;
-    if (error == nullptr) {
-      ++tenant.completed_jobs;
-      tenant.completed_scenarios += job.cost;
+    --t.inflight_jobs;
+    t.pending_scenarios -= job.cost;
+    if (failed) {
+      ++t.failed_jobs;
+      settle_locked(job.id, JobState::kFailed, std::move(error), JobResult{});
+    } else {
+      ++t.completed_jobs;
+      t.completed_scenarios += job.cost;
       result.completion_index = completions_++;
       tenant.latency.add(result.latency_ms);
-    } else {
-      ++tenant.failed_jobs;
+      settle_locked(job.id, JobState::kDone, std::string{}, std::move(result));
     }
-    const auto it = jobs_.find(job.id);
-    if (it != jobs_.end()) {
-      if (it->second.fetched) {
-        // The ticket holder already walked away (forget / fetch of a
-        // cancelled state cannot reach here, but forget-while-running does):
-        // the terminal record has no reader, drop it now.
-        jobs_.erase(it);
-      } else {
-        it->second.state = error == nullptr ? JobState::kDone : JobState::kFailed;
-      }
-    }
-    hook = completion_hook_;
+    settled.push_back(job.id);
   }
-  idle_cv_.notify_all();
-
-  // Fulfill AFTER publishing the counters: a client whose future is ready is
-  // guaranteed to observe its own completion in stats().
-  if (error == nullptr) {
-    job.promise.set_value(std::move(result));
-  } else {
-    job.promise.set_exception(std::move(error));
-  }
-  // Hook AFTER fulfillment: a waiter woken by the hook must find the future
-  // ready (fetch_result never blocks after the hook fires for its id).
-  if (hook) hook(job.id);
+  notify_settled(settled);
 }
 
 void SchedulerService::drain() {
@@ -505,39 +490,21 @@ void SchedulerService::drain() {
     return;
   }
   std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return queue_->empty() && inflight_total_ == 0; });
+  settled_cv_.wait(lock, [this] { return queue_->empty() && inflight_total_ == 0; });
 }
 
 void SchedulerService::shutdown(StopMode mode) {
   std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
 
-  std::vector<QueuedJob> cancelled;
-  std::function<void(JobId)> hook;
+  std::vector<JobId> settled;
   {
     std::lock_guard<std::mutex> lock(mu_);
     accepting_ = false;
     if (mode == StopMode::kCancelQueued) {
-      queue_->drain([&](QueuedJob&& job) {
-        Tenant& t = tenants_.find(job.tenant)->second;
-        --t.queued_jobs;
-        t.pending_scenarios -= job.cost;
-        ++t.cancelled_jobs;
-        --queued_total_;
-        const auto it = jobs_.find(job.id);
-        if (it != jobs_.end()) {
-          it->second.state = JobState::kCancelled;
-          if (it->second.fetched) jobs_.erase(it);
-        }
-        cancelled.push_back(std::move(job));
-      });
+      while (!queue_->empty()) cancel_locked(queue_->pop(), kShutdownMessage, settled);
     }
-    hook = completion_hook_;
   }
-  for (QueuedJob& job : cancelled) {
-    job.promise.set_exception(std::make_exception_ptr(
-        std::runtime_error("SchedulerService: job cancelled by shutdown")));
-    if (hook) hook(job.id);
-  }
+  notify_settled(settled);
 
   if (options_.workers == 0) {
     if (mode == StopMode::kDrain) {
@@ -552,7 +519,7 @@ void SchedulerService::shutdown(StopMode mode) {
     // kDrain: workers keep consuming until the queue is dry; kCancelQueued
     // already emptied it. Either way, wait for in-flight work to land.
     std::unique_lock<std::mutex> lock(mu_);
-    idle_cv_.wait(lock, [this] { return queue_->empty() && inflight_total_ == 0; });
+    settled_cv_.wait(lock, [this] { return queue_->empty() && inflight_total_ == 0; });
     stop_workers_ = true;
   }
   work_cv_.notify_all();
@@ -574,24 +541,8 @@ ServiceStats SchedulerService::stats() const {
     out.inflight_jobs = inflight_total_;
     out.tenants.reserve(tenants_.size());
     for (const auto& [id, t] : tenants_) {
-      TenantStats ts;
+      TenantStats ts = t.books;
       ts.tenant = id;
-      ts.quota_bytes = t.quota_bytes;
-      ts.submitted_jobs = t.submitted_jobs;
-      ts.accepted_jobs = t.accepted_jobs;
-      ts.rejected_tenant_full = t.rejected_tenant_full;
-      ts.rejected_global_full = t.rejected_global_full;
-      ts.rejected_throttled = t.rejected_throttled;
-      ts.rejected_invalid = t.rejected_invalid;
-      ts.rejected_shutdown = t.rejected_shutdown;
-      ts.completed_jobs = t.completed_jobs;
-      ts.failed_jobs = t.failed_jobs;
-      ts.cancelled_jobs = t.cancelled_jobs;
-      ts.submitted_scenarios = t.submitted_scenarios;
-      ts.completed_scenarios = t.completed_scenarios;
-      ts.queued_jobs = t.queued_jobs;
-      ts.inflight_jobs = t.inflight_jobs;
-      ts.pending_scenarios = t.pending_scenarios;
       // Lock order mu_ -> cache stripes, same as execute(); never inverted.
       ts.cache = t.cache.stats();
       const std::vector<double> samples = t.latency.samples();

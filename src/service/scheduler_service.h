@@ -36,9 +36,10 @@
 // exactly this claim.
 //
 // Threading contract: every public method is safe to call from any thread.
-// Workers execute jobs outside the service lock; a job's outcome is
-// published after the completion counters, so fetch_result(id, true)
-// returns (or is about to) whenever stats() says the job completed. With
+// Workers execute jobs outside the service lock; a job's terminal state,
+// its outcome, and the completion counters are published in ONE critical
+// section, so whenever job_state() or stats() says a job settled, a
+// fetch_result(id, false) hands its outcome back without blocking. With
 // workers == 0 the service is in MANUAL mode: no threads are spawned and
 // run_next() pumps one job at a time on the calling thread — the
 // deterministic single-thread harness the scheduling-order tests drive.
@@ -46,7 +47,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <future>
 #include <memory>
 #include <optional>
 #include <string>
@@ -201,9 +201,10 @@ class SchedulerService {
 
   /// Requests cancellation of a still-queued job. Returns true when the
   /// cancel is accepted (job was kQueued; it will never execute, its state
-  /// reads kCancelled at once, and its fetch resolves with a cancellation
-  /// error). Returns false for running, terminal, unknown, or
-  /// already-cancelled jobs — cancellation never preempts execution.
+  /// reads kCancelled at once, and its fetch — including one already
+  /// waiting — resolves with a cancellation error). Returns false for
+  /// running, terminal, unknown, or already-cancelled jobs — cancellation
+  /// never preempts execution.
   bool cancel(JobId id);
 
   /// Releases interest in a ticketed job without consuming its result:
@@ -266,33 +267,19 @@ class SchedulerService {
     Tenant(std::size_t quota, std::size_t shards, std::size_t latency_window,
            std::shared_ptr<solver::TableStore> store)
         : cache(solver::SolveCache::Options{shards, quota, std::move(store)}),
-          latency(latency_window),
-          quota_bytes(quota) {}
+          latency(latency_window) {
+      books.quota_bytes = quota;
+    }
 
     solver::SolveCache cache;
     LatencyRing latency;
-    std::size_t quota_bytes;
-
-    std::uint64_t submitted_jobs = 0;
-    std::uint64_t accepted_jobs = 0;
-    std::uint64_t rejected_tenant_full = 0;
-    std::uint64_t rejected_global_full = 0;
-    std::uint64_t rejected_throttled = 0;
-    std::uint64_t rejected_invalid = 0;
-    std::uint64_t rejected_shutdown = 0;
-    std::uint64_t completed_jobs = 0;
-    std::uint64_t failed_jobs = 0;
-    std::uint64_t cancelled_jobs = 0;
-    std::uint64_t submitted_scenarios = 0;
-    std::uint64_t completed_scenarios = 0;
-    std::size_t queued_jobs = 0;
-    std::size_t inflight_jobs = 0;
-    std::size_t pending_scenarios = 0;
+    /// Quota, admission/outcome counters and queue depths — the very
+    /// struct stats() reports (its `tenant`, `cache` and `latency` fields
+    /// are filled in by stats() alone).
+    TenantStats books;
   };
 
-  /// Ticket bookkeeping for one submit_job. Guarded by mu_. The shared
-  /// future is fed by the QueuedJob's promise; the record adds
-  /// poll/fetch/cancel state on top of it.
+  /// Ticket bookkeeping and outcome for one submit_job. Guarded by mu_.
   struct JobRecord {
     JobState state = JobState::kQueued;
     /// cancel() accepted while the queue entry awaits its lazy removal
@@ -301,21 +288,30 @@ class SchedulerService {
     /// The outcome was already handed out or forgotten: release the record
     /// as soon as the job leaves the queue/worker.
     bool fetched = false;
-    std::shared_future<JobResult> future;
+    std::string error;  ///< set once kFailed or kCancelled
+    JobResult result;   ///< set once kDone
   };
 
   void worker_loop();
-  /// Runs `job` on the calling thread (no service lock held), updates the
-  /// completion bookkeeping under the lock, then fulfills the promise.
-  void execute(QueuedJob job, Tenant& tenant);
-  /// Lock held: pops queued jobs, settling cancel-requested ones into
-  /// `cancelled` (their promises are resolved by the caller OUTSIDE mu_),
-  /// until a runnable job emerges (true) or the queue runs dry (false).
+  /// Runs `job` on the calling thread (no service lock held), then settles
+  /// its counters and outcome under the lock and notifies `settled`.
+  void execute(QueuedJob job, Tenant& tenant, std::vector<JobId>& settled);
+  /// Lock held: pops queued jobs, cancelling cancel-requested ones into
+  /// `settled`, until a runnable job emerges (true) or the queue runs dry
+  /// (false).
   bool next_runnable_locked(QueuedJob& job, Tenant*& tenant,
-                            std::vector<QueuedJob>& cancelled);
-  /// Resolves the promises of pop-settled cancellations (outside mu_) and
-  /// fires the completion hook for each.
-  void settle_cancelled(std::vector<QueuedJob>& cancelled);
+                            std::vector<JobId>& settled);
+  /// Lock held: unwinds the admission bookkeeping of a job that leaves the
+  /// queue unrun, settles it kCancelled with `message`, appends its id.
+  void cancel_locked(const QueuedJob& job, const char* message,
+                     std::vector<JobId>& settled);
+  /// Lock held: publishes a terminal outcome in the job's record, or drops
+  /// the record when its ticket was already fetched or forgotten.
+  void settle_locked(JobId id, JobState state, std::string error,
+                     JobResult result);
+  /// Lock NOT held: wakes settled_cv_ waiters and fires the completion hook
+  /// for each id in `settled`, then clears it.
+  void notify_settled(std::vector<JobId>& settled);
   /// Lock held: find-or-create the tenant record.
   Tenant& tenant_locked(const std::string& id);
 
@@ -326,7 +322,9 @@ class SchedulerService {
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;  ///< workers wait for jobs/stop here
-  std::condition_variable idle_cv_;  ///< drain/shutdown wait for quiescence
+  /// Notified on every settlement and accepted cancel: waiting fetches,
+  /// drain() and shutdown() wait here.
+  std::condition_variable settled_cv_;
 
   std::unique_ptr<QueuePolicy> queue_;  // guarded by mu_
   // unordered_map: node stability lets execute() hold a Tenant& with mu_

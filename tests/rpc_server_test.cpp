@@ -19,6 +19,7 @@
 #include <future>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/socket.h>
@@ -243,7 +244,33 @@ TEST(RpcServer, CancelQueuedJobSettlesAsCancelled) {
   frame = client.await_reply(rig.server);
   const JobResultReply result = decode_job_result_reply(frame.payload);
   EXPECT_EQ(result.state, service::JobState::kCancelled);
-  EXPECT_FALSE(result.error.empty());
+  EXPECT_EQ(result.error, "SchedulerService: job cancelled before execution");
+}
+
+TEST(RpcServer, SettledCancellationTextsCrossTheWireByteForByte) {
+  // Both cancellation texts, read back from settled job records (the pop
+  // path's and shutdown's), arrive verbatim in JobResultReply::error.
+  ManualRig rig;
+  RawClient client(rig.server.socket_path());
+  const service::JobId popped = submit_one(client, rig.server, "alpha", 1, 410);
+  ASSERT_TRUE(rig.service.cancel(popped));
+  ASSERT_TRUE(rig.service.run_next());  // settles the cancelled queue entry
+  EXPECT_EQ(rig.service.stats().queued_jobs, 0u);
+  const service::JobId stranded = submit_one(client, rig.server, "alpha", 1, 411);
+  rig.service.shutdown(service::SchedulerService::StopMode::kCancelQueued);
+
+  const std::pair<service::JobId, std::string> expected[] = {
+      {popped, "SchedulerService: job cancelled before execution"},
+      {stranded, "SchedulerService: job cancelled by shutdown"},
+  };
+  for (const auto& [id, text] : expected) {
+    client.send(MsgType::kJobResult, encode_job_result({id, /*wait=*/false}));
+    const Frame frame = client.await_reply(rig.server);
+    ASSERT_EQ(frame.type, wire_code(MsgType::kJobResultReply));
+    const JobResultReply result = decode_job_result_reply(frame.payload);
+    EXPECT_EQ(result.state, service::JobState::kCancelled);
+    EXPECT_EQ(result.error, text);
+  }
 }
 
 TEST(RpcServer, FailedJobArrivesAsFailedReplyWithItsError) {
@@ -270,8 +297,7 @@ TEST(RpcServer, FailedJobArrivesAsFailedReplyWithItsError) {
   ASSERT_EQ(frame.type, wire_code(MsgType::kJobResultReply));
   const JobResultReply result = decode_job_result_reply(frame.payload);
   EXPECT_EQ(result.state, service::JobState::kFailed);
-  EXPECT_NE(result.error.find("dimensions overflow size_t"), std::string::npos)
-      << result.error;
+  EXPECT_EQ(result.error, "ValueTable: dimensions overflow size_t");
 }
 
 TEST(RpcServer, BadPayloadDrawsErrorReplyAndConnectionSurvives) {

@@ -112,17 +112,6 @@ TEST(DrrQueue, PopOnEmptyThrowsAndQuantumClampsToOne) {
   EXPECT_EQ(q->pop().id, 1u);
 }
 
-TEST(QueuePolicy, DrainHandsJobsInPopOrderAndEmpties) {
-  auto q = make_queue_policy(QueueKind::kDeficitRoundRobin, 1);
-  q->push(job(1, "a", 1));
-  q->push(job(2, "b", 1));
-  q->push(job(3, "a", 1));
-  std::vector<JobId> order;
-  q->drain([&](QueuedJob&& j) { order.push_back(j.id); });
-  EXPECT_EQ(order, (std::vector<JobId>{1, 2, 3}));
-  EXPECT_TRUE(q->empty());
-}
-
 TEST(QueueKindNames, RoundTripAndParse) {
   EXPECT_STREQ(to_string(QueueKind::kFifo), "fifo");
   EXPECT_STREQ(to_string(QueueKind::kDeficitRoundRobin), "drr");

@@ -9,9 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <climits>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "temp_dir.h"
@@ -47,6 +49,20 @@ std::vector<sim::ScenarioSpec> quick_batch(std::size_t n, std::uint64_t seed0) {
   return specs;
 }
 
+// Admission validates scenarios but sizes no table, so a dp-optimal spec
+// whose slab overflows size_t is accepted and fails only when it runs.
+sim::ScenarioSpec overflowing_spec() {
+  sim::ScenarioSpec spec = dp_spec(Ticks{1} << 40, 1);
+  spec.max_interrupts = INT_MAX;
+  return spec;
+}
+
+// The outcome texts fetch_result hands back, byte for byte.
+constexpr const char* kCancelledText =
+    "SchedulerService: job cancelled before execution";
+constexpr const char* kShutdownText = "SchedulerService: job cancelled by shutdown";
+constexpr const char* kOverflowText = "ValueTable: dimensions overflow size_t";
+
 ServiceOptions manual_options(QueueKind queue, std::size_t quantum = 1) {
   ServiceOptions options;
   options.workers = 0;  // manual mode: run_next() drives deterministically
@@ -71,8 +87,8 @@ JobResult fetch_done(SchedulerService& service, JobId id) {
   return std::move(outcome.result);
 }
 
-// Checks the per-tenant and global conservation laws the stats snapshot
-// promises. Holds at ANY quiescent point (and under load for the sums).
+// Checks the per-tenant and global conservation laws of a stats snapshot.
+// They hold at ANY quiescent point (and under load for the sums).
 void expect_conservation(const ServiceStats& stats) {
   std::uint64_t sum_submitted = 0, sum_accepted = 0, sum_rejected = 0;
   for (const TenantStats& t : stats.tenants) {
@@ -364,20 +380,15 @@ TEST(SchedulerService, FetchConsumesTheOutcomeExactlyOnce) {
 }
 
 TEST(SchedulerService, FailedSolveSettlesAsFailedAndFetchesOnce) {
-  // Admission validates scenarios but sizes no table, so a dp-optimal spec
-  // whose slab overflows size_t is accepted and fails only when it runs.
   SchedulerService service(manual_options(QueueKind::kFifo));
-  sim::ScenarioSpec spec = dp_spec(Ticks{1} << 40, 1);
-  spec.max_interrupts = INT_MAX;
-  const JobTicket ticket = expect_accepted(service, "a", {spec});
+  const JobTicket ticket = expect_accepted(service, "a", {overflowing_spec()});
   ASSERT_TRUE(service.run_next());
   EXPECT_EQ(service.job_state(ticket.id), JobState::kFailed);
 
   const FetchOutcome failed = service.fetch_result(ticket.id);
   EXPECT_EQ(failed.state, JobState::kFailed);
   EXPECT_FALSE(failed.done());
-  EXPECT_NE(failed.error.find("dimensions overflow size_t"), std::string::npos)
-      << failed.error;
+  EXPECT_EQ(failed.error, kOverflowText);
   EXPECT_EQ(service.fetch_result(ticket.id).state, JobState::kUnknown);
 
   const ServiceStats stats = service.stats();
@@ -440,7 +451,7 @@ TEST(SchedulerService, CancelQueuedJobSettlesAsCancelledWithConservation) {
   EXPECT_EQ(fetch_done(service, last.id).completion_index, 1u);
   FetchOutcome cancelled = service.fetch_result(victim.id);
   EXPECT_EQ(cancelled.state, JobState::kCancelled);
-  EXPECT_FALSE(cancelled.error.empty());
+  EXPECT_EQ(cancelled.error, kCancelledText);
   EXPECT_EQ(service.job_state(victim.id), JobState::kUnknown);  // consumed
 
   const ServiceStats stats = service.stats();
@@ -494,7 +505,7 @@ TEST(SchedulerService, CancelledQueuedJobFetchIsExactlyOnceBeforeSettlement) {
   // First fetch before the pop path settles the record: this IS the fetch.
   const FetchOutcome first = service.fetch_result(ticket.id);
   EXPECT_EQ(first.state, JobState::kCancelled);
-  EXPECT_FALSE(first.error.empty());
+  EXPECT_EQ(first.error, kCancelledText);
 
   // A second fetch of the still-unsettled record must read kUnknown — the
   // same answer it will give once settlement erases the record.
@@ -509,6 +520,93 @@ TEST(SchedulerService, CancelledQueuedJobFetchIsExactlyOnceBeforeSettlement) {
   while (service.run_next()) {
   }
   EXPECT_EQ(service.fetch_result(ticket.id).state, JobState::kUnknown);
+  expect_conservation(service.stats());
+}
+
+// ---------------------------------------------------------------------------
+// Every settlement wakes a fetch that is already waiting
+// ---------------------------------------------------------------------------
+
+// Runs fetch_result(id, /*wait=*/true) on its own thread. The constructor
+// returns once that thread is about to call it and has had many chances to
+// block; join() hands back the outcome. Whether or not the fetch was already
+// parked when the settlement landed, it must return the settled outcome.
+class WaitingFetch {
+ public:
+  WaitingFetch(SchedulerService& service, JobId id)
+      : thread_([this, &service, id] {
+          started_.store(true);
+          outcome_ = service.fetch_result(id, /*wait=*/true);
+        }) {
+    while (!started_.load()) std::this_thread::yield();
+    for (int i = 0; i < 1000; ++i) std::this_thread::yield();
+  }
+
+  FetchOutcome join() {
+    thread_.join();
+    return std::move(outcome_);
+  }
+
+ private:
+  std::atomic<bool> started_{false};
+  FetchOutcome outcome_;
+  std::thread thread_;  // last: starts after the members it writes
+};
+
+TEST(SchedulerService, WaitingFetchWakesWhenRunNextCompletesTheJob) {
+  SchedulerService service(manual_options(QueueKind::kFifo));
+  const JobTicket ticket = expect_accepted(service, "a", quick_batch(2, 1));
+  WaitingFetch waiter(service, ticket.id);
+  ASSERT_TRUE(service.run_next());
+
+  const FetchOutcome outcome = waiter.join();
+  EXPECT_EQ(outcome.state, JobState::kDone);
+  EXPECT_EQ(outcome.error, "");
+  EXPECT_EQ(outcome.result.job_id, ticket.id);
+  EXPECT_EQ(outcome.result.batch.per_scenario.size(), 2u);
+  EXPECT_EQ(service.job_state(ticket.id), JobState::kUnknown);
+}
+
+TEST(SchedulerService, WaitingFetchWakesWhenTheJobFails) {
+  SchedulerService service(manual_options(QueueKind::kFifo));
+  const JobTicket ticket = expect_accepted(service, "a", {overflowing_spec()});
+  WaitingFetch waiter(service, ticket.id);
+  ASSERT_TRUE(service.run_next());
+
+  const FetchOutcome outcome = waiter.join();
+  EXPECT_EQ(outcome.state, JobState::kFailed);
+  EXPECT_EQ(outcome.error, kOverflowText);
+  EXPECT_TRUE(outcome.result.batch.per_scenario.empty());
+  EXPECT_EQ(service.job_state(ticket.id), JobState::kUnknown);
+}
+
+TEST(SchedulerService, WaitingFetchWakesWhenCancelIsAcceptedWithoutAPop) {
+  SchedulerService service(manual_options(QueueKind::kFifo));
+  const JobTicket ticket = expect_accepted(service, "a", quick_batch(1, 1));
+  WaitingFetch waiter(service, ticket.id);
+  // No run_next: the accepted cancel alone must release the waiter.
+  ASSERT_TRUE(service.cancel(ticket.id));
+
+  const FetchOutcome outcome = waiter.join();
+  EXPECT_EQ(outcome.state, JobState::kCancelled);
+  EXPECT_EQ(outcome.error, kCancelledText);
+  // The queue entry is still there; popping it settles the consumed record.
+  EXPECT_EQ(service.stats().queued_jobs, 1u);
+  EXPECT_TRUE(service.run_next());
+  EXPECT_EQ(service.job_state(ticket.id), JobState::kUnknown);
+  expect_conservation(service.stats());
+}
+
+TEST(SchedulerService, WaitingFetchWakesWhenShutdownCancelsTheJob) {
+  SchedulerService service(manual_options(QueueKind::kFifo));
+  const JobTicket ticket = expect_accepted(service, "a", quick_batch(1, 1));
+  WaitingFetch waiter(service, ticket.id);
+  service.shutdown(SchedulerService::StopMode::kCancelQueued);
+
+  const FetchOutcome outcome = waiter.join();
+  EXPECT_EQ(outcome.state, JobState::kCancelled);
+  EXPECT_EQ(outcome.error, kShutdownText);
+  EXPECT_EQ(service.stats().cancelled_jobs, 1u);
   expect_conservation(service.stats());
 }
 
@@ -547,7 +645,7 @@ TEST(SchedulerService, ShutdownCancelSettlesQueuedTickets) {
   for (const JobId id : {q1.id, q2.id}) {
     const FetchOutcome outcome = service.fetch_result(id);
     EXPECT_EQ(outcome.state, JobState::kCancelled);
-    EXPECT_FALSE(outcome.error.empty());
+    EXPECT_EQ(outcome.error, kShutdownText);
   }
 
   const ServiceStats stats = service.stats();

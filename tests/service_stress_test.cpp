@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <climits>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -332,6 +333,99 @@ TEST(SchedulerServiceStress, ConcurrentCancellersSettleEveryTicket) {
   EXPECT_EQ(stats.cancelled_jobs, cancelled);
   EXPECT_EQ(stats.queued_jobs, 0u);
   EXPECT_EQ(stats.inflight_jobs, 0u);
+  service.shutdown();
+}
+
+TEST(SchedulerServiceStress, TerminalStateImpliesAPublishedOutcome) {
+  // Pollers race the workers: the moment job_state() reads a job terminal,
+  // a non-waiting fetch must hand back that same state and its complete
+  // outcome (one result entry per spec, or the failure/cancel text).
+  ServiceOptions options;
+  options.workers = 3;
+  options.max_queued_jobs_total = 128;
+  options.max_queued_jobs_per_tenant = 128;
+  SchedulerService service(options);
+
+  struct Job {
+    JobId id = 0;
+    std::size_t specs = 0;
+    bool cancelled = false;
+  };
+  constexpr int kJobs = 72;
+  std::vector<Job> jobs;
+  jobs.reserve(kJobs);
+  for (int i = 0; i < kJobs; ++i) {
+    Job job;
+    std::vector<sim::ScenarioSpec> specs;
+    if (i % 9 == 4) {
+      // Admitted, then fails when it runs: its slab overflows size_t.
+      sim::ScenarioSpec spec = dp_spec(Ticks{1} << 40, 1);
+      spec.max_interrupts = INT_MAX;
+      specs.push_back(spec);
+    } else {
+      for (int k = 0; k <= i % 4; ++k) {
+        specs.push_back(quick_spec(static_cast<std::uint64_t>(9000 + 10 * i + k)));
+      }
+    }
+    job.specs = specs.size();
+    TicketSubmission sub = service.submit_job(i % 2 == 0 ? "even" : "odd",
+                                              std::move(specs));
+    ASSERT_TRUE(sub.accepted()) << sub.reason;
+    job.id = sub.ticket.id;
+    if (i % 7 == 3) job.cancelled = service.cancel(job.id);
+    jobs.push_back(job);
+  }
+
+  constexpr int kPollers = 3;
+  std::atomic<std::uint64_t> done{0}, failed{0}, cancelled{0};
+  std::vector<std::thread> pollers;
+  for (int p = 0; p < kPollers; ++p) {
+    pollers.emplace_back([&, p] {
+      std::vector<Job> pending;
+      for (std::size_t i = static_cast<std::size_t>(p); i < jobs.size(); i += kPollers) {
+        pending.push_back(jobs[i]);
+      }
+      while (!pending.empty()) {
+        for (std::size_t i = 0; i < pending.size();) {
+          const Job& job = pending[i];
+          const JobState state = service.job_state(job.id);
+          if (state == JobState::kQueued || state == JobState::kRunning) {
+            ++i;
+            continue;
+          }
+          const FetchOutcome outcome = service.fetch_result(job.id, /*wait=*/false);
+          EXPECT_EQ(outcome.state, state) << job.id;
+          if (state == JobState::kDone) {
+            EXPECT_EQ(outcome.result.job_id, job.id);
+            EXPECT_EQ(outcome.result.batch.per_scenario.size(), job.specs) << job.id;
+            ++done;
+          } else if (state == JobState::kFailed) {
+            EXPECT_EQ(outcome.error, "ValueTable: dimensions overflow size_t");
+            ++failed;
+          } else {
+            EXPECT_EQ(state, JobState::kCancelled) << job.id;
+            EXPECT_TRUE(job.cancelled) << job.id;
+            EXPECT_EQ(outcome.error, "SchedulerService: job cancelled before execution");
+            ++cancelled;
+          }
+          pending[i] = pending.back();
+          pending.pop_back();
+        }
+        std::this_thread::yield();
+      }
+    });
+  }
+  for (auto& th : pollers) th.join();
+  service.drain();
+
+  std::uint64_t cancel_wins = 0;
+  for (const Job& job : jobs) cancel_wins += job.cancelled ? 1 : 0;
+  EXPECT_EQ(done + failed + cancelled, static_cast<std::uint64_t>(kJobs));
+  EXPECT_EQ(cancelled.load(), cancel_wins);
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.completed_jobs, done.load());
+  EXPECT_EQ(stats.failed_jobs, failed.load());
+  EXPECT_EQ(stats.cancelled_jobs, cancelled.load());
   service.shutdown();
 }
 
