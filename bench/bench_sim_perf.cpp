@@ -1,6 +1,6 @@
-// E11 — simulator throughput: event engine, single sessions, and task-bag
-// packing. Self-timed on the harness clock; the farm-scale sweep lives in
-// E12 (bench_farm_scaling).
+// E11 — simulator throughput: single sessions and task-bag packing.
+// Self-timed on the harness clock; the farm-scale sweep lives in E12
+// (bench_farm_scaling).
 #include <memory>
 #include <vector>
 
@@ -18,37 +18,7 @@ namespace {
 void run(harness::Context& ctx) {
   const int reps = ctx.quick() ? 1 : 3;
 
-  // 1. Raw event-queue churn: schedule n callbacks in scrambled time order,
-  //    drain the queue.
-  {
-    util::Table out({"events", "ms", "events/s"});
-    const std::vector<std::size_t> sizes =
-        ctx.quick() ? std::vector<std::size_t>{1u << 10, 1u << 12}
-                    : std::vector<std::size_t>{1u << 10, 1u << 13, 1u << 16};
-    for (std::size_t n : sizes) {
-      const double ms = harness::time_best_of_ms(reps, [&] {
-        sim::Simulator sim;
-        for (std::size_t i = 0; i < n; ++i) {
-          sim.schedule_at(static_cast<Ticks>((i * 2654435761u) % (4 * n)),
-                          [](sim::Simulator&) {});
-        }
-        sim.run();
-      });
-      harness::write_perf_row(ctx, "event_churn", static_cast<double>(n), ms, static_cast<double>(n));
-      out.add_row({util::Table::fmt(static_cast<unsigned long long>(n)),
-                   util::Table::fmt(ms, 5),
-                   util::Table::fmt(ms > 0 ? static_cast<double>(n) / (ms / 1000.0)
-                                           : 0.0,
-                                    5)});
-      if (n == sizes.back()) {
-        ctx.metric("event_churn_events_per_sec",
-                   ms > 0 ? static_cast<double>(n) / (ms / 1000.0) : 0.0);
-      }
-    }
-    ctx.table(out, "event-queue churn (schedule + drain)");
-  }
-
-  // 2. Full sessions: model-only and with a task bag attached.
+  // 1. Full sessions: model-only and with a task bag attached.
   {
     const int sessions = ctx.quick() ? 100 : 1000;
     const Opportunity opp{16 * 4096, 4};
@@ -87,7 +57,7 @@ void run(harness::Context& ctx) {
     ctx.table(out, "single sessions, U = 65536, p = 4, Poisson owner");
   }
 
-  // 3. Task-bag packing: draining a bag through batched take/complete.
+  // 2. Task-bag packing: draining a bag through batched take/complete.
   {
     const std::size_t tasks = ctx.quick() ? (1u << 12) : (1u << 14);
     const double ms = harness::time_best_of_ms(reps, [&] {
@@ -115,9 +85,9 @@ const harness::Experiment& experiment_sim_perf() {
   static const harness::Experiment e{
       "E11", "sim_perf", "Simulator throughput baselines",
       "bench_sim_perf",
-      "Wall-clock baselines for the discrete-event simulator: raw event-queue "
-      "churn, full scheduling sessions with and without a task bag attached, "
-      "and task-bag packing throughput.",
+      "Wall-clock baselines for the discrete-event simulator: full scheduling "
+      "sessions with and without a task bag attached, and task-bag packing "
+      "throughput.",
       run};
   return e;
 }

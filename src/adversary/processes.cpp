@@ -1,7 +1,6 @@
 #include "adversary/processes.h"
 
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 namespace nowsched::adversary {
@@ -9,22 +8,6 @@ namespace nowsched::adversary {
 namespace {
 
 constexpr double kTwoPi = 6.283185307179586476925286766559;
-
-/// Absolute arrival -> episode tick, if it lands inside this episode
-/// (same mapping stochastic.cpp uses).
-std::optional<Ticks> arrival_to_tick(Ticks arrival_abs, const EpisodeSchedule& episode,
-                                     const EpisodeContext& ctx) {
-  const Ticks offset = arrival_abs - ctx.episode_start;
-  if (offset < 1 || offset > episode.total()) return std::nullopt;
-  return offset;
-}
-
-/// Rounds a continuous arrival time to the integer tick grid while keeping
-/// the stream strictly increasing (arrivals less than a tick apart merge
-/// into consecutive ticks rather than colliding).
-Ticks to_strictly_later_tick(double t_abs, Ticks previous) {
-  return std::max<Ticks>(previous + 1, static_cast<Ticks>(std::llround(t_abs)));
-}
 
 }  // namespace
 
@@ -47,19 +30,16 @@ MarkovModulatedAdversary::MarkovModulatedAdversary(double calm_gap, double busy_
         "MarkovModulatedAdversary: gaps and dwell times must be positive");
   }
   state_end_abs_ = rng_.exponential(1.0 / calm_dwell_);
-  arm();
 }
 
-void MarkovModulatedAdversary::reset(std::uint64_t seed) {
+void MarkovModulatedAdversary::restart(std::uint64_t seed) {
   rng_ = util::Rng(seed);
   state_ = 0;
   clock_abs_ = 0.0;
-  next_arrival_abs_ = 0;
   state_end_abs_ = rng_.exponential(1.0 / calm_dwell_);
-  arm();
 }
 
-void MarkovModulatedAdversary::arm() {
+Ticks MarkovModulatedAdversary::next_arrival(Ticks previous) {
   // Walk dwell segments until an arrival lands inside one. Discarding the
   // unexpired candidate at a state switch is exact: the exponential is
   // memoryless, so the post-switch process does not remember it.
@@ -68,22 +48,13 @@ void MarkovModulatedAdversary::arm() {
     const double candidate = clock_abs_ + gap;
     if (candidate <= state_end_abs_) {
       clock_abs_ = candidate;
-      next_arrival_abs_ = to_strictly_later_tick(clock_abs_, next_arrival_abs_);
-      return;
+      return tick_at_time(previous, clock_abs_);
     }
     clock_abs_ = state_end_abs_;
     state_ = 1 - state_;
     state_end_abs_ =
         clock_abs_ + rng_.exponential(1.0 / (state_ == 0 ? calm_dwell_ : busy_dwell_));
   }
-}
-
-std::optional<Ticks> MarkovModulatedAdversary::plan_interrupt(
-    const EpisodeSchedule& episode, const EpisodeContext& ctx) {
-  while (next_arrival_abs_ <= ctx.episode_start) arm();
-  const auto tick = arrival_to_tick(next_arrival_abs_, episode, ctx);
-  if (tick) arm();
-  return tick;
 }
 
 // ---------------------------------------------------------------------------
@@ -100,17 +71,14 @@ InhomogeneousPoissonAdversary::InhomogeneousPoissonAdversary(double mean_gap,
         "InhomogeneousPoissonAdversary: need mean_gap > 0, depth in [0,1], "
         "period > 0");
   }
-  arm();
 }
 
-void InhomogeneousPoissonAdversary::reset(std::uint64_t seed) {
+void InhomogeneousPoissonAdversary::restart(std::uint64_t seed) {
   rng_ = util::Rng(seed);
   clock_abs_ = 0.0;
-  next_arrival_abs_ = 0;
-  arm();
 }
 
-void InhomogeneousPoissonAdversary::arm() {
+Ticks InhomogeneousPoissonAdversary::next_arrival(Ticks previous) {
   // Lewis–Shedler thinning: candidates arrive at the constant peak rate;
   // each is accepted with probability lambda(t) / peak. The acceptance test
   // consumes exactly one uniform per candidate, so the stream is a pure
@@ -121,18 +89,9 @@ void InhomogeneousPoissonAdversary::arm() {
     const double lambda_t =
         (1.0 + depth_ * std::sin(kTwoPi * clock_abs_ / period_ + phase_)) / mean_gap_;
     if (rng_.uniform01() * peak_rate <= lambda_t) {
-      next_arrival_abs_ = to_strictly_later_tick(clock_abs_, next_arrival_abs_);
-      return;
+      return tick_at_time(previous, clock_abs_);
     }
   }
-}
-
-std::optional<Ticks> InhomogeneousPoissonAdversary::plan_interrupt(
-    const EpisodeSchedule& episode, const EpisodeContext& ctx) {
-  while (next_arrival_abs_ <= ctx.episode_start) arm();
-  const auto tick = arrival_to_tick(next_arrival_abs_, episode, ctx);
-  if (tick) arm();
-  return tick;
 }
 
 // ---------------------------------------------------------------------------
@@ -152,18 +111,15 @@ BurstyAdversary::BurstyAdversary(double scale, double shape, double mean_burst,
         "BurstyAdversary: need scale > 0, shape > 0, mean_burst >= 1, "
         "intra_gap > 0");
   }
-  arm();
 }
 
-void BurstyAdversary::reset(std::uint64_t seed) {
+void BurstyAdversary::restart(std::uint64_t seed) {
   rng_ = util::Rng(seed);
   clock_abs_ = 0.0;
   burst_left_ = 0;
-  next_arrival_abs_ = 0;
-  arm();
 }
 
-void BurstyAdversary::arm() {
+Ticks BurstyAdversary::next_arrival(Ticks previous) {
   if (burst_left_ > 0) {
     // Inside a burst: short exponential gap to the next touch.
     --burst_left_;
@@ -181,15 +137,7 @@ void BurstyAdversary::arm() {
       burst_left_ = static_cast<int>(std::min(extra, 64.0));
     }
   }
-  next_arrival_abs_ = to_strictly_later_tick(clock_abs_, next_arrival_abs_);
-}
-
-std::optional<Ticks> BurstyAdversary::plan_interrupt(const EpisodeSchedule& episode,
-                                                     const EpisodeContext& ctx) {
-  while (next_arrival_abs_ <= ctx.episode_start) arm();
-  const auto tick = arrival_to_tick(next_arrival_abs_, episode, ctx);
-  if (tick) arm();
-  return tick;
+  return tick_at_time(previous, clock_abs_);
 }
 
 // ---------------------------------------------------------------------------
@@ -210,41 +158,24 @@ CorrelatedShockAdversary::CorrelatedShockAdversary(double shock_gap,
         "CorrelatedShockAdversary: need shock_gap > 0 and response_prob in "
         "[0, 1]");
   }
-  arm();
 }
 
-void CorrelatedShockAdversary::reset(std::uint64_t seed) {
+void CorrelatedShockAdversary::restart(std::uint64_t seed) {
   shock_rng_ = util::Rng(group_seed_);
   private_rng_ = util::Rng(seed);
   shock_clock_abs_ = 0.0;
-  next_arrival_abs_ = 0;
-  arm();
 }
 
-void CorrelatedShockAdversary::arm() {
+Ticks CorrelatedShockAdversary::next_arrival(Ticks previous) {
   // Exactly one shared draw and one private draw per shock, responded or
   // not — so every member of the group walks the shared stream in lockstep
   // and sees identical shock times regardless of its own response pattern.
-  if (response_prob_ <= 0.0) {
-    next_arrival_abs_ = std::numeric_limits<Ticks>::max() / 2;  // never responds
-    return;
-  }
+  if (response_prob_ <= 0.0) return kNever;  // never responds
   for (;;) {
     shock_clock_abs_ += shock_rng_.exponential(1.0 / shock_gap_);
     const bool respond = private_rng_.bernoulli(response_prob_);
-    if (respond) {
-      next_arrival_abs_ = to_strictly_later_tick(shock_clock_abs_, next_arrival_abs_);
-      return;
-    }
+    if (respond) return tick_at_time(previous, shock_clock_abs_);
   }
-}
-
-std::optional<Ticks> CorrelatedShockAdversary::plan_interrupt(
-    const EpisodeSchedule& episode, const EpisodeContext& ctx) {
-  while (next_arrival_abs_ <= ctx.episode_start) arm();
-  const auto tick = arrival_to_tick(next_arrival_abs_, episode, ctx);
-  if (tick) arm();
-  return tick;
 }
 
 }  // namespace nowsched::adversary

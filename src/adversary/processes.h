@@ -21,10 +21,11 @@
 //     to a shock with some probability from a private stream: correlated
 //     failures across a heterogeneous farm (power events, lab meetings).
 //
-// All four follow the armed-absolute-arrival pattern of stochastic.h: the
-// process is defined in absolute opportunity time, so it is consistent
-// across episode boundaries, and every stream is seed-deterministic
-// (util::Rng, no global state) so any scenario reproduces from its spec.
+// All four are ArrivalAdversary point processes (adversary.h), like the
+// Poisson and Pareto owners of stochastic.h: each only says when its next
+// arrival comes, in absolute opportunity time, and every stream is
+// seed-deterministic (util::Rng, no global state) so any scenario
+// reproduces from its spec.
 #pragma once
 
 #include "adversary/adversary.h"
@@ -37,17 +38,15 @@ namespace nowsched::adversary {
 /// `busy_gap`; dwell times in each state are exponential with means
 /// `calm_dwell` / `busy_dwell`. All four parameters are in ticks and must
 /// be positive. The chain starts in the calm state.
-class MarkovModulatedAdversary final : public Adversary {
+class MarkovModulatedAdversary final : public ArrivalAdversary {
  public:
   MarkovModulatedAdversary(double calm_gap, double busy_gap, double calm_dwell,
                            double busy_dwell, std::uint64_t seed);
   std::string name() const override { return "markov-owner"; }
-  std::optional<Ticks> plan_interrupt(const EpisodeSchedule& episode,
-                                      const EpisodeContext& ctx) override;
-  void reset(std::uint64_t seed) override;
 
  private:
-  void arm();  ///< advance the chain to the next arrival past next_arrival_abs_
+  Ticks next_arrival(Ticks previous) override;
+  void restart(std::uint64_t seed) override;
   double calm_gap_;
   double busy_gap_;
   double calm_dwell_;
@@ -56,7 +55,6 @@ class MarkovModulatedAdversary final : public Adversary {
   int state_ = 0;                  ///< 0 calm, 1 busy
   double state_end_abs_ = 0.0;     ///< when the current dwell expires
   double clock_abs_ = 0.0;         ///< process time (continuous, pre-rounding)
-  Ticks next_arrival_abs_ = 0;
 };
 
 /// Inhomogeneous Poisson process with rate
@@ -64,24 +62,21 @@ class MarkovModulatedAdversary final : public Adversary {
 /// sampled by thinning against the peak rate (1 + depth) / mean_gap.
 /// Requires mean_gap > 0, depth in [0, 1], period > 0 (depth 0 degenerates
 /// to the homogeneous Poisson owner, which the tests exploit).
-class InhomogeneousPoissonAdversary final : public Adversary {
+class InhomogeneousPoissonAdversary final : public ArrivalAdversary {
  public:
   InhomogeneousPoissonAdversary(double mean_gap, double depth, double period,
                                 double phase, std::uint64_t seed);
   std::string name() const override { return "inhomogeneous-owner"; }
-  std::optional<Ticks> plan_interrupt(const EpisodeSchedule& episode,
-                                      const EpisodeContext& ctx) override;
-  void reset(std::uint64_t seed) override;
 
  private:
-  void arm();  ///< thin candidate arrivals until one is accepted
+  Ticks next_arrival(Ticks previous) override;
+  void restart(std::uint64_t seed) override;
   double mean_gap_;
   double depth_;
   double period_;
   double phase_;
   util::Rng rng_;
   double clock_abs_ = 0.0;
-  Ticks next_arrival_abs_ = 0;
 };
 
 /// Bursty owner-return process: gaps BETWEEN bursts are Pareto(scale,
@@ -89,17 +84,15 @@ class InhomogeneousPoissonAdversary final : public Adversary {
 /// 1 + Geometric(1 / mean_burst) arrivals separated by exponential gaps of
 /// mean `intra_gap`. Requires scale > 0, shape > 0, mean_burst >= 1,
 /// intra_gap > 0.
-class BurstyAdversary final : public Adversary {
+class BurstyAdversary final : public ArrivalAdversary {
  public:
   BurstyAdversary(double scale, double shape, double mean_burst, double intra_gap,
                   std::uint64_t seed);
   std::string name() const override { return "bursty-owner"; }
-  std::optional<Ticks> plan_interrupt(const EpisodeSchedule& episode,
-                                      const EpisodeContext& ctx) override;
-  void reset(std::uint64_t seed) override;
 
  private:
-  void arm();
+  Ticks next_arrival(Ticks previous) override;
+  void restart(std::uint64_t seed) override;
   double scale_;
   double shape_;
   double mean_burst_;
@@ -107,7 +100,6 @@ class BurstyAdversary final : public Adversary {
   util::Rng rng_;
   double clock_abs_ = 0.0;
   int burst_left_ = 0;  ///< arrivals remaining in the current burst
-  Ticks next_arrival_abs_ = 0;
 };
 
 /// Correlated farm failures: every station constructed with the same
@@ -117,24 +109,21 @@ class BurstyAdversary final : public Adversary {
 /// group therefore fail together (response_prob -> 1 collapses them onto
 /// one failure pattern) while staying individually stochastic.
 /// Requires shock_gap > 0 and response_prob in [0, 1].
-class CorrelatedShockAdversary final : public Adversary {
+class CorrelatedShockAdversary final : public ArrivalAdversary {
  public:
   CorrelatedShockAdversary(double shock_gap, double response_prob,
                            std::uint64_t group_seed, std::uint64_t seed);
   std::string name() const override { return "correlated-shock-owner"; }
-  std::optional<Ticks> plan_interrupt(const EpisodeSchedule& episode,
-                                      const EpisodeContext& ctx) override;
-  void reset(std::uint64_t seed) override;
 
  private:
-  void arm();  ///< advance the shared stream to the next RESPONDED shock
+  Ticks next_arrival(Ticks previous) override;
+  void restart(std::uint64_t seed) override;
   double shock_gap_;
   double response_prob_;
   std::uint64_t group_seed_;
   util::Rng shock_rng_;    ///< shared stream: identical across the group
   util::Rng private_rng_;  ///< per-station response coin
   double shock_clock_abs_ = 0.0;
-  Ticks next_arrival_abs_ = 0;
 };
 
 }  // namespace nowsched::adversary

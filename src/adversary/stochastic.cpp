@@ -1,21 +1,8 @@
 #include "adversary/stochastic.h"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace nowsched::adversary {
-
-namespace {
-
-/// Absolute arrival -> episode tick, if it lands inside this episode.
-std::optional<Ticks> arrival_to_tick(Ticks arrival_abs, const EpisodeSchedule& episode,
-                                     const EpisodeContext& ctx) {
-  const Ticks offset = arrival_abs - ctx.episode_start;
-  if (offset < 1 || offset > episode.total()) return std::nullopt;
-  return offset;
-}
-
-}  // namespace
 
 PoissonAdversary::PoissonAdversary(double mean_gap_ticks, std::uint64_t seed)
     : mean_gap_(mean_gap_ticks), rng_(seed) {
@@ -23,28 +10,10 @@ PoissonAdversary::PoissonAdversary(double mean_gap_ticks, std::uint64_t seed)
   if (!(mean_gap_ticks > 0.0)) {
     throw std::invalid_argument("PoissonAdversary: mean gap must be positive");
   }
-  arm(0);
 }
 
-void PoissonAdversary::reset(std::uint64_t seed) {
-  rng_ = util::Rng(seed);
-  next_arrival_abs_ = 0;
-  arm(0);
-}
-
-void PoissonAdversary::arm(Ticks from_abs) {
-  const double gap = rng_.exponential(1.0 / mean_gap_);
-  next_arrival_abs_ = from_abs + std::max<Ticks>(1, static_cast<Ticks>(std::llround(gap)));
-}
-
-std::optional<Ticks> PoissonAdversary::plan_interrupt(const EpisodeSchedule& episode,
-                                                      const EpisodeContext& ctx) {
-  // Catch the armed arrival up to the present (arrivals in the past were
-  // consumed by earlier episodes or fell between episodes).
-  while (next_arrival_abs_ <= ctx.episode_start) arm(next_arrival_abs_);
-  const auto tick = arrival_to_tick(next_arrival_abs_, episode, ctx);
-  if (tick) arm(next_arrival_abs_);  // the arrival fires; arm the next one
-  return tick;
+Ticks PoissonAdversary::next_arrival(Ticks previous) {
+  return tick_after_gap(previous, rng_.exponential(1.0 / mean_gap_));
 }
 
 ParetoSessionAdversary::ParetoSessionAdversary(double scale_ticks, double shape,
@@ -53,26 +22,10 @@ ParetoSessionAdversary::ParetoSessionAdversary(double scale_ticks, double shape,
   if (!(scale_ticks > 0.0) || !(shape > 0.0)) {
     throw std::invalid_argument("ParetoSessionAdversary: bad scale/shape");
   }
-  arm(0);
 }
 
-void ParetoSessionAdversary::reset(std::uint64_t seed) {
-  rng_ = util::Rng(seed);
-  next_arrival_abs_ = 0;
-  arm(0);
-}
-
-void ParetoSessionAdversary::arm(Ticks from_abs) {
-  const double gap = rng_.pareto(scale_, shape_);
-  next_arrival_abs_ = from_abs + std::max<Ticks>(1, static_cast<Ticks>(std::llround(gap)));
-}
-
-std::optional<Ticks> ParetoSessionAdversary::plan_interrupt(
-    const EpisodeSchedule& episode, const EpisodeContext& ctx) {
-  while (next_arrival_abs_ <= ctx.episode_start) arm(next_arrival_abs_);
-  const auto tick = arrival_to_tick(next_arrival_abs_, episode, ctx);
-  if (tick) arm(next_arrival_abs_);
-  return tick;
+Ticks ParetoSessionAdversary::next_arrival(Ticks previous) {
+  return tick_after_gap(previous, rng_.pareto(scale_, shape_));
 }
 
 UniformEpisodeAdversary::UniformEpisodeAdversary(double prob, std::uint64_t seed)

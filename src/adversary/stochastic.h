@@ -12,38 +12,32 @@ namespace nowsched::adversary {
 /// Poisson owner: interrupts arrive as a Poisson process with mean
 /// inter-arrival `mean_gap` ticks, measured in absolute opportunity time
 /// (memorylessness makes the process consistent across episodes).
-class PoissonAdversary final : public Adversary {
+class PoissonAdversary final : public ArrivalAdversary {
  public:
   PoissonAdversary(double mean_gap_ticks, std::uint64_t seed);
   std::string name() const override { return "poisson-owner"; }
-  std::optional<Ticks> plan_interrupt(const EpisodeSchedule& episode,
-                                      const EpisodeContext& ctx) override;
-  void reset(std::uint64_t seed) override;
 
  private:
-  void arm(Ticks from_abs);
+  Ticks next_arrival(Ticks previous) override;
+  void restart(std::uint64_t seed) override { rng_ = util::Rng(seed); }
   double mean_gap_;
   util::Rng rng_;
-  Ticks next_arrival_abs_ = 0;
 };
 
 /// Pareto-session owner: absence durations are Pareto(x_m, alpha) — heavy
 /// tails model "stepped out for coffee vs. gone for the night" (the classic
 /// NOW workload observation). Each arrival is an interrupt.
-class ParetoSessionAdversary final : public Adversary {
+class ParetoSessionAdversary final : public ArrivalAdversary {
  public:
   ParetoSessionAdversary(double scale_ticks, double shape, std::uint64_t seed);
   std::string name() const override { return "pareto-owner"; }
-  std::optional<Ticks> plan_interrupt(const EpisodeSchedule& episode,
-                                      const EpisodeContext& ctx) override;
-  void reset(std::uint64_t seed) override;
 
  private:
-  void arm(Ticks from_abs);
+  Ticks next_arrival(Ticks previous) override;
+  void restart(std::uint64_t seed) override { rng_ = util::Rng(seed); }
   double scale_;
   double shape_;
   util::Rng rng_;
-  Ticks next_arrival_abs_ = 0;
 };
 
 /// Uniform-position owner: with probability `prob` per episode, interrupts

@@ -28,21 +28,6 @@ InterruptTrace InterruptTrace::shifted(Ticks offset) const {
   return out;
 }
 
-TraceAdversary::TraceAdversary(InterruptTrace trace) : trace_(std::move(trace)) {}
-
-std::optional<Ticks> TraceAdversary::plan_interrupt(const EpisodeSchedule& episode,
-                                                    const EpisodeContext& ctx) {
-  // Skip interrupts that fell before this episode began.
-  while (next_ < trace_.size() && trace_.times()[next_] <= ctx.episode_start) ++next_;
-  if (next_ >= trace_.size()) return std::nullopt;
-  const Ticks offset = trace_.times()[next_] - ctx.episode_start;
-  if (offset > episode.total()) return std::nullopt;  // beyond this episode
-  ++next_;
-  return offset;
-}
-
-void TraceAdversary::reset(std::uint64_t /*seed*/) { next_ = 0; }
-
 std::optional<Ticks> RecordingAdversary::plan_interrupt(const EpisodeSchedule& episode,
                                                         const EpisodeContext& ctx) {
   const auto planned = inner_.plan_interrupt(episode, ctx);

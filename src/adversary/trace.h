@@ -4,6 +4,7 @@
 // (2) compare policies on identical owner behaviour.
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "adversary/adversary.h"
@@ -31,20 +32,23 @@ class InterruptTrace {
   std::vector<Ticks> times_;
 };
 
-/// Replays a trace: fires the next recorded interrupt when it falls inside
-/// the current episode. Interrupts that fall into "dead" time (e.g. the
-/// trace was recorded against a different policy) are skipped.
-class TraceAdversary final : public Adversary {
+/// Replays a trace: its arrivals are the recorded times, so the next one
+/// fires when it falls inside the current episode. Interrupts that fall into
+/// "dead" time (e.g. the trace was recorded against a different policy) are
+/// skipped.
+class TraceAdversary final : public ArrivalAdversary {
  public:
-  explicit TraceAdversary(InterruptTrace trace);
+  explicit TraceAdversary(InterruptTrace trace) : trace_(std::move(trace)) {}
   std::string name() const override { return "trace-replay"; }
-  std::optional<Ticks> plan_interrupt(const EpisodeSchedule& episode,
-                                      const EpisodeContext& ctx) override;
-  void reset(std::uint64_t seed) override;
 
  private:
+  Ticks next_arrival(Ticks /*previous*/) override {
+    return next_ < trace_.size() ? trace_.times()[next_++] : kNever;
+  }
+  void restart(std::uint64_t /*seed*/) override { next_ = 0; }
+
   InterruptTrace trace_;
-  std::size_t next_ = 0;
+  std::size_t next_ = 0;  ///< index of the next recorded time to arm
 };
 
 /// Records every interrupt another adversary issues (decorator).

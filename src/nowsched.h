@@ -46,7 +46,6 @@
 
 #include "sim/batch_runner.h"
 #include "sim/checkpoint.h"
-#include "sim/event.h"
 #include "sim/farm.h"
 #include "sim/metrics.h"
 #include "sim/scenario_gen.h"

@@ -4,7 +4,7 @@
 //
 // Where sim::run_farm interleaves a handful of workstations on ONE shared
 // clock (they drain a common task bag), BatchRunner is the throughput layer
-// above it: every ScenarioSpec is an independent session (own Simulator, own
+// above it: every ScenarioSpec is an independent session (own clock, own
 // adversary stream), so a batch is embarrassingly parallel — the only shared
 // state is the solve cache, which is exactly the state worth sharing because
 // dp-optimal scenarios with equal canonical solver inputs (see

@@ -4,8 +4,11 @@
 // as a parallel computer").
 //
 // Each workstation has its own contract (U_i, p_i), link cost c_i, owner
-// model, and scheduling policy. The farm interleaves all sessions in event
-// order, so batches are packed from the shared bag in true time order.
+// model, and scheduling policy. The farm steps all sessions in event order —
+// by time, then by scheduling order (stations' starts in listing order
+// first, then each event in the order it was planned) — so batches are
+// packed from the shared bag in true time order, and same-time ties never
+// depend on anything but the station list.
 #pragma once
 
 #include <memory>
@@ -33,7 +36,7 @@ struct FarmResult {
   std::vector<SessionMetrics> per_workstation;
   SessionMetrics aggregate;
   Ticks makespan = 0;            ///< last event time
-  std::size_t events = 0;        ///< DES events processed
+  std::size_t events = 0;        ///< starts + period ends + interrupts
   std::size_t tasks_left = 0;    ///< bag residue
   Ticks task_work_left = 0;
 };

@@ -22,23 +22,33 @@ SessionActor::SessionActor(const SchedulingPolicy& policy,
   }
 }
 
-void SessionActor::start(Simulator& sim) {
-  opportunity_start_ = sim.now();
+void SessionActor::start(Ticks now) {
+  opportunity_start_ = now;
   residual_ = opportunity_.lifespan;
   interrupts_left_ = opportunity_.max_interrupts;
   if (residual_ == 0) {
     finished_ = true;
     return;
   }
-  begin_episode(sim);
+  begin_episode(now);
 }
 
-void SessionActor::begin_episode(Simulator& sim) {
+void SessionActor::step() {
+  if (!next_event_) throw std::logic_error("SessionActor: step() with no pending event");
+  next_event_.reset();
+  if (next_is_interrupt_) {
+    handle_interrupt();
+  } else {
+    finish_period();
+  }
+}
+
+void SessionActor::begin_episode(Ticks now) {
   episode_ = policy_.episode(residual_, interrupts_left_, params_);
   if (episode_.total() != residual_) {
     throw std::logic_error("SessionActor: policy episode does not span the residual");
   }
-  episode_start_abs_ = sim.now();
+  episode_start_abs_ = now;
   metrics_.episodes += 1;
   current_period_ = 0;
   interrupt_tick_.reset();
@@ -57,36 +67,27 @@ void SessionActor::begin_episode(Simulator& sim) {
       interrupt_tick_ = planned;
     }
   }
-  begin_period(sim);
+  begin_period();
 }
 
-void SessionActor::begin_period(Simulator& sim) {
+void SessionActor::begin_period() {
   const std::size_t k = current_period_;
-  const Ticks length = episode_.period(k);
 
   // Pack a batch into the productive capacity of this period.
-  in_flight_capacity_ = positive_sub(length, params_.c);
+  in_flight_capacity_ = positive_sub(episode_.period(k), params_.c);
   if (bag_ != nullptr && in_flight_capacity_ > 0) {
     in_flight_ = bag_->take_batch(in_flight_capacity_);
   } else {
     in_flight_.clear();
   }
 
-  const std::uint64_t gen = generation_;
   // Does the planned interrupt land inside this period?
-  if (interrupt_tick_ && *interrupt_tick_ <= episode_.end(k)) {
-    const Ticks delay = *interrupt_tick_ - episode_.start(k);
-    sim.schedule_after(delay, [this, gen](Simulator& s) {
-      if (gen == generation_) handle_interrupt(s);
-    });
-  } else {
-    sim.schedule_after(length, [this, gen](Simulator& s) {
-      if (gen == generation_) finish_period(s);
-    });
-  }
+  next_is_interrupt_ = interrupt_tick_ && *interrupt_tick_ <= episode_.end(k);
+  next_event_ =
+      episode_start_abs_ + (next_is_interrupt_ ? *interrupt_tick_ : episode_.end(k));
 }
 
-void SessionActor::finish_period(Simulator& sim) {
+void SessionActor::finish_period() {
   const std::size_t k = current_period_;
   Ticks produced = positive_sub(episode_.period(k), params_.c);
   if (checkpointing_) {
@@ -107,18 +108,17 @@ void SessionActor::finish_period(Simulator& sim) {
 
   ++current_period_;
   if (current_period_ < episode_.size()) {
-    begin_period(sim);
+    begin_period();
     return;
   }
   // Episode ran to completion: the lifespan is exhausted (episodes span the
   // entire residual by construction).
   metrics_.lifespan_used += episode_.total();
   residual_ = 0;
-  ++generation_;
   finished_ = true;
 }
 
-void SessionActor::handle_interrupt(Simulator& sim) {
+void SessionActor::handle_interrupt() {
   const Ticks tick = *interrupt_tick_;
   metrics_.interrupts += 1;
   metrics_.periods_killed += 1;
@@ -143,7 +143,6 @@ void SessionActor::handle_interrupt(Simulator& sim) {
 
   residual_ -= tick;
   interrupts_left_ -= 1;
-  ++generation_;
 
   if (residual_ <= 0) {
     finished_ = true;
@@ -153,7 +152,7 @@ void SessionActor::handle_interrupt(Simulator& sim) {
     paused_ = true;  // interrupt boundary: no episode in flight to capture
     return;
   }
-  begin_episode(sim);
+  begin_episode(episode_start_abs_ + tick);
 }
 
 void SessionActor::pause_after_interrupts(int n) {
@@ -179,13 +178,9 @@ SessionMetrics run_session(const SchedulingPolicy& policy,
                            adversary::Adversary& adversary, Opportunity opportunity,
                            Params params, TaskBag* bag,
                            std::optional<Checkpointing> checkpointing) {
-  Simulator sim;
   SessionActor actor(policy, adversary, opportunity, params, bag, checkpointing);
-  actor.start(sim);
-  sim.run();
-  if (!actor.finished()) {
-    throw std::logic_error("run_session: simulation stalled before completion");
-  }
+  actor.start(0);
+  while (actor.next_event()) actor.step();
   return actor.metrics();
 }
 
@@ -193,15 +188,10 @@ SessionCheckpoint run_session_until_interrupt(
     const SchedulingPolicy& policy, adversary::Adversary& adversary,
     Opportunity opportunity, Params params, int pause_after, TaskBag* bag,
     std::optional<Checkpointing> checkpointing) {
-  Simulator sim;
   SessionActor actor(policy, adversary, opportunity, params, bag, checkpointing);
   actor.pause_after_interrupts(pause_after);
-  actor.start(sim);
-  sim.run();
-  if (!actor.finished() && !actor.paused()) {
-    throw std::logic_error(
-        "run_session_until_interrupt: simulation stalled before completion");
-  }
+  actor.start(0);
+  while (actor.next_event()) actor.step();
   return actor.checkpoint();
 }
 

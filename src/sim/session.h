@@ -1,13 +1,17 @@
 // One cycle-stealing opportunity, simulated end to end.
 //
-// SessionActor is a state machine on the shared Simulator clock:
+// SessionActor is a state machine that steps itself through its events:
 //   episode start -> (period end)* -> interrupt | episode exhausted -> ...
+// It never has more than one event pending (the end of the current period,
+// or the owner's planned interrupt when that lands first), so the caller
+// drives it with `while (actor.next_event()) actor.step();` — run_farm
+// interleaves many actors the same way on one clock.
 // Interrupt semantics follow the model exactly: an interrupt during period k
 // kills that period's work; periods checkpoint (B returns results) at their
 // ends. With a TaskBag attached, each period carries a greedily packed batch
 // of indivisible tasks; killed batches return to the bag.
 //
-// run_session() is the standalone convenience wrapper (own Simulator).
+// run_session() is the standalone convenience wrapper.
 #pragma once
 
 #include <memory>
@@ -18,7 +22,6 @@
 #include "core/policy.h"
 #include "core/types.h"
 #include "sim/checkpoint.h"
-#include "sim/event.h"
 #include "sim/metrics.h"
 #include "sim/taskbag.h"
 
@@ -55,8 +58,15 @@ class SessionActor {
                Opportunity opportunity, Params params, TaskBag* bag = nullptr,
                std::optional<Checkpointing> checkpointing = std::nullopt);
 
-  /// Schedules the first episode on `sim` (at the current sim time).
-  void start(Simulator& sim);
+  /// Begins the session at absolute time `now` (plans its first episode).
+  void start(Ticks now);
+
+  /// Absolute time of the pending event; nullopt once finished or paused.
+  std::optional<Ticks> next_event() const noexcept { return next_event_; }
+
+  /// Runs the pending event (a period end or the planned interrupt) and
+  /// plans the next one. Requires next_event().
+  void step();
 
   /// Halt instead of beginning the next episode once `n` further interrupts
   /// have been handled (n >= 1). Set before start(); when the session runs
@@ -72,10 +82,10 @@ class SessionActor {
   const SessionMetrics& metrics() const noexcept { return metrics_; }
 
  private:
-  void begin_episode(Simulator& sim);
-  void begin_period(Simulator& sim);
-  void finish_period(Simulator& sim);
-  void handle_interrupt(Simulator& sim);
+  void begin_episode(Ticks now);
+  void begin_period();
+  void finish_period();
+  void handle_interrupt();
 
   // Configuration.
   const SchedulingPolicy& policy_;
@@ -87,8 +97,8 @@ class SessionActor {
 
   // Episode state.
   EpisodeSchedule episode_;
-  Ticks episode_start_abs_ = 0;   ///< sim time at episode start
-  Ticks opportunity_start_ = 0;   ///< sim time at session start
+  Ticks episode_start_abs_ = 0;   ///< absolute time at episode start
+  Ticks opportunity_start_ = 0;   ///< absolute time at session start
   Ticks residual_ = 0;
   int interrupts_left_ = 0;
   std::size_t current_period_ = 0;
@@ -96,8 +106,10 @@ class SessionActor {
   std::vector<Task> in_flight_;
   Ticks in_flight_capacity_ = 0;
 
-  // Staleness guard: events carry the generation they were scheduled in.
-  std::uint64_t generation_ = 0;
+  // The one pending event: its absolute time, and whether it is the planned
+  // interrupt (else the end of period current_period_).
+  std::optional<Ticks> next_event_;
+  bool next_is_interrupt_ = false;
 
   SessionMetrics metrics_;
   bool finished_ = false;
@@ -105,7 +117,7 @@ class SessionActor {
   bool paused_ = false;
 };
 
-/// Runs a single session to completion on a private Simulator.
+/// Runs a single session to completion, starting at time 0.
 SessionMetrics run_session(const SchedulingPolicy& policy,
                            adversary::Adversary& adversary, Opportunity opportunity,
                            Params params, TaskBag* bag = nullptr,

@@ -1,16 +1,20 @@
 // The generative owner processes of adversary/processes.h: parameter
-// validation, seed determinism, reset semantics, and the correlation
+// validation, seed determinism and reset semantics (across every
+// ArrivalAdversary model), out-of-range arrivals, and the correlation
 // contract of the shared-shock model.
 #include "adversary/processes.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
 #include <memory>
 #include <vector>
 
+#include "adversary/stochastic.h"
 #include "adversary/trace.h"
 #include "core/equalized.h"
+#include "sim/scenario_gen.h"
 #include "sim/session.h"
 
 namespace nowsched::adversary {
@@ -50,25 +54,46 @@ TEST(Processes, ConstructorsValidateParameters) {
   EXPECT_THROW(CorrelatedShockAdversary(10.0, nan, 1, 2), std::invalid_argument);
 }
 
-TEST(Processes, SameSeedSameTraceAcrossAllModels) {
-  const auto build = [](int which, std::uint64_t seed) -> std::unique_ptr<Adversary> {
-    switch (which) {
-      case 0:
-        return std::make_unique<MarkovModulatedAdversary>(2500.0, 150.0, 1200.0,
-                                                          500.0, seed);
-      case 1:
-        return std::make_unique<InhomogeneousPoissonAdversary>(700.0, 0.9, 3000.0,
-                                                               0.5, seed);
-      case 2:
-        return std::make_unique<BurstyAdversary>(1500.0, 1.1, 4.0, 30.0, seed);
-      default:
-        return std::make_unique<CorrelatedShockAdversary>(900.0, 0.8, 0x6A0, seed);
+/// Every ArrivalAdversary model, seeded: the four processes above plus the
+/// Poisson and Pareto owners of stochastic.h and a trace replay whose
+/// recorded times derive from the seed.
+constexpr int kArrivalModels = 7;
+constexpr int kTraceModel = 6;
+
+std::unique_ptr<Adversary> build_arrival_owner(int which, std::uint64_t seed) {
+  switch (which) {
+    case 0:
+      return std::make_unique<MarkovModulatedAdversary>(2500.0, 150.0, 1200.0, 500.0,
+                                                        seed);
+    case 1:
+      return std::make_unique<InhomogeneousPoissonAdversary>(700.0, 0.9, 3000.0, 0.5,
+                                                             seed);
+    case 2:
+      return std::make_unique<BurstyAdversary>(1500.0, 1.1, 4.0, 30.0, seed);
+    case 3:
+      return std::make_unique<CorrelatedShockAdversary>(900.0, 0.8, 0x6A0, seed);
+    case 4:
+      return std::make_unique<PoissonAdversary>(900.0, seed);
+    case 5:
+      return std::make_unique<ParetoSessionAdversary>(700.0, 1.4, seed);
+    default: {
+      util::Rng rng(seed);
+      InterruptTrace trace;
+      Ticks t = 0;
+      for (int i = 0; i < 12; ++i) {
+        t += rng.uniform_int(1, 1500);
+        trace.append(t);
+      }
+      return std::make_unique<TraceAdversary>(trace);
     }
-  };
-  for (int which = 0; which < 4; ++which) {
-    auto a = build(which, 0x111);
-    auto b = build(which, 0x111);
-    auto c = build(which, 0x222);
+  }
+}
+
+TEST(Processes, SameSeedSameTraceAcrossAllModels) {
+  for (int which = 0; which < kArrivalModels; ++which) {
+    auto a = build_arrival_owner(which, 0x111);
+    auto b = build_arrival_owner(which, 0x111);
+    auto c = build_arrival_owner(which, 0x222);
     const auto ta = trace_of(*a);
     EXPECT_EQ(ta.times(), trace_of(*b).times()) << a->name();
     // A different seed must actually change the stream (vacuous-determinism
@@ -79,12 +104,16 @@ TEST(Processes, SameSeedSameTraceAcrossAllModels) {
 }
 
 TEST(Processes, ResetReproducesTheStreamFromScratch) {
-  MarkovModulatedAdversary owner(2000.0, 100.0, 900.0, 400.0, 0xAB);
-  const auto first = trace_of(owner);
-  owner.reset(0xAB);
-  EXPECT_EQ(trace_of(owner).times(), first.times());
-  owner.reset(0xCD);
-  EXPECT_NE(trace_of(owner).times(), first.times());
+  for (int which = 0; which < kArrivalModels; ++which) {
+    auto owner = build_arrival_owner(which, 0xAB);
+    const auto first = trace_of(*owner);
+    ASSERT_GT(first.size(), 0u) << owner->name();
+    owner->reset(0xAB);
+    EXPECT_EQ(trace_of(*owner).times(), first.times()) << owner->name();
+    if (which == kTraceModel) continue;  // a replay has no seed to change
+    owner->reset(0xCD);
+    EXPECT_NE(trace_of(*owner).times(), first.times()) << owner->name();
+  }
 }
 
 TEST(Processes, CorrelatedShockGroupSharesShockTimes) {
@@ -146,6 +175,36 @@ TEST(Processes, InhomogeneousZeroDepthMatchesArrivalBudget) {
   const double expected = 60000.0 / 500.0;
   EXPECT_GT(static_cast<double>(trace.size()), expected / 3.0);
   EXPECT_LT(static_cast<double>(trace.size()), expected * 3.0);
+}
+
+TEST(Processes, ArrivalsPastTheTickRangeNeverFire) {
+  // A gap or scale whose arrival rounds past the tick range means the owner
+  // never returns; it must not wrap around to "the next tick".
+  PoissonAdversary poisson(1e300, 1);
+  ParetoSessionAdversary pareto(1e300, 1.5, 2);
+  ParetoSessionAdversary pareto_scale(1e19, 1.5, 3);
+  MarkovModulatedAdversary markov(1e300, 1e300, 1e300, 1e300, 4);
+  InhomogeneousPoissonAdversary diurnal(1e300, 0.0, 1000.0, 0.0, 5);
+  BurstyAdversary bursty(1e300, 1.5, 2.0, 1e300, 6);
+  BurstyAdversary bursty_scale(1e19, 1.5, 1.0, 5.0, 7);
+  CorrelatedShockAdversary shock(1e300, 1.0, 8, 9);
+  for (Adversary* owner : std::initializer_list<Adversary*>{
+           &poisson, &pareto, &pareto_scale, &markov, &diurnal, &bursty,
+           &bursty_scale, &shock}) {
+    EXPECT_EQ(trace_of(*owner).size(), 0u) << owner->name();
+  }
+
+  // The same owner reaches a batch through a replay record that passes
+  // validation; its session banks without a single interrupt.
+  const auto spec = sim::scenario_from_replay(
+      "nowsched-scenario v1\npolicy=equalized\nowner=poisson\nowner_a=1e300\n"
+      "owner_b=0\nowner_c=0\nowner_d=0\nc=16\nlifespan=4096\nmax_interrupts=3\n"
+      "seed=0\ngroup_seed=0\n");
+  sim::validate_batch_specs({spec});
+  sim::BatchRunner runner;
+  const auto result = runner.run({spec});
+  EXPECT_EQ(result.aggregate.interrupts, 0);
+  EXPECT_EQ(result.aggregate.lifespan_used, 4096);
 }
 
 }  // namespace

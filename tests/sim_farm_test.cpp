@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
 
 #include "adversary/heuristics.h"
+#include "adversary/processes.h"
 #include "adversary/stochastic.h"
+#include "adversary/trace.h"
 #include "core/baselines.h"
+#include "core/equalized.h"
 #include "core/guidelines.h"
 
 namespace nowsched::sim {
@@ -119,6 +124,123 @@ TEST(Farm, EventCountIsPositiveAndBounded) {
   EXPECT_GT(farm.events, 0u);
   // At most one start + one event per period boundary + slack.
   EXPECT_LT(farm.events, 4000u);
+}
+
+TEST(Farm, EqualTimeEventsRunInSchedulingOrder) {
+  // Two stations start together and one task is on offer: the station
+  // listed first starts first and packs it. Same-time events never reorder.
+  auto policy = std::make_shared<AdaptiveGuidelinePolicy>();
+  auto owner = std::make_shared<adversary::NoOpAdversary>();
+  for (int first = 0; first < 2; ++first) {
+    auto bag = TaskBag::uniform(1, 5);
+    const auto farm = run_farm({station(first == 0 ? "a" : "b", 500, 1, policy, owner),
+                                station(first == 0 ? "b" : "a", 500, 1, policy, owner)},
+                               bag);
+    EXPECT_EQ(farm.per_workstation[0].tasks_completed, 1u);
+    EXPECT_EQ(farm.per_workstation[1].tasks_completed, 0u);
+  }
+}
+
+/// FNV-1a over every field of every station's metrics, in station order.
+std::uint64_t station_digest(const FarmResult& farm) {
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  for (const SessionMetrics& m : farm.per_workstation) {
+    std::string text;
+    util::write_fields(text, kSessionMetricsFields, m);
+    for (const unsigned char ch : text) {
+      h ^= ch;
+      h *= 0x100000001B3ull;
+    }
+  }
+  return h;
+}
+
+struct FarmPin {
+  std::uint64_t digest;
+  Ticks makespan;
+  std::size_t events;
+  std::size_t tasks_left;
+  Ticks task_work_left;
+};
+
+void expect_pinned(const FarmResult& farm, const FarmPin& pin) {
+  EXPECT_EQ(station_digest(farm), pin.digest) << std::hex << station_digest(farm);
+  EXPECT_EQ(farm.makespan, pin.makespan);
+  EXPECT_EQ(farm.events, pin.events);
+  EXPECT_EQ(farm.tasks_left, pin.tasks_left);
+  EXPECT_EQ(farm.task_work_left, pin.task_work_left);
+}
+
+TEST(Farm, GoldenEqualTimeTies) {
+  // Identical stations started together hit every period boundary at the
+  // same tick, so the shared bag is packed purely in scheduling order.
+  auto policy = std::make_shared<EqualizedGuidelinePolicy>();
+  auto noop = std::make_shared<adversary::NoOpAdversary>();
+  auto first = std::make_shared<adversary::FirstPeriodAdversary>();
+  util::Rng rng(0xF4A1);
+  auto bag = TaskBag::random(3000, 1, 60, rng);
+  const auto farm = run_farm({station("t1", 4000, 2, policy, noop),
+                              station("t2", 4000, 2, policy, first),
+                              station("t3", 4000, 2, policy, noop),
+                              station("t4", 4000, 2, policy, first)},
+                             bag);
+  expect_pinned(farm, {0xc4109711810df99dull, 4000, 76, 2600, 79291});
+}
+
+TEST(Farm, GoldenStaggeredMixedOwners) {
+  // Random-duration bag, staggered and coinciding starts, every arrival
+  // owner family, a zero-lifespan station and a correlated-shock pair.
+  auto adaptive = std::make_shared<AdaptiveGuidelinePolicy>();
+  auto equalized = std::make_shared<EqualizedGuidelinePolicy>();
+  auto chunky = std::make_shared<FixedChunkPolicy>(4.0);
+  util::Rng rng(0xBA6);
+  auto bag = TaskBag::random(20000, 2, 90, rng);
+  const auto farm = run_farm(
+      {station("poisson", 9000, 4, adaptive,
+               std::make_shared<adversary::PoissonAdversary>(700.0, 3)),
+       station("pareto", 7000, 3, equalized,
+               std::make_shared<adversary::ParetoSessionAdversary>(900.0, 1.3, 5), 250),
+       station("markov", 8000, 5, chunky,
+               std::make_shared<adversary::MarkovModulatedAdversary>(2000.0, 150.0,
+                                                                     900.0, 400.0, 7),
+               250),
+       station("diurnal", 6000, 4, adaptive,
+               std::make_shared<adversary::InhomogeneousPoissonAdversary>(
+                   600.0, 0.8, 2500.0, 0.3, 11),
+               1000),
+       station("bursty", 9000, 6, equalized,
+               std::make_shared<adversary::BurstyAdversary>(1500.0, 1.2, 3.0, 40.0, 13),
+               1000),
+       station("shock-a", 5000, 3, chunky,
+               std::make_shared<adversary::CorrelatedShockAdversary>(800.0, 0.9, 0x60,
+                                                                     17),
+               3000),
+       station("shock-b", 5000, 3, adaptive,
+               std::make_shared<adversary::CorrelatedShockAdversary>(800.0, 0.9, 0x60,
+                                                                     19),
+               3000),
+       station("trace", 4000, 3, equalized,
+               std::make_shared<adversary::TraceAdversary>(
+                   adversary::InterruptTrace({300, 1200, 2900})),
+               4500),
+       station("idle", 0, 0, adaptive, std::make_shared<adversary::NoOpAdversary>(),
+               4500)},
+      bag);
+  expect_pinned(farm, {0xedc993e10f4a543dull, 10000, 358, 19261, 886266});
+}
+
+TEST(Farm, GoldenDrainedBag) {
+  // A small bag that runs dry mid-farm: later batches pack nothing.
+  auto policy = std::make_shared<AdaptiveGuidelinePolicy>();
+  util::Rng rng(0xD2);
+  auto bag = TaskBag::random(150, 5, 50, rng);
+  const auto farm = run_farm(
+      {station("a", 3000, 2, policy, std::make_shared<adversary::PoissonAdversary>(400.0, 1)),
+       station("b", 3000, 2, policy, std::make_shared<adversary::PoissonAdversary>(400.0, 2)),
+       station("c", 2000, 1, policy, std::make_shared<adversary::LargestPeriodAdversary>(),
+               1500)},
+      bag);
+  expect_pinned(farm, {0x3555235096543581ull, 3500, 15, 0, 0});
 }
 
 }  // namespace

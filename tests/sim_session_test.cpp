@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "adversary/heuristics.h"
 #include "adversary/stochastic.h"
 #include "adversary/trace.h"
 #include "core/baselines.h"
 #include "core/guidelines.h"
+#include "sim/scenario_gen.h"
 #include "solver/policy_eval.h"
 
 namespace nowsched::sim {
@@ -163,6 +168,68 @@ TEST(Session, PolicyNotSpanningResidualIsAnError) {
   adversary::NoOpAdversary owner;
   EXPECT_THROW(run_session(policy, owner, Opportunity{100, 1}, kParams),
                std::logic_error);
+}
+
+/// FNV-1a over every SessionMetrics field, in field-table order.
+std::uint64_t fold_metrics(std::uint64_t h, const SessionMetrics& m) {
+  std::string text;
+  util::write_fields(text, kSessionMetricsFields, m);
+  for (const unsigned char ch : text) {
+    h ^= ch;
+    h *= 0x100000001B3ull;
+  }
+  return h;
+}
+
+TEST(Session, GoldenDigestAcrossEveryPolicyAndOwner) {
+  // Pins every metric of a generated batch that covers every PolicyKind x
+  // OwnerKind, once model-level through BatchRunner and once with a random
+  // task bag and (for every other scenario) intra-period checkpoints. Any
+  // change to the session's event order, an owner's arrival stream or the
+  // accounting moves one of the two digests.
+  const PolicyKind policies[] = {PolicyKind::kEqualized, PolicyKind::kAdaptivePaper,
+                                 PolicyKind::kNonAdaptiveRestart,
+                                 PolicyKind::kDpOptimal};
+  const OwnerKind owners[] = {OwnerKind::kPoisson,         OwnerKind::kPareto,
+                              OwnerKind::kUniform,         OwnerKind::kMarkovModulated,
+                              OwnerKind::kInhomogeneous,   OwnerKind::kBursty,
+                              OwnerKind::kCorrelatedShock};
+  std::vector<ScenarioSpec> specs;
+  for (const PolicyKind policy : policies) {
+    for (const OwnerKind owner : owners) {
+      ScenarioDomain domain;
+      domain.policies = {policy};
+      domain.owners = {owner};
+      ScenarioGenerator gen(domain, 0x601DE5);
+      for (const ScenarioSpec& spec : gen.batch(8)) specs.push_back(spec);
+    }
+  }
+
+  BatchRunner runner;
+  const BatchResult batch = runner.run(specs);
+  std::uint64_t model = 0xCBF29CE484222325ull;
+  for (const SessionMetrics& m : batch.per_scenario) model = fold_metrics(model, m);
+
+  std::uint64_t tasks = 0xCBF29CE484222325ull;
+  Ticks interrupts = 0;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const auto policy = make_policy(specs[i]);
+    const auto owner = make_owner(specs[i]);
+    util::Rng rng(specs[i].seed);
+    auto bag = TaskBag::random(400, 1, 40, rng);
+    std::optional<Checkpointing> checkpointing;
+    if (i % 2 == 1) checkpointing = Checkpointing{25, 2};
+    const SessionMetrics m =
+        run_session(*policy, *owner,
+                    Opportunity{specs[i].lifespan, specs[i].max_interrupts},
+                    specs[i].params, &bag, checkpointing);
+    tasks = fold_metrics(tasks, m);
+    interrupts += m.interrupts;
+  }
+  ASSERT_GT(batch.aggregate.interrupts, 0);  // the owners actually fired
+  ASSERT_GT(interrupts, 0);
+  EXPECT_EQ(model, 0xd3c94213bfd199a4ull) << std::hex << model;
+  EXPECT_EQ(tasks, 0x942d96a2a063863eull) << std::hex << tasks;
 }
 
 TEST(SessionMetrics, MergeAddsFields) {
