@@ -170,6 +170,71 @@ TEST(Session, PolicyNotSpanningResidualIsAnError) {
                std::logic_error);
 }
 
+TEST(SessionActor, UninterruptedEventsAreThePeriodEndsFromTheStartTime) {
+  adversary::NoOpAdversary owner;
+  AdaptiveGuidelinePolicy policy;
+  const Ticks t0 = 500;
+  SessionActor actor(policy, owner, Opportunity{1000, 3}, kParams);
+  actor.start(t0);
+  std::vector<Ticks> times;
+  while (const auto t = actor.next_event()) {
+    times.push_back(*t);
+    actor.step();
+  }
+  const auto episode = policy.episode(1000, 3, kParams);
+  ASSERT_EQ(times.size(), episode.size());
+  for (std::size_t k = 0; k < episode.size(); ++k) {
+    EXPECT_EQ(times[k], t0 + episode.end(k)) << "period " << k;
+  }
+  EXPECT_TRUE(actor.finished());
+  EXPECT_FALSE(actor.paused());
+  EXPECT_EQ(actor.metrics().lifespan_used, 1000);
+}
+
+TEST(SessionActor, EventTimesRiseAndEndAtTheLifespanUnderInterrupts) {
+  // One event per completed period and per interrupt, strictly later than
+  // the one before; the last lands where the lifespan runs out.
+  adversary::FirstPeriodAdversary owner;
+  AdaptiveGuidelinePolicy policy;
+  const Ticks t0 = 77;
+  SessionActor actor(policy, owner, Opportunity{2000, 2}, kParams);
+  actor.start(t0);
+  std::vector<Ticks> times;
+  while (const auto t = actor.next_event()) {
+    times.push_back(*t);
+    actor.step();
+  }
+  const SessionMetrics& m = actor.metrics();
+  EXPECT_EQ(m.interrupts, 2);
+  ASSERT_EQ(times.size(), m.periods_completed + static_cast<std::size_t>(m.interrupts));
+  EXPECT_GT(times.front(), t0);
+  for (std::size_t i = 1; i < times.size(); ++i) {
+    EXPECT_GT(times[i], times[i - 1]) << "event " << i;
+  }
+  EXPECT_EQ(times.back(), t0 + 2000);
+  EXPECT_TRUE(actor.finished());
+}
+
+TEST(SessionActor, StepWithoutAPendingEventThrows) {
+  adversary::FirstPeriodAdversary owner;
+  AdaptiveGuidelinePolicy policy;
+
+  SessionActor empty(policy, owner, Opportunity{0, 1}, kParams);
+  empty.start(10);
+  EXPECT_FALSE(empty.next_event().has_value());
+  EXPECT_TRUE(empty.finished());
+  EXPECT_THROW(empty.step(), std::logic_error);
+
+  SessionActor paused(policy, owner, Opportunity{2000, 2}, kParams);
+  paused.pause_after_interrupts(1);
+  paused.start(0);
+  while (paused.next_event()) paused.step();
+  EXPECT_TRUE(paused.paused());
+  EXPECT_FALSE(paused.finished());
+  EXPECT_EQ(paused.metrics().interrupts, 1);
+  EXPECT_THROW(paused.step(), std::logic_error);
+}
+
 /// FNV-1a over every SessionMetrics field, in field-table order.
 std::uint64_t fold_metrics(std::uint64_t h, const SessionMetrics& m) {
   std::string text;
