@@ -27,8 +27,8 @@ using JobId = std::uint64_t;
 /// WIRE CODES — they appear verbatim in JobStatusReply/JobResultReply
 /// frames, so they must never be renumbered or reused.
 enum class JobState : int {
-  kUnknown = 0,    ///< no such job (never existed, or its result was fetched)
-  kQueued = 1,     ///< admitted, waiting for the queue policy to pick it
+  kUnknown = 0,    ///< no such job (never issued, or fetched or forgotten)
+  kQueued = 1,     ///< admitted and in the queue, waiting to be picked
   kRunning = 2,    ///< a worker is executing the scenario batch
   kDone = 3,       ///< finished; the JobResult awaits exactly one fetch
   kFailed = 4,     ///< execution threw; the error text awaits one fetch
@@ -81,7 +81,6 @@ struct JobResult {
 /// A queued unit of work as the queue disciplines see it. It carries only
 /// the work; the job's state and outcome live in the service's job record.
 struct QueuedJob {
-  std::uint64_t seq = 0;  ///< global admission order — the FIFO sort key
   JobId id = 0;
   std::string tenant;
   std::size_t cost = 0;  ///< == specs.size(); the DRR service currency

@@ -10,6 +10,16 @@ namespace nowsched::service {
 
 namespace {
 
+// Erases job `id` from `jobs`, keeping the others' order.
+std::optional<QueuedJob> take(std::deque<QueuedJob>& jobs, JobId id) {
+  const auto it = std::find_if(jobs.begin(), jobs.end(),
+                               [id](const QueuedJob& job) { return job.id == id; });
+  if (it == jobs.end()) return std::nullopt;
+  QueuedJob job = std::move(*it);
+  jobs.erase(it);
+  return job;
+}
+
 class FifoQueue final : public QueuePolicy {
  public:
   const char* name() const noexcept override { return "fifo"; }
@@ -23,6 +33,8 @@ class FifoQueue final : public QueuePolicy {
     return job;
   }
 
+  std::optional<QueuedJob> remove(JobId id) override { return take(jobs_, id); }
+
   std::size_t size() const noexcept override { return jobs_.size(); }
 
  private:
@@ -33,7 +45,8 @@ class FifoQueue final : public QueuePolicy {
 // per pop. A tenant activates at the BACK of the rotation when its queue
 // goes non-empty, banks `quantum_` deficit per visit, and serves its head
 // job once the deficit covers the job's cost; its deficit resets to zero
-// when its queue drains (an idle tenant must not hoard credit). The serving
+// when its queue drains, by a pop or a remove (an idle tenant must not hoard
+// credit). A removed job is never charged to the deficit. The serving
 // tenant stays at the front between pops, so "serve while the deficit
 // suffices" holds across pop() calls exactly as in the packet formulation.
 class DeficitRoundRobinQueue final : public QueuePolicy {
@@ -74,6 +87,20 @@ class DeficitRoundRobinQueue final : public QueuePolicy {
       rotation_.pop_front();
       rotation_.push_back(std::move(visited));
     }
+  }
+
+  std::optional<QueuedJob> remove(JobId id) override {
+    for (auto& [tenant, tq] : tenants_) {
+      std::optional<QueuedJob> job = take(tq.jobs, id);
+      if (!job) continue;
+      --size_;
+      if (tq.jobs.empty()) {
+        tq.deficit = 0;
+        rotation_.erase(std::find(rotation_.begin(), rotation_.end(), tenant));
+      }
+      return job;
+    }
+    return std::nullopt;
   }
 
   std::size_t size() const noexcept override { return size_; }

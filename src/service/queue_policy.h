@@ -16,13 +16,14 @@
 //     fairness index.
 //
 // Policies are NOT thread-safe: the service calls them under its own mutex.
-// They are deliberately pure data structures (push/pop/size, no clocks, no
-// callbacks), which is what makes the per-policy scheduling-order tests
-// deterministic single-threaded affairs.
+// They are deliberately pure data structures (push/pop/remove/size, no
+// clocks, no callbacks), which is what makes the per-policy scheduling-order
+// tests deterministic single-threaded affairs.
 #pragma once
 
 #include <cstddef>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "service/job.h"
@@ -52,6 +53,12 @@ class QueuePolicy {
   /// empty — popping an empty queue is a caller bug (the service checks
   /// size() under the same lock), not a wait condition.
   virtual QueuedJob pop() = 0;
+
+  /// Takes job `id` out of the queue without running it (a cancel): the
+  /// jobs that remain keep their order, and the removed job is charged to
+  /// no one. nullopt when `id` is not queued. A linear scan: the service
+  /// bounds the queue by ServiceOptions::max_queued_jobs_total.
+  virtual std::optional<QueuedJob> remove(JobId id) = 0;
 
   virtual std::size_t size() const noexcept = 0;
   bool empty() const noexcept { return size() == 0; }

@@ -193,7 +193,6 @@ TicketSubmission SchedulerService::submit_job(const std::string& tenant,
     }
 
     QueuedJob job;
-    job.seq = next_seq_++;
     job.id = next_job_id_++;
     job.tenant = tenant;
     job.cost = cost;
@@ -204,8 +203,7 @@ TicketSubmission SchedulerService::submit_job(const std::string& tenant,
     out.ticket.tenant = tenant;
 
     // The record MUST land under the same critical section that enqueues
-    // the job: a worker popping it transitions the record it FINDS, so a
-    // late insert would shadow kRunning/kDone forever.
+    // the job: a record is kQueued exactly while its job is in the queue.
     jobs_.emplace(job.id, JobRecord{});
 
     ++t.accepted_jobs;
@@ -222,13 +220,7 @@ TicketSubmission SchedulerService::submit_job(const std::string& tenant,
 JobState SchedulerService::job_state(JobId id) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return JobState::kUnknown;
-  // A cancel that has not been settled by the pop path yet is already
-  // decided: report it as cancelled so poll loops converge immediately.
-  if (it->second.cancel_requested && it->second.state == JobState::kQueued) {
-    return JobState::kCancelled;
-  }
-  return it->second.state;
+  return it == jobs_.end() ? JobState::kUnknown : it->second.state;
 }
 
 FetchOutcome SchedulerService::fetch_result(JobId id, bool wait) {
@@ -236,25 +228,13 @@ FetchOutcome SchedulerService::fetch_result(JobId id, bool wait) {
   if (wait) {
     settled_cv_.wait(lock, [this, id] {
       const auto it = jobs_.find(id);
-      return it == jobs_.end() || it->second.cancel_requested ||
-             is_terminal(it->second.state);
+      return it == jobs_.end() || is_terminal(it->second.state);
     });
   }
   FetchOutcome out;
   const auto it = jobs_.find(id);
   if (it == jobs_.end()) return out;  // kUnknown
   JobRecord& record = it->second;
-  if (record.cancel_requested && record.state == JobState::kQueued) {
-    // Decided but not yet settled by the pop path. The first fetch (or a
-    // forget()) consumes it and marks the record fetched so settlement
-    // erases it; any later fetch reads kUnknown, same as after the erase.
-    if (!record.fetched) {
-      record.fetched = true;
-      out.state = JobState::kCancelled;
-      out.error = kCancelledMessage;
-    }
-    return out;
-  }
   out.state = record.state;
   if (is_terminal(record.state)) {
     // Exactly-once: the record is gone before the lock drops, so a second
@@ -267,40 +247,33 @@ FetchOutcome SchedulerService::fetch_result(JobId id, bool wait) {
 }
 
 bool SchedulerService::cancel(JobId id) {
+  std::vector<JobId> settled;
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = jobs_.find(id);
-    if (it == jobs_.end()) return false;
-    JobRecord& record = it->second;
-    if (record.state != JobState::kQueued || record.cancel_requested) return false;
-    // Lazy cancellation: QueuePolicy has no random-access erase, so the flag
-    // is settled (counters, record state) when the pop path next encounters
-    // the job. Observers see kCancelled immediately (job_state /
-    // fetch_result special-case the flag).
-    record.cancel_requested = true;
+    if (it == jobs_.end() || it->second.state != JobState::kQueued) return false;
+    cancel_locked(*queue_->remove(id), kCancelledMessage, settled);
   }
-  settled_cv_.notify_all();  // a waiting fetch can answer now
+  notify_settled(settled);
   return true;
 }
 
 bool SchedulerService::forget(JobId id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return false;
-  JobRecord& record = it->second;
-  switch (record.state) {
-    case JobState::kQueued:
-      // Never run work nobody will read; settlement erases the record.
-      record.cancel_requested = true;
-      record.fetched = true;
-      return true;
-    case JobState::kRunning:
-      record.fetched = true;  // execute() erases on completion
-      return true;
-    default:
-      jobs_.erase(it);
-      return true;
+  std::vector<JobId> settled;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = jobs_.find(id);
+    if (it == jobs_.end()) return false;
+    const bool queued = it->second.state == JobState::kQueued;
+    // A running job still settles its counters in execute(); settle_locked
+    // finds no record to publish into.
+    jobs_.erase(it);
+    // Never run work nobody will read.
+    if (queued) cancel_locked(*queue_->remove(id), kCancelledMessage, settled);
   }
+  settled_cv_.notify_all();  // a waiting fetch reads kUnknown now
+  notify_settled(settled);
+  return true;
 }
 
 void SchedulerService::set_completion_hook(std::function<void(JobId)> hook) {
@@ -325,27 +298,15 @@ void SchedulerService::set_tenant_quota(const std::string& tenant,
   cache->set_max_bytes(bytes);
 }
 
-bool SchedulerService::next_runnable_locked(QueuedJob& job, Tenant*& tenant,
-                                            std::vector<JobId>& settled) {
-  while (!queue_->empty()) {
-    QueuedJob next = queue_->pop();
-    const auto it = jobs_.find(next.id);
-    if (it != jobs_.end() && it->second.cancel_requested) {
-      // Lazy cancel settlement: the job leaves the queue here.
-      cancel_locked(next, kCancelledMessage, settled);
-      continue;
-    }
-    Tenant& t = tenants_.find(next.tenant)->second;
-    --queued_total_;
-    --t.books.queued_jobs;
-    if (it != jobs_.end()) it->second.state = JobState::kRunning;
-    ++inflight_total_;
-    ++t.books.inflight_jobs;
-    job = std::move(next);
-    tenant = &t;
-    return true;
-  }
-  return false;
+SchedulerService::Tenant& SchedulerService::start_next_locked(QueuedJob& job) {
+  job = queue_->pop();
+  Tenant& t = tenants_.find(job.tenant)->second;
+  --queued_total_;
+  --t.books.queued_jobs;
+  ++inflight_total_;
+  ++t.books.inflight_jobs;
+  jobs_.find(job.id)->second.state = JobState::kRunning;
+  return t;
 }
 
 void SchedulerService::cancel_locked(const QueuedJob& job, const char* message,
@@ -364,14 +325,8 @@ void SchedulerService::cancel_locked(const QueuedJob& job, const char* message,
 void SchedulerService::settle_locked(JobId id, JobState state, std::string error,
                                      JobResult result) {
   const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return;
+  if (it == jobs_.end()) return;  // forgotten: the outcome has no reader
   JobRecord& record = it->second;
-  if (record.fetched) {
-    // The ticket holder already walked away (forget, or the one fetch of a
-    // pending cancel): the terminal record has no reader, drop it now.
-    jobs_.erase(it);
-    return;
-  }
   record.state = state;
   record.error = std::move(error);
   record.result = std::move(result);
@@ -405,15 +360,13 @@ void SchedulerService::worker_loop() {
   for (;;) {
     QueuedJob job;
     Tenant* tenant = nullptr;
-    bool runnable = false;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_cv_.wait(lock, [this] { return stop_workers_ || !queue_->empty(); });
       if (queue_->empty()) return;  // stop_workers_ and nothing left to run
-      runnable = next_runnable_locked(job, tenant, settled);
+      tenant = &start_next_locked(job);
     }
-    notify_settled(settled);
-    if (runnable) execute(std::move(job), *tenant, settled);
+    execute(std::move(job), *tenant, settled);
   }
 }
 
@@ -425,17 +378,13 @@ bool SchedulerService::run_next() {
   }
   QueuedJob job;
   Tenant* tenant = nullptr;
-  std::vector<JobId> settled;
-  bool runnable = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (queue_->empty()) return false;
-    runnable = next_runnable_locked(job, tenant, settled);
+    tenant = &start_next_locked(job);
   }
-  notify_settled(settled);
-  if (runnable) execute(std::move(job), *tenant, settled);
-  // A non-empty queue always yields a run OR a cancel settlement, so
-  // `while (service.run_next()) {}` pumps the queue dry.
+  std::vector<JobId> settled;
+  execute(std::move(job), *tenant, settled);
   return true;
 }
 

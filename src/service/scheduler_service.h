@@ -112,7 +112,7 @@ struct TicketSubmission {
 /// What fetch_result() hands back. `state` is the job's FINAL state for a
 /// consumed outcome (kDone/kFailed/kCancelled), its current state for a
 /// non-waiting probe of a pending job (kQueued/kRunning), or kUnknown when
-/// the id was never issued or its outcome was already fetched.
+/// the id was never issued or its outcome was already fetched or forgotten.
 struct FetchOutcome {
   JobState state = JobState::kUnknown;
   std::string error;  ///< set when state is kFailed or kCancelled
@@ -187,8 +187,7 @@ class SchedulerService {
 
   /// Current state of a ticketed job; kUnknown when the id was never issued
   /// by submit_job or its outcome was already fetched/forgotten. A job whose
-  /// cancel() was accepted reads kCancelled immediately, even while the
-  /// queue entry awaits its lazy removal.
+  /// cancel() was accepted reads kCancelled from then on.
   JobState job_state(JobId id) const;
 
   /// Consumes a ticketed job's outcome. With wait=true blocks until the job
@@ -199,20 +198,23 @@ class SchedulerService {
   /// execution error comes back as text in FetchOutcome::error.
   FetchOutcome fetch_result(JobId id, bool wait = true);
 
-  /// Requests cancellation of a still-queued job. Returns true when the
-  /// cancel is accepted (job was kQueued; it will never execute, its state
-  /// reads kCancelled at once, and its fetch — including one already
-  /// waiting — resolves with a cancellation error). Returns false for
-  /// running, terminal, unknown, or already-cancelled jobs — cancellation
-  /// never preempts execution.
+  /// Cancels a still-queued job. Returns true when the cancel is accepted:
+  /// the job was kQueued and leaves the queue now, never to execute. Before
+  /// cancel returns, its admission slot and pending scenarios are released,
+  /// it counts as cancelled (DRR charges its tenant nothing for it), its
+  /// state reads kCancelled, and its fetch — including one already waiting
+  /// — resolves with a cancellation error. Returns false for running,
+  /// terminal, unknown, or already-cancelled jobs — cancellation never
+  /// preempts execution.
   bool cancel(JobId id);
 
-  /// Releases interest in a ticketed job without consuming its result:
-  /// queued jobs are cancelled, running jobs finish but their outcome is
-  /// dropped on completion, terminal outcomes are discarded now. Returns
-  /// false when the id is unknown. The daemon calls this for every
-  /// unfetched job of a disconnected client, so abandoned tickets cannot
-  /// leak results.
+  /// Releases interest in a ticketed job without consuming its result: the
+  /// id reads kUnknown from then on, and a fetch already waiting on it
+  /// returns kUnknown. A queued job is cancelled on the spot, a running job
+  /// finishes (its counters still settle) but its outcome is dropped, a
+  /// terminal outcome is discarded. Returns false when the id is unknown.
+  /// The daemon calls this for every unfetched job of a disconnected
+  /// client, so abandoned tickets cannot leak results.
   bool forget(JobId id);
 
   /// Installs a hook invoked after a job reaches a terminal state — after
@@ -229,10 +231,10 @@ class SchedulerService {
   void set_tenant_quota(const std::string& tenant, std::size_t bytes);
 
   /// Manual mode only (workers == 0): pops the next job per the queue
-  /// policy and runs it on the calling thread. Returns false when the
-  /// queue is empty. Throws std::logic_error when the service owns worker
-  /// threads — mixing foreign threads into a running worker fleet is a
-  /// bug, not a feature.
+  /// policy and runs it on the calling thread. Returns true exactly when it
+  /// ran a job, false when the queue is empty. Throws std::logic_error when
+  /// the service owns worker threads — mixing foreign threads into a
+  /// running worker fleet is a bug, not a feature.
   bool run_next();
 
   /// Blocks until the queue is empty and nothing is in flight (manual
@@ -279,15 +281,11 @@ class SchedulerService {
     TenantStats books;
   };
 
-  /// Ticket bookkeeping and outcome for one submit_job. Guarded by mu_.
+  /// Ticket bookkeeping and outcome for one submit_job, kept only while the
+  /// outcome may still be read: fetch_result and forget erase it. Its state
+  /// is kQueued exactly while the job is in queue_. Guarded by mu_.
   struct JobRecord {
     JobState state = JobState::kQueued;
-    /// cancel() accepted while the queue entry awaits its lazy removal
-    /// (QueuePolicy has no random-access erase; the pop path settles it).
-    bool cancel_requested = false;
-    /// The outcome was already handed out or forgotten: release the record
-    /// as soon as the job leaves the queue/worker.
-    bool fetched = false;
     std::string error;  ///< set once kFailed or kCancelled
     JobResult result;   ///< set once kDone
   };
@@ -296,17 +294,16 @@ class SchedulerService {
   /// Runs `job` on the calling thread (no service lock held), then settles
   /// its counters and outcome under the lock and notifies `settled`.
   void execute(QueuedJob job, Tenant& tenant, std::vector<JobId>& settled);
-  /// Lock held: pops queued jobs, cancelling cancel-requested ones into
-  /// `settled`, until a runnable job emerges (true) or the queue runs dry
-  /// (false).
-  bool next_runnable_locked(QueuedJob& job, Tenant*& tenant,
-                            std::vector<JobId>& settled);
+  /// Lock held, queue non-empty: pops the next job into `job`, marks it
+  /// running, moves it from the queued to the in-flight books, and returns
+  /// its tenant.
+  Tenant& start_next_locked(QueuedJob& job);
   /// Lock held: unwinds the admission bookkeeping of a job that leaves the
   /// queue unrun, settles it kCancelled with `message`, appends its id.
   void cancel_locked(const QueuedJob& job, const char* message,
                      std::vector<JobId>& settled);
-  /// Lock held: publishes a terminal outcome in the job's record, or drops
-  /// the record when its ticket was already fetched or forgotten.
+  /// Lock held: publishes a terminal outcome in the job's record; a no-op
+  /// when the record was forgotten.
   void settle_locked(JobId id, JobState state, std::string error,
                      JobResult result);
   /// Lock NOT held: wakes settled_cv_ waiters and fires the completion hook
@@ -322,7 +319,7 @@ class SchedulerService {
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;  ///< workers wait for jobs/stop here
-  /// Notified on every settlement and accepted cancel: waiting fetches,
+  /// Notified on every settlement and every forget: waiting fetches,
   /// drain() and shutdown() wait here.
   std::condition_variable settled_cv_;
 
@@ -335,7 +332,6 @@ class SchedulerService {
 
   std::size_t queued_total_ = 0;    // guarded by mu_
   std::size_t inflight_total_ = 0;  // guarded by mu_
-  std::uint64_t next_seq_ = 0;      // guarded by mu_
   JobId next_job_id_ = 1;           // guarded by mu_
   std::uint64_t completions_ = 0;   // guarded by mu_
   bool accepting_ = true;           // guarded by mu_

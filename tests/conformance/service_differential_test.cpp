@@ -63,12 +63,16 @@ struct ServiceConfig {
   service::QueueKind queue;
   std::size_t workers;
   std::size_t quota_bytes;  ///< per-tenant; small values force cache churn
+  /// Cancel every Nth job right after submitting it (0 = never). Manual mode
+  /// must accept every such cancel; with workers the job may already run.
+  std::size_t cancel_every = 0;
 };
 
 /// Carves `specs` into jobs of 1..13 scenarios, dealt to 3 tenants round
 /// robin, submits everything, and compares every per-scenario result with
 /// the direct-runner baseline (index-aligned, so a mismatch names the exact
-/// generated scenario).
+/// generated scenario). A job whose cancel was accepted must instead fetch
+/// kCancelled with the exact cancellation text.
 void run_differential(const std::vector<sim::ScenarioSpec>& specs,
                       const std::vector<sim::SessionMetrics>& baseline,
                       const ServiceConfig& config) {
@@ -89,6 +93,7 @@ void run_differential(const std::vector<sim::ScenarioSpec>& specs,
     std::size_t first_index;  ///< position of the job's first spec in `specs`
     std::size_t count;
     service::JobId ticket;
+    bool cancelled;
   };
   std::vector<PendingJob> jobs;
   std::size_t cursor = 0;
@@ -104,14 +109,36 @@ void run_differential(const std::vector<sim::ScenarioSpec>& specs,
         service.submit_job(tenants[job_number % 3], std::move(batch));
     ASSERT_TRUE(sub.accepted())
         << config.label << ": job " << job_number << " rejected: " << sub.reason;
-    jobs.push_back({cursor, count, sub.ticket.id});
+    bool cancelled = false;
+    if (config.cancel_every != 0 && (job_number + 1) % config.cancel_every == 0) {
+      cancelled = service.cancel(sub.ticket.id);
+      if (config.workers == 0) {
+        EXPECT_TRUE(cancelled) << config.label << ": job " << job_number;
+      }
+    }
+    jobs.push_back({cursor, count, sub.ticket.id, cancelled});
     cursor += count;
     ++job_number;
   }
-  if (config.workers == 0) service.drain();
+  service.drain();
+  const service::ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.accepted_jobs,
+            stats.completed_jobs + stats.failed_jobs + stats.cancelled_jobs)
+      << config.label;
+  EXPECT_EQ(stats.cancelled_jobs,
+            static_cast<std::uint64_t>(std::count_if(
+                jobs.begin(), jobs.end(),
+                [](const PendingJob& job) { return job.cancelled; })))
+      << config.label;
 
   for (const PendingJob& job : jobs) {
     service::FetchOutcome outcome = service.fetch_result(job.ticket);
+    if (job.cancelled) {
+      EXPECT_EQ(outcome.state, service::JobState::kCancelled) << config.label;
+      EXPECT_EQ(outcome.error, "SchedulerService: job cancelled before execution")
+          << config.label;
+      continue;
+    }
     ASSERT_TRUE(outcome.done())
         << config.label << ": " << to_string(outcome.state) << " "
         << outcome.error;
@@ -149,6 +176,12 @@ TEST(ServiceDifferential, MatchesDirectBatchRunnerAcrossPoliciesAndWorkers) {
       // results.
       {"drr/3-workers/tight-quota", service::QueueKind::kDeficitRoundRobin, 3,
        64u << 10},
+      // The cancel leg: every 5th job is cancelled right after its submit.
+      // The remaining jobs' results may not move, whatever the cancels did
+      // to the queue order and the caches.
+      {"fifo/manual/cancel-every-5th", service::QueueKind::kFifo, 0, 1u << 20, 5},
+      {"drr/3-workers/tight-quota/cancel-every-5th",
+       service::QueueKind::kDeficitRoundRobin, 3, 64u << 10, 5},
   };
   for (const ServiceConfig& config : configs) {
     SCOPED_TRACE(config.label);

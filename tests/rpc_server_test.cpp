@@ -248,19 +248,18 @@ TEST(RpcServer, CancelQueuedJobSettlesAsCancelled) {
 }
 
 TEST(RpcServer, SettledCancellationTextsCrossTheWireByteForByte) {
-  // Both cancellation texts, read back from settled job records (the pop
-  // path's and shutdown's), arrive verbatim in JobResultReply::error.
+  // Both cancellation texts, read back from settled job records (cancel's
+  // and shutdown's), arrive verbatim in JobResultReply::error.
   ManualRig rig;
   RawClient client(rig.server.socket_path());
-  const service::JobId popped = submit_one(client, rig.server, "alpha", 1, 410);
-  ASSERT_TRUE(rig.service.cancel(popped));
-  ASSERT_TRUE(rig.service.run_next());  // settles the cancelled queue entry
+  const service::JobId cancelled = submit_one(client, rig.server, "alpha", 1, 410);
+  ASSERT_TRUE(rig.service.cancel(cancelled));  // settles the job on the spot
   EXPECT_EQ(rig.service.stats().queued_jobs, 0u);
   const service::JobId stranded = submit_one(client, rig.server, "alpha", 1, 411);
   rig.service.shutdown(service::SchedulerService::StopMode::kCancelQueued);
 
   const std::pair<service::JobId, std::string> expected[] = {
-      {popped, "SchedulerService: job cancelled before execution"},
+      {cancelled, "SchedulerService: job cancelled before execution"},
       {stranded, "SchedulerService: job cancelled by shutdown"},
   };
   for (const auto& [id, text] : expected) {

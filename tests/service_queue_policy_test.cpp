@@ -1,11 +1,12 @@
 // service::QueuePolicy disciplines — deterministic, single-threaded
 // scheduling-order tests: exact pop sequences for FIFO and deficit round
 // robin, hand-traced from the DRR definition (quantum banking, cost-gated
-// service, deficit reset on drain).
+// service, deficit reset on drain), and what remove() leaves behind.
 #include "service/queue_policy.h"
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -15,7 +16,6 @@ namespace {
 
 QueuedJob job(JobId id, const std::string& tenant, std::size_t cost) {
   QueuedJob j;
-  j.seq = id;  // admission order mirrors id in these tests
   j.id = id;
   j.tenant = tenant;
   j.cost = cost;
@@ -46,6 +46,18 @@ TEST(FifoQueue, PopOnEmptyThrows) {
   q->push(job(1, "a", 1));
   (void)q->pop();
   EXPECT_THROW((void)q->pop(), std::logic_error);
+}
+
+TEST(FifoQueue, RemoveKeepsTheOthersInOrder) {
+  auto q = make_queue_policy(QueueKind::kFifo);
+  for (JobId i = 1; i <= 4; ++i) q->push(job(i, i % 2 ? "a" : "b", i));
+  const std::optional<QueuedJob> removed = q->remove(2);
+  ASSERT_TRUE(removed.has_value());
+  EXPECT_EQ(removed->id, 2u);
+  EXPECT_EQ(removed->tenant, "b");
+  EXPECT_EQ(removed->cost, 2u);
+  EXPECT_EQ(q->size(), 3u);
+  EXPECT_EQ(pop_all(*q), (std::vector<JobId>{1, 3, 4}));
 }
 
 TEST(DrrQueue, EqualCostQuantumOneInterleavesRoundRobin) {
@@ -103,6 +115,58 @@ TEST(DrrQueue, DeficitResetsWhenTenantDrains) {
   q->push(job(2, "a", 2));
   q->push(job(3, "b", 2));
   EXPECT_EQ(pop_all(*q), (std::vector<JobId>{2, 3}));
+}
+
+TEST(DrrQueue, RemovingATenantsLastJobDropsItAndResetsItsDeficit) {
+  // Quantum 3. B queues 1 (cost 1) and 2 (cost 5); one pop banks 3 and
+  // serves 1, leaving B at the front with deficit 2. Removing 2 empties B,
+  // so B leaves the rotation and forfeits the 2. Then A queues 3 (cost 2)
+  // and B queues 4 (cost 2), A activating first: both must bank a visit,
+  // and rotation order serves 3 then 4. A B that kept its 2 would serve 4
+  // first.
+  auto q = make_queue_policy(QueueKind::kDeficitRoundRobin, 3);
+  q->push(job(1, "b", 1));
+  q->push(job(2, "b", 5));
+  EXPECT_EQ(q->pop().id, 1u);
+  const std::optional<QueuedJob> removed = q->remove(2);
+  ASSERT_TRUE(removed.has_value());
+  EXPECT_EQ(removed->id, 2u);
+  EXPECT_TRUE(q->empty());
+  q->push(job(3, "a", 2));
+  q->push(job(4, "b", 2));
+  EXPECT_EQ(pop_all(*q), (std::vector<JobId>{3, 4}));
+}
+
+TEST(DrrQueue, RemovingANonHeadJobLeavesTheDeficitAlone) {
+  // Quantum 3. A queues 1 (cost 1), 2 (cost 2), 3 (cost 2); B queues 4
+  // (cost 2). Pop: A banks 3, B banks 3, A serves 1 and keeps deficit 2.
+  // Removing 3 leaves A with 2 queued, so its deficit of 2 still covers 2
+  // at once: 2 then 4. A reset deficit would serve 4 first.
+  auto q = make_queue_policy(QueueKind::kDeficitRoundRobin, 3);
+  q->push(job(1, "a", 1));
+  q->push(job(2, "a", 2));
+  q->push(job(3, "a", 2));
+  q->push(job(4, "b", 2));
+  EXPECT_EQ(q->pop().id, 1u);
+  ASSERT_TRUE(q->remove(3).has_value());
+  EXPECT_EQ(q->size(), 2u);
+  EXPECT_EQ(pop_all(*q), (std::vector<JobId>{2, 4}));
+}
+
+TEST(QueuePolicy, RemoveOfAnUnknownIdReturnsNulloptAndChangesNothing) {
+  for (const QueueKind kind : {QueueKind::kFifo, QueueKind::kDeficitRoundRobin}) {
+    SCOPED_TRACE(to_string(kind));
+    auto q = make_queue_policy(kind, 1);
+    EXPECT_FALSE(q->remove(1).has_value());
+    q->push(job(1, "a", 1));
+    q->push(job(2, "b", 1));
+    q->push(job(3, "a", 1));
+    EXPECT_FALSE(q->remove(4).has_value());
+    EXPECT_EQ(q->size(), 3u);
+    ASSERT_TRUE(q->remove(3).has_value());
+    EXPECT_FALSE(q->remove(3).has_value());  // already gone
+    EXPECT_EQ(pop_all(*q), (std::vector<JobId>{1, 2}));
+  }
 }
 
 TEST(DrrQueue, PopOnEmptyThrowsAndQuantumClampsToOne) {

@@ -191,6 +191,25 @@ TEST(SchedulerService, DrrMetersByScenarioCostNotJobCount) {
   }
 }
 
+TEST(SchedulerService, DrrChargesNothingForACancelledJob) {
+  // Quantum 4; A queues A1 A2, B queues B1 B2, every job 4 scenarios. A1 is
+  // cancelled before anything runs. Hand trace: A and B each bank 4, A
+  // serves A2 (its queue drains), B serves B1, then banks again for B2 — so
+  // A2 B1 B2. Charging the cancelled A1 to A's deficit would run B1 first.
+  SchedulerService service(manual_options(QueueKind::kDeficitRoundRobin, 4));
+  const JobTicket a1 = expect_accepted(service, "a", quick_batch(4, 10));
+  const JobTicket a2 = expect_accepted(service, "a", quick_batch(4, 20));
+  const JobTicket b1 = expect_accepted(service, "b", quick_batch(4, 30));
+  const JobTicket b2 = expect_accepted(service, "b", quick_batch(4, 40));
+  ASSERT_TRUE(service.cancel(a1.id));
+  service.drain();
+  EXPECT_EQ(fetch_done(service, a2.id).completion_index, 0u);
+  EXPECT_EQ(fetch_done(service, b1.id).completion_index, 1u);
+  EXPECT_EQ(fetch_done(service, b2.id).completion_index, 2u);
+  EXPECT_EQ(service.fetch_result(a1.id).state, JobState::kCancelled);
+  expect_conservation(service.stats());
+}
+
 TEST(SchedulerService, FifoIsTenantBlindUnderTheSameSkew) {
   // Same submission pattern as the DRR cost test, FIFO queue: A's burst
   // runs first in admission order — the unfairness DRR exists to fix.
@@ -230,6 +249,28 @@ TEST(SchedulerService, TenantQueueDepthLimitRejectsWithReason) {
   EXPECT_EQ(stats.tenant("a")->accepted_jobs, 2u);
   expect_conservation(stats);
   service.drain();
+}
+
+TEST(SchedulerService, CancelledJobFreesItsAdmissionSlotAtOnce) {
+  ServiceOptions options = manual_options(QueueKind::kFifo);
+  options.max_queued_jobs_per_tenant = 2;
+  SchedulerService service(options);
+  (void)expect_accepted(service, "a", quick_batch(3, 1));
+  const JobTicket victim = expect_accepted(service, "a", quick_batch(2, 2));
+  ASSERT_TRUE(service.cancel(victim.id));
+
+  // No run_next: the cancel alone released the slot and the scenarios.
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.queued_jobs, 1u);
+  EXPECT_EQ(stats.cancelled_jobs, 1u);
+  EXPECT_EQ(stats.tenant("a")->queued_jobs, 1u);
+  EXPECT_EQ(stats.tenant("a")->pending_scenarios, 3u);
+  expect_conservation(stats);
+
+  (void)expect_accepted(service, "a", quick_batch(1, 3));
+  EXPECT_EQ(service.submit_job("a", quick_batch(1, 4)).status,
+            SubmitStatus::kQueueFullTenant);
+  expect_conservation(service.stats());
 }
 
 TEST(SchedulerService, GlobalQueueDepthLimitRejectsAnyTenant) {
@@ -440,7 +481,7 @@ TEST(SchedulerService, CancelQueuedJobSettlesAsCancelledWithConservation) {
   const JobTicket last = expect_accepted(service, "b", quick_batch(1, 3));
 
   ASSERT_TRUE(service.cancel(victim.id));
-  // Visible immediately, before the queue entry is lazily removed.
+  // Visible immediately: the cancel settles the job on the spot.
   EXPECT_EQ(service.job_state(victim.id), JobState::kCancelled);
   EXPECT_FALSE(service.cancel(victim.id));  // second cancel is a no-op
 
@@ -474,14 +515,12 @@ TEST(SchedulerService, CancelRefusesCompletedJobs) {
 TEST(SchedulerService, ForgetReleasesRecordsInEveryState) {
   SchedulerService service(manual_options(QueueKind::kFifo));
 
-  // Forget a QUEUED job: it is cancelled (visible until the queue entry is
-  // lazily settled) and the record is erased at settlement, not handed out.
+  // Forget a QUEUED job: it is cancelled on the spot and its record erased
+  // with it, so the id reads kUnknown at once and nothing is left to run.
   const JobTicket queued = expect_accepted(service, "a", quick_batch(1, 1));
   EXPECT_TRUE(service.forget(queued.id));
-  EXPECT_EQ(service.job_state(queued.id), JobState::kCancelled);
-  while (service.run_next()) {
-  }
   EXPECT_EQ(service.job_state(queued.id), JobState::kUnknown);
+  EXPECT_FALSE(service.run_next());
 
   // Forget a TERMINAL job: the record is dropped without a fetch.
   const JobTicket done = expect_accepted(service, "a", quick_batch(1, 2));
@@ -502,17 +541,15 @@ TEST(SchedulerService, CancelledQueuedJobFetchIsExactlyOnceBeforeSettlement) {
   const JobTicket ticket = expect_accepted(service, "a", quick_batch(1, 1));
   ASSERT_TRUE(service.cancel(ticket.id));
 
-  // First fetch before the pop path settles the record: this IS the fetch.
+  // The cancel settled the record; the first fetch consumes it.
   const FetchOutcome first = service.fetch_result(ticket.id);
   EXPECT_EQ(first.state, JobState::kCancelled);
   EXPECT_EQ(first.error, kCancelledText);
 
-  // A second fetch of the still-unsettled record must read kUnknown — the
-  // same answer it will give once settlement erases the record.
+  // The record is gone: a second fetch reads kUnknown.
   EXPECT_EQ(service.fetch_result(ticket.id).state, JobState::kUnknown);
 
-  // forget() consumes the fetch too: a later fetch may not resurrect the
-  // cancelled outcome while the queue entry lingers.
+  // forget() of a queued job leaves nothing for a later fetch to read.
   const JobTicket forgotten = expect_accepted(service, "a", quick_batch(1, 2));
   EXPECT_TRUE(service.forget(forgotten.id));
   EXPECT_EQ(service.fetch_result(forgotten.id).state, JobState::kUnknown);
@@ -586,15 +623,33 @@ TEST(SchedulerService, WaitingFetchWakesWhenCancelIsAcceptedWithoutAPop) {
   WaitingFetch waiter(service, ticket.id);
   // No run_next: the accepted cancel alone must release the waiter.
   ASSERT_TRUE(service.cancel(ticket.id));
+  // The cancel took the job out of the queue and settled it on the spot.
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.queued_jobs, 0u);
+  EXPECT_EQ(stats.cancelled_jobs, 1u);
+  EXPECT_FALSE(service.run_next());
 
   const FetchOutcome outcome = waiter.join();
   EXPECT_EQ(outcome.state, JobState::kCancelled);
   EXPECT_EQ(outcome.error, kCancelledText);
-  // The queue entry is still there; popping it settles the consumed record.
-  EXPECT_EQ(service.stats().queued_jobs, 1u);
-  EXPECT_TRUE(service.run_next());
   EXPECT_EQ(service.job_state(ticket.id), JobState::kUnknown);
   expect_conservation(service.stats());
+}
+
+TEST(SchedulerService, WaitingFetchWakesWhenTheJobIsForgotten) {
+  SchedulerService service(manual_options(QueueKind::kFifo));
+  const JobTicket ticket = expect_accepted(service, "a", quick_batch(1, 1));
+  WaitingFetch waiter(service, ticket.id);
+  // No run_next: forgetting the queued job must release the waiter.
+  ASSERT_TRUE(service.forget(ticket.id));
+
+  const FetchOutcome outcome = waiter.join();
+  EXPECT_EQ(outcome.state, JobState::kUnknown);
+  EXPECT_EQ(outcome.error, "");
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.queued_jobs, 0u);
+  EXPECT_EQ(stats.cancelled_jobs, 1u);
+  expect_conservation(stats);
 }
 
 TEST(SchedulerService, WaitingFetchWakesWhenShutdownCancelsTheJob) {
