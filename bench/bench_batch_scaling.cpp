@@ -19,6 +19,7 @@
 #include "harness/harness.h"
 
 #include "sim/batch_runner.h"
+#include "solver/solve_cache.h"
 #include "solver/table_store.h"
 #include "util/thread_pool.h"
 
@@ -47,10 +48,8 @@ void run(harness::Context& ctx) {
   const util::Flags& flags = ctx.flags();
   const Ticks c = flags.get_int("c", 32);
   const int p = static_cast<int>(flags.get_int("p", ctx.quick() ? 3 : 4));
-  const std::size_t keys =
-      static_cast<std::size_t>(flags.get_int("keys", ctx.quick() ? 4 : 8));
-  const std::size_t sessions = static_cast<std::size_t>(
-      flags.get_int("sessions", ctx.quick() ? 96 : 1024));
+  const std::size_t keys = flags.get_count("keys", ctx.quick() ? 4 : 8);
+  const std::size_t sessions = flags.get_count("sessions", ctx.quick() ? 96 : 1024);
   const Ticks base_u = flags.get_int("u", ctx.quick() ? 2048 : 4096);
   const Ticks step_u = flags.get_int("step", 512);
   const int reps = ctx.quick() ? 1 : 2;
@@ -64,11 +63,13 @@ void run(harness::Context& ctx) {
   // read-only and warm: misses become mmap reads instead of solves.
   harness::ScratchDir store_dir("e13-store");
   {
-    sim::BatchOptions bake;
-    bake.cache.store = std::make_shared<solver::MappedTableStore>(
+    solver::SolveCache::Options bake_options;
+    bake_options.store = std::make_shared<solver::MappedTableStore>(
         solver::MappedTableStore::Options{store_dir.path(), false});
-    sim::BatchRunner baker(bake);
-    baker.run(specs);
+    solver::SolveCache bake_cache(bake_options);
+    sim::BatchOptions bake;
+    bake.shared_cache = &bake_cache;
+    sim::BatchRunner(bake).run(specs);
   }
   auto warm_store = std::make_shared<solver::MappedTableStore>(
       solver::MappedTableStore::Options{store_dir.path(), /*read_only=*/true});
@@ -90,27 +91,31 @@ void run(harness::Context& ctx) {
   for (std::size_t threads : thread_counts) {
     util::ThreadPool pool(threads);
     for (const std::string& mode : modes) {
-      // `warm-ram` keeps one runner hot across reps (the timed run hits RAM
-      // for every key); every other mode gets a fresh runner per rep so its
-      // cache starts cold and the hit rate is the deterministic
-      // (sessions − keys) / sessions of one batch.
+      // `warm-ram` keeps one cache hot across reps (the timed run hits RAM
+      // for every key); `cold-ram` and `mapped` get a fresh default-sized
+      // cache per rep so it starts cold and the hit rate is the
+      // deterministic (sessions − keys) / sessions of one batch; `naive`
+      // runs without a cache.
+      solver::SolveCache::Options cache_options;
+      if (mode == "mapped") cache_options.store = warm_store;
       sim::BatchOptions opts;
       opts.pool = &pool;
-      opts.cache_enabled = mode != "naive";
-      if (mode == "mapped") opts.cache.store = warm_store;
-      std::unique_ptr<sim::BatchRunner> warm_runner;
+      std::unique_ptr<solver::SolveCache> warm_cache;
       if (mode == "warm-ram") {
-        warm_runner = std::make_unique<sim::BatchRunner>(opts);
-        warm_runner->run(specs);  // warm-up: not timed
+        warm_cache = std::make_unique<solver::SolveCache>(cache_options);
+        opts.shared_cache = warm_cache.get();
+        sim::BatchRunner(opts).run(specs);  // warm-up: not timed
       }
 
       sim::BatchResult result;
       const double ms = harness::time_best_of_ms(reps, [&] {
-        if (warm_runner != nullptr) {
-          result = warm_runner->run(specs);
-          return;
+        sim::BatchOptions run_opts = opts;
+        std::unique_ptr<solver::SolveCache> cold_cache;
+        if (mode == "cold-ram" || mode == "mapped") {
+          cold_cache = std::make_unique<solver::SolveCache>(cache_options);
+          run_opts.shared_cache = cold_cache.get();
         }
-        sim::BatchRunner runner(opts);
+        sim::BatchRunner runner(run_opts);
         result = runner.run(specs);
       });
 

@@ -74,6 +74,8 @@ RaceCell run_mode(race::Mode mode, const std::vector<race::Region>& regions,
   options.race.budget = cap / 4;
   options.seed = 0xE16;
   options.batch.pool = pool;
+  solver::SolveCache cache;
+  options.batch.shared_cache = &cache;
   race::PolicyRace race(regions, arms, options);
   RaceCell cell;
   cell.wall_ms = harness::time_best_of_ms(1, [&] { cell.result = race.run(); });
@@ -83,12 +85,9 @@ RaceCell run_mode(race::Mode mode, const std::vector<race::Region>& regions,
 void run(harness::Context& ctx) {
   const util::Flags& flags = ctx.flags();
   const Ticks max_u = flags.get_int("u", ctx.quick() ? 512 : 1024);
-  const std::size_t batch =
-      static_cast<std::size_t>(flags.get_int("batch", 8));
-  const std::size_t cap = static_cast<std::size_t>(
-      flags.get_int("cap", ctx.quick() ? 16384 : 32768));
-  const std::size_t threads =
-      static_cast<std::size_t>(flags.get_int("threads", 4));
+  const std::size_t batch = flags.get_count("batch", 8);
+  const std::size_t cap = flags.get_count("cap", ctx.quick() ? 16384 : 32768);
+  const std::size_t threads = flags.get_count("threads", 4);
   util::ThreadPool pool(threads);
 
   // ------------------------------------------------------------------
@@ -168,10 +167,8 @@ void run(harness::Context& ctx) {
       sim::PolicyKind::kEqualized, sim::PolicyKind::kAdaptivePaper,
       sim::PolicyKind::kNonAdaptiveRestart};
   race::RegretHuntOptions hunt_options;
-  hunt_options.probes_per_region =
-      static_cast<std::size_t>(flags.get_int("probes", ctx.quick() ? 8 : 24));
-  hunt_options.rounds =
-      static_cast<std::size_t>(flags.get_int("rounds", ctx.quick() ? 2 : 4));
+  hunt_options.probes_per_region = flags.get_count("probes", ctx.quick() ? 8 : 24);
+  hunt_options.rounds = flags.get_count("rounds", ctx.quick() ? 2 : 4);
   hunt_options.beam = 2;
   hunt_options.seed = 0x4E6;
 

@@ -197,12 +197,11 @@ void emit_surface(harness::Context& ctx, util::Table& out,
 
 void run(harness::Context& ctx) {
   const util::Flags& flags = ctx.flags();
-  const std::size_t latency_iters = static_cast<std::size_t>(
-      flags.get_int("latency-iters", ctx.quick() ? 48 : 400));
-  const std::size_t batch_jobs = static_cast<std::size_t>(
-      flags.get_int("batch-jobs", ctx.quick() ? 16 : 64));
-  const std::size_t batch_scenarios = static_cast<std::size_t>(
-      flags.get_int("batch-scenarios", ctx.quick() ? 4 : 8));
+  const std::size_t latency_iters =
+      flags.get_count("latency-iters", ctx.quick() ? 48 : 400);
+  const std::size_t batch_jobs = flags.get_count("batch-jobs", ctx.quick() ? 16 : 64);
+  const std::size_t batch_scenarios =
+      flags.get_count("batch-scenarios", ctx.quick() ? 4 : 8);
 
   harness::ScratchDir scratch("rpc_roundtrip");
   const std::string socket_path =

@@ -21,6 +21,7 @@
 
 #include "sim/batch_runner.h"
 #include "sim/scenario_gen.h"
+#include "solver/solve_cache.h"
 #include "solver/table_store.h"
 #include "util/thread_pool.h"
 
@@ -81,10 +82,8 @@ std::vector<sim::ScenarioSpec> draw(const Profile& profile, std::size_t sessions
 
 void run(harness::Context& ctx) {
   const util::Flags& flags = ctx.flags();
-  const std::size_t sessions = static_cast<std::size_t>(
-      flags.get_int("sessions", ctx.quick() ? 96 : 768));
-  const std::size_t threads =
-      static_cast<std::size_t>(flags.get_int("threads", 4));
+  const std::size_t sessions = flags.get_count("sessions", ctx.quick() ? 96 : 768);
+  const std::size_t threads = flags.get_count("threads", 4);
   const std::uint64_t seed =
       static_cast<std::uint64_t>(flags.get_int("seed", 0xE14));
   const int reps = ctx.quick() ? 1 : 2;
@@ -109,16 +108,21 @@ void run(harness::Context& ctx) {
     // Determinism gate: pooled and serial runs must agree bit-for-bit. The
     // serial run also bakes this profile's persistent store (its spills
     // fill the directory the warm-start run below mounts read-only).
-    sim::BatchOptions serial_opts;
-    serial_opts.cache.store = std::make_shared<solver::MappedTableStore>(
+    solver::SolveCache::Options serial_options;
+    serial_options.store = std::make_shared<solver::MappedTableStore>(
         solver::MappedTableStore::Options{store_dir, false});
+    solver::SolveCache serial_cache(serial_options);
+    sim::BatchOptions serial_opts;
+    serial_opts.shared_cache = &serial_cache;
     sim::BatchRunner serial_runner(serial_opts);
     const auto serial = serial_runner.run(specs);
 
     sim::BatchResult result;
     const double ms = harness::time_best_of_ms(reps, [&] {
+      solver::SolveCache cache;
       sim::BatchOptions opts;
       opts.pool = &pool;
+      opts.shared_cache = &cache;
       sim::BatchRunner runner(opts);
       result = runner.run(specs);
     });
@@ -135,9 +139,12 @@ void run(harness::Context& ctx) {
     auto warm_store = std::make_shared<solver::MappedTableStore>(
         solver::MappedTableStore::Options{store_dir, /*read_only=*/true});
     const double mapped_ms = harness::time_best_of_ms(reps, [&] {
+      solver::SolveCache::Options mapped_options;
+      mapped_options.store = warm_store;
+      solver::SolveCache cache(mapped_options);
       sim::BatchOptions opts;
       opts.pool = &pool;
-      opts.cache.store = warm_store;
+      opts.shared_cache = &cache;
       sim::BatchRunner runner(opts);
       mapped = runner.run(specs);
     });

@@ -148,16 +148,11 @@ CellResult run_cell(service::QueueKind queue, std::size_t workers,
 
 void run(harness::Context& ctx) {
   const util::Flags& flags = ctx.flags();
-  const std::size_t tenants =
-      static_cast<std::size_t>(flags.get_int("tenants", 4));
-  const std::size_t scenarios =
-      static_cast<std::size_t>(flags.get_int("scenarios", ctx.quick() ? 4 : 6));
-  const std::size_t hog_jobs = static_cast<std::size_t>(
-      flags.get_int("hog-jobs", ctx.quick() ? 16 : 48));
-  const std::size_t other_jobs = static_cast<std::size_t>(
-      flags.get_int("other-jobs", ctx.quick() ? 4 : 12));
-  const std::size_t keys =
-      static_cast<std::size_t>(flags.get_int("keys", 4));
+  const std::size_t tenants = flags.get_count("tenants", 4);
+  const std::size_t scenarios = flags.get_count("scenarios", ctx.quick() ? 4 : 6);
+  const std::size_t hog_jobs = flags.get_count("hog-jobs", ctx.quick() ? 16 : 48);
+  const std::size_t other_jobs = flags.get_count("other-jobs", ctx.quick() ? 4 : 12);
+  const std::size_t keys = flags.get_count("keys", 4);
   const Ticks base_u = flags.get_int("u", ctx.quick() ? 1024 : 2048);
   if (tenants < 2) throw std::invalid_argument("E15 needs --tenants >= 2");
 

@@ -18,13 +18,12 @@ using namespace nowsched;
 
 int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
-  const std::size_t sessions =
-      static_cast<std::size_t>(flags.get_int("sessions", 512));
-  const std::size_t keys = static_cast<std::size_t>(flags.get_int("keys", 8));
+  const std::size_t sessions = flags.get_count("sessions", 512);
+  const std::size_t keys = flags.get_count("keys", 8);
   const Params params{flags.get_int("c", 32)};
   const Ticks base_u = flags.get_int("u", 4096);
   const int p = static_cast<int>(flags.get_int("p", 3));
-  const std::size_t threads = static_cast<std::size_t>(flags.get_int("threads", 4));
+  const std::size_t threads = flags.get_count("threads", 4);
 
   // The scenario mix: dp-optimal policies over `keys` contract classes, so
   // sessions sharing a class share one canonical W(p)[L] solve.
@@ -44,9 +43,10 @@ int main(int argc, char** argv) {
 
   util::ThreadPool pool(threads);
   auto timed_run = [&](bool cached) {
+    solver::SolveCache cache;
     sim::BatchOptions options;
     options.pool = &pool;
-    options.cache_enabled = cached;
+    options.shared_cache = cached ? &cache : nullptr;
     sim::BatchRunner runner(options);
     const auto start = std::chrono::steady_clock::now();
     const sim::BatchResult result = runner.run(specs);

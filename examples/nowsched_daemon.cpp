@@ -43,18 +43,16 @@ void handle_signal(int) {
 
 service::ServiceOptions service_options_from_flags(const util::Flags& flags) {
   service::ServiceOptions options;
-  options.workers = static_cast<std::size_t>(flags.get_int("workers", 2));
+  options.workers = flags.get_count("workers", 2);
   const std::string queue_name = flags.get("queue", "drr");
   try {
     options.queue = service::queue_kind_from_string(queue_name);
   } catch (const std::invalid_argument&) {
     flags.usage_error("queue", "fifo | drr | fair-share", queue_name);
   }
-  options.drr_quantum = static_cast<std::size_t>(flags.get_int("quantum", 8));
-  options.max_queued_jobs_per_tenant =
-      static_cast<std::size_t>(flags.get_int("tenant-depth", 16));
-  options.max_queued_jobs_total =
-      static_cast<std::size_t>(flags.get_int("global-depth", 64));
+  options.drr_quantum = flags.get_count("quantum", 8);
+  options.max_queued_jobs_per_tenant = flags.get_count("tenant-depth", 16);
+  options.max_queued_jobs_total = flags.get_count("global-depth", 64);
   options.shared_store_dir = flags.get("shared-store-dir", "");
   options.shared_store_readonly = flags.get_bool("store-readonly", false);
   return options;
@@ -159,9 +157,8 @@ int run_serve(const util::Flags& flags, const std::string& socket_path) {
 
 int run_client(const util::Flags& flags, const std::string& socket_path) {
   const std::string tenant = flags.get("tenant", "tenant-0");
-  const std::size_t jobs = static_cast<std::size_t>(flags.get_int("jobs", 8));
-  const std::size_t scenarios =
-      static_cast<std::size_t>(flags.get_int("scenarios", 4));
+  const std::size_t jobs = flags.get_count("jobs", 8);
+  const std::size_t scenarios = flags.get_count("scenarios", 4);
   const std::uint64_t seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
   const std::size_t resolved =
       drive_client(socket_path, tenant, jobs, scenarios, seed);
@@ -174,10 +171,9 @@ int run_client(const util::Flags& flags, const std::string& socket_path) {
 }
 
 int run_selfdrive(const util::Flags& flags, const std::string& socket_path) {
-  const std::size_t clients = static_cast<std::size_t>(flags.get_int("clients", 3));
-  const std::size_t jobs = static_cast<std::size_t>(flags.get_int("jobs", 8));
-  const std::size_t scenarios =
-      static_cast<std::size_t>(flags.get_int("scenarios", 4));
+  const std::size_t clients = flags.get_count("clients", 3);
+  const std::size_t jobs = flags.get_count("jobs", 8);
+  const std::size_t scenarios = flags.get_count("scenarios", 4);
   const std::uint64_t seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
   if (clients == 0) {
     std::cerr << "nowsched_daemon: --clients must be >= 1\n";

@@ -78,10 +78,9 @@ int run_hunt(const util::Flags& flags) {
   }
 
   race::RegretHuntOptions options;
-  options.probes_per_region =
-      static_cast<std::size_t>(flags.get_int("probes", 16));
-  options.rounds = static_cast<std::size_t>(flags.get_int("rounds", 3));
-  options.beam = static_cast<std::size_t>(flags.get_int("beam", 2));
+  options.probes_per_region = flags.get_count("probes", 16);
+  options.rounds = flags.get_count("rounds", 3);
+  options.beam = flags.get_count("beam", 2);
   options.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
 
   solver::SolveCache cache;
@@ -147,13 +146,14 @@ int run_race(const util::Flags& flags) {
   options.race.mode = mode;
   options.race.delta = flags.get_double("delta", 0.05);
   options.race.epsilon = flags.get_double("epsilon", 0.1);
-  options.race.batch = static_cast<std::size_t>(flags.get_int("batch", 8));
-  options.race.budget = static_cast<std::size_t>(flags.get_int("budget", 4096));
-  options.race.max_total_pulls =
-      static_cast<std::size_t>(flags.get_int("cap", 16384));
+  options.race.batch = flags.get_count("batch", 8);
+  options.race.budget = flags.get_count("budget", 4096);
+  options.race.max_total_pulls = flags.get_count("cap", 16384);
   options.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  util::ThreadPool pool(static_cast<std::size_t>(flags.get_int("threads", 4)));
+  util::ThreadPool pool(flags.get_count("threads", 4));
   options.batch.pool = &pool;
+  solver::SolveCache solve_cache;
+  options.batch.shared_cache = &solve_cache;
 
   race::PolicyRace policy_race(regions, arms, options);
   const race::PolicyRaceResult result = policy_race.run();
@@ -180,7 +180,7 @@ int run_race(const util::Flags& flags) {
                        : "round " + std::to_string(arm.round_eliminated)});
   }
   std::cout << table.to_string() << "\n";
-  const solver::SolveCacheStats cache = policy_race.cache_stats();
+  const solver::SolveCacheStats cache = solve_cache.stats();
   std::cout << "solve cache: " << cache.hits << " hits / " << cache.misses
             << " misses\n";
 

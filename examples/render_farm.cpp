@@ -57,8 +57,8 @@ PlanResult run_plan(const std::string& name, const PolicyPtr& policy,
 int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const Params params{flags.get_int("c", 16)};
-  const auto stations = static_cast<std::size_t>(flags.get_int("stations", 6));
-  const auto frames = static_cast<std::size_t>(flags.get_int("frames", 4000));
+  const auto stations = flags.get_count("stations", 6);
+  const auto frames = flags.get_count("frames", 4000);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
 
   std::cout << "Render farm: " << stations << " borrowed workstations, " << frames

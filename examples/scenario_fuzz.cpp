@@ -50,7 +50,7 @@ int main(int argc, const char* const* argv) {
   const std::string replay = flags.get("replay", "");
   if (!replay.empty()) return run_replay(replay);
 
-  const auto cases = static_cast<std::size_t>(flags.get_int("cases", 128));
+  const auto cases = flags.get_count("cases", 128);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const bool farms = flags.get_bool("farms", false);
   const long long dump = flags.get_int("dump", -1);
@@ -58,7 +58,7 @@ int main(int argc, const char* const* argv) {
   sim::ScenarioDomain domain;
   domain.max_lifespan = flags.get_int("max-u", 8192);
   domain.max_interrupts = static_cast<int>(flags.get_int("max-p", 6));
-  domain.contract_classes = static_cast<std::size_t>(flags.get_int("classes", 6));
+  domain.contract_classes = flags.get_count("classes", 6);
   sim::ScenarioGenerator gen(domain, seed);
 
   if (dump >= 0) {
@@ -76,9 +76,11 @@ int main(int argc, const char* const* argv) {
   }
   specs.resize(cases);
 
-  util::ThreadPool pool(static_cast<std::size_t>(flags.get_int("threads", 4)));
+  util::ThreadPool pool(flags.get_count("threads", 4));
+  solver::SolveCache cache;
   sim::BatchOptions options;
   options.pool = &pool;
+  options.shared_cache = &cache;
   sim::BatchRunner runner(options);
   const sim::BatchResult result = runner.run(specs);
 

@@ -27,14 +27,12 @@ using namespace nowsched;
 
 int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
-  const std::size_t jobs = static_cast<std::size_t>(flags.get_int("jobs", 48));
-  const std::size_t scenarios =
-      static_cast<std::size_t>(flags.get_int("scenarios", 8));
-  const std::size_t workers = static_cast<std::size_t>(flags.get_int("workers", 4));
-  const std::size_t tenants = static_cast<std::size_t>(flags.get_int("tenants", 3));
-  const std::size_t quota_mb =
-      static_cast<std::size_t>(flags.get_int("quota-mb", 4));
-  const std::size_t skew = static_cast<std::size_t>(flags.get_int("skew", 1));
+  const std::size_t jobs = flags.get_count("jobs", 48);
+  const std::size_t scenarios = flags.get_count("scenarios", 8);
+  const std::size_t workers = flags.get_count("workers", 4);
+  const std::size_t tenants = flags.get_count("tenants", 3);
+  const std::size_t quota_mb = flags.get_count("quota-mb", 4);
+  const std::size_t skew = flags.get_count("skew", 1);
   const std::uint64_t seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
   const std::string queue_name = flags.get("queue", "drr");
   if (jobs == 0 || scenarios == 0 || tenants == 0 || skew == 0) {
@@ -49,11 +47,9 @@ int main(int argc, char** argv) {
   } catch (const std::invalid_argument& e) {
     flags.usage_error("queue", "fifo | drr | fair-share", queue_name);
   }
-  options.drr_quantum = static_cast<std::size_t>(flags.get_int("quantum", 8));
-  options.max_queued_jobs_per_tenant =
-      static_cast<std::size_t>(flags.get_int("tenant-depth", 16));
-  options.max_queued_jobs_total =
-      static_cast<std::size_t>(flags.get_int("global-depth", 64));
+  options.drr_quantum = flags.get_count("quantum", 8);
+  options.max_queued_jobs_per_tenant = flags.get_count("tenant-depth", 16);
+  options.max_queued_jobs_total = flags.get_count("global-depth", 64);
 
   service::SchedulerService service(options);
   for (std::size_t t = 0; t < tenants; ++t) {

@@ -74,7 +74,6 @@
 #include "util/mmap_file.h"
 #include "util/parse.h"
 #include "util/rng.h"
-#include "util/striped_lock.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "util/text_record.h"

@@ -7,8 +7,9 @@
 //     score = banked_work / lifespan  ∈ [0, 1]
 //
 // (banked_work <= lifespan by the model, so the racing bounds get a true
-// range). Scoring goes through ONE persistent sim::BatchRunner, so dp-optimal
-// arms share solves through the solve cache across pulls, rounds, and arms.
+// range). Scoring goes through ONE persistent sim::BatchRunner over the
+// caller's solve cache (PolicyRaceOptions::batch.shared_cache), so dp-optimal
+// arms share solves across pulls, rounds, and arms.
 //
 // Matched design: every generator is seeded from (race seed, REGION) — not
 // the arm — and the arm's policy is forced by narrowing the region's domain
@@ -20,7 +21,7 @@
 //
 // Determinism: sample_spec(arm, i) is random-access pure (the generator
 // contract), BatchRunner results are bit-identical across thread counts and
-// cache configurations, and the race engine breaks every tie by index — so
+// with or without a cache, and the race engine breaks every tie by index — so
 // the full PolicyRaceResult (verdicts included) is a deterministic function
 // of (regions, arms, options). Pinned by tests/race_stress_test.cpp.
 //
@@ -64,7 +65,10 @@ struct PolicyRaceOptions {
   RaceOptions race;
   /// Root seed; generator seeds derive from (seed, region index).
   std::uint64_t seed = 0;
-  /// Pool / cache configuration for the scoring BatchRunner.
+  /// Pool and solve cache of the scoring BatchRunner. The cache is the
+  /// caller's (it must outlive the race, and its stats() are the race's
+  /// solve counters); without one every dp-optimal pull solves its own
+  /// table.
   sim::BatchOptions batch;
 };
 
@@ -124,9 +128,6 @@ class PolicyRace {
 
   /// Runs the race and distills verdicts. Deterministic given construction.
   PolicyRaceResult run();
-
-  /// Solve-cache counters of the scoring runner (shared across all arms).
-  solver::SolveCacheStats cache_stats() const { return runner_.cache().stats(); }
 
   const std::vector<Region>& regions() const noexcept { return regions_; }
   const std::vector<PolicyArm>& arms() const noexcept { return arms_; }

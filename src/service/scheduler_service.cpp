@@ -293,7 +293,7 @@ void SchedulerService::set_tenant_quota(const std::string& tenant,
     t.books.quota_bytes = bytes;
     cache = &t.cache;
   }
-  // Resize outside mu_: eviction takes the cache's stripe locks, and there is
+  // Resize outside mu_: eviction takes the cache's shard locks, and there is
   // no need to stall submit/stats while tables are dropped.
   cache->set_max_bytes(bytes);
 }
@@ -398,7 +398,6 @@ void SchedulerService::execute(QueuedJob job, Tenant& tenant,
   try {
     sim::BatchOptions batch_options;
     batch_options.pool = nullptr;  // parallelism comes from service workers
-    batch_options.cache_enabled = true;
     batch_options.shared_cache = &tenant.cache;
     sim::BatchRunner runner(batch_options);
     result.batch = runner.run(job.specs);
@@ -492,7 +491,8 @@ ServiceStats SchedulerService::stats() const {
     for (const auto& [id, t] : tenants_) {
       TenantStats ts = t.books;
       ts.tenant = id;
-      // Lock order mu_ -> cache stripes, same as execute(); never inverted.
+      // Lock order mu_ -> cache shard mutexes. No cache path takes mu_
+      // (execute() runs its batch outside it), so it is never inverted.
       ts.cache = t.cache.stats();
       const std::vector<double> samples = t.latency.samples();
       ts.latency = summarize_latency(samples);

@@ -141,7 +141,7 @@ struct ServiceOptions {
   /// set_tenant_quota call.
   std::size_t default_tenant_quota_bytes = 16u << 20;  // 16 MiB
   /// Shards per tenant cache (tenants are already the coarse sharding, so
-  /// fewer stripes than a process-global cache would use).
+  /// fewer shards than a process-global cache would use).
   std::size_t tenant_cache_shards = 4;
 
   /// Per-tenant latency ring capacity (most recent samples kept).

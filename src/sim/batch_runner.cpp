@@ -63,7 +63,8 @@ std::unique_ptr<adversary::Adversary> make_owner(const ScenarioSpec& spec) {
   throw std::logic_error("BatchRunner: unknown owner kind");
 }
 
-std::shared_ptr<const SchedulingPolicy> make_policy(const ScenarioSpec& spec) {
+std::shared_ptr<const SchedulingPolicy> make_policy(const ScenarioSpec& spec,
+                                                    solver::SolveCache* cache) {
   switch (spec.policy) {
     case PolicyKind::kEqualized:
       return std::make_shared<EqualizedGuidelinePolicy>();
@@ -73,7 +74,8 @@ std::shared_ptr<const SchedulingPolicy> make_policy(const ScenarioSpec& spec) {
       return std::make_shared<NonAdaptiveGuidelinePolicy>();
     case PolicyKind::kDpOptimal: {
       const solver::SolveRequest req{spec.max_interrupts, spec.lifespan, spec.params};
-      return std::make_shared<solver::OptimalPolicy>(solver::solve_shared(req));
+      return std::make_shared<solver::OptimalPolicy>(
+          cache != nullptr ? cache->get_or_solve(req) : solver::solve_shared(req));
     }
   }
   throw std::logic_error("BatchRunner: unknown policy kind");
@@ -111,29 +113,6 @@ std::uint64_t scenario_stream_seed(const ScenarioSpec& spec) {
   return util::hash_combine(h, static_cast<std::uint64_t>(spec.params.c));
 }
 
-BatchRunner::BatchRunner(BatchOptions options)
-    // With an external shared cache the private one is never consulted, so
-    // build it minimal (one stripe, zero budget) instead of at full width.
-    : options_(options),
-      cache_(options.shared_cache != nullptr
-                 ? solver::SolveCache::Options{1, 0, nullptr}
-                 : options.cache) {}
-
-SessionMetrics BatchRunner::run_one(const ScenarioSpec& spec) {
-  std::shared_ptr<const SchedulingPolicy> policy;
-  if (spec.policy == PolicyKind::kDpOptimal && options_.cache_enabled) {
-    const solver::SolveRequest req{spec.max_interrupts, spec.lifespan, spec.params};
-    policy = std::make_shared<solver::OptimalPolicy>(
-        active_cache().get_or_solve(req));
-  } else {
-    policy = make_policy(spec);
-  }
-
-  auto owner = make_owner(spec);
-  return run_session(*policy, *owner, Opportunity{spec.lifespan, spec.max_interrupts},
-                     spec.params);
-}
-
 BatchResult BatchRunner::run(const std::vector<ScenarioSpec>& specs) {
   validate_batch_specs(specs);
 
@@ -146,7 +125,13 @@ BatchResult BatchRunner::run(const std::vector<ScenarioSpec>& specs) {
   // every index is an entire session simulation (ms-scale): dispatch
   // overhead is negligible against the body, and fine chunks are what let
   // a small batch use the whole pool and heavy naive-mode sessions balance.
-  auto body = [&](std::size_t i) { result.per_scenario[i] = run_one(specs[i]); };
+  auto body = [&](std::size_t i) {
+    const ScenarioSpec& spec = specs[i];
+    const auto policy = make_policy(spec, options_.shared_cache);
+    const auto owner = make_owner(spec);
+    result.per_scenario[i] = run_session(
+        *policy, *owner, Opportunity{spec.lifespan, spec.max_interrupts}, spec.params);
+  };
   if (options_.pool != nullptr && specs.size() > 1) {
     options_.pool->parallel_for(0, specs.size(), body, /*grain=*/1);
   } else {
@@ -154,7 +139,7 @@ BatchResult BatchRunner::run(const std::vector<ScenarioSpec>& specs) {
   }
 
   for (const SessionMetrics& m : result.per_scenario) result.aggregate.merge(m);
-  result.cache = active_cache().stats();
+  if (options_.shared_cache != nullptr) result.cache = options_.shared_cache->stats();
   return result;
 }
 

@@ -14,8 +14,8 @@
 // adversary stream is derived from spec.seed via util::hash_combine (no
 // global RNG, no time, no thread identity) and the aggregate is merged in
 // index order after the parallel region. Results are therefore bit-identical
-// across thread counts, submission orders, and cache on/off (the cache only
-// changes WHO solves a table, never its contents). Verified by
+// across thread counts, submission orders, and with or without a cache (the
+// cache only changes WHO solves a table, never its contents). Verified by
 // tests/sim_batch_determinism_test.cpp at 1/2/8 threads.
 //
 // Threading contract: run() drives options.pool through one blocking
@@ -91,16 +91,12 @@ struct BatchOptions {
   /// Pool the sessions fan out on; nullptr runs the batch on the calling
   /// thread (still through the same code path, so results are identical).
   util::ThreadPool* pool = nullptr;
-  /// When false every dp-optimal scenario re-solves its own table — the
-  /// "naive per-session re-solving" baseline E13 measures against.
-  bool cache_enabled = true;
-  solver::SolveCache::Options cache;
-  /// When non-null, dp-optimal solves go through this externally owned cache
-  /// instead of the runner's private one, and `cache` is ignored. This is
-  /// how service::SchedulerService layers per-tenant byte quotas on the
-  /// batch engine: one quota-budgeted cache per tenant, shared by every job
-  /// the tenant runs. The cache must outlive the runner; cache_enabled
-  /// still gates whether ANY cache is consulted.
+  /// The cache dp-optimal solves go through, owned by the caller and
+  /// outliving the runner. Callers share one cache across runners and runs:
+  /// service::SchedulerService passes each tenant's quota-budgeted cache to
+  /// every job the tenant runs. nullptr (the default) means every dp-optimal
+  /// scenario solves its own table — the "naive per-session re-solving"
+  /// baseline E13 measures against.
   solver::SolveCache* shared_cache = nullptr;
 };
 
@@ -110,34 +106,27 @@ struct BatchResult {
   std::vector<SessionMetrics> per_scenario;
   /// All sessions merged in index order.
   SessionMetrics aggregate;
-  /// Solve-cache counters for this runner (lifetime, so across run() calls).
+  /// Lifetime counters of BatchOptions::shared_cache after this run (so
+  /// they include other runs and runners on the same cache); all zero
+  /// without a cache.
   solver::SolveCacheStats cache;
   std::size_t scenarios = 0;
 };
 
 class BatchRunner {
  public:
-  explicit BatchRunner(BatchOptions options = {});
+  /// A default-constructed runner has no cache: every dp-optimal scenario
+  /// solves its own table.
+  explicit BatchRunner(BatchOptions options = {}) : options_(options) {}
 
   /// Runs every scenario to completion and aggregates. Specs are validated
   /// up front (invalid ones throw std::invalid_argument naming the index —
-  /// no session starts). The runner's cache persists across calls, so a
-  /// second run() over similar specs starts warm.
+  /// no session starts). The cache outlives the call, so a second run()
+  /// over similar specs starts warm.
   BatchResult run(const std::vector<ScenarioSpec>& specs);
 
-  /// The cache this runner's dp-optimal solves go through: the external
-  /// shared cache when BatchOptions::shared_cache is set, else the private
-  /// one.
-  const solver::SolveCache& cache() const noexcept { return active_cache(); }
-
  private:
-  SessionMetrics run_one(const ScenarioSpec& spec);
-  solver::SolveCache& active_cache() const noexcept {
-    return options_.shared_cache != nullptr ? *options_.shared_cache : cache_;
-  }
-
   BatchOptions options_;
-  mutable solver::SolveCache cache_;
 };
 
 /// Validates every spec exactly like BatchRunner::run does up front: throws
@@ -155,10 +144,12 @@ std::uint64_t scenario_stream_seed(const ScenarioSpec& spec);
 /// std::invalid_argument on bad owner parameters.
 std::unique_ptr<adversary::Adversary> make_owner(const ScenarioSpec& spec);
 
-/// Builds the spec's scheduling policy. kDpOptimal solves its table through
-/// solver::solve_shared (uncached — callers wanting the cache go through
-/// BatchRunner). The conformance suite uses this + make_owner to rebuild a
-/// replayed scenario's session bit-for-bit.
-std::shared_ptr<const SchedulingPolicy> make_policy(const ScenarioSpec& spec);
+/// Builds the spec's scheduling policy — the one a BatchRunner session
+/// runs. kDpOptimal takes its table from `cache` (solver::solve_shared,
+/// uncached, when it is nullptr); the other kinds ignore it. The
+/// conformance suite uses this + make_owner to rebuild a replayed
+/// scenario's session bit-for-bit.
+std::shared_ptr<const SchedulingPolicy> make_policy(const ScenarioSpec& spec,
+                                                    solver::SolveCache* cache = nullptr);
 
 }  // namespace nowsched::sim

@@ -1,5 +1,7 @@
 #include "solver/solve_cache.h"
 
+#include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "solver/fast_solver.h"
@@ -15,43 +17,41 @@ std::shared_ptr<const ValueTable> solve_shared(const SolveRequest& req) {
 SolveCache::SolveCache() : SolveCache(Options()) {}
 
 SolveCache::SolveCache(Options options)
-    : stripes_(options.shards),
-      shards_(stripes_.stripes()),
+    : shard_count_(std::bit_ceil(std::min(options.shards, std::size_t{1} << 20))),
+      shards_(std::make_unique<Shard[]>(shard_count_)),
       store_(std::move(options.store)),
       // An even slice per shard. A slice of 0 is legal: each shard then
       // retains only its most recently used table (the keep-newest guarantee).
-      per_shard_budget_(options.max_bytes / shards_.size()),
+      per_shard_budget_(options.max_bytes / shard_count_),
       max_bytes_(options.max_bytes) {}
 
 std::shared_ptr<const ValueTable> SolveCache::get_or_solve(const SolveRequest& req) {
   const SolveKey key = canonical_key(req);
-  const std::uint64_t hash = key.hash();
-  Shard& shard = shards_[stripes_.index_for(hash)];
+  Shard& shard = shards_[static_cast<std::size_t>(key.hash()) & (shard_count_ - 1)];
 
   std::promise<TablePtr> promise;
-  Future future;
-  std::uint64_t my_insert_id = 0;  // stays 0 for waiters (ids start at 1)
+  Future future;  // stays invalid for the owner
   {
-    auto guard = stripes_.lock(hash);
+    std::lock_guard<std::mutex> guard(shard.mu);
     auto [it, inserted] = shard.map.try_emplace(key);
     Entry& entry = it->second;
-    if (!inserted) {
+    if (inserted) {
+      entry.future = promise.get_future().share();
+      misses_.fetch_add(1, std::memory_order_relaxed);
+    } else {
       hits_.fetch_add(1, std::memory_order_relaxed);
       entry.last_used = ++shard.clock;  // a hit is a recency touch
       future = entry.future;  // copy out, then get() outside the lock
-    } else {
-      future = promise.get_future().share();
-      entry.future = future;
-      entry.insert_id = my_insert_id = ++shard.clock;
-      misses_.fetch_add(1, std::memory_order_relaxed);
     }
   }
   // A hit or a waiter: ready once finished, else blocks; rethrows the
   // owner's exception.
-  if (my_insert_id == 0) return future.get();
+  if (future.valid()) return future.get();
 
-  // Owner: resolve the miss outside the stripe lock — other keys on this
-  // stripe stay resolvable, and waiters on THIS key block on the future.
+  // Owner: resolve the miss outside the shard lock — other keys on this
+  // shard stay resolvable, and waiters on THIS key block on the future.
+  // Only the owner removes an in-flight entry (eviction skips them), so the
+  // entry is still registered whichever way the resolution ends.
   TablePtr table;
   bool solved = false;
   try {
@@ -64,30 +64,18 @@ std::shared_ptr<const ValueTable> SolveCache::get_or_solve(const SolveRequest& r
     }
   } catch (...) {
     promise.set_exception(std::current_exception());
-    auto guard = stripes_.lock(hash);
-    auto it = shard.map.find(key);
-    // Erase only OUR failed attempt so a later call retries — a concurrent
-    // clear()+re-request may have installed a healthy entry.
-    if (it != shard.map.end() && it->second.insert_id == my_insert_id) {
-      shard.map.erase(it);
-    }
+    std::lock_guard<std::mutex> guard(shard.mu);
+    shard.map.erase(key);  // not cached: a later call retries
     throw;
   }
   promise.set_value(table);
   {
-    auto guard = stripes_.lock(hash);
-    auto it = shard.map.find(key);
-    // Finish the entry in place only if OUR insertion is still the one
-    // registered — a concurrent clear() may have dropped it (drop-on-
-    // arrival), or a clear()+re-request replaced it with a fresh attempt
-    // that will finish itself.
-    if (it != shard.map.end() && it->second.insert_id == my_insert_id) {
-      Entry& entry = it->second;
-      entry.bytes = table->bytes();
-      entry.last_used = ++shard.clock;
-      shard.bytes += entry.bytes;
-      evict_excess_locked(shard, key);
-    }
+    std::lock_guard<std::mutex> guard(shard.mu);
+    Entry& entry = shard.map.find(key)->second;
+    entry.bytes = table->bytes();
+    entry.last_used = ++shard.clock;
+    shard.bytes += entry.bytes;
+    evict_excess_locked(shard, key);
   }
   // Spill a FRESH solve to the persistent tier, outside every lock — a
   // store hit is already on disk, and a failed spill only costs the next
@@ -120,13 +108,13 @@ void SolveCache::evict_excess_locked(Shard& shard, const SolveKey& keep) {
 
 void SolveCache::set_max_bytes(std::size_t max_bytes) {
   max_bytes_.store(max_bytes, std::memory_order_relaxed);
-  per_shard_budget_.store(max_bytes / shards_.size(), std::memory_order_relaxed);
+  per_shard_budget_.store(max_bytes / shard_count_, std::memory_order_relaxed);
   // Shrinks take effect now, not on the next arrival: walk every shard and
   // evict down to the new slice, keeping the most recently used table (the
   // same guarantee the arrival path gives).
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    std::unique_lock<std::mutex> guard(stripes_.stripe(i));
+  for (std::size_t i = 0; i < shard_count_; ++i) {
     Shard& shard = shards_[i];
+    std::lock_guard<std::mutex> guard(shard.mu);
     auto newest = shard.map.end();
     for (auto it = shard.map.begin(); it != shard.map.end(); ++it) {
       if (it->second.bytes == 0) continue;
@@ -146,23 +134,13 @@ SolveCacheStats SolveCache::stats() const {
   s.store_hits = store_hits_.load(std::memory_order_relaxed);
   s.spills = spills_.load(std::memory_order_relaxed);
   s.evictions = evictions_.load(std::memory_order_relaxed);
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    std::unique_lock<std::mutex> guard(stripes_.stripe(i));
-    s.entries += shards_[i].map.size();
-    s.resident_bytes += shards_[i].bytes;
+  for (std::size_t i = 0; i < shard_count_; ++i) {
+    const Shard& shard = shards_[i];
+    std::lock_guard<std::mutex> guard(shard.mu);
+    s.entries += shard.map.size();
+    s.resident_bytes += shard.bytes;
   }
   return s;
-}
-
-void SolveCache::clear() {
-  // Dropping an in-flight entry makes its owner's insert_id stale, so its
-  // completion is dropped on arrival. The clock is NOT reset: insert ids
-  // must stay unique across clears.
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    std::unique_lock<std::mutex> guard(stripes_.stripe(i));
-    shards_[i].map.clear();
-    shards_[i].bytes = 0;
-  }
 }
 
 }  // namespace nowsched::solver

@@ -11,17 +11,20 @@
 //   3. persistent tier (Options::store)     → store_hit (mmap, zero-copy)
 //   4. solve_fast                           → solve, then SPILL to the store
 //
-// Requests hash onto one of S stripes (util::StripedMutex stripe i guards
-// shard i), and each shard holds ONE map whose entry for a key carries the
+// Requests hash onto one of S shards (the low bits of SolveKey::hash()), and
+// each shard owns a mutex and ONE map whose entry for a key carries the
 // key's shared_future from insertion to eviction: in flight until its owner
 // records the table's byte size and an LRU stamp, finished (resident) after.
 // Concurrent requests for one key perform exactly ONE solve: the first
 // thread inserts the in-flight entry, resolves it outside the lock, and
-// finishes the SAME entry in place under the same single stripe lock, while
-// later threads block on the future, not the stripe mutex. No code path holds two stripes at once, and a key never sits
-// between two structures on its way from "in flight" to "resident" — the
-// exactly-once guarantee is a tested invariant, not best-effort. Below the
-// RAM tier sits the solver::TableStore seam (solver/table_store.h).
+// finishes the SAME entry in place under the same shard lock, while later
+// threads block on the future, not the shard mutex. Eviction and
+// set_max_bytes skip in-flight entries, so only the owner ever removes one
+// (erasing it when its solve fails). No code path holds two shard locks at
+// once, and a key never sits between two structures on its way from "in
+// flight" to "resident" — the exactly-once guarantee is a tested invariant,
+// not best-effort. Below the RAM tier sits the solver::TableStore seam
+// (solver/table_store.h).
 //
 // Canonicalization (canonical_key, solver/solve_key.h) rounds max_lifespan
 // up to the next multiple of c. This is semantically transparent — every
@@ -46,13 +49,12 @@
 #include <cstdint>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <unordered_map>
-#include <vector>
 
 #include "solver/solve_key.h"
 #include "solver/table_store.h"
 #include "solver/value_table.h"
-#include "util/striped_lock.h"
 #include "util/text_record.h"
 
 namespace nowsched::solver {
@@ -98,7 +100,7 @@ inline constexpr util::Field<SolveCacheStats> kSolveCacheStatsFields[] = {
 class SolveCache {
  public:
   struct Options {
-    /// Stripe/shard count; rounded up to a power of two.
+    /// Shard count; rounded up to a power of two (at most 2^20).
     std::size_t shards = 8;
     /// Total byte budget for resident tables across all shards (split
     /// evenly). Each shard always keeps its most recently used table even
@@ -121,8 +123,8 @@ class SolveCache {
   /// Returns the table for canonical_key(req), solving it at most once per
   /// residency no matter how many threads ask concurrently. A solve that
   /// throws is not cached: the exception propagates to every waiter of that
-  /// attempt and the key is cleared so a later call retries. Store probes
-  /// and spills happen on the owner thread, outside every stripe lock.
+  /// attempt and its owner erases the entry so a later call retries. Store
+  /// probes and spills happen on the owner thread, outside every shard lock.
   /// Safe to call from many threads, including ThreadPool workers.
   std::shared_ptr<const ValueTable> get_or_solve(const SolveRequest& req);
 
@@ -130,20 +132,15 @@ class SolveCache {
   /// without a global lock, so it is approximate under concurrent writes).
   SolveCacheStats stats() const;
 
-  /// Drops every resident table (in-flight solves complete and are dropped
-  /// on arrival — they are neither kept resident nor spilled). Counters are
-  /// NOT reset; the persistent tier is NOT touched (it is shared state other
-  /// caches may be reading).
-  void clear();
-
   /// Re-budgets the RAM tier to `max_bytes` total (re-split evenly across
   /// shards) and immediately evicts LRU tables in every shard that no
   /// longer fits its slice. The keep-newest guarantee survives a shrink:
   /// each shard retains its most recently used table even when that table
   /// alone exceeds the new slice, so resizing to 0 degrades to
   /// one-table-per-shard rather than an always-cold cache. Growing never
-  /// evicts. Thread-safe against concurrent get_or_solve/stats/clear; the
-  /// service layer calls this for live per-tenant quota changes.
+  /// evicts, and in-flight solves are never evicted. Thread-safe against
+  /// concurrent get_or_solve/stats; the service layer calls this for live
+  /// per-tenant quota changes.
   void set_max_bytes(std::size_t max_bytes);
 
   /// Current total RAM-tier byte budget (Options or set_max_bytes).
@@ -151,11 +148,7 @@ class SolveCache {
     return max_bytes_.load(std::memory_order_relaxed);
   }
 
-  std::size_t shard_count() const noexcept { return stripes_.stripes(); }
-
-  /// The persistent tier this cache spills to / reads from (nullptr when
-  /// purely resident).
-  const std::shared_ptr<TableStore>& store() const noexcept { return store_; }
+  std::size_t shard_count() const noexcept { return shard_count_; }
 
  private:
   using TablePtr = std::shared_ptr<const ValueTable>;
@@ -174,14 +167,14 @@ class SolveCache {
   /// size once finished.
   struct Entry {
     Future future;                ///< the owner's shared_future
-    std::uint64_t insert_id = 0;  ///< identity tag: which insertion this is
     std::uint64_t last_used = 0;  ///< shard-local LRU clock value
     std::size_t bytes = 0;        ///< table->bytes() once finished, else 0
   };
 
   struct Shard {
+    mutable std::mutex mu;  ///< guards every field below
     std::unordered_map<SolveKey, Entry, KeyHash> map;
-    std::uint64_t clock = 0;  ///< monotone per-shard insertion/use counter
+    std::uint64_t clock = 0;  ///< monotone per-shard use counter
     std::size_t bytes = 0;    ///< Σ entry.bytes of this map
   };
 
@@ -190,12 +183,11 @@ class SolveCache {
   /// never victims.
   void evict_excess_locked(Shard& shard, const SolveKey& keep);
 
-  // mutable: stats() is logically const but must lock stripes.
-  mutable util::StripedMutex stripes_;
-  std::vector<Shard> shards_;
+  std::size_t shard_count_;  ///< a power of two: a hash's low bits pick the shard
+  std::unique_ptr<Shard[]> shards_;
   std::shared_ptr<TableStore> store_;  ///< optional persistent tier
   // Atomic: set_max_bytes rewrites budgets while other threads evict under
-  // their own stripe locks (relaxed is enough — eviction against a briefly
+  // their own shard locks (relaxed is enough — eviction against a briefly
   // stale budget is corrected by the resize's own eviction pass).
   std::atomic<std::size_t> per_shard_budget_;
   std::atomic<std::size_t> max_bytes_;

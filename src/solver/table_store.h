@@ -2,7 +2,7 @@
 // RAM tier, and its backend: the content-addressed, memory-mapped
 // persistent tier (MappedTableStore).
 //
-// The cache keeps finished tables resident in its own striped map; this
+// The cache keeps finished tables resident in its own sharded map; this
 // narrow interface (load / store / clear / stats) is what lets a persistent
 // tier slot underneath it: RAM hit → mapped-store hit → solve + spill, with
 // identical results in every tier by construction (solves are

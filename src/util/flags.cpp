@@ -63,6 +63,14 @@ std::int64_t Flags::get_int(const std::string& key, std::int64_t fallback) const
   return *parsed;
 }
 
+std::size_t Flags::get_count(const std::string& key, std::size_t fallback) const {
+  const auto it = values_.find(key);
+  if (it == values_.end()) return fallback;
+  const auto parsed = parse_int64(it->second);
+  if (!parsed || *parsed < 0) usage_error(key, "a non-negative integer", it->second);
+  return static_cast<std::size_t>(*parsed);
+}
+
 double Flags::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;

@@ -8,14 +8,16 @@
 //   anything else  positional argument
 //
 // Malformed input is a hard error, not silent garbage: an empty flag name
-// (`--=v`) aborts at parse time, and `get_int`/`get_double`/`get_bool` on a
-// value that does not parse in full (e.g. `--u=12abc`), overflows, or (for
-// doubles) is not finite print a one-line usage error naming the flag and
-// exit with status 2 — util/parse.h is the shared strict parse. Experiment
+// (`--=v`) aborts at parse time, and `get_int`/`get_count`/`get_double`/
+// `get_bool` on a value that does not parse in full (e.g. `--u=12abc`),
+// overflows, is negative (for counts) or (for doubles) is not finite print
+// a one-line usage error naming the flag and exit with status 2 —
+// util/parse.h is the shared strict parse. Experiment
 // grids are built from these flags; a mis-typed value must never become a
 // silently corrupted run.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -38,6 +40,8 @@ class Flags {
   /// out-of-range value they print `usage error: --key ...` to stderr and
   /// exit(2) so every binary inherits the same diagnostic.
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
+  /// get_int for sizes and counts: a negative value is a usage error too.
+  std::size_t get_count(const std::string& key, std::size_t fallback) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
 

@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <optional>
 #include <span>
 #include <sstream>
@@ -22,7 +21,6 @@
 #include "solver/reference_solver.h"
 #include "solver/solve_cache.h"
 #include "util/hash.h"
-#include "util/parse.h"
 
 namespace nowsched::conformance {
 
@@ -327,18 +325,6 @@ CheckResult run_all_checks(const sim::ScenarioSpec& spec, const Options& options
     }
   }
   return {};
-}
-
-int fuzz_cases(int fallback) {
-  const char* env = std::getenv("NOWSCHED_FUZZ_CASES");
-  if (env == nullptr || *env == '\0') return fallback;
-  const auto v = util::parse_int64(env);
-  if (!v || *v < 1 || *v > std::numeric_limits<int>::max()) {
-    throw std::runtime_error(
-        "NOWSCHED_FUZZ_CASES must be a positive int-range integer, got '" +
-        std::string(env) + "'");
-  }
-  return static_cast<int>(*v);
 }
 
 namespace {

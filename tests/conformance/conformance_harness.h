@@ -41,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "fuzz_cases.h"
 #include "sim/scenario_gen.h"
 
 namespace nowsched::conformance {
@@ -75,10 +76,7 @@ const std::vector<NamedCheck>& all_checks();
 /// rather than an exception, so the minimizer can probe freely.
 CheckResult run_all_checks(const sim::ScenarioSpec& spec, const Options& options);
 
-/// Number of generated cases for this process: NOWSCHED_FUZZ_CASES when set
-/// (>= 1, strictly parsed — a malformed value aborts rather than silently
-/// shrinking coverage), else `fallback`.
-int fuzz_cases(int fallback);
+using nowsched::testing::fuzz_cases;  // the shared tier knob (fuzz_cases.h)
 
 /// Greedy scenario shrinking: repeatedly tries smaller candidates (halved /
 /// decremented lifespan, fewer interrupts, smaller c, simpler owner, zeroed

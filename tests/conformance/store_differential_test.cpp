@@ -23,6 +23,7 @@
 #include "sim/batch_runner.h"
 #include "sim/metrics.h"
 #include "sim/scenario_gen.h"
+#include "solver/solve_cache.h"
 #include "solver/table_store.h"
 
 #if defined(_WIN32)
@@ -98,18 +99,22 @@ TEST(StoreDifferential, TieredRunsMatchStorelessBaselineExactly) {
   }
 
   // Ground truth: plain cached run, no persistent tier anywhere.
-  sim::BatchRunner baseline_runner;
-  const sim::BatchResult want = baseline_runner.run(specs);
+  solver::SolveCache baseline_cache;
+  sim::BatchOptions baseline_options;
+  baseline_options.shared_cache = &baseline_cache;
+  const sim::BatchResult want = sim::BatchRunner(baseline_options).run(specs);
   ASSERT_EQ(want.per_scenario.size(), specs.size());
 
   StoreDir dir;
   auto run_with_store = [&specs](const std::string& store_dir,
                                  bool read_only) {
-    sim::BatchOptions options;
-    options.cache.store = std::make_shared<solver::MappedTableStore>(
+    solver::SolveCache::Options cache_options;
+    cache_options.store = std::make_shared<solver::MappedTableStore>(
         solver::MappedTableStore::Options{store_dir, read_only});
-    sim::BatchRunner runner(options);
-    return runner.run(specs);
+    solver::SolveCache cache(cache_options);
+    sim::BatchOptions options;
+    options.shared_cache = &cache;
+    return sim::BatchRunner(options).run(specs);
   };
 
   // COLD: every fresh solve spills; results must not notice.

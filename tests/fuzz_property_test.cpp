@@ -9,9 +9,7 @@
 // anywhere from the seed and index alone.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <functional>
-#include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -20,6 +18,7 @@
 #include "core/equalized.h"
 #include "core/guidelines.h"
 #include "core/transforms.h"
+#include "fuzz_cases.h"
 #include "race/policy_race.h"
 #include "rpc/protocol.h"
 #include "sim/batch_runner.h"
@@ -31,7 +30,6 @@
 #include "solver/nonadaptive_eval.h"
 #include "solver/policy_eval.h"
 #include "solver/reference_solver.h"
-#include "util/parse.h"
 #include "util/rng.h"
 
 namespace nowsched {
@@ -201,21 +199,7 @@ TEST(Fuzz, SplitImmuneTailPreservesTotalAndBand) {
 // Scenario-driven, tier-controlled properties (NOWSCHED_FUZZ_CASES).
 // ---------------------------------------------------------------------------
 
-/// Generated-case count: NOWSCHED_FUZZ_CASES when set (strictly parsed, a
-/// malformed value throws — same semantics as conformance::fuzz_cases),
-/// else `fallback`. Kept local so this suite stays independent of the
-/// conformance harness; the strict parsing is shared via util/parse.h.
-int fuzz_cases(int fallback) {
-  const char* env = std::getenv("NOWSCHED_FUZZ_CASES");
-  if (env == nullptr || *env == '\0') return fallback;
-  const auto v = util::parse_int64(env);
-  if (!v || *v < 1 || *v > std::numeric_limits<int>::max()) {
-    throw std::runtime_error(
-        "NOWSCHED_FUZZ_CASES must be a positive int-range integer, got '" +
-        std::string(env) + "'");
-  }
-  return static_cast<int>(*v);
-}
+using nowsched::testing::fuzz_cases;
 
 TEST(Fuzz, GeneratedScenarioSolversAgreeAndExtractionMatchesOracle) {
   // Per generated scenario: solve_fast vs the O(P·N²) reference, every

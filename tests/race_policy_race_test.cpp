@@ -14,35 +14,21 @@
 //     round-trip.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "fuzz_cases.h"
 #include "race/policy_race.h"
 #include "race/regret_hunt.h"
 #include "race/race.h"
 #include "util/hash.h"
-#include "util/parse.h"
 #include "util/rng.h"
 
 namespace nowsched::race {
 namespace {
 
-/// Tier knob, same semantics as conformance::fuzz_cases (kept local so this
-/// suite does not link the conformance harness).
-int fuzz_cases(int fallback) {
-  const char* env = std::getenv("NOWSCHED_FUZZ_CASES");
-  if (env == nullptr || *env == '\0') return fallback;
-  const auto v = util::parse_int64(env);
-  if (!v || *v < 1 || *v > std::numeric_limits<int>::max()) {
-    throw std::runtime_error(
-        "NOWSCHED_FUZZ_CASES must be a positive int-range integer, got '" +
-        std::string(env) + "'");
-  }
-  return static_cast<int>(*v);
-}
+using nowsched::testing::fuzz_cases;
 
 /// Deterministic constant-score sampler: arm a always scores means[a].
 ArmSampler constant_sampler(std::vector<double> means) {

@@ -61,7 +61,8 @@ struct Fingerprint {
   bool operator==(const Fingerprint&) const = default;
 };
 
-Fingerprint run_fingerprint(Mode mode, util::ThreadPool* pool, bool cache_enabled) {
+Fingerprint run_fingerprint(Mode mode, util::ThreadPool* pool, bool cached) {
+  solver::SolveCache cache;
   PolicyRaceOptions options;
   options.race.mode = mode;
   options.race.budget = 64;          // successive halving
@@ -70,7 +71,7 @@ Fingerprint run_fingerprint(Mode mode, util::ThreadPool* pool, bool cache_enable
   options.race.delta = 0.05;
   options.seed = 0xD15C0;
   options.batch.pool = pool;
-  options.batch.cache_enabled = cache_enabled;
+  options.batch.shared_cache = cached ? &cache : nullptr;
   PolicyRace race(stress_regions(), stress_arms(), options);
   const PolicyRaceResult result = race.run();
 
@@ -99,7 +100,7 @@ TEST(RaceStress, IdenticalAcrossThreadCountsAndCacheConfig) {
           << to_string(mode) << " threads=" << threads;
     }
 
-    // Cache off: every dp-optimal session re-solves privately; scores (and
+    // No cache: every dp-optimal session solves its own table; scores (and
     // therefore the whole race trajectory) must not move.
     util::ThreadPool pool(4);
     EXPECT_EQ(run_fingerprint(mode, &pool, false), baseline)

@@ -4,16 +4,14 @@
 // random-split battery. The contract under test: malformed input yields
 // DecodeStatus::kError with a diagnostic — never a crash, hang, or silent
 // resync — and fragmentation never changes what decodes.
-#include <cstdlib>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "fuzz_cases.h"
 #include "rpc/frame.h"
-#include "util/parse.h"
 #include "util/rng.h"
 
 namespace nowsched {
@@ -23,20 +21,7 @@ using rpc::DecodeStatus;
 using rpc::Frame;
 using rpc::FrameDecoder;
 
-/// Generated-case count: NOWSCHED_FUZZ_CASES when set (strictly parsed, a
-/// malformed value throws), else `fallback` — same tiering as the
-/// conformance suite so nightly runs deepen this battery too.
-int fuzz_cases(int fallback) {
-  const char* env = std::getenv("NOWSCHED_FUZZ_CASES");
-  if (env == nullptr || *env == '\0') return fallback;
-  const auto v = util::parse_int64(env);
-  if (!v || *v < 1 || *v > std::numeric_limits<int>::max()) {
-    throw std::runtime_error(
-        "NOWSCHED_FUZZ_CASES must be a positive int-range integer, got '" +
-        std::string(env) + "'");
-  }
-  return static_cast<int>(*v);
-}
+using nowsched::testing::fuzz_cases;
 
 std::string wire(std::uint8_t type, const std::string& payload) {
   return rpc::encode_frame(type, payload);

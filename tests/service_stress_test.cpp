@@ -1,5 +1,5 @@
 // service::SchedulerService under real concurrency — the TSan half of the
-// battery (CI runs this suite with -DNOWSCHED_TSAN=ON). Assertions follow
+// battery (CI runs this suite under ThreadSanitizer). Assertions follow
 // the deflake discipline: conservation laws, permutation/ordering facts, and
 // bit-determinism of a canary scenario — never timing values, never "thread
 // X won" expectations. All submission goes through the JobTicket API.

@@ -1,6 +1,6 @@
 // The BatchRunner determinism contract, tested end to end: one scenario
 // list, same seeds ⇒ byte-identical per-scenario and aggregated metrics at
-// 1, 2, and 8 pool threads, serial (no pool), and cache enabled vs disabled.
+// 1, 2, and 8 pool threads, serial (no pool), and with or without a cache.
 // This is the property that makes batched results citable — EXPERIMENTS.md
 // numbers cannot depend on the machine's core count. (Run under TSan in CI.)
 #include <gtest/gtest.h>
@@ -49,10 +49,11 @@ std::string fingerprint(const BatchResult& result) {
 }
 
 BatchResult run_with(const std::vector<ScenarioSpec>& specs, util::ThreadPool* pool,
-                     bool cache_enabled) {
+                     bool cached) {
+  solver::SolveCache cache;
   BatchOptions options;
   options.pool = pool;
-  options.cache_enabled = cache_enabled;
+  options.shared_cache = cached ? &cache : nullptr;
   BatchRunner runner(options);
   return runner.run(specs);
 }
@@ -62,7 +63,7 @@ TEST(BatchDeterminism, IdenticalAcrossThreadCountsAndCacheModes) {
   const std::string reference = fingerprint(run_with(specs, nullptr, true));
   ASSERT_FALSE(reference.empty());
 
-  // Cache disabled, serial.
+  // No cache, serial.
   EXPECT_EQ(fingerprint(run_with(specs, nullptr, false)), reference);
 
   for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
@@ -78,8 +79,10 @@ TEST(BatchDeterminism, RepeatedRunsOnOneRunnerAreIdentical) {
   // A warm cache (second run) must not change results, only counters.
   const auto specs = mixed_specs();
   util::ThreadPool pool(4);
+  solver::SolveCache cache;
   BatchOptions options;
   options.pool = &pool;
+  options.shared_cache = &cache;
   BatchRunner runner(options);
   const BatchResult cold = runner.run(specs);
   const BatchResult warm = runner.run(specs);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -117,14 +118,17 @@ TEST(BatchRunner, DpOptimalScenariosDedupeThroughTheCache) {
     spec.lifespan = 512 + 128 * (i % 2);  // two canonical keys
     specs.push_back(spec);
   }
-  BatchRunner runner;
+  solver::SolveCache cache;
+  BatchOptions options;
+  options.shared_cache = &cache;
+  BatchRunner runner(options);
   const BatchResult result = runner.run(specs);
   EXPECT_EQ(result.cache.misses, 2u);
   EXPECT_EQ(result.cache.hits, 10u);
   EXPECT_DOUBLE_EQ(result.cache.hit_rate(), 10.0 / 12.0);
 
-  // The cache persists across run() calls on one runner: re-running the
-  // same batch is all hits.
+  // The cache persists across run() calls: re-running the same batch is
+  // all hits.
   const BatchResult again = runner.run(specs);
   EXPECT_EQ(again.cache.misses, 2u);
   EXPECT_EQ(again.cache.hits, 22u);
@@ -139,9 +143,7 @@ TEST(BatchRunner, CacheDisabledStillRunsAndCountsNothing) {
     spec.lifespan = 512;
     specs.push_back(spec);
   }
-  BatchOptions options;
-  options.cache_enabled = false;
-  const BatchResult result = BatchRunner(options).run(specs);
+  const BatchResult result = BatchRunner().run(specs);  // no cache by default
   EXPECT_EQ(result.cache.hits, 0u);
   EXPECT_EQ(result.cache.misses, 0u);
   EXPECT_GT(result.aggregate.banked_work, 0);
@@ -189,7 +191,7 @@ TEST(BatchRunner, RunsOnAPoolWithTaskErrorPropagation) {
 
 TEST(BatchRunner, PooledDpOptimalBatchMatchesSerialAndSolvesOncePerKey) {
   // dp-optimal sessions on pool workers resolve their tables through the
-  // runner's cache from inside the tasks: the results equal a serial run's
+  // shared cache from inside the tasks: the results equal a serial run's
   // and each canonical key is solved once however the tasks interleave.
   std::vector<ScenarioSpec> specs;
   for (int i = 0; i < 24; ++i) {
@@ -201,8 +203,10 @@ TEST(BatchRunner, PooledDpOptimalBatchMatchesSerialAndSolvesOncePerKey) {
   const BatchResult serial = BatchRunner().run(specs);
 
   util::ThreadPool pool(4);
+  solver::SolveCache cache;
   BatchOptions options;
   options.pool = &pool;
+  options.shared_cache = &cache;
   const BatchResult pooled = BatchRunner(options).run(specs);
   ASSERT_EQ(pooled.per_scenario.size(), serial.per_scenario.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -211,6 +215,53 @@ TEST(BatchRunner, PooledDpOptimalBatchMatchesSerialAndSolvesOncePerKey) {
   }
   EXPECT_EQ(pooled.cache.misses, 3u);
   EXPECT_EQ(pooled.cache.hits, 21u);
+}
+
+TEST(BatchRunner, TwoRunnersShareOneCache) {
+  // The cache belongs to the caller, not the runner: a second runner over
+  // the same cache finds every table the first one solved.
+  std::vector<ScenarioSpec> specs;
+  for (int i = 0; i < 6; ++i) {
+    ScenarioSpec spec = basic_spec(500 + i);
+    spec.policy = PolicyKind::kDpOptimal;
+    spec.lifespan = 512 + 128 * (i % 2);  // two canonical keys
+    specs.push_back(spec);
+  }
+  solver::SolveCache cache;
+  BatchOptions options;
+  options.shared_cache = &cache;
+  const BatchResult first = BatchRunner(options).run(specs);
+  EXPECT_EQ(first.cache.misses, 2u);
+
+  const BatchResult second = BatchRunner(options).run(specs);
+  EXPECT_EQ(second.cache.misses, 2u);  // no new miss: the batch was all hits
+  EXPECT_EQ(second.cache.hits, first.cache.hits + specs.size());
+  EXPECT_EQ(second.aggregate.banked_work, first.aggregate.banked_work);
+}
+
+TEST(BatchRunner, MakePolicyTakesDpOptimalTablesFromTheCache) {
+  ScenarioSpec spec = basic_spec(9);
+  spec.policy = PolicyKind::kDpOptimal;
+  spec.lifespan = 640;
+  solver::SolveCache cache;
+  const auto first = make_policy(spec, &cache);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  const auto second = make_policy(spec, &cache);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+
+  // The cached table drives the same episodes as an uncached solve.
+  const auto uncached = make_policy(spec);
+  for (int p = 0; p <= spec.max_interrupts; ++p) {
+    for (const Ticks residual : {Ticks{1}, Ticks{17}, Ticks{300}, spec.lifespan}) {
+      const EpisodeSchedule want = uncached->episode(residual, p, spec.params);
+      for (const auto& policy : {first, second}) {
+        const EpisodeSchedule got = policy->episode(residual, p, spec.params);
+        EXPECT_TRUE(std::ranges::equal(got.periods(), want.periods()))
+            << "p=" << p << " residual=" << residual;
+      }
+    }
+  }
 }
 
 TEST(BatchRunner, ToStringNamesAreStable) {

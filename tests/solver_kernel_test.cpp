@@ -8,19 +8,17 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "fuzz_cases.h"
 #include "sim/scenario_gen.h"
 #include "solver/fast_solver.h"
 #include "solver/reference_solver.h"
-#include "util/parse.h"
 #include "util/rng.h"
 
 namespace nowsched::solver {
@@ -34,17 +32,7 @@ struct KernelForceGuard {
   ~KernelForceGuard() { clear_forced_solver_kernel(); }
 };
 
-int fuzz_cases(int fallback) {
-  const char* env = std::getenv("NOWSCHED_FUZZ_CASES");
-  if (env == nullptr || *env == '\0') return fallback;
-  const auto v = util::parse_int64(env);
-  if (!v || *v < 1 || *v > std::numeric_limits<int>::max()) {
-    throw std::runtime_error(
-        "NOWSCHED_FUZZ_CASES must be a positive int-range integer, got '" +
-        std::string(env) + "'");
-  }
-  return static_cast<int>(*v);
-}
+using nowsched::testing::fuzz_cases;
 
 std::vector<Ticks> level_zero(Ticks n, Ticks c) {
   std::vector<Ticks> level(static_cast<std::size_t>(n) + 1);

@@ -12,6 +12,7 @@
 #include <memory>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "sim/batch_runner.h"
@@ -138,9 +139,6 @@ TEST(SolveCache, ByteAccountingIsExactUnderMixedSizes) {
   }
   EXPECT_EQ(cache.stats().entries, 3u);
   EXPECT_EQ(cache.stats().evictions, 0u);
-
-  cache.clear();
-  EXPECT_EQ(cache.stats().resident_bytes, 0u);
 }
 
 TEST(SolveCache, OversizedTableParksInsteadOfThrashing) {
@@ -165,8 +163,8 @@ TEST(SolveCache, OversizedTableParksInsteadOfThrashing) {
 TEST(SolveCache, MixedLifespanBatchEvictsButStaysDeterministic) {
   // A BatchRunner over widely mixed N with a budget that can only hold a
   // few tables: eviction churns, counters add up, and the batch aggregate
-  // matches the cache-disabled baseline bit-for-bit (the cache only changes
-  // who solves, never what).
+  // matches the cacheless baseline bit-for-bit (the cache only changes who
+  // solves, never what).
   std::vector<sim::ScenarioSpec> specs;
   for (int i = 0; i < 24; ++i) {
     sim::ScenarioSpec spec;
@@ -180,15 +178,14 @@ TEST(SolveCache, MixedLifespanBatchEvictsButStaysDeterministic) {
     specs.push_back(spec);
   }
 
+  // One shard whose budget holds ~1.5 of the larger tables.
+  SolveCache cache({1, 3 * 6200 * sizeof(Ticks) / 2, nullptr});
   sim::BatchOptions tight;
-  tight.cache.shards = 1;
-  tight.cache.max_bytes = 3 * 6200 * sizeof(Ticks) / 2;  // ~1.5 of the larger tables
+  tight.shared_cache = &cache;
   sim::BatchRunner constrained(tight);
   const auto got = constrained.run(specs);
 
-  sim::BatchOptions naive;
-  naive.cache_enabled = false;
-  sim::BatchRunner baseline(naive);
+  sim::BatchRunner baseline;  // no cache: every session solves its own table
   const auto want = baseline.run(specs);
 
   EXPECT_EQ(got.aggregate.banked_work, want.aggregate.banked_work);
@@ -302,20 +299,6 @@ TEST(SolveCache, ResizeWhileTablesResidentAcrossShards) {
   EXPECT_GT(after.resident_bytes, 0u);
 }
 
-TEST(SolveCache, ClearDropsTablesButKeepsLifetimeCounters) {
-  SolveCache cache;
-  (void)cache.get_or_solve({1, 64, Params{16}});
-  (void)cache.get_or_solve({1, 64, Params{16}});
-  cache.clear();
-  const SolveCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  // Re-request re-solves.
-  (void)cache.get_or_solve({1, 64, Params{16}});
-  EXPECT_EQ(cache.stats().misses, 2u);
-}
-
 TEST(SolveCache, FailedSolveIsNotCachedAndRetries) {
   SolveCache cache;
   // Invalid params throw inside canonicalization — before any map entry.
@@ -329,8 +312,8 @@ TEST(SolveCache, FailedSolveIsNotCachedAndRetries) {
 TEST(SolveCache, OwnerSolveThrowLeavesNoEntryAndRetries) {
   // Unlike the test above, the key canonicalizes fine, so the in-flight
   // entry exists when the solve itself throws (ValueTable rejects dims whose
-  // slab size overflows size_t). Single-threaded on purpose: a concurrent
-  // waiter would rethrow the same exception object.
+  // slab size overflows size_t). Single-threaded; the test with a parked
+  // waiter is OwnerThrowReachesAParkedWaiterAndTheNextCallRetries.
   SolveCache cache;
   const SolveRequest huge{INT_MAX, Ticks{1} << 40, Params{16}};
   EXPECT_THROW((void)cache.get_or_solve(huge), std::invalid_argument);
@@ -349,8 +332,8 @@ TEST(SolveCache, OwnerSolveThrowLeavesNoEntryAndRetries) {
 /// A persistent tier that never has a table, whose FIRST load() parks its
 /// caller: it signals `entered`, then blocks until `release` opens. That
 /// freezes an owner mid-resolution — after its in-flight entry is
-/// registered, before its table arrives — so tests can interleave clear()
-/// and re-requests deterministically, with no sleeps.
+/// registered, before its table arrives — so tests can interleave
+/// evictions, resizes and waiters deterministically, with no sleeps.
 class BlockingFirstLoadStore final : public TableStore {
  public:
   std::latch entered{1};
@@ -373,51 +356,159 @@ class BlockingFirstLoadStore final : public TableStore {
   std::atomic<int> loads_{0};
 };
 
-TEST(SolveCache, ClearDuringInFlightSolveDropsItOnArrival) {
+TEST(SolveCache, InFlightEntrySurvivesArrivalsThatEvictDownToTheNewest) {
+  // One shard, zero budget: every arrival evicts every finished table but
+  // its own. The parked owner's in-flight entry is never a victim, so it
+  // finishes in place and becomes the one resident table.
+  auto store = std::make_shared<BlockingFirstLoadStore>();
+  SolveCache cache({1, 0, store});
+  const SolveRequest parked{1, 64, Params{16}};
+
+  std::shared_ptr<const ValueTable> owned;
+  std::thread owner([&] { owned = cache.get_or_solve(parked); });
+  store->entered.wait();
+  (void)cache.get_or_solve({1, 96, Params{16}});
+  const auto newest = cache.get_or_solve({1, 128, Params{16}});
+  SolveCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, 2u);  // the in-flight entry + the newest table
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.resident_bytes, newest->bytes());
+  store->release.count_down();
+  owner.join();
+
+  ASSERT_NE(owned, nullptr);
+  stats = cache.stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.evictions, 2u);  // the owner's arrival displaced `newest`
+  EXPECT_EQ(stats.resident_bytes, owned->bytes());
+  EXPECT_EQ(cache.get_or_solve(parked).get(), owned.get());
+  EXPECT_EQ(cache.stats().misses, 3u);
+}
+
+TEST(SolveCache, InFlightEntrySurvivesSetMaxBytesZero) {
+  auto store = std::make_shared<BlockingFirstLoadStore>();
+  SolveCache cache({1, 1u << 20, store});
+  const SolveRequest parked{1, 64, Params{16}};
+
+  std::shared_ptr<const ValueTable> owned;
+  std::thread owner([&] { owned = cache.get_or_solve(parked); });
+  store->entered.wait();
+  (void)cache.get_or_solve({1, 96, Params{16}});
+  const auto newest = cache.get_or_solve({1, 128, Params{16}});
+  cache.set_max_bytes(0);
+  SolveCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, 2u);  // the in-flight entry + the newest table
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.resident_bytes, newest->bytes());
+  store->release.count_down();
+  owner.join();
+
+  ASSERT_NE(owned, nullptr);
+  stats = cache.stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.evictions, 2u);
+  EXPECT_EQ(stats.resident_bytes, owned->bytes());
+  EXPECT_EQ(cache.get_or_solve(parked).get(), owned.get());
+}
+
+/// Spins (no sleeps) until `cache` has counted `hits` hits: a waiter is
+/// counted under the shard lock just before it blocks on the owner's future.
+void await_hits(const SolveCache& cache, std::uint64_t hits) {
+  while (cache.stats().hits < hits) std::this_thread::yield();
+}
+
+TEST(SolveCache, WaiterOnAParkedOwnerGetsTheOwnersTable) {
   auto store = std::make_shared<BlockingFirstLoadStore>();
   SolveCache cache({2, 1u << 20, store});
   const SolveRequest req{1, 64, Params{16}};
 
-  std::shared_ptr<const ValueTable> stale;
-  std::thread owner([&] { stale = cache.get_or_solve(req); });
-  store->entered.wait();  // the owner's entry is registered, its load parked
-  cache.clear();
+  std::shared_ptr<const ValueTable> owned;
+  std::shared_ptr<const ValueTable> waited;
+  std::thread owner([&] { owned = cache.get_or_solve(req); });
+  store->entered.wait();
+  std::thread waiter([&] { waited = cache.get_or_solve(req); });
+  await_hits(cache, 1);
   store->release.count_down();
   owner.join();
+  waiter.join();
 
-  // The owner still got its table, but it arrived after clear(): dropped.
-  ASSERT_NE(stale, nullptr);
+  ASSERT_NE(owned, nullptr);
+  EXPECT_EQ(waited.get(), owned.get());
+  const SolveCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.resident_bytes, owned->bytes());
+}
+
+TEST(SolveCache, OwnerThrowReachesAParkedWaiterAndTheNextCallRetries) {
+  // The key canonicalizes, so the entry is in flight when the solve throws
+  // (as in OwnerSolveThrowLeavesNoEntryAndRetries); a waiter already holding
+  // the future sees the same error.
+  auto store = std::make_shared<BlockingFirstLoadStore>();
+  SolveCache cache({2, 1u << 20, store});
+  const SolveRequest huge{INT_MAX, Ticks{1} << 40, Params{16}};
+
+  std::atomic<int> failures{0};
+  auto request = [&] {
+    try {
+      (void)cache.get_or_solve(huge);
+    } catch (const std::invalid_argument&) {
+      failures.fetch_add(1);
+    }
+  };
+  std::thread owner(request);
+  store->entered.wait();
+  std::thread waiter(request);
+  await_hits(cache, 1);
+  store->release.count_down();
+  owner.join();
+  waiter.join();
+
+  EXPECT_EQ(failures.load(), 2);
   SolveCacheStats stats = cache.stats();
   EXPECT_EQ(stats.entries, 0u);
   EXPECT_EQ(stats.resident_bytes, 0u);
   EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 1u);
 
-  (void)cache.get_or_solve(req);
-  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_THROW((void)cache.get_or_solve(huge), std::invalid_argument);
+  EXPECT_EQ(cache.stats().misses, 2u);  // a fresh attempt, not a cached failure
 }
 
-TEST(SolveCache, StaleOwnerNeverOverwritesTheReRequestedEntry) {
-  auto store = std::make_shared<BlockingFirstLoadStore>();
-  SolveCache cache({2, 1u << 20, store});
-  const SolveRequest req{1, 64, Params{16}};
+TEST(SolveCache, ShardCountRoundsUpToAPowerOfTwo) {
+  EXPECT_EQ(SolveCache().shard_count(), 8u);
+  for (const auto& [asked, want] : {std::pair<std::size_t, std::size_t>{0, 1},
+                                    {3, 4},
+                                    {8, 8},
+                                    {9, 16}}) {
+    EXPECT_EQ(SolveCache({asked, 1u << 20, nullptr}).shard_count(), want) << asked;
+  }
+}
 
-  std::shared_ptr<const ValueTable> stale;
-  std::thread owner([&] { stale = cache.get_or_solve(req); });
-  store->entered.wait();
-  cache.clear();
-  // This thread becomes the key's new owner and finishes first.
-  const auto mine = cache.get_or_solve(req);
-  store->release.count_down();
-  owner.join();
+TEST(SolveCache, ShardIsTheLowBitsOfTheKeyHash) {
+  // With 2 shards and a zero budget each shard keeps only its newest table,
+  // so the resident count shows whether two keys share a shard: bit 0 of
+  // SolveKey::hash() decides.
+  const SolveRequest base{1, 16, Params{16}};
+  const std::uint64_t base_bit = canonical_key(base).hash() & 1;
+  SolveRequest same = base;
+  SolveRequest other = base;
+  for (Ticks l = 32; same.max_lifespan == 16 || other.max_lifespan == 16; l += 16) {
+    const SolveRequest req{1, l, Params{16}};
+    SolveRequest& slot = (canonical_key(req).hash() & 1) == base_bit ? same : other;
+    if (slot.max_lifespan == 16) slot = req;
+  }
 
-  ASSERT_NE(stale, nullptr);
-  EXPECT_NE(stale.get(), mine.get());
-  const SolveCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.resident_bytes, mine->bytes());  // counted once
-  EXPECT_EQ(stats.misses, 2u);
-  EXPECT_EQ(cache.get_or_solve(req).get(), mine.get());
-  EXPECT_EQ(cache.stats().hits, 1u);
+  SolveCache shared_shard({2, 0, nullptr});
+  (void)shared_shard.get_or_solve(base);
+  (void)shared_shard.get_or_solve(same);
+  EXPECT_EQ(shared_shard.stats().entries, 1u);
+
+  SolveCache split_shards({2, 0, nullptr});
+  (void)split_shards.get_or_solve(base);
+  (void)split_shards.get_or_solve(other);
+  EXPECT_EQ(split_shards.stats().entries, 2u);
 }
 
 TEST(SolveCache, ConcurrentRequestsForOneKeySolveExactlyOnce) {
@@ -562,36 +653,40 @@ TEST(SolveCacheTiered, LookupWalksRamThenStoreThenSolves) {
   EXPECT_EQ(cache.get_or_solve(req).get(), solved.get());
   EXPECT_EQ(cache.stats().hits, 1u);
 
-  // Drop RAM, keep the store: the miss is answered by a mapped read — a
-  // zero-copy view, counted as store_hit, NOT a second spill — and the
-  // mapped table is bit-identical to the solved one.
-  cache.clear();
-  const auto mapped = cache.get_or_solve(req);
+  // A second cache over the same store starts with cold RAM: its miss is
+  // answered by a mapped read — a zero-copy view, counted as store_hit,
+  // NOT a second spill — and the mapped table is bit-identical to the
+  // solved one.
+  SolveCache second({2, 16u << 20, store});
+  const auto mapped = second.get_or_solve(req);
   EXPECT_FALSE(mapped->owns_storage());
   expect_tables_identical(*solved, *mapped);
-  const SolveCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.misses, 2u);
+  const SolveCacheStats stats = second.stats();
+  EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.store_hits, 1u);
-  EXPECT_EQ(stats.spills, 1u);
+  EXPECT_EQ(stats.spills, 0u);
+  EXPECT_EQ(store->stats().entries, 1u);
 
   // The mapped table is now RAM-resident: hit again.
-  EXPECT_EQ(cache.get_or_solve(req).get(), mapped.get());
+  EXPECT_EQ(second.get_or_solve(req).get(), mapped.get());
 }
 
 TEST(SolveCacheTiered, MissesEqualSolvesPlusStoreHits) {
   nowsched::testing::TempDir dir("tier");
   auto store = std::make_shared<MappedTableStore>(
       MappedTableStore::Options{dir.str()});
-  SolveCache cache({2, 16u << 20, store});
-  for (int k = 0; k < 3; ++k) cache.get_or_solve({1, 64 + 16 * k, Params{16}});
-  cache.clear();
-  for (int k = 0; k < 5; ++k) cache.get_or_solve({1, 64 + 16 * k, Params{16}});
+  SolveCache first({2, 16u << 20, store});
+  for (int k = 0; k < 3; ++k) first.get_or_solve({1, 64 + 16 * k, Params{16}});
+  SolveCache second({2, 16u << 20, store});
+  for (int k = 0; k < 5; ++k) second.get_or_solve({1, 64 + 16 * k, Params{16}});
 
-  const SolveCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.misses, 8u);       // 3 cold + 5 after clear
-  EXPECT_EQ(stats.store_hits, 3u);   // the 3 spilled tables came back mapped
-  EXPECT_EQ(stats.spills, 5u);       // every fresh solve spilled exactly once
-  EXPECT_EQ(stats.misses, (stats.misses - stats.store_hits) + stats.store_hits);
+  const SolveCacheStats a = first.stats();
+  const SolveCacheStats b = second.stats();
+  EXPECT_EQ(a.misses + b.misses, 8u);  // 3 cold + 5 in the second cache
+  EXPECT_EQ(b.store_hits, 3u);         // the 3 spilled tables came back mapped
+  EXPECT_EQ(a.spills + b.spills, 5u);  // every fresh solve spilled exactly once
+  EXPECT_EQ(a.misses - a.store_hits, a.spills);  // misses == solves + store hits
+  EXPECT_EQ(b.misses - b.store_hits, b.spills);
   EXPECT_EQ(store->stats().entries, 5u);
 }
 
@@ -620,20 +715,6 @@ TEST(SolveCacheTiered, WarmStartAcrossCaches) {
   expect_tables_identical(*solved, *warm);
   EXPECT_EQ(second.stats().store_hits, 1u);
   EXPECT_EQ(second.stats().spills, 0u);
-}
-
-TEST(SolveCacheTiered, ClearDropsRamButNeverTheSharedStore) {
-  nowsched::testing::TempDir dir("tier");
-  auto store = std::make_shared<MappedTableStore>(
-      MappedTableStore::Options{dir.str()});
-  SolveCache cache({2, 16u << 20, store});
-  cache.get_or_solve({1, 64, Params{16}});
-  cache.get_or_solve({1, 96, Params{16}});
-  ASSERT_EQ(store->stats().entries, 2u);
-  cache.clear();
-  EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(store->stats().entries, 2u)
-      << "clear() must not touch shared persistent state";
 }
 
 TEST(SolveCacheTiered, EvictedTableComesBackFromTheStoreNotASolve) {

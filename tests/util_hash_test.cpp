@@ -1,14 +1,10 @@
-// util/hash.h and util/striped_lock.h: the deterministic hashing and lock
-// striping the solve cache is keyed and guarded by.
+// util/hash.h: the deterministic hashing the solve cache is keyed by.
 #include "util/hash.h"
-#include "util/striped_lock.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <set>
-#include <thread>
-#include <vector>
 
 namespace nowsched::util {
 namespace {
@@ -43,61 +39,6 @@ TEST(HashCombine, OrderSensitiveAndZeroSafe) {
     }
   }
   EXPECT_EQ(seen.size(), 64u * 64u);
-}
-
-TEST(StripedMutex, RoundsUpToPowerOfTwo) {
-  EXPECT_EQ(StripedMutex(0).stripes(), 1u);
-  EXPECT_EQ(StripedMutex(1).stripes(), 1u);
-  EXPECT_EQ(StripedMutex(3).stripes(), 4u);
-  EXPECT_EQ(StripedMutex(8).stripes(), 8u);
-  EXPECT_EQ(StripedMutex(9).stripes(), 16u);
-}
-
-TEST(StripedMutex, IndexIsStableAndInRange) {
-  StripedMutex striped(8);
-  for (std::uint64_t h : {0ull, 1ull, 7ull, 8ull, 0xDEADBEEFull, ~0ull}) {
-    const std::size_t i = striped.index_for(h);
-    EXPECT_LT(i, striped.stripes());
-    EXPECT_EQ(i, striped.index_for(h));  // stable
-  }
-  // Mask semantics: hashes equal mod stripes share a stripe.
-  EXPECT_EQ(striped.index_for(5), striped.index_for(5 + 8));
-}
-
-TEST(StripedMutex, LockGuardsTheSelectedStripe) {
-  StripedMutex striped(4);
-  auto guard = striped.lock(0x123);
-  EXPECT_TRUE(guard.owns_lock());
-  // A different stripe stays lockable while this one is held.
-  const std::size_t held = striped.index_for(0x123);
-  const std::size_t other = (held + 1) % striped.stripes();
-  EXPECT_TRUE(striped.stripe(other).try_lock());
-  striped.stripe(other).unlock();
-}
-
-TEST(StripedMutex, SerializesContendingWriters) {
-  // 4 threads × 10k increments on counters guarded by their stripe: any
-  // lost update (or TSan report) fails. Keys map onto 2 stripes.
-  StripedMutex striped(2);
-  std::vector<std::uint64_t> counters(striped.stripes(), 0);
-  constexpr int kThreads = 4;
-  constexpr int kIters = 10000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&striped, &counters, t] {
-      for (int i = 0; i < kIters; ++i) {
-        const std::uint64_t h = hash_combine(static_cast<std::uint64_t>(t),
-                                             static_cast<std::uint64_t>(i));
-        auto guard = striped.lock(h);
-        counters[striped.index_for(h)] += 1;
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  std::uint64_t total = 0;
-  for (std::uint64_t v : counters) total += v;
-  EXPECT_EQ(total, static_cast<std::uint64_t>(kThreads) * kIters);
 }
 
 }  // namespace

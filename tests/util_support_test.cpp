@@ -212,6 +212,18 @@ TEST(FlagsDeathTest, GarbageDoubleAndBoolAreUsageErrors) {
               "--flag expects a boolean");
 }
 
+TEST(FlagsDeathTest, NegativeCountIsAUsageErrorNotAWrappedSize) {
+  const char* argv[] = {"prog", "--sessions=-1", "--jobs=12", "--zero=0", "--bad=abc"};
+  Flags flags(5, argv);
+  EXPECT_EQ(flags.get_count("jobs", 0), 12u);
+  EXPECT_EQ(flags.get_count("zero", 5), 0u);
+  EXPECT_EQ(flags.get_count("absent", 7), 7u);
+  EXPECT_EXIT(flags.get_count("sessions", 0), ::testing::ExitedWithCode(2),
+              "usage error: --sessions expects a non-negative integer, got \"-1\"");
+  EXPECT_EXIT(flags.get_count("bad", 0), ::testing::ExitedWithCode(2),
+              "--bad expects a non-negative integer, got \"abc\"");
+}
+
 TEST(FlagsDeathTest, EmptyKeyIsRejectedAtParseTime) {
   const char* argv_eq[] = {"prog", "--=v"};
   EXPECT_EXIT(Flags(2, argv_eq), ::testing::ExitedWithCode(2),
