@@ -25,7 +25,7 @@ void run(harness::Context& ctx) {
   const util::Flags& flags = ctx.flags();
   const Params params{flags.get_int("c", 16)};
   const int max_p = static_cast<int>(flags.get_int("max_p", ctx.quick() ? 2 : 4));
-  util::ThreadPool& pool = util::global_pool();
+  util::ThreadPool pool;
 
   ctx.csv({"U_over_c", "p", "gap_printed", "gap_equalized", "gap_printed_norm_sqrt",
            "gap_equalized_norm_sqrt"});

@@ -27,7 +27,7 @@ void run(harness::Context& ctx) {
   const util::Flags& flags = ctx.flags();
   const Params params{flags.get_int("c", 16)};
   const int max_p = static_cast<int>(flags.get_int("max_p", 3));
-  util::ThreadPool& pool = util::global_pool();
+  util::ThreadPool pool;
 
   ctx.csv({"U_over_c", "p", "policy", "guaranteed_work"});
 

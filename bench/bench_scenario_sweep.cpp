@@ -194,11 +194,16 @@ void run(harness::Context& ctx) {
   ctx.metric("folded_sessions_per_sec", folded_per_sec);
   ctx.metric("hetero_sessions_per_sec", hetero_per_sec);
   ctx.metric("folded_hit_rate", folded_hit);
-  ctx.metric("folded_over_hetero",
-             hetero_per_sec > 0 ? folded_per_sec / hetero_per_sec : 0.0);
   ctx.metric("folded_mapped_sessions_per_sec", folded_mapped_per_sec);
-  ctx.metric("hetero_mapped_over_cold",
-             hetero_per_sec > 0 ? hetero_mapped_per_sec / hetero_per_sec : 0.0);
+  // Full tier only: a quick-tier profile runs in a few ms, and a ratio of
+  // two such timings swung from 0.18 to 6.99 across identical runs — it
+  // would flap the strict same-tier CI gate (as E10's fast_scaling_exponent).
+  if (!ctx.quick()) {
+    ctx.metric("folded_over_hetero",
+               hetero_per_sec > 0 ? folded_per_sec / hetero_per_sec : 0.0);
+    ctx.metric("hetero_mapped_over_cold",
+               hetero_per_sec > 0 ? hetero_mapped_per_sec / hetero_per_sec : 0.0);
+  }
 
   ctx.table(out, std::to_string(sessions) +
                      " generated sessions per profile, pool of " +
@@ -211,8 +216,8 @@ void run(harness::Context& ctx) {
       "the solve cache: hit rate ~0, every table solved once),\n"
       "`mixed` and `correlated-farms` sit in between with the full owner-\n"
       "process mix (Markov-modulated, inhomogeneous, bursty, shared-shock\n"
-      "farms). `folded_over_hetero` is the headline: how much workload\n"
-      "structure the cache converts into throughput. `mapped s/s` reruns the\n"
+      "farms). `folded_over_hetero` (full tier) is the headline: how much\n"
+      "workload structure the cache converts into throughput. `mapped s/s` reruns the\n"
       "profile with a cold RAM cache over its pre-baked read-only persistent\n"
       "store — the warm-start tier pays off most where the RAM cache helps\n"
       "least (`hetero_mapped_over_cold`: every one-off table becomes an mmap\n"

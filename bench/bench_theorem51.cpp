@@ -29,7 +29,7 @@ void run(harness::Context& ctx) {
   const Params params{flags.get_int("c", 16)};
   const double c = static_cast<double>(params.c);
   const int max_p = static_cast<int>(flags.get_int("max_p", ctx.quick() ? 2 : 4));
-  util::ThreadPool& pool = util::global_pool();
+  util::ThreadPool pool;
 
   ctx.csv({"U_over_c", "p", "W_opt", "W_printed", "W_rationalized", "W_equalized",
            "bound_leading", "coeff_predicted", "coeff_printed", "coeff_equalized"});

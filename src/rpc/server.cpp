@@ -14,6 +14,10 @@ namespace nowsched::rpc {
 namespace {
 
 constexpr std::size_t kReadChunk = 64 * 1024;
+/// Unsent reply bytes at which a connection stops being read.
+constexpr std::size_t kMaxUnsentBytes = 256 * 1024;
+/// Longest poll wait while the listener is paused after an accept failure.
+constexpr int kAcceptRetryMs = 100;
 
 JobResultReply make_result_reply(service::JobId id, service::FetchOutcome&& out) {
   JobResultReply reply;
@@ -94,24 +98,28 @@ bool Server::poll_once(int timeout_ms) {
   const std::size_t polled = conns_.size();
   std::vector<pollfd> fds;
   fds.reserve(polled + 2);
-  fds.push_back({listener_.get(), POLLIN, 0});
+  // A negative fd is skipped by poll: the paused listener stays readable,
+  // and polling it would spin.
+  fds.push_back({accepting_ ? listener_.get() : -1, POLLIN, 0});
   fds.push_back({wake_read_.get(), POLLIN, 0});
   for (std::size_t i = 0; i < polled; ++i) {
     Connection& conn = *conns_[i];
     short events = 0;
-    if (!conn.read_closed) events |= POLLIN;
+    if (!conn.read_closed && wants_input(conn)) events |= POLLIN;
     if (conn.out_pos < conn.outbuf.size()) events |= POLLOUT;
     fds.push_back({conn.fd.get(), events, 0});
   }
 
   // A wake may already be pending (completion hook); progress made above
   // also means we should not block forever waiting for new bytes.
-  const int wait_ms = progress ? 0 : timeout_ms;
+  int wait_ms = progress ? 0 : timeout_ms;
+  if (!accepting_ && (wait_ms < 0 || wait_ms > kAcceptRetryMs)) wait_ms = kAcceptRetryMs;
   const int ready = ::poll(fds.data(), fds.size(), wait_ms);
   if (ready < 0) {
     if (errno == EINTR) return progress;
     throw std::system_error(errno, std::generic_category(), "poll");
   }
+  if (ready == 0) accepting_ = true;  // a quiet interval: try the backlog again
 
   if (fds[1].revents & POLLIN) {
     char buf[256];
@@ -132,12 +140,13 @@ bool Server::poll_once(int timeout_ms) {
 
   for (std::size_t i = 0; i < polled; ++i) {
     Connection& conn = *conns_[i];
-    const pollfd& pfd = fds[i + 2];
-    if (!conn.read_closed && (pfd.revents & (POLLIN | POLLHUP | POLLERR))) {
-      if (read_from(conn)) progress = true;
+    const short revents = fds[i + 2].revents;
+    if (!conn.read_closed && (revents & (POLLIN | POLLHUP | POLLERR))) {
+      if (read_from(conn, (revents & (POLLHUP | POLLERR)) != 0)) progress = true;
     }
-    if (!conn.closing || conn.out_pos < conn.outbuf.size()) {
-      if (flush(conn)) progress = true;
+    if (flush(conn)) {
+      progress = true;
+      process_frames(conn);  // frames held back while replies were at the cap
     }
   }
 
@@ -153,6 +162,7 @@ bool Server::poll_once(int timeout_ms) {
       if (conn.announced_shutdown) stopped_.store(true);
       for (const service::JobId id : conn.owned) service_.forget(id);
       conns_.erase(conns_.begin() + static_cast<std::ptrdiff_t>(i));
+      accepting_ = true;  // its descriptor is free for a waiting client
       progress = true;
       continue;
     }
@@ -175,7 +185,13 @@ bool Server::poll_once(int timeout_ms) {
 
 void Server::accept_pending() {
   for (;;) {
-    util::Fd fd = util::accept_connection(listener_.get());
+    bool exhausted = false;
+    util::Fd fd = util::accept_connection(listener_.get(), exhausted);
+    if (exhausted) {
+      // The client waits in the backlog; poll_once resumes accepting.
+      accepting_ = false;
+      return;
+    }
     if (!fd.valid()) return;
     util::set_nonblocking(fd.get(), true);
     auto conn = std::make_unique<Connection>();
@@ -184,10 +200,18 @@ void Server::accept_pending() {
   }
 }
 
-bool Server::read_from(Connection& conn) {
+bool Server::wants_input(const Connection& conn) {
+  return !conn.parked && !conn.closing &&
+         conn.outbuf.size() - conn.out_pos < kMaxUnsentBytes;
+}
+
+bool Server::read_from(Connection& conn, bool hung_up) {
   bool progress = false;
   char buf[kReadChunk];
-  for (;;) {
+  // A live peer is read only while its frames can be handled. A hung-up
+  // one can send nothing more, so what it left in the socket is drained:
+  // frames pipelined before a close still count.
+  while (hung_up || wants_input(conn)) {
     std::size_t n = 0;
     util::IoStatus status;
     try {
@@ -197,12 +221,13 @@ bool Server::read_from(Connection& conn) {
       // longer flush, but frames already buffered still carry side effects
       // (a pipelined Shutdown must not be lost), so fall through to
       // process_frames before the reap pass drops the connection.
-      conn.fd.reset();
+      drop_peer(conn);
       progress = true;
       break;
     }
     if (status == util::IoStatus::kOk) {
       conn.decoder.append(std::string_view(buf, n));
+      process_frames(conn);
       progress = true;
       continue;
     }
@@ -222,8 +247,9 @@ bool Server::read_from(Connection& conn) {
 
 void Server::process_frames(Connection& conn) {
   // In-order guarantee: while a fetch is parked, later frames stay encoded
-  // in the decoder buffer untouched.
-  while (!conn.parked && !conn.closing) {
+  // in the decoder buffer untouched. So do they while the unsent replies
+  // are at the cap; the flush that drains them resumes here.
+  while (wants_input(conn)) {
     Frame frame;
     const DecodeStatus status = conn.decoder.next(frame);
     if (status == DecodeStatus::kNeedMore) return;
@@ -328,8 +354,15 @@ bool Server::check_parked(Connection& conn) {
 }
 
 void Server::send(Connection& conn, MsgType type, const std::string& payload) {
+  if (!conn.fd.valid()) return;  // the peer is gone; the request still ran
   conn.outbuf.append(encode_frame(wire_code(type), payload));
   flush(conn);
+}
+
+void Server::drop_peer(Connection& conn) {
+  conn.fd.reset();
+  conn.outbuf.clear();
+  conn.out_pos = 0;
 }
 
 bool Server::flush(Connection& conn) {
@@ -340,7 +373,7 @@ bool Server::flush(Connection& conn) {
     util::write_some(conn.fd.get(), conn.outbuf.data() + conn.out_pos,
                      conn.outbuf.size() - conn.out_pos, n);
   } catch (const std::system_error&) {
-    conn.fd.reset();  // peer vanished mid-reply
+    drop_peer(conn);  // peer vanished mid-reply
     return true;
   }
   conn.out_pos += n;

@@ -20,6 +20,13 @@
 //   - Half-close is honoured: a peer that shutdown(SHUT_WR)s after
 //     pipelining requests still receives every reply (parked fetches
 //     included) before the server closes the connection.
+//   - Bounded per client: a connection is read (and its buffered frames
+//     handled) only while it is not parked and its unsent replies are under
+//     kMaxUnsentBytes, so a client that pipelines without reading replies
+//     stalls in its own socket buffer instead of growing the daemon.
+//   - Running out of descriptors is not fatal: a failed accept leaves the
+//     client in the listen backlog, and the listener is not polled again
+//     until a connection is reaped or a poll passes quietly.
 //   - serve() blocks until stop() or a Shutdown RPC; poll_once() exposes
 //     single deterministic pump steps for tests (pair it with a manual-mode
 //     service and run_next()).
@@ -102,12 +109,14 @@ class Server {
   };
 
   void accept_pending();
-  bool read_from(Connection& conn);
+  static bool wants_input(const Connection& conn);
+  bool read_from(Connection& conn, bool hung_up);
   void process_frames(Connection& conn);
   void handle_frame(Connection& conn, const Frame& frame);
   bool check_parked(Connection& conn);
   bool flush(Connection& conn);
   void send(Connection& conn, MsgType type, const std::string& payload);
+  static void drop_peer(Connection& conn);
 
   service::SchedulerService& service_;
   ServerOptions options_;
@@ -117,6 +126,9 @@ class Server {
   /// Set by stop(), by a finished Shutdown RPC, and never cleared: a stop()
   /// that lands before serve() is entered still ends serve().
   std::atomic<bool> stopped_{false};
+  /// False after an accept ran out of descriptors, until a connection is
+  /// reaped or a poll passes with nothing ready.
+  bool accepting_ = true;
   bool shutdown_requested_ = false;
   service::SchedulerService::StopMode shutdown_mode_ = service::SchedulerService::StopMode::kDrain;
   std::vector<std::unique_ptr<Connection>> conns_;

@@ -100,7 +100,6 @@ SchedulerService::SchedulerService(ServiceOptions options)
     : options_(options),
       queue_(make_queue_policy(options_.queue, options_.drr_quantum)) {
   options_.tenant_cache_shards = std::max<std::size_t>(1, options_.tenant_cache_shards);
-  options_.latency_window = std::max<std::size_t>(1, options_.latency_window);
   if (!options_.shared_store_dir.empty()) {
     // Throws on a misconfigured directory — a deployment bug the operator
     // must see at startup, not a per-job failure.
@@ -119,8 +118,7 @@ SchedulerService::~SchedulerService() { shutdown(StopMode::kCancelQueued); }
 SchedulerService::Tenant& SchedulerService::tenant_locked(const std::string& id) {
   auto [it, inserted] =
       tenants_.try_emplace(id, options_.default_tenant_quota_bytes,
-                           options_.tenant_cache_shards, options_.latency_window,
-                           shared_store_);
+                           options_.tenant_cache_shards, shared_store_);
   return it->second;
 }
 

@@ -144,9 +144,6 @@ struct ServiceOptions {
   /// fewer shards than a process-global cache would use).
   std::size_t tenant_cache_shards = 4;
 
-  /// Per-tenant latency ring capacity (most recent samples kept).
-  std::size_t latency_window = 512;
-
   /// Optional persistent table-store directory mounted beneath EVERY
   /// tenant's cache (solver::MappedTableStore; see solver/table_store.h).
   /// Empty = no persistent tier, exactly the old behavior. One store serves
@@ -266,10 +263,9 @@ class SchedulerService {
 
  private:
   struct Tenant {
-    Tenant(std::size_t quota, std::size_t shards, std::size_t latency_window,
+    Tenant(std::size_t quota, std::size_t shards,
            std::shared_ptr<solver::TableStore> store)
-        : cache(solver::SolveCache::Options{shards, quota, std::move(store)}),
-          latency(latency_window) {
+        : cache(solver::SolveCache::Options{shards, quota, std::move(store)}) {
       books.quota_bytes = quota;
     }
 

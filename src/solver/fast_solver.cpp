@@ -40,17 +40,19 @@ Ticks crossover_best_legacy(std::span<const Ticks> cur,
   return std::max(a(lo), b(hi));
 }
 
-/// One fused legacy pass over lifespans [lo, hi): crossover scan + carry.
-void fill_range_legacy(std::span<Ticks> cur, std::span<const Ticks> prev,
-                       Ticks lo, Ticks hi, Ticks c) {
-  for (Ticks l = lo; l < hi; ++l) {
+/// One fused legacy pass over lifespans [1, cur.size()): crossover scan +
+/// carry.
+void fill_level_legacy(std::span<Ticks> cur, std::span<const Ticks> prev, Ticks c) {
+  const Ticks n = static_cast<Ticks>(cur.size());
+  for (Ticks l = 1; l < n; ++l) {
     cur[static_cast<std::size_t>(l)] =
         std::max(crossover_best_legacy(cur, prev, l, c),
                  cur[static_cast<std::size_t>(l - 1)]);
   }
 }
 
-/// The production level fill over lifespans [lo, hi): an inverse scan.
+/// The production level fill over lifespans [1, cur.size()): an inverse
+/// scan.
 ///
 /// Substitute j = l − t and m = l − c in the legacy search (j ∈ [0, m]):
 ///   crossover_best(l) = max_{0<=j<=m} min( (m − j) + cur[j], prev[j] ).
@@ -73,43 +75,33 @@ void fill_range_legacy(std::span<Ticks> cur, std::span<const Ticks> prev,
 /// Step j reads cur[j], which the steps j' <= j − c finished writing.
 ///
 /// Per j: two sequential loads, two stores, one well-predicted branch —
-/// no data-dependent load, and no binary search past the seed.
+/// no data-dependent load and no search. The walk starts at k(0) = 0
+/// (w[0] = 0 since prev[0] = cur[0] = 0), so lifespans c and c + 1 take
+/// prev[0].
 ///
-/// Bounds: the seed k(l0 − c) is binary-searched over indices < lo; the walk
-/// reads j < hi − c; every store is clipped to [lo, hi) whatever the input,
-/// so an invariant-violating table can yield wrong values but never a write
-/// outside the range or a read outside the spans.
-void fill_range_inverse(std::span<Ticks> cur_span, std::span<const Ticks> prev_span,
-                        Ticks lo, Ticks hi, Ticks c) {
+/// Bounds: the walk reads j < n − c; every store is clipped to [c, n)
+/// whatever the input, so an invariant-violating table can yield wrong
+/// values but never a write outside [1, n) or a read outside the spans.
+void fill_level_inverse(std::span<Ticks> cur_span, std::span<const Ticks> prev_span,
+                        Ticks c) {
   Ticks* const cur = cur_span.data();
   const Ticks* const prev = prev_span.data();
+  const Ticks n = static_cast<Ticks>(cur_span.size());
   // Lifespans below c complete no period.
-  const Ticks l0 = std::clamp(c, lo, hi);
-  std::fill(cur + lo, cur + l0, Ticks{0});
-  if (l0 < hi) {
-    auto w = [&](Ticks j) { return j + prev[j] - cur[j]; };
-    // Seed: k(m0) = the last j in [0, m0] with w(j) <= m0. w(0) = 0 on
-    // valid tables; on invalid ones the search still lands in [0, m0].
-    const Ticks m0 = l0 - c;
-    Ticks a = 0, b = m0 + 1;  // w(a) <= m0 < w(b); w(m0 + 1) >= m0 + 1
-    while (a + 1 < b) {
-      const Ticks mid = a + (b - a) / 2;
-      (w(mid) <= m0 ? a : b) = mid;
+  for (Ticks l = 1; l < std::min(c, n); ++l) cur[l] = 0;
+  if (n <= c) return;
+  cur[c] = prev[0];
+  if (c + 1 < n) cur[c + 1] = prev[0];
+  for (Ticks j = 1; j < n - c; ++j) {
+    const Ticks at = j + prev[j] - cur[j] + c;
+    const Ticks v = prev[j];
+    if (at < c || at + 1 >= n) [[unlikely]] {
+      if (at == n - 1) cur[at] = v;
+      if (at >= n - 1) break;
+      continue;  // at < c: only an invariant-violating table gets here
     }
-    cur[l0] = prev[a];
-    if (l0 + 1 < hi) cur[l0 + 1] = prev[a];
-    const Ticks j_end = hi - c;
-    for (Ticks j = a + 1; j < j_end; ++j) {
-      const Ticks at = w(j) + c;
-      const Ticks v = prev[j];
-      if (at < l0 || at + 1 >= hi) [[unlikely]] {
-        if (at == hi - 1) cur[at] = v;
-        if (at >= hi - 1) break;
-        continue;  // at < l0: only an invariant-violating table gets here
-      }
-      cur[at] = v;
-      cur[at + 1] = v;
-    }
+    cur[at] = v;
+    cur[at + 1] = v;
   }
 }
 
@@ -141,11 +133,11 @@ void clear_forced_solver_kernel() noexcept {
 }
 
 void run_fill_kernel(SolverKernel kernel, std::span<Ticks> cur,
-                     std::span<const Ticks> prev, Ticks lo, Ticks hi, Ticks c) {
+                     std::span<const Ticks> prev, Ticks c) {
   if (kernel == SolverKernel::kLegacy) {
-    fill_range_legacy(cur, prev, lo, hi, c);
+    fill_level_legacy(cur, prev, c);
   } else {
-    fill_range_inverse(cur, prev, lo, hi, c);
+    fill_level_inverse(cur, prev, c);
   }
 }
 
@@ -162,8 +154,7 @@ ValueTable solve_fast(int max_p, Ticks max_lifespan, const Params& params) {
   }
   for (int p = 1; p <= max_p; ++p) {
     table.mutable_level(p)[0] = 0;
-    run_fill_kernel(kernel, table.mutable_level(p), table.level(p - 1), 1,
-                    max_lifespan + 1, c);
+    run_fill_kernel(kernel, table.mutable_level(p), table.level(p - 1), c);
   }
   return table;
 }

@@ -15,7 +15,7 @@
 // alone decides the value: V_p(L) = V_{p−1}(k(L − c)) for a crossover index
 // k that is monotone in L. So it never searches at all — it walks k forward
 // and writes each V_{p−1}(k) into the lifespans whose crossover is k (the
-// derivation is at fill_range_inverse in fast_solver.cpp and in DESIGN.md
+// derivation is at fill_level_inverse in fast_solver.cpp and in DESIGN.md
 // §5.2). Both kernels are bit-identical and cross-checked by
 // tests/solver_kernel_test.cpp and the conformance fuzzer.
 #pragma once
@@ -49,18 +49,17 @@ SolverKernel active_solver_kernel() noexcept;
 void force_solver_kernel(SolverKernel kernel) noexcept;
 void clear_forced_solver_kernel() noexcept;
 
-/// Runs one level-fill over lifespans [lo, hi) with an explicit kernel:
-///   cur[l] = max( crossover_best(l), cur[l − 1] )   for l in [lo, hi).
-/// Requires 1 <= lo <= hi <= cur.size() == prev.size(), cur/prev final below
-/// lo, and the table invariants (prev non-decreasing and 1-Lipschitz with
-/// prev[0] == cur[0] == 0 — true of every V_{p−1}). Writes every cell of
-/// [lo, hi) and, for any input, nothing outside it. Reads stay below hi,
-/// and below lo except for cells this call has already written, so a level
-/// can be filled as any sequence of consecutive ranges. Exposed for the
-/// differential battery and the benches; solve_fast fills each level with
-/// one call over [1, max_lifespan + 1).
+/// Fills one whole level with an explicit kernel:
+///   cur[l] = max( crossover_best(l), cur[l − 1] )   for l in [1, cur.size()).
+/// Requires c >= 1, cur.size() == prev.size(), and the table invariants
+/// (prev non-decreasing and 1-Lipschitz with prev[0] == cur[0] == 0 — true
+/// of every V_{p−1}). Every cell but cur[0] is written before it is read,
+/// so the level may hold garbage on entry. Whatever the input, nothing
+/// outside the spans is read and nothing outside [1, cur.size()) is
+/// written. Exposed for the differential battery and the benches;
+/// solve_fast fills each level with one call.
 void run_fill_kernel(SolverKernel kernel, std::span<Ticks> cur,
-                     std::span<const Ticks> prev, Ticks lo, Ticks hi, Ticks c);
+                     std::span<const Ticks> prev, Ticks c);
 
 /// Fills W(p)[L] for all p in [0, max_p], L in [0, max_lifespan]: level 0
 /// in closed form, then one run_fill_kernel pass per level. The level-fill

@@ -1,6 +1,7 @@
 #include "solver/nonadaptive_opt.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "core/guidelines.h"
@@ -10,6 +11,10 @@ namespace nowsched::solver {
 
 namespace {
 
+constexpr int kMaxRounds = 24;             ///< δ-halving rounds
+constexpr std::size_t kPairSamples = 64;   ///< sampled (i, j) pairs per round when m large
+constexpr std::uint64_t kSeed = 1;
+
 Ticks evaluate(const std::vector<Ticks>& periods, Ticks lifespan, int p,
                const Params& params) {
   return nonadaptive_guaranteed_work(EpisodeSchedule{std::vector<Ticks>(periods)},
@@ -18,32 +23,31 @@ Ticks evaluate(const std::vector<Ticks>& periods, Ticks lifespan, int p,
 
 }  // namespace
 
-CommittedSearchResult optimize_committed(Ticks lifespan, int p, const Params& params,
-                                         const CommittedSearchOptions& options) {
+CommittedSearchResult optimize_committed(Ticks lifespan, int p, const Params& params) {
   const auto seed_sched = nonadaptive_guideline(lifespan, p, params);
   std::vector<Ticks> periods(seed_sched.periods().begin(), seed_sched.periods().end());
 
   CommittedSearchResult result;
   result.start_value = nonadaptive_guaranteed_work(seed_sched, lifespan, p, params);
   Ticks best = result.start_value;
-  util::Rng rng(options.seed);
+  util::Rng rng(kSeed);
 
   Ticks delta = std::max<Ticks>(1, lifespan / std::max<Ticks>(8, 4 * static_cast<Ticks>(
                                                                       periods.size())));
-  for (int round = 0; round < options.max_rounds; ++round) {
+  for (int round = 0; round < kMaxRounds; ++round) {
     bool improved = false;
 
     // Transfer moves between sampled pairs.
     const std::size_t m = periods.size();
     std::vector<std::pair<std::size_t, std::size_t>> pairs;
-    if (m * m <= options.pair_samples * 4) {
+    if (m * m <= kPairSamples * 4) {
       for (std::size_t i = 0; i < m; ++i) {
         for (std::size_t j = 0; j < m; ++j) {
           if (i != j) pairs.emplace_back(i, j);
         }
       }
     } else {
-      for (std::size_t s = 0; s < options.pair_samples; ++s) {
+      for (std::size_t s = 0; s < kPairSamples; ++s) {
         const auto i = static_cast<std::size_t>(rng.next_below(m));
         auto j = static_cast<std::size_t>(rng.next_below(m));
         if (i == j) j = (j + 1) % m;

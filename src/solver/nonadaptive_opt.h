@@ -13,21 +13,14 @@
 //     a sampled subset when m is large),
 //   * split a period in half,
 //   * merge two adjacent periods.
-// Hill climbing with first-improvement; deterministic given the seed.
+// Hill climbing with first-improvement over 24 δ-halving rounds; pairs are
+// sampled from a fixed seed, so the search is deterministic.
 #pragma once
-
-#include <cstdint>
 
 #include "core/schedule.h"
 #include "solver/nonadaptive_eval.h"
 
 namespace nowsched::solver {
-
-struct CommittedSearchOptions {
-  int max_rounds = 24;           ///< δ-halving rounds
-  std::size_t pair_samples = 64; ///< sampled (i, j) pairs per round when m large
-  std::uint64_t seed = 1;
-};
 
 struct CommittedSearchResult {
   EpisodeSchedule schedule;
@@ -38,7 +31,6 @@ struct CommittedSearchResult {
 
 /// Starts from the §3.1 guideline and hill-climbs. The returned value is
 /// always >= the seed's value.
-CommittedSearchResult optimize_committed(Ticks lifespan, int p, const Params& params,
-                                         const CommittedSearchOptions& options = {});
+CommittedSearchResult optimize_committed(Ticks lifespan, int p, const Params& params);
 
 }  // namespace nowsched::solver

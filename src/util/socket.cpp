@@ -82,7 +82,8 @@ Fd unix_connect(const std::string& path) {
   }
 }
 
-Fd accept_connection(int listen_fd) {
+Fd accept_connection(int listen_fd, bool& exhausted) {
+  exhausted = false;
   for (;;) {
     const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd >= 0) return Fd(fd);
@@ -91,6 +92,13 @@ Fd accept_connection(int listen_fd) {
     // A connection that died between readiness and accept is not an error
     // for the listener — report "nothing to accept" and poll again.
     if (errno == ECONNABORTED) return Fd();
+    // Out of descriptors or buffers: a condition of the moment, not a
+    // broken listener. A client that holds many connections open must not
+    // turn it into a daemon exit.
+    if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS || errno == ENOMEM) {
+      exhausted = true;
+      return Fd();
+    }
     throw_errno("accept");
   }
 }

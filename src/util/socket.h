@@ -50,9 +50,12 @@ Fd unix_listen(const std::string& path, int backlog = 16);
 /// Connects to the Unix-domain stream socket at `path`.
 Fd unix_connect(const std::string& path);
 
-/// accept(2) on a listening fd; an empty Fd when the kernel has no pending
-/// connection (EAGAIN on a nonblocking listener).
-Fd accept_connection(int listen_fd);
+/// accept(2) on a listening fd; an empty Fd when nothing can be accepted
+/// now: no pending connection (EAGAIN on a nonblocking listener), one that
+/// died before accept, or no descriptor or buffer to accept it with
+/// (EMFILE, ENFILE, ENOBUFS, ENOMEM). The last case sets `exhausted`, and
+/// the client stays in the listen backlog. Other errors throw.
+Fd accept_connection(int listen_fd, bool& exhausted);
 
 void set_nonblocking(int fd, bool enable);
 

@@ -2,12 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <exception>
-#include <limits>
-
-#include "util/parse.h"
 
 namespace nowsched::util {
 
@@ -135,33 +130,6 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
         for (std::size_t i = lo; i < hi; ++i) fn(i);
       },
       grain);
-}
-
-std::size_t threads_from_env_value(const char* value, std::string* warning) {
-  if (warning) warning->clear();
-  if (value == nullptr) return 0;
-  const auto parsed = parse_int64(value);
-  if (parsed && *parsed >= 1 && *parsed <= std::numeric_limits<int>::max()) {
-    return static_cast<std::size_t>(*parsed);
-  }
-  if (warning) {
-    *warning = "NOWSCHED_THREADS=\"" + std::string(value) +
-               "\" is not a positive int-range integer; using the hardware default";
-  }
-  return 0;
-}
-
-ThreadPool& global_pool() {
-  static ThreadPool* pool = [] {
-    std::string warning;
-    const std::size_t threads =
-        threads_from_env_value(std::getenv("NOWSCHED_THREADS"), &warning);
-    if (!warning.empty()) {
-      std::fprintf(stderr, "nowsched: %s\n", warning.c_str());
-    }
-    return new ThreadPool(threads);
-  }();
-  return *pool;
 }
 
 }  // namespace nowsched::util

@@ -3,7 +3,8 @@
 // parallel_for / parallel_for_chunks are level-synchronous: all iterations
 // of one dispatch are independent and the call is a full barrier. Right for
 // the policy-evaluation DP, whose states within a level are independent,
-// and for BatchRunner's whole-session tasks.
+// and for BatchRunner's whole-session tasks. Callers own their pools; there
+// is no process-wide one.
 //
 // Thread-safety contract: a ThreadPool object may be driven from one
 // submitting thread at a time (parallel_for* are blocking calls and are not
@@ -19,7 +20,6 @@
 #include <functional>
 #include <mutex>
 #include <queue>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -68,18 +68,5 @@ class ThreadPool {
   std::condition_variable cv_;
   bool stop_ = false;
 };
-
-/// Parses a NOWSCHED_THREADS-style value. Returns the thread count (0 means
-/// "use the hardware default") and leaves *warning empty on success; on a
-/// malformed value ("4abc", "-1", "", overflow) returns 0 and stores a
-/// one-line diagnostic in *warning. Exposed for tests; global_pool() applies
-/// it to the real environment variable.
-std::size_t threads_from_env_value(const char* value, std::string* warning);
-
-/// Process-wide pool for library internals (lazily constructed, never torn
-/// down before exit). Size honours NOWSCHED_THREADS when set; a malformed
-/// value is diagnosed once on stderr and falls back to the hardware default
-/// rather than being silently misread.
-ThreadPool& global_pool();
 
 }  // namespace nowsched::util

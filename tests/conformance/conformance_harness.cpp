@@ -110,7 +110,7 @@ CheckResult check_kernel_differential(const sim::ScenarioSpec& spec,
       const std::span<Ticks> whole(slab);
       run_fill_kernel(kernel, whole.subspan(static_cast<std::size_t>(q) * stride, stride),
                       whole.subspan(static_cast<std::size_t>(q - 1) * stride, stride),
-                      1, g.l + 1, g.params.c);
+                      g.params.c);
     }
     return slab;
   };

@@ -22,7 +22,10 @@
 #include <utility>
 #include <vector>
 
+#include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include "rpc/client.h"
 #include "rpc/frame.h"
@@ -120,6 +123,31 @@ class RawClient {
       if (status == util::IoStatus::kOk) decoder_.append(std::string_view(buf, n));
     }
     return false;
+  }
+
+  /// Writes `frame` back to back without reading any reply, pumping
+  /// server.poll_once(0) between bursts, until `ceiling` bytes went out or
+  /// neither side moves for three rounds. Returns the bytes written.
+  std::size_t flood(Server& server, const std::string& frame, std::size_t ceiling) {
+    std::string burst;
+    while (burst.size() < 64 * 1024) burst += frame;
+    std::size_t total = 0;
+    for (int idle = 0; total < ceiling && idle < 3;) {
+      // `burst` holds whole frames, so total % size stays frame-aligned.
+      const std::size_t at = total % burst.size();
+      std::size_t n = 0;
+      (void)util::write_some(fd_.get(), burst.data() + at, burst.size() - at, n);
+      total += n;
+      const bool progress = server.poll_once(0);
+      idle = (n == 0 && !progress) ? idle + 1 : 0;
+    }
+    return total;
+  }
+
+  /// Caps the kernel send buffer, so how much a flood can park in the
+  /// socket does not depend on the host's defaults.
+  void limit_send_buffer(int bytes) {
+    ASSERT_EQ(::setsockopt(fd_.get(), SOL_SOCKET, SO_SNDBUF, &bytes, sizeof bytes), 0);
   }
 
   void disconnect() { fd_.reset(); }
@@ -420,6 +448,139 @@ TEST(RpcServer, ShutdownRpcRepliesThenStopsTheLoop) {
   EXPECT_TRUE(rig.server.shutdown_requested());
   EXPECT_EQ(rig.server.shutdown_mode(),
             service::SchedulerService::StopMode::kCancelQueued);
+}
+
+// ---------------------------------------------------------------------------
+// Resource bounds: a client cannot make the daemon throw or grow without
+// bound by exhausting descriptors or by never reading its replies.
+// ---------------------------------------------------------------------------
+
+/// Lowers this process's soft RLIMIT_NOFILE to a few slots above the
+/// descriptors in use, and on exhaust() fills every free slot with
+/// /dev/null, so the server's next accept(2) fails with EMFILE. Closes the
+/// fillers and restores the limit on scope exit.
+class DescriptorExhaustion {
+ public:
+  DescriptorExhaustion() {
+    EXPECT_EQ(::getrlimit(RLIMIT_NOFILE, &saved_), 0);
+    const int lowest_free = ::open("/dev/null", O_RDONLY);
+    EXPECT_GE(lowest_free, 0);
+    ::close(lowest_free);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = static_cast<rlim_t>(lowest_free) + 8;
+    EXPECT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  }
+  ~DescriptorExhaustion() {
+    fillers_.clear();
+    ::setrlimit(RLIMIT_NOFILE, &saved_);
+  }
+  DescriptorExhaustion(const DescriptorExhaustion&) = delete;
+  DescriptorExhaustion& operator=(const DescriptorExhaustion&) = delete;
+
+  void exhaust() {
+    for (;;) {
+      util::Fd fd(::open("/dev/null", O_RDONLY));
+      if (!fd.valid()) break;
+      fillers_.push_back(std::move(fd));
+    }
+    EXPECT_EQ(errno, EMFILE);
+  }
+  void release() { fillers_.clear(); }
+
+ private:
+  rlimit saved_{};
+  std::vector<util::Fd> fillers_;
+};
+
+/// One Stats round trip: proves the connection is accepted and served.
+void expect_stats_reply(RawClient& client, Server& server) {
+  client.send(MsgType::kStats, encode_stats_request());
+  const Frame frame = client.await_reply(server);
+  EXPECT_EQ(frame.type, wire_code(MsgType::kStatsReply));
+}
+
+TEST(RpcServer, AcceptFailureKeepsServing) {
+  ManualRig rig;
+  RawClient served(rig.server.socket_path());
+  expect_stats_reply(served, rig.server);
+  {
+    DescriptorExhaustion limit;  // destroyed before the rig needs fds again
+    RawClient pending(rig.server.socket_path());  // waits in the backlog
+    limit.exhaust();
+    // Every accept attempt now fails with EMFILE: not a server error.
+    for (int i = 0; i < 20; ++i) (void)rig.server.poll_once(0);
+    EXPECT_EQ(rig.server.connection_count(), 1u);
+    expect_stats_reply(served, rig.server);
+
+    // With descriptors back, the waiting client is accepted and served.
+    limit.release();
+    expect_stats_reply(pending, rig.server);
+    EXPECT_EQ(rig.server.connection_count(), 2u);
+  }
+}
+
+TEST(RpcServer, PendingClientIsAcceptedOnceAConnectionCloses) {
+  ManualRig rig;
+  RawClient leaving(rig.server.socket_path());
+  expect_stats_reply(leaving, rig.server);
+  {
+    DescriptorExhaustion limit;
+    RawClient pending(rig.server.socket_path());
+    limit.exhaust();
+    for (int i = 0; i < 20; ++i) (void)rig.server.poll_once(0);
+    EXPECT_EQ(rig.server.connection_count(), 1u);
+
+    // Reaping the closed connection frees a descriptor for the waiting one.
+    leaving.disconnect();
+    expect_stats_reply(pending, rig.server);
+    EXPECT_EQ(rig.server.connection_count(), 1u);
+  }
+}
+
+// Both floods below would run to kFloodCeiling if the server kept reading;
+// a bounded server stops reading after the socket buffers and one reply
+// backlog fill, far below kReadBound.
+constexpr std::size_t kFloodCeiling = 2u << 20;
+constexpr std::size_t kReadBound = 1u << 20;
+constexpr int kClientSendBuffer = 64 * 1024;
+
+TEST(RpcServer, ParkedConnectionIsNotReadUntilItsFetchResolves) {
+  ManualRig rig;
+  RawClient client(rig.server.socket_path());
+  client.limit_send_buffer(kClientSendBuffer);
+  const service::JobId id = submit_one(client, rig.server, "alpha", 1, 900);
+
+  client.send(MsgType::kJobResult, encode_job_result({id, /*wait=*/true}));
+  const std::string stats = encode_frame(wire_code(MsgType::kStats), encode_stats_request());
+  const std::size_t written = client.flood(rig.server, stats, kFloodCeiling);
+  ASSERT_LT(written, kReadBound);
+
+  // Once the fetch resolves, every request behind it is answered in order.
+  bool ran = false;
+  const Frame first = client.await_reply(rig.server, [&] {
+    if (!ran) ran = rig.service.run_next();
+  });
+  ASSERT_EQ(first.type, wire_code(MsgType::kJobResultReply));
+  for (std::size_t i = 0; i < written / stats.size(); ++i) {
+    ASSERT_EQ(client.await_reply(rig.server).type, wire_code(MsgType::kStatsReply))
+        << "reply " << i;
+  }
+}
+
+TEST(RpcServer, ClientThatNeverReadsRepliesStopsBeingRead) {
+  ManualRig rig;
+  RawClient client(rig.server.socket_path());
+  client.limit_send_buffer(kClientSendBuffer);
+  const std::string stats = encode_frame(wire_code(MsgType::kStats), encode_stats_request());
+  const std::size_t written = client.flood(rig.server, stats, kFloodCeiling);
+  ASSERT_LT(written, kReadBound);
+
+  // Reading the replies lets the server take the rest: none is lost.
+  for (std::size_t i = 0; i < written / stats.size(); ++i) {
+    ASSERT_EQ(client.await_reply(rig.server).type, wire_code(MsgType::kStatsReply))
+        << "reply " << i;
+  }
+  EXPECT_EQ(rig.server.connection_count(), 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -848,9 +848,7 @@ TEST(SchedulerService, QuotaResizeShrinksLiveCacheAndGrowKeepsTables) {
 }
 
 TEST(SchedulerService, LatencyStatsCountCompletionsAndStayOrdered) {
-  ServiceOptions options = manual_options(QueueKind::kFifo);
-  options.latency_window = 4;  // smaller than the completion count
-  SchedulerService service(options);
+  SchedulerService service(manual_options(QueueKind::kFifo));
   for (int i = 0; i < 6; ++i) {
     (void)expect_accepted(service, "a", quick_batch(1, 500 + i));
   }
@@ -860,13 +858,38 @@ TEST(SchedulerService, LatencyStatsCountCompletionsAndStayOrdered) {
   const TenantStats* a = stats.tenant("a");
   ASSERT_NE(a, nullptr);
   EXPECT_EQ(a->completed_jobs, 6u);
-  // The ring keeps the last `latency_window` samples; only ORDER is
+  // Every completion is a sample while the ring has room; only ORDER is
   // asserted about the values themselves (deflake discipline).
-  EXPECT_EQ(a->latency.count, 4u);
+  EXPECT_EQ(a->latency.count, 6u);
   EXPECT_LE(a->latency.p50_ms, a->latency.p90_ms);
   EXPECT_LE(a->latency.p90_ms, a->latency.p99_ms);
   EXPECT_LE(a->latency.p99_ms, a->latency.max_ms);
   EXPECT_GE(a->latency.p50_ms, 0.0);
+}
+
+TEST(SchedulerService, LatencyStatsKeepTheLast512Completions) {
+  // The per-tenant ring is bounded: past 512 completions the oldest samples
+  // drop out. Jobs go in rounds that stay under the tenant depth limit.
+  SchedulerService service(manual_options(QueueKind::kFifo));
+  constexpr int kJobs = 600;
+  constexpr int kRound = 50;
+  ASSERT_LT(static_cast<std::size_t>(kRound),
+            service.options().max_queued_jobs_per_tenant);
+  for (int done = 0; done < kJobs; done += kRound) {
+    std::vector<JobId> ids;
+    for (int i = 0; i < kRound; ++i) {
+      ids.push_back(expect_accepted(service, "a", quick_batch(1, 700 + done + i)).id);
+    }
+    service.drain();
+    for (const JobId id : ids) service.forget(id);
+  }
+
+  const ServiceStats stats = service.stats();  // keep the snapshot alive
+  const TenantStats* a = stats.tenant("a");
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a->completed_jobs, static_cast<std::uint64_t>(kJobs));
+  EXPECT_EQ(a->latency.count, 512u);
+  expect_conservation(stats);
 }
 
 TEST(SchedulerService, StatsListsTenantsSortedAndSumsMatch) {

@@ -1,9 +1,10 @@
 // Level-fill kernel differential: the production inverse scan must be
 // bit-identical to the legacy binary search and to the O(P·N²) reference on
-// generated scenarios, ragged partial ranges (c-wide blocks included),
+// generated scenarios, synthetic monotone tables, levels of every length,
 // c = 1, lifespans below c, degenerate grids and forced-kernel whole solves
-// — plus the write contract of run_fill_kernel (every cell of [lo, hi)
-// written, nothing outside it).
+// — plus the write contract of run_fill_kernel (every cell of the level but
+// cur[0] written before it is read, nothing outside [1, cur.size())
+// written).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -42,40 +43,12 @@ std::vector<Ticks> level_zero(Ticks n, Ticks c) {
   return level;
 }
 
-/// Fills one level over [lo, hi) with `kernel` on a fresh copy of `cur0`,
-/// returning the filled level.
+/// Fills one whole level with `kernel` on a fresh copy of `cur0`, returning
+/// the filled level.
 std::vector<Ticks> fill_with(SolverKernel kernel, const std::vector<Ticks>& cur0,
-                             const std::vector<Ticks>& prev, Ticks lo, Ticks hi,
-                             Ticks c) {
+                             const std::vector<Ticks>& prev, Ticks c) {
   std::vector<Ticks> cur = cur0;
-  run_fill_kernel(kernel, cur, prev, lo, hi, c);
-  return cur;
-}
-
-/// Fills a whole level [1, n] as consecutive ragged ranges whose lengths are
-/// drawn from [1, max_len] — short ranges whose reads reach back into the
-/// earlier ranges' writes, and longer ones when max_len > c.
-std::vector<Ticks> fill_ragged(SolverKernel kernel, const std::vector<Ticks>& prev,
-                               Ticks c, Ticks max_len, util::Rng& rng) {
-  const Ticks n = static_cast<Ticks>(prev.size()) - 1;
-  std::vector<Ticks> cur(prev.size(), 0);
-  for (Ticks lo = 1; lo <= n;) {
-    const Ticks hi = std::min<Ticks>(n + 1, lo + rng.uniform_int(1, max_len));
-    run_fill_kernel(kernel, cur, prev, lo, hi, c);
-    lo = hi;
-  }
-  return cur;
-}
-
-/// Fills a whole level [1, n] in c-wide blocks [1 + b·c, 1 + (b+1)·c): each
-/// block reads only cells below its own start.
-std::vector<Ticks> fill_blocks(SolverKernel kernel, const std::vector<Ticks>& prev,
-                               Ticks c) {
-  const Ticks n = static_cast<Ticks>(prev.size()) - 1;
-  std::vector<Ticks> cur(prev.size(), 0);
-  for (Ticks lo = 1; lo <= n; lo += c) {
-    run_fill_kernel(kernel, cur, prev, lo, std::min(n + 1, lo + c), c);
-  }
+  run_fill_kernel(kernel, cur, prev, c);
   return cur;
 }
 
@@ -110,9 +83,8 @@ TEST(KernelDispatch, ForceAndClear) {
 
 TEST(KernelDifferential, GeneratedScenariosBitIdenticalAcrossKernels) {
   // NOWSCHED_FUZZ_CASES generated scenarios. Per scenario, every level is
-  // built by the legacy kernel over the whole range, by the inverse scan
-  // over the whole range, in c-wide blocks and in ragged ranges up to 3c
-  // long, and all four must match the O(P·N²) reference entry-for-entry.
+  // built by the legacy kernel and by the inverse scan, and both must match
+  // the O(P·N²) reference entry-for-entry.
   sim::ScenarioDomain domain;
   domain.min_c = 1;
   domain.max_c = 49;
@@ -120,7 +92,6 @@ TEST(KernelDifferential, GeneratedScenariosBitIdenticalAcrossKernels) {
   domain.max_lifespan = 301;
   domain.max_interrupts = 3;
   sim::ScenarioGenerator gen(domain, 0x51D3);
-  util::Rng rng(0x7A6);
 
   const int cases = fuzz_cases(200);
   for (int i = 0; i < cases; ++i) {
@@ -133,25 +104,20 @@ TEST(KernelDifferential, GeneratedScenariosBitIdenticalAcrossKernels) {
     const std::vector<Ticks> zero(static_cast<std::size_t>(n) + 1, 0);
     for (int q = 1; q <= max_q; ++q) {
       const std::span<const Ticks> want = ref.level(q);
-      const auto legacy = fill_with(SolverKernel::kLegacy, zero, prev, 1, n + 1, c);
+      const auto legacy = fill_with(SolverKernel::kLegacy, zero, prev, c);
       ASSERT_TRUE(std::equal(legacy.begin(), legacy.end(), want.begin()))
           << "legacy, case " << i << " q=" << q << " c=" << c;
-      ASSERT_EQ(legacy, fill_with(SolverKernel::kInverseScan, zero, prev, 1, n + 1, c))
-          << "whole range, case " << i << " q=" << q << " c=" << c;
-      ASSERT_EQ(legacy, fill_blocks(SolverKernel::kInverseScan, prev, c))
-          << "c-wide blocks, case " << i << " q=" << q << " c=" << c;
-      ASSERT_EQ(legacy, fill_ragged(SolverKernel::kInverseScan, prev, c, 3 * c, rng))
-          << "ragged ranges, case " << i << " q=" << q << " c=" << c;
+      ASSERT_EQ(legacy, fill_with(SolverKernel::kInverseScan, zero, prev, c))
+          << "inverse scan, case " << i << " q=" << q << " c=" << c;
       prev = legacy;
     }
   }
 }
 
-TEST(KernelDifferential, SyntheticMonotoneTablesAndPartialRanges) {
+TEST(KernelDifferential, SyntheticMonotoneTablesMatchAcrossKernels) {
   // Random prev levels that satisfy the kernel's documented invariants
   // (prev[0] = 0, non-decreasing, 1-Lipschitz) but are not V_{p−1} of any
-  // contract, filled by both kernels in ragged partial ranges — including
-  // single-lifespan ranges and ranges shorter and longer than c.
+  // contract, with c below and above the level's length.
   util::Rng rng(0xB10C);
   for (int iter = 0; iter < 200; ++iter) {
     const Ticks n = rng.uniform_int(2, 400);
@@ -162,13 +128,8 @@ TEST(KernelDifferential, SyntheticMonotoneTablesAndPartialRanges) {
           prev[static_cast<std::size_t>(l - 1)] + rng.uniform_int(0, 1);
     }
     const std::vector<Ticks> zero(static_cast<std::size_t>(n) + 1, 0);
-    const auto legacy = fill_with(SolverKernel::kLegacy, zero, prev, 1, n + 1, c);
-    for (SolverKernel k : kKernels) {
-      ASSERT_EQ(legacy, fill_ragged(k, prev, c, 2 * c, rng))
-          << "iter " << iter << " c=" << c << " n=" << n << " kernel "
-          << solver_kernel_name(k);
-    }
-    ASSERT_EQ(legacy, fill_with(SolverKernel::kInverseScan, zero, prev, 1, n + 1, c))
+    ASSERT_EQ(fill_with(SolverKernel::kLegacy, zero, prev, c),
+              fill_with(SolverKernel::kInverseScan, zero, prev, c))
         << "iter " << iter << " c=" << c << " n=" << n;
   }
 }
@@ -192,16 +153,16 @@ TEST(KernelDifferential, ForcedDispatchSolvesMatchReference) {
 }
 
 TEST(KernelDifferential, DegenerateGrids) {
-  // c = 1, c >= n, n = 1 — the boundary geometries where blocked scans
-  // historically break — as single levels and as whole solves (including
-  // max_p = 0 and the empty lifespan range).
+  // c = 1, c >= n, n <= 1 — the boundary geometries of the scan's first
+  // stores — as single levels and as whole solves (including max_p = 0 and
+  // the empty lifespan range).
   for (const auto& [n, c] : std::vector<std::pair<Ticks, Ticks>>{
-           {1, 1}, {1, 5}, {2, 1}, {3, 7}, {7, 7}, {8, 7}, {9, 2}, {257, 1},
-           {300, 299}, {300, 300}, {300, 301}}) {
+           {0, 1}, {0, 5}, {1, 1}, {1, 5}, {2, 1}, {3, 7}, {7, 7}, {8, 7},
+           {9, 2}, {257, 1}, {300, 299}, {300, 300}, {300, 301}}) {
     const std::vector<Ticks> prev = level_zero(n, c);
     const std::vector<Ticks> zero(static_cast<std::size_t>(n) + 1, 0);
-    ASSERT_EQ(fill_with(SolverKernel::kLegacy, zero, prev, 1, n + 1, c),
-              fill_with(SolverKernel::kInverseScan, zero, prev, 1, n + 1, c))
+    ASSERT_EQ(fill_with(SolverKernel::kLegacy, zero, prev, c),
+              fill_with(SolverKernel::kInverseScan, zero, prev, c))
         << "n=" << n << " c=" << c;
   }
   for (const auto& [max_p, n, c] : std::vector<std::tuple<int, Ticks, Ticks>>{
@@ -219,100 +180,130 @@ TEST(KernelDifferential, DegenerateGrids) {
 // ---------------------------------------------------------------------------
 
 TEST(KernelContract, GarbageInRangeGivesTheZeroedRangeResult) {
-  // Every cell of [lo, hi) is written before anything reads it: pre-filling
-  // the range with garbage must not change the filled level. solve_fast
+  // Every cell of [1, n] is written before anything reads it: pre-filling
+  // the level with garbage must not change the filled level. solve_fast
   // relies on this to skip the slab's zero pass.
   util::Rng rng(0x6A5B);
   for (int iter = 0; iter < 120; ++iter) {
     const Ticks n = rng.uniform_int(1, 300);
     const Ticks c = rng.uniform_int(1, 40);
-    const std::vector<Ticks> prev = fill_with(
-        SolverKernel::kLegacy, std::vector<Ticks>(static_cast<std::size_t>(n) + 1, 0),
-        level_zero(n, c), 1, n + 1, c);
-    const std::vector<Ticks> want =
-        fill_with(SolverKernel::kLegacy,
-                  std::vector<Ticks>(static_cast<std::size_t>(n) + 1, 0), prev,
-                  1, n + 1, c);
-    const Ticks lo = rng.uniform_int(1, n);
-    const Ticks hi = rng.uniform_int(lo, n + 1);
+    const std::vector<Ticks> zero(static_cast<std::size_t>(n) + 1, 0);
+    const std::vector<Ticks> prev =
+        fill_with(SolverKernel::kLegacy, zero, level_zero(n, c), c);
+    const std::vector<Ticks> want = fill_with(SolverKernel::kLegacy, zero, prev, c);
     for (SolverKernel k : kKernels) {
-      // Cells below lo are final input; [lo, hi) is garbage.
-      std::vector<Ticks> cur = want;
-      for (Ticks l = lo; l < hi; ++l) {
+      std::vector<Ticks> cur = zero;
+      for (Ticks l = 1; l <= n; ++l) {
         cur[static_cast<std::size_t>(l)] = rng.uniform_int(-1000, 1000);
       }
-      run_fill_kernel(k, cur, prev, lo, hi, c);
-      ASSERT_TRUE(std::equal(cur.begin(), cur.begin() + hi, want.begin()))
-          << "kernel " << solver_kernel_name(k) << " n=" << n << " c=" << c
-          << " [" << lo << ", " << hi << ")";
+      run_fill_kernel(k, cur, prev, c);
+      ASSERT_EQ(cur, want) << "kernel " << solver_kernel_name(k) << " n=" << n
+                           << " c=" << c;
     }
   }
 }
 
+/// A level of `values.size()` cells placed between two runs of kPad
+/// sentinels, so a stray write just outside the level is visible without a
+/// sanitizer.
+struct PaddedLevel {
+  static constexpr Ticks kSentinel = std::numeric_limits<Ticks>::min();
+  static constexpr std::size_t kPad = 64;
+
+  explicit PaddedLevel(const std::vector<Ticks>& values)
+      : buffer(values.size() + 2 * kPad, kSentinel) {
+    std::copy(values.begin(), values.end(), buffer.begin() + kPad);
+  }
+  std::span<Ticks> level() { return std::span<Ticks>(buffer).subspan(kPad, size()); }
+  std::size_t size() const { return buffer.size() - 2 * kPad; }
+  /// True when every sentinel outside the level is intact.
+  bool pads_intact() const {
+    const auto intact = [](auto first, auto last) {
+      return std::all_of(first, last, [](Ticks v) { return v == kSentinel; });
+    };
+    return intact(buffer.begin(), buffer.begin() + kPad) &&
+           intact(buffer.end() - kPad, buffer.end());
+  }
+
+  std::vector<Ticks> buffer;
+};
+
+/// Random level values in [-spread, spread]: non-monotone, prev[0] != 0 —
+/// every table invariant the kernels assume may be violated.
+std::vector<Ticks> invalid_level(Ticks n, Ticks spread, util::Rng& rng) {
+  std::vector<Ticks> level(static_cast<std::size_t>(n) + 1);
+  for (Ticks& v : level) v = rng.uniform_int(-spread, spread);
+  return level;
+}
+
 TEST(KernelContract, InvalidInputWritesOnlyInsideTheRange) {
-  // Invariant-violating levels (arbitrary values, non-monotone, prev[0] !=
-  // cur[0]) may produce wrong values, but never a write outside [lo, hi).
+  // Invariant-violating levels may produce wrong values, but never a write
+  // to cur[0]: the kernel owns [1, n] and nothing else.
   util::Rng rng(0xBAD);
-  constexpr Ticks kSentinel = std::numeric_limits<Ticks>::min();
   for (int iter = 0; iter < 400; ++iter) {
     const Ticks n = rng.uniform_int(1, 200);
     const Ticks c = rng.uniform_int(1, 30);
     const Ticks spread = rng.uniform_int(1, 3) == 1 ? 2 * n : 3;
-    std::vector<Ticks> prev(static_cast<std::size_t>(n) + 1);
-    std::vector<Ticks> cur(static_cast<std::size_t>(n) + 1);
-    for (Ticks l = 0; l <= n; ++l) {
-      prev[static_cast<std::size_t>(l)] = rng.uniform_int(-spread, spread);
-      cur[static_cast<std::size_t>(l)] = rng.uniform_int(-spread, spread);
-    }
-    const Ticks lo = rng.uniform_int(1, n);
-    const Ticks hi = rng.uniform_int(lo, n + 1);
+    const std::vector<Ticks> prev = invalid_level(n, spread, rng);
+    const std::vector<Ticks> cur = invalid_level(n, spread, rng);
     for (SolverKernel k : kKernels) {
-      std::vector<Ticks> level = cur;
-      for (Ticks l = hi; l <= n; ++l) level[static_cast<std::size_t>(l)] = kSentinel;
-      run_fill_kernel(k, level, prev, lo, hi, c);
-      for (Ticks l = 0; l < lo; ++l) {
-        ASSERT_EQ(level[static_cast<std::size_t>(l)], cur[static_cast<std::size_t>(l)])
-            << "kernel " << solver_kernel_name(k) << " wrote below lo at " << l;
-      }
-      for (Ticks l = hi; l <= n; ++l) {
-        ASSERT_EQ(level[static_cast<std::size_t>(l)], kSentinel)
-            << "kernel " << solver_kernel_name(k) << " wrote at or above hi at " << l;
-      }
+      const std::vector<Ticks> level = fill_with(k, cur, prev, c);
+      ASSERT_EQ(level[0], cur[0])
+          << "kernel " << solver_kernel_name(k) << " wrote cur[0], n=" << n
+          << " c=" << c;
     }
   }
 }
 
-TEST(KernelContract, EmptyRangeWritesNothing) {
-  // lo == hi is a valid range at every lo in [1, n + 1]: no cell changes.
-  const Ticks n = 120, c = 9;
-  const std::vector<Ticks> prev = level_zero(n, c);
-  std::vector<Ticks> cur0(static_cast<std::size_t>(n) + 1);
-  for (Ticks l = 0; l <= n; ++l) cur0[static_cast<std::size_t>(l)] = 1000 + l;
-  cur0[0] = 0;
-  for (SolverKernel k : kKernels) {
-    for (Ticks lo = 1; lo <= n + 1; ++lo) {
-      ASSERT_EQ(fill_with(k, cur0, prev, lo, lo, c), cur0)
-          << "kernel " << solver_kernel_name(k) << " lo=" << lo;
+TEST(KernelContract, WritesStayInsideTheLevelSpan) {
+  // The level is a subspan of a sentinel-padded buffer. On valid and on
+  // invariant-violating input, both kernels leave every sentinel and cur[0]
+  // as they found them. prev stays an exact-size vector, so a stray read
+  // past it hits a heap redzone under ASan instead of a pad.
+  util::Rng rng(0x5E7);
+  for (int iter = 0; iter < 300; ++iter) {
+    const Ticks n = rng.uniform_int(0, 200);
+    const Ticks c = rng.uniform_int(1, 40);
+    const bool valid = iter % 2 == 0;
+    const Ticks spread = rng.uniform_int(1, 3) == 1 ? 2 * n + 1 : 3;
+    const std::vector<Ticks> prev =
+        valid ? level_zero(n, c) : invalid_level(n, spread, rng);
+    // Valid input may still hold garbage in [1, n]; only cur[0] must be 0.
+    std::vector<Ticks> cur_values = invalid_level(n, spread, rng);
+    if (valid) cur_values[0] = 0;
+    for (SolverKernel k : kKernels) {
+      PaddedLevel cur(cur_values);
+      run_fill_kernel(k, cur.level(), prev, c);
+      ASSERT_TRUE(cur.pads_intact())
+          << "kernel " << solver_kernel_name(k) << " wrote outside the level, n="
+          << n << " c=" << c << (valid ? " valid" : " invalid");
+      ASSERT_EQ(cur.level()[0], cur_values[0])
+          << "kernel " << solver_kernel_name(k) << " wrote cur[0], n=" << n
+          << " c=" << c << (valid ? " valid" : " invalid");
     }
   }
 }
 
-TEST(KernelDifferential, SingleLifespanRangesMatchWholeRange) {
-  // The finest split: a level filled one lifespan per call, every call
-  // re-seeding from the cells the previous calls wrote, must equal the
-  // one-call fill — across c = 1, c below and above the level's length.
+TEST(KernelDifferential, EveryLevelLengthIsAPrefixOfTheLongestFill) {
+  // V_p(l) depends only on lifespans up to l: filling a level of every
+  // length 1..N from prefix spans of prev must give the prefix of the
+  // length-N fill. This crosses every boundary of the scan's last store
+  // (n − c = 0, 1, 2, ... and c >= n).
   for (const auto& [n, c] : std::vector<std::pair<Ticks, Ticks>>{
            {200, 1}, {300, 7}, {257, 64}, {90, 100}}) {
     std::vector<Ticks> prev = level_zero(n, c);
     for (int q = 1; q <= 3; ++q) {
       const std::vector<Ticks> zero(prev.size(), 0);
-      const std::vector<Ticks> whole =
-          fill_with(SolverKernel::kLegacy, zero, prev, 1, n + 1, c);
+      const std::vector<Ticks> whole = fill_with(SolverKernel::kLegacy, zero, prev, c);
       for (SolverKernel k : kKernels) {
-        std::vector<Ticks> cur = zero;
-        for (Ticks lo = 1; lo <= n; ++lo) run_fill_kernel(k, cur, prev, lo, lo + 1, c);
-        ASSERT_EQ(cur, whole) << "kernel " << solver_kernel_name(k) << " n=" << n
-                              << " c=" << c << " q=" << q;
+        for (Ticks len = 1; len <= n; ++len) {
+          const auto cells = static_cast<std::size_t>(len) + 1;
+          std::vector<Ticks> cur(cells, 0);
+          run_fill_kernel(k, cur, std::span<const Ticks>(prev).first(cells), c);
+          ASSERT_TRUE(std::equal(cur.begin(), cur.end(), whole.begin()))
+              << "kernel " << solver_kernel_name(k) << " n=" << n << " c=" << c
+              << " q=" << q << " len=" << len;
+        }
       }
       prev = whole;
     }

@@ -91,12 +91,6 @@ TEST(ThreadPool, SingleThreadPoolRunsSerially) {
   EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
 }
 
-TEST(ThreadPool, GlobalPoolIsSingleton) {
-  ThreadPool& a = global_pool();
-  ThreadPool& b = global_pool();
-  EXPECT_EQ(&a, &b);
-}
-
 TEST(ThreadPool, ManySmallDispatchesComplete) {
   ThreadPool pool(4);
   std::atomic<int> total{0};
@@ -148,44 +142,6 @@ TEST(ThreadPool, ChunksRespectGrainAndOversubscriptionCap) {
       EXPECT_GE(chunks[k].second - chunks[k].first, grain) << "grain " << grain;
     }
   }
-}
-
-// ---- NOWSCHED_THREADS parsing ---------------------------------------------
-
-TEST(ThreadsFromEnv, UnsetMeansHardwareDefault) {
-  std::string warning = "sentinel";
-  EXPECT_EQ(threads_from_env_value(nullptr, &warning), 0u);
-  EXPECT_TRUE(warning.empty());
-}
-
-TEST(ThreadsFromEnv, ValidPositiveInteger) {
-  std::string warning;
-  EXPECT_EQ(threads_from_env_value("4", &warning), 4u);
-  EXPECT_TRUE(warning.empty());
-  EXPECT_EQ(threads_from_env_value("1", &warning), 1u);
-  EXPECT_TRUE(warning.empty());
-}
-
-TEST(ThreadsFromEnv, RejectsTrailingGarbage) {
-  // The old atol parser read "4abc" as 4; full-string validation must not.
-  std::string warning;
-  EXPECT_EQ(threads_from_env_value("4abc", &warning), 0u);
-  EXPECT_FALSE(warning.empty());
-  EXPECT_NE(warning.find("4abc"), std::string::npos);
-}
-
-TEST(ThreadsFromEnv, RejectsNonPositiveEmptyAndOverflow) {
-  std::string warning;
-  EXPECT_EQ(threads_from_env_value("-1", &warning), 0u);
-  EXPECT_FALSE(warning.empty());
-  EXPECT_EQ(threads_from_env_value("0", &warning), 0u);
-  EXPECT_FALSE(warning.empty());
-  EXPECT_EQ(threads_from_env_value("", &warning), 0u);
-  EXPECT_FALSE(warning.empty());
-  EXPECT_EQ(threads_from_env_value("99999999999999999999", &warning), 0u);
-  EXPECT_FALSE(warning.empty());
-  EXPECT_EQ(threads_from_env_value("two", &warning), 0u);
-  EXPECT_FALSE(warning.empty());
 }
 
 }  // namespace
