@@ -20,14 +20,6 @@ void InterruptTrace::append(Ticks time_abs) {
   times_.push_back(time_abs);
 }
 
-InterruptTrace InterruptTrace::shifted(Ticks offset) const {
-  InterruptTrace out;
-  for (const Ticks t : times_) {
-    if (t > offset) out.append(t - offset);
-  }
-  return out;
-}
-
 std::optional<Ticks> RecordingAdversary::plan_interrupt(const EpisodeSchedule& episode,
                                                         const EpisodeContext& ctx) {
   const auto planned = inner_.plan_interrupt(episode, ctx);

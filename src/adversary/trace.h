@@ -22,12 +22,6 @@ class InterruptTrace {
   std::size_t size() const noexcept { return times_.size(); }
   void append(Ticks time_abs);
 
-  /// The trace re-based for a session resumed after `offset` consumed ticks:
-  /// times <= offset are dropped (they were handled before the checkpoint)
-  /// and the rest shift down by offset. Used by the checkpoint-restart tests
-  /// to replay the tail of a recorded owner against a resumed session.
-  InterruptTrace shifted(Ticks offset) const;
-
  private:
   std::vector<Ticks> times_;
 };

@@ -138,47 +138,4 @@ std::string EpisodeSchedule::to_string() const {
   return os.str();
 }
 
-EpisodeOutcome interrupt_at_period_end(const EpisodeSchedule& sched, std::size_t k,
-                                       Ticks residual_lifespan, const Params& params) {
-  if (k >= sched.size()) {
-    throw std::out_of_range("interrupt_at_period_end: no such period");
-  }
-  EpisodeOutcome out;
-  out.interrupted = true;
-  out.period = k;
-  out.work = sched.banked_work(k, params);
-  // Last-instant interrupt nullifies the full period: lifespan consumed is
-  // T_{k+1} (the limit t -> T_{k+1} of Table 1's "U - t").
-  out.residual = positive_sub(residual_lifespan, sched.end(k));
-  return out;
-}
-
-EpisodeOutcome interrupt_at_time(const EpisodeSchedule& sched, Ticks when,
-                                 Ticks residual_lifespan, const Params& params) {
-  if (when < 1 || when > sched.total()) {
-    throw std::out_of_range("interrupt_at_time: tick outside the episode");
-  }
-  // Find the period containing tick `when`: largest k with start(k) < when.
-  std::size_t lo = 0, hi = sched.size() - 1;
-  while (lo < hi) {
-    const std::size_t mid = (lo + hi + 1) / 2;
-    if (sched.start(mid) < when) lo = mid;
-    else hi = mid - 1;
-  }
-  EpisodeOutcome out;
-  out.interrupted = true;
-  out.period = lo;
-  out.work = sched.banked_work(lo, params);
-  out.residual = positive_sub(residual_lifespan, when);
-  return out;
-}
-
-EpisodeOutcome run_uninterrupted(const EpisodeSchedule& sched, Ticks residual_lifespan,
-                                 const Params& params) {
-  EpisodeOutcome out;
-  out.work = sched.work_if_uninterrupted(params);
-  out.residual = positive_sub(residual_lifespan, sched.total());
-  return out;
-}
-
 }  // namespace nowsched

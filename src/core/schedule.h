@@ -78,30 +78,4 @@ class EpisodeSchedule {
   std::vector<Ticks> prefix_;  // prefix_[k] = T_k; size == periods_.size() + 1
 };
 
-/// Outcome of one episode once the adversary's move is known.
-struct EpisodeOutcome {
-  Ticks work = 0;            ///< work banked by the episode
-  Ticks residual = 0;        ///< lifespan remaining after the episode
-  bool interrupted = false;  ///< whether the owner interrupted
-  std::size_t period = 0;    ///< 0-based interrupted period (if interrupted)
-};
-
-/// Plays out an episode against a *last-instant* interrupt of 0-based period
-/// `k` (the adversary's dominant choice, §4.1 Observation (a)): the episode
-/// banks the first k periods' work, and the residual lifespan shrinks by T_{k+1}.
-EpisodeOutcome interrupt_at_period_end(const EpisodeSchedule& sched, std::size_t k,
-                                       Ticks residual_lifespan, const Params& params);
-
-/// Plays out an episode against an interrupt *during* 1-based tick `when`
-/// in [1, total]: the period containing that tick is killed and `when` ticks
-/// of lifespan are consumed. `when == end(k)` is the last instant of period
-/// k and consumes exactly T_{k+1} — the limit the paper's Table 1 analyzes.
-/// Used to verify Observation (a): mid-period interrupts are dominated.
-EpisodeOutcome interrupt_at_time(const EpisodeSchedule& sched, Ticks when,
-                                 Ticks residual_lifespan, const Params& params);
-
-/// Plays out an uninterrupted episode.
-EpisodeOutcome run_uninterrupted(const EpisodeSchedule& sched, Ticks residual_lifespan,
-                                 const Params& params);
-
 }  // namespace nowsched

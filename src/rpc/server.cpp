@@ -98,8 +98,10 @@ bool Server::poll_once(int timeout_ms) {
   const std::size_t polled = conns_.size();
   std::vector<pollfd> fds;
   fds.reserve(polled + 2);
-  // A negative fd is skipped by poll: the paused listener stays readable,
-  // and polling it would spin.
+  // A negative fd is skipped by poll. The paused listener stays readable,
+  // and a connection that asks for nothing (parked, say) still reports
+  // POLLHUP once its peer has closed: polling either would spin. Such a
+  // connection moves again when the completion hook rings the wake pipe.
   fds.push_back({accepting_ ? listener_.get() : -1, POLLIN, 0});
   fds.push_back({wake_read_.get(), POLLIN, 0});
   for (std::size_t i = 0; i < polled; ++i) {
@@ -107,7 +109,7 @@ bool Server::poll_once(int timeout_ms) {
     short events = 0;
     if (!conn.read_closed && wants_input(conn)) events |= POLLIN;
     if (conn.out_pos < conn.outbuf.size()) events |= POLLOUT;
-    fds.push_back({conn.fd.get(), events, 0});
+    fds.push_back({events != 0 ? conn.fd.get() : -1, events, 0});
   }
 
   // A wake may already be pending (completion hook); progress made above

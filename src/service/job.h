@@ -39,10 +39,6 @@ enum class JobState : int {
 /// protocol's human-readable fields.
 const char* to_string(JobState state);
 
-/// Strict inverse of to_string(JobState); throws std::invalid_argument on
-/// an unknown name (the util/parse.h discipline: typos never pass).
-JobState job_state_from_string(const std::string& name);
-
 /// The frozen numeric wire code (see the enum). Kept as a named function so
 /// call sites say what they mean instead of scattering static_casts.
 constexpr int wire_code(JobState state) noexcept { return static_cast<int>(state); }

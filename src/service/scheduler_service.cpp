@@ -50,13 +50,6 @@ const char* to_string(SubmitStatus status) {
   return "?";
 }
 
-SubmitStatus submit_status_from_string(const std::string& name) {
-  for (SubmitStatus status : kAllSubmitStatuses) {
-    if (name == to_string(status)) return status;
-  }
-  throw std::invalid_argument("unknown submit status: '" + name + "'");
-}
-
 std::optional<SubmitStatus> submit_status_from_wire(int code) noexcept {
   for (SubmitStatus status : kAllSubmitStatuses) {
     if (code == wire_code(status)) return status;
@@ -74,13 +67,6 @@ const char* to_string(JobState state) {
     case JobState::kCancelled: return "cancelled";
   }
   return "?";
-}
-
-JobState job_state_from_string(const std::string& name) {
-  for (JobState state : kAllJobStates) {
-    if (name == to_string(state)) return state;
-  }
-  throw std::invalid_argument("unknown job state: '" + name + "'");
 }
 
 std::optional<JobState> job_state_from_wire(int code) noexcept {

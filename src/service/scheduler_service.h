@@ -79,10 +79,6 @@ enum class SubmitStatus : int {
 
 const char* to_string(SubmitStatus status);
 
-/// Strict inverse of to_string(SubmitStatus); throws std::invalid_argument
-/// on an unknown name.
-SubmitStatus submit_status_from_string(const std::string& name);
-
 /// The frozen numeric wire code (see the enum).
 constexpr int wire_code(SubmitStatus status) noexcept {
   return static_cast<int>(status);

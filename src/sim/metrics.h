@@ -50,8 +50,8 @@ struct SessionMetrics {
   std::string to_string() const;
 };
 
-/// The one field table of SessionMetrics, in declaration order: the session
-/// checkpoint reads and writes it keyed, the rpc JobResultReply positionally.
+/// The one field table of SessionMetrics, in declaration order: the rpc
+/// JobResultReply reads and writes it positionally.
 inline constexpr util::Field<SessionMetrics> kSessionMetricsFields[] = {
     util::field<&SessionMetrics::banked_work>("banked_work"),
     util::field<&SessionMetrics::task_work>("task_work"),

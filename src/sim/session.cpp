@@ -148,30 +148,7 @@ void SessionActor::handle_interrupt() {
     finished_ = true;
     return;
   }
-  if (pause_countdown_ > 0 && --pause_countdown_ == 0) {
-    paused_ = true;  // interrupt boundary: no episode in flight to capture
-    return;
-  }
   begin_episode(episode_start_abs_ + tick);
-}
-
-void SessionActor::pause_after_interrupts(int n) {
-  if (n < 1) {
-    throw std::invalid_argument("SessionActor: pause_after_interrupts needs n >= 1");
-  }
-  pause_countdown_ = n;
-}
-
-SessionCheckpoint SessionActor::checkpoint() const {
-  if (!paused_ && !finished_) {
-    throw std::logic_error("SessionActor: checkpoint() while an episode is running");
-  }
-  SessionCheckpoint ckpt;
-  ckpt.residual = finished_ ? 0 : residual_;
-  ckpt.interrupts_left = interrupts_left_;
-  ckpt.metrics = metrics_;
-  ckpt.finished = finished_;
-  return ckpt;
 }
 
 SessionMetrics run_session(const SchedulingPolicy& policy,
@@ -182,62 +159,6 @@ SessionMetrics run_session(const SchedulingPolicy& policy,
   actor.start(0);
   while (actor.next_event()) actor.step();
   return actor.metrics();
-}
-
-SessionCheckpoint run_session_until_interrupt(
-    const SchedulingPolicy& policy, adversary::Adversary& adversary,
-    Opportunity opportunity, Params params, int pause_after, TaskBag* bag,
-    std::optional<Checkpointing> checkpointing) {
-  SessionActor actor(policy, adversary, opportunity, params, bag, checkpointing);
-  actor.pause_after_interrupts(pause_after);
-  actor.start(0);
-  while (actor.next_event()) actor.step();
-  return actor.checkpoint();
-}
-
-SessionMetrics resume_session(const SchedulingPolicy& policy,
-                              adversary::Adversary& adversary,
-                              const SessionCheckpoint& ckpt, Params params,
-                              TaskBag* bag,
-                              std::optional<Checkpointing> checkpointing) {
-  SessionMetrics merged = ckpt.metrics;
-  if (ckpt.finished) return merged;
-  merged.merge(run_session(policy, adversary,
-                           Opportunity{ckpt.residual, ckpt.interrupts_left}, params,
-                           bag, checkpointing));
-  return merged;
-}
-
-// ---------------------------------------------------------------------------
-// Checkpoint text round-trip
-// ---------------------------------------------------------------------------
-
-namespace {
-
-constexpr const char* kCheckpointHeader = "nowsched-session-checkpoint v1";
-
-// Every key serialize() writes is REQUIRED back: a truncated checkpoint must
-// be an error, never a silently zeroed session state.
-constexpr util::Field<SessionCheckpoint> kCheckpointFields[] = {
-    util::field<&SessionCheckpoint::residual>("residual"),
-    util::field<&SessionCheckpoint::interrupts_left>("interrupts_left"),
-    util::field<&SessionCheckpoint::finished>("finished"),
-};
-
-}  // namespace
-
-std::string serialize(const SessionCheckpoint& ckpt) {
-  std::string out = util::write_record(kCheckpointHeader, kCheckpointFields, ckpt);
-  util::write_fields(out, kSessionMetricsFields, ckpt.metrics);
-  return out;
-}
-
-SessionCheckpoint parse_session_checkpoint(const std::string& text) {
-  util::RecordReader in("session checkpoint", text, kCheckpointHeader);
-  SessionCheckpoint ckpt;
-  in.section("", util::bind(kCheckpointFields, ckpt),
-             util::bind(kSessionMetricsFields, ckpt.metrics));
-  return ckpt;
 }
 
 }  // namespace nowsched::sim

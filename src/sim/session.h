@@ -11,6 +11,11 @@
 // ends. With a TaskBag attached, each period carries a greedily packed batch
 // of indivisible tasks; killed batches return to the bag.
 //
+// A session runs start to finish. After an interrupt the rest of it depends
+// only on (residual lifespan, interrupts left), so it equals a fresh session
+// on that pair against the owner's trace re-based by the consumed lifespan;
+// the `continuation` conformance check and SessionContinuation.* assert it.
+//
 // run_session() is the standalone convenience wrapper.
 #pragma once
 
@@ -27,27 +32,6 @@
 
 namespace nowsched::sim {
 
-/// Resumable mid-session state, captured at an interrupt boundary — the only
-/// points where no episode is in flight, so the whole session state is the
-/// residual contract plus the metrics banked so far. A session resumed from
-/// a checkpoint continues BIT-IDENTICALLY to the uninterrupted original:
-/// policies are pure functions of (residual, interrupts_left), episodes span
-/// the residual by construction, and the adversary side is re-based by
-/// shifting its trace (InterruptTrace::shifted) by the consumed lifespan
-/// (== metrics.lifespan_used). Asserted against generated interrupt traces
-/// in tests/sim_checkpoint_test.cpp and the conformance suite.
-struct SessionCheckpoint {
-  Ticks residual = 0;       ///< lifespan remaining at the pause point
-  int interrupts_left = 0;  ///< contract interrupts the owner may still use
-  SessionMetrics metrics;   ///< accumulated up to the pause point
-  bool finished = false;    ///< session completed before the requested pause
-};
-
-/// Text round-trip of a checkpoint: a "nowsched-session-checkpoint v1" keyed
-/// record (DESIGN §8) with every key required; parse(serialize(x)) == x.
-std::string serialize(const SessionCheckpoint& ckpt);
-SessionCheckpoint parse_session_checkpoint(const std::string& text);
-
 class SessionActor {
  public:
   /// `bag` may be nullptr (pure model-level accounting). `checkpointing`
@@ -61,23 +45,14 @@ class SessionActor {
   /// Begins the session at absolute time `now` (plans its first episode).
   void start(Ticks now);
 
-  /// Absolute time of the pending event; nullopt once finished or paused.
+  /// Absolute time of the pending event; nullopt once finished.
   std::optional<Ticks> next_event() const noexcept { return next_event_; }
 
   /// Runs the pending event (a period end or the planned interrupt) and
   /// plans the next one. Requires next_event().
   void step();
 
-  /// Halt instead of beginning the next episode once `n` further interrupts
-  /// have been handled (n >= 1). Set before start(); when the session runs
-  /// out of lifespan first, it simply finishes.
-  void pause_after_interrupts(int n);
-
   bool finished() const noexcept { return finished_; }
-  bool paused() const noexcept { return paused_; }
-
-  /// The resumable state; call only when paused() or finished().
-  SessionCheckpoint checkpoint() const;
 
   const SessionMetrics& metrics() const noexcept { return metrics_; }
 
@@ -113,8 +88,6 @@ class SessionActor {
 
   SessionMetrics metrics_;
   bool finished_ = false;
-  int pause_countdown_ = -1;  ///< -1: never pause
-  bool paused_ = false;
 };
 
 /// Runs a single session to completion, starting at time 0.
@@ -122,23 +95,5 @@ SessionMetrics run_session(const SchedulingPolicy& policy,
                            adversary::Adversary& adversary, Opportunity opportunity,
                            Params params, TaskBag* bag = nullptr,
                            std::optional<Checkpointing> checkpointing = std::nullopt);
-
-/// Runs a session but pauses after `pause_after` interrupts (>= 1) have been
-/// handled, returning the resumable state (checkpoint.finished when the
-/// session completed first).
-SessionCheckpoint run_session_until_interrupt(
-    const SchedulingPolicy& policy, adversary::Adversary& adversary,
-    Opportunity opportunity, Params params, int pause_after, TaskBag* bag = nullptr,
-    std::optional<Checkpointing> checkpointing = std::nullopt);
-
-/// Continues a paused session to completion and returns the FULL-session
-/// metrics (checkpoint metrics merged with the continuation). The caller
-/// re-bases time-dependent adversaries to the resume point — for traces,
-/// TraceAdversary(trace.shifted(ckpt.metrics.lifespan_used)).
-SessionMetrics resume_session(const SchedulingPolicy& policy,
-                              adversary::Adversary& adversary,
-                              const SessionCheckpoint& ckpt, Params params,
-                              TaskBag* bag = nullptr,
-                              std::optional<Checkpointing> checkpointing = std::nullopt);
 
 }  // namespace nowsched::sim

@@ -1,6 +1,5 @@
 #include "util/rng.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -63,22 +62,5 @@ double Rng::pareto(double x_m, double alpha) noexcept {
 bool Rng::bernoulli(double p) noexcept { return uniform01() < p; }
 
 Rng Rng::split() noexcept { return Rng(next()); }
-
-std::vector<std::uint64_t> Rng::sample_distinct(std::uint64_t n, std::uint64_t k) {
-  assert(k <= n);
-  // Floyd's algorithm: for j in [n-k, n), pick t in [0, j]; insert t or j.
-  std::vector<std::uint64_t> out;
-  out.reserve(static_cast<std::size_t>(k));
-  for (std::uint64_t j = n - k; j < n; ++j) {
-    const std::uint64_t t = next_below(j + 1);
-    if (std::find(out.begin(), out.end(), t) == out.end()) {
-      out.push_back(t);
-    } else {
-      out.push_back(j);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
 
 }  // namespace nowsched::util

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 namespace nowsched::util {
 
@@ -53,10 +52,6 @@ class Rng {
 
   /// Derive an independent child stream (for per-entity RNGs).
   Rng split() noexcept;
-
-  /// k distinct integers sampled uniformly from [0, n), ascending order.
-  /// Requires k <= n. Uses Floyd's algorithm, O(k) expected.
-  std::vector<std::uint64_t> sample_distinct(std::uint64_t n, std::uint64_t k);
 
  private:
   std::uint64_t state_;

@@ -1,6 +1,6 @@
 // Strict versioned text records: the one owner of the rules every nowsched
-// text format shares (scenario replay, verdict, session checkpoint,
-// `nowsched-stats v1` and the nowsched-rpc payloads).
+// text format shares (scenario replay, verdict, `nowsched-stats v1` and the
+// nowsched-rpc payloads).
 //
 //   * Line 1 is the exact version header ("nowsched-scenario v1", ...).
 //   * Every other line is `key=value`, split at the first '='.
@@ -14,8 +14,8 @@
 // key, the member it reads and writes, and whether a reader must see it.
 // The table drives the encoder (keys in table order) and both readers.
 //
-// The keyed rule (RecordReader::section; scenario, verdict, checkpoint and
-// stats): blank lines and lines starting with '#' are skipped; an unknown
+// The keyed rule (RecordReader::section; scenario, verdict and stats):
+// blank lines and lines starting with '#' are skipped; an unknown
 // key, a duplicate key within one section, a missing required key, or a
 // malformed or out-of-range value throws std::invalid_argument naming the
 // format and the line.

@@ -8,6 +8,7 @@
 #include <span>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "adversary/trace.h"
 #include "core/bounds.h"
@@ -243,8 +244,7 @@ CheckResult check_monotonicity(const sim::ScenarioSpec& spec, const Options& opt
   return {};
 }
 
-CheckResult check_checkpoint_restart(const sim::ScenarioSpec& spec,
-                                     const Options& options) {
+CheckResult check_continuation(const sim::ScenarioSpec& spec, const Options& options) {
   (void)options;  // the mutation targets the solver reads, not the sim
   const auto policy = sim::make_policy(spec);
   const auto owner = sim::make_owner(spec);
@@ -253,26 +253,38 @@ CheckResult check_checkpoint_restart(const sim::ScenarioSpec& spec,
   adversary::RecordingAdversary recorder(*owner);
   const sim::SessionMetrics full =
       sim::run_session(*policy, recorder, opp, spec.params);
-  if (full.interrupts == 0) return {};  // no boundary to pause at
+  if (full.interrupts == 0) return {};  // no interrupt to continue after
 
-  // Deterministic pause point derived from the spec.
+  // Deterministic interrupt derived from the spec: step the replayed session
+  // up to it and take the metrics banked so far.
   const int k = 1 + static_cast<int>(spec.seed %
                                      static_cast<std::uint64_t>(full.interrupts));
   adversary::TraceAdversary replay(recorder.trace());
-  const sim::SessionCheckpoint ckpt =
-      sim::run_session_until_interrupt(*policy, replay, opp, spec.params, k);
-  const sim::SessionCheckpoint restored =
-      sim::parse_session_checkpoint(sim::serialize(ckpt));
-  adversary::TraceAdversary tail(
-      recorder.trace().shifted(restored.metrics.lifespan_used));
-  const sim::SessionMetrics merged =
-      sim::resume_session(*policy, tail, restored, spec.params);
+  sim::SessionActor actor(*policy, replay, opp, spec.params);
+  actor.start(0);
+  while (actor.metrics().interrupts < k) actor.step();
+  sim::SessionMetrics merged = actor.metrics();
+  // The actor has already begun the episode after interrupt k, and the tail
+  // session counts that episode again.
+  if (!actor.finished()) merged.episodes -= 1;
+
+  // The rest must be a fresh session on (U - used, p - k) against the trace
+  // re-based by used: earlier times drop, later ones shift down.
+  const Ticks used = merged.lifespan_used;
+  adversary::InterruptTrace rest;
+  for (const Ticks t : recorder.trace().times()) {
+    if (t > used) rest.append(t - used);
+  }
+  adversary::TraceAdversary tail(std::move(rest));
+  merged.merge(sim::run_session(*policy, tail,
+                                Opportunity{opp.lifespan - used, opp.max_interrupts - k},
+                                spec.params));
 
   const auto diff = [&](const char* field, Ticks a, Ticks b) {
     std::ostringstream os;
-    os << "resumed session diverged at " << field << ": " << a << " != " << b
-       << " (paused after interrupt " << k << " of " << full.interrupts << ")";
-    return fail("checkpoint-restart", os.str());
+    os << "continued session diverged at " << field << ": " << a << " != " << b
+       << " (continued after interrupt " << k << " of " << full.interrupts << ")";
+    return fail("continuation", os.str());
   };
   if (merged.banked_work != full.banked_work) {
     return diff("banked_work", merged.banked_work, full.banked_work);
@@ -291,9 +303,9 @@ CheckResult check_checkpoint_restart(const sim::ScenarioSpec& spec,
       merged.periods_completed != full.periods_completed ||
       merged.periods_killed != full.periods_killed) {
     std::ostringstream os;
-    os << "resumed session diverged in event counts (paused after interrupt " << k
-       << ")";
-    return fail("checkpoint-restart", os.str());
+    os << "continued session diverged in event counts (continued after interrupt "
+       << k << ")";
+    return fail("continuation", os.str());
   }
   return {};
 }
@@ -307,7 +319,7 @@ const std::vector<NamedCheck>& all_checks() {
       {"policy-eval", check_policy_eval},
       {"bounds-sandwich", check_bounds_sandwich},
       {"monotonicity", check_monotonicity},
-      {"checkpoint-restart", check_checkpoint_restart},
+      {"continuation", check_continuation},
   };
   return kChecks;
 }

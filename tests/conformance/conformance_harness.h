@@ -16,9 +16,9 @@
 //                           exactly on the Prop 4.1(c) threshold;
 //   * monotonicity        — W non-decreasing and 1-Lipschitz in L,
 //                           non-increasing in p (paper Prop 4.1);
-//   * checkpoint-restart  — pausing the scenario's session at an interrupt,
-//                           serializing, restoring, and resuming reproduces
-//                           the uninterrupted run field-for-field.
+//   * continuation        — after one of the session's interrupts, the rest
+//                           equals a fresh session on (residual lifespan,
+//                           interrupts left) against the re-based trace.
 //
 // A failing scenario is auto-minimized (greedy coordinate shrink re-running
 // the failing check) and serialized to a replay file, so any red run hands

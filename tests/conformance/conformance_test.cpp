@@ -1,6 +1,6 @@
 // The differential conformance suite: generated scenarios through fast
 // solver vs. reference solver vs. policy-eval vs. closed-form bounds plus
-// the checkpoint-restart and monotonicity theorems, with auto-minimized
+// the continuation and monotonicity theorems, with auto-minimized
 // replay files on failure and a self-test proving the pipeline catches an
 // injected solver bug. Quick tier runs >= 200 generated cases; set
 // NOWSCHED_FUZZ_CASES (nightly uses >= 5000) to scale.

@@ -136,70 +136,6 @@ TEST_P(FromRealProperty, AlwaysSumsToTotalWithPositivePeriods) {
 INSTANTIATE_TEST_SUITE_P(Totals, FromRealProperty,
                          ::testing::Values(6, 7, 13, 100, 101, 9999, 65536));
 
-// --- outcomes ---------------------------------------------------------------
-
-TEST(Outcomes, UninterruptedEpisode) {
-  EpisodeSchedule s({30, 20, 10});
-  const auto out = run_uninterrupted(s, 60, kParams);
-  EXPECT_FALSE(out.interrupted);
-  EXPECT_EQ(out.work, 20 + 10 + 0);
-  EXPECT_EQ(out.residual, 0);
-}
-
-TEST(Outcomes, InterruptAtPeriodEndBanksPrefixOnly) {
-  EpisodeSchedule s({30, 20, 10});
-  const auto out = interrupt_at_period_end(s, 1, 60, kParams);
-  EXPECT_TRUE(out.interrupted);
-  EXPECT_EQ(out.period, 1u);
-  EXPECT_EQ(out.work, 20);           // only period 0 banked
-  EXPECT_EQ(out.residual, 60 - 50);  // T_2 = 50 consumed
-}
-
-TEST(Outcomes, InterruptFirstPeriodBanksNothing) {
-  EpisodeSchedule s({30, 20, 10});
-  const auto out = interrupt_at_period_end(s, 0, 60, kParams);
-  EXPECT_EQ(out.work, 0);
-  EXPECT_EQ(out.residual, 30);
-}
-
-TEST(Outcomes, InterruptAtTimeFindsContainingPeriod) {
-  EpisodeSchedule s({30, 20, 10});
-  // Tick 31 lies in period 1 (ticks 31..50).
-  const auto out = interrupt_at_time(s, 31, 60, kParams);
-  EXPECT_EQ(out.period, 1u);
-  EXPECT_EQ(out.work, 20);
-  EXPECT_EQ(out.residual, 60 - 31);
-}
-
-TEST(Outcomes, LastInstantTickMatchesPeriodEndSemantics) {
-  EpisodeSchedule s({30, 20, 10});
-  for (std::size_t k = 0; k < s.size(); ++k) {
-    const auto by_tick = interrupt_at_time(s, s.end(k), 60, kParams);
-    const auto by_period = interrupt_at_period_end(s, k, 60, kParams);
-    EXPECT_EQ(by_tick.period, by_period.period);
-    EXPECT_EQ(by_tick.work, by_period.work);
-    EXPECT_EQ(by_tick.residual, by_period.residual);
-  }
-}
-
-TEST(Outcomes, MidPeriodInterruptIsDominated) {
-  // Observation (a): same banked work, strictly more residual destroyed at
-  // the last instant; so for the adversary, last instant is at least as bad
-  // for us in residual terms.
-  EpisodeSchedule s({30, 20, 10});
-  const auto mid = interrupt_at_time(s, 35, 60, kParams);
-  const auto last = interrupt_at_time(s, 50, 60, kParams);
-  EXPECT_EQ(mid.work, last.work);
-  EXPECT_GT(mid.residual, last.residual);
-}
-
-TEST(Outcomes, BoundsChecked) {
-  EpisodeSchedule s({30, 20, 10});
-  EXPECT_THROW(interrupt_at_period_end(s, 3, 60, kParams), std::out_of_range);
-  EXPECT_THROW(interrupt_at_time(s, 0, 60, kParams), std::out_of_range);
-  EXPECT_THROW(interrupt_at_time(s, 61, 60, kParams), std::out_of_range);
-}
-
 TEST(EpisodeSchedule, ToStringShowsCountAndSum) {
   EpisodeSchedule s({30, 20, 10});
   const std::string str = s.to_string();

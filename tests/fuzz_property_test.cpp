@@ -414,22 +414,6 @@ std::vector<MutationTarget> mutation_targets() {
   add("verdict", &race::to_verdict_string, &race::verdict_from_string,
       std::vector<race::VerdictRecord>{verdict});
 
-  sim::SessionCheckpoint ckpt;
-  ckpt.residual = 4321;
-  ckpt.interrupts_left = 2;
-  ckpt.metrics.banked_work = 1200;
-  ckpt.metrics.lost_work = 96;
-  ckpt.metrics.interrupts = 1;
-  ckpt.metrics.episodes = 2;
-  ckpt.metrics.periods_completed = 9;
-  ckpt.metrics.periods_killed = 1;
-  sim::SessionCheckpoint done = ckpt;
-  done.finished = true;
-  add("checkpoint",
-      [](const sim::SessionCheckpoint& c) { return sim::serialize(c); },
-      &sim::parse_session_checkpoint,
-      std::vector<sim::SessionCheckpoint>{ckpt, done});
-
   service::ServiceStats stats;
   stats.queue_policy = "drr";
   stats.workers = 2;

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <climits>
 #include <functional>
@@ -407,6 +408,37 @@ TEST(RpcServer, HalfClosedClientStillGetsPipelinedReplies) {
   // Everything delivered: now the server closes its side.
   EXPECT_TRUE(client.eof_seen(rig.server));
   EXPECT_EQ(rig.server.connection_count(), 0u);
+}
+
+TEST(RpcServer, HungUpParkedConnectionDoesNotSpin) {
+  ManualRig rig;
+  RawClient client(rig.server.socket_path());
+  // Enough scenarios that the job runs long enough for a spinning pump to
+  // show; the assertions count calls and read no clock.
+  const service::JobId id = submit_one(client, rig.server, "alpha", 64, 750);
+
+  // Park a wait-fetch, then close the client fully: the connection is now
+  // parked and read-closed, and its peer has hung up.
+  client.send(MsgType::kJobResult, encode_job_result({id, /*wait=*/true}));
+  client.disconnect();
+  for (int i = 0; i < 200 && rig.server.poll_once(0); ++i) {
+  }
+  ASSERT_EQ(rig.server.connection_count(), 1u);
+
+  // Nothing can move until the job completes, so every blocking pump call
+  // before that must block rather than come back empty-handed.
+  std::atomic<bool> started{false};
+  int idle_returns = 0;
+  std::thread pump([&] {
+    started.store(true);
+    while (!rig.server.poll_once(-1)) ++idle_returns;
+  });
+  while (!started.load()) std::this_thread::yield();
+  EXPECT_TRUE(rig.service.run_next());
+  pump.join();
+
+  EXPECT_EQ(idle_returns, 0);
+  EXPECT_EQ(rig.server.connection_count(), 0u);  // reply undeliverable: reaped
 }
 
 TEST(RpcServer, ShutdownPipelinedBeforeImmediateCloseIsNotLost) {

@@ -116,9 +116,10 @@ TEST(CheckpointSession, RejectsInvalidSpec) {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint-restart: serialize/restore mid-session must continue
-// bit-identically. The traces come from the generated owner processes
-// (adversary/processes.h), not hand-written interrupt lists.
+// Continuation: after any interrupt, the rest of a session is a fresh session
+// on (residual lifespan, interrupts left) against the owner's trace re-based
+// by the consumed lifespan. The traces come from the generated owner
+// processes (adversary/processes.h), not hand-written interrupt lists.
 // ---------------------------------------------------------------------------
 
 void expect_metrics_equal(const SessionMetrics& a, const SessionMetrics& b,
@@ -137,76 +138,74 @@ void expect_metrics_equal(const SessionMetrics& a, const SessionMetrics& b,
   EXPECT_EQ(a.tasks_completed, b.tasks_completed) << what;
 }
 
-TEST(CheckpointRestart, SerializationRoundTripsExactly) {
-  SessionCheckpoint ckpt;
-  ckpt.residual = 12345;
-  ckpt.interrupts_left = 3;
-  ckpt.metrics.banked_work = 999;
-  ckpt.metrics.lost_work = 17;
-  ckpt.metrics.lifespan_used = 55555;
-  ckpt.metrics.episodes = 4;
-  ckpt.metrics.periods_killed = 2;
-  const SessionCheckpoint back = parse_session_checkpoint(serialize(ckpt));
-  EXPECT_EQ(back.residual, ckpt.residual);
-  EXPECT_EQ(back.interrupts_left, ckpt.interrupts_left);
-  EXPECT_EQ(back.finished, ckpt.finished);
-  expect_metrics_equal(back.metrics, ckpt.metrics, "round trip");
+/// `trace` re-based for a session that starts after `used` consumed ticks:
+/// times <= used were handled before and drop; the rest shift down by used.
+adversary::InterruptTrace rebased(const adversary::InterruptTrace& trace, Ticks used) {
+  adversary::InterruptTrace out;
+  for (const Ticks t : trace.times()) {
+    if (t > used) out.append(t - used);
+  }
+  return out;
 }
 
-TEST(CheckpointRestart, ParserRejectsGarbage) {
-  EXPECT_THROW(parse_session_checkpoint("bogus"), std::invalid_argument);
-  EXPECT_THROW(parse_session_checkpoint("nowsched-session-checkpoint v1\nresidual=x"),
-               std::invalid_argument);
-  EXPECT_THROW(parse_session_checkpoint("nowsched-session-checkpoint v1\nwhat=1"),
-               std::invalid_argument);
-  // A truncated record must be an error, never a zeroed session state.
-  EXPECT_THROW(parse_session_checkpoint("nowsched-session-checkpoint v1"),
-               std::invalid_argument);
-  EXPECT_THROW(
-      parse_session_checkpoint("nowsched-session-checkpoint v1\nresidual=5"),
-      std::invalid_argument);
-  // A repeated key must not silently overwrite the first.
-  EXPECT_THROW(parse_session_checkpoint(serialize(SessionCheckpoint{}) + "residual=5\n"),
-               std::invalid_argument);
+TEST(SessionContinuation, TailAfterEveryInterruptIsAFreshSession) {
+  // Owner behaviour comes from the generated process adversaries: record
+  // each one's interrupt trace against the policy, then check after EVERY
+  // interrupt k that the metrics up to k plus a fresh session on the rest
+  // reproduce the whole session's metrics field-for-field.
+  const EqualizedGuidelinePolicy equalized;
+  const AdaptiveGuidelinePolicy adaptive;
+  const Opportunity opp{6000, 4};
+  const Params params{16};
+
+  std::vector<std::unique_ptr<adversary::Adversary>> owners;
+  owners.push_back(std::make_unique<adversary::MarkovModulatedAdversary>(
+      2000.0, 120.0, 1500.0, 600.0, 0xA1));
+  owners.push_back(std::make_unique<adversary::InhomogeneousPoissonAdversary>(
+      900.0, 0.8, 2500.0, 1.0, 0xB2));
+  owners.push_back(
+      std::make_unique<adversary::BurstyAdversary>(1200.0, 1.2, 3.0, 40.0, 0xC3));
+  owners.push_back(std::make_unique<adversary::CorrelatedShockAdversary>(
+      800.0, 0.9, 0xD4, 0xE5));
+
+  for (auto& owner : owners) {
+    for (const SchedulingPolicy* policy :
+         {static_cast<const SchedulingPolicy*>(&equalized),
+          static_cast<const SchedulingPolicy*>(&adaptive)}) {
+      owner->reset(0x5EED);
+      adversary::RecordingAdversary recorder(*owner);
+      const SessionMetrics full = run_session(*policy, recorder, opp, params);
+      const adversary::InterruptTrace trace = recorder.trace();
+      ASSERT_GT(full.interrupts, 0) << owner->name() << ": trace never fired — "
+                                    << "the continuation would be vacuous";
+
+      for (int k = 1; k <= full.interrupts; ++k) {
+        adversary::TraceAdversary replay(trace);
+        SessionActor actor(*policy, replay, opp, params);
+        actor.start(0);
+        while (actor.metrics().interrupts < k) actor.step();
+        SessionMetrics merged = actor.metrics();
+        // The actor has already begun the episode after interrupt k, and
+        // the tail session counts that episode again.
+        if (!actor.finished()) merged.episodes -= 1;
+        const Ticks used = merged.lifespan_used;
+        adversary::TraceAdversary tail(rebased(trace, used));
+        merged.merge(run_session(
+            *policy, tail, Opportunity{opp.lifespan - used, opp.max_interrupts - k},
+            params));
+        expect_metrics_equal(merged, full,
+                             owner->name() + " + " + policy->name() +
+                                 " after interrupt " + std::to_string(k));
+      }
+    }
+  }
 }
 
-TEST(CheckpointRestart, CheckpointEncoderOutputIsPinnedByteForByte) {
-  SessionCheckpoint ckpt;
-  ckpt.residual = 1234;
-  ckpt.interrupts_left = 2;
-  SessionMetrics& m = ckpt.metrics;
-  m.banked_work = 1;
-  m.task_work = 2;
-  m.comm_overhead = 3;
-  m.lost_work = 4;
-  m.salvaged_work = 5;
-  m.fragmentation = 6;
-  m.lifespan_used = 7;
-  m.interrupts = 8;
-  m.episodes = 9;
-  m.periods_completed = 10;
-  m.periods_killed = 11;
-  m.tasks_completed = 12;
-  EXPECT_EQ(serialize(ckpt), R"(nowsched-session-checkpoint v1
-residual=1234
-interrupts_left=2
-finished=0
-banked_work=1
-task_work=2
-comm_overhead=3
-lost_work=4
-salvaged_work=5
-fragmentation=6
-lifespan_used=7
-interrupts=8
-episodes=9
-periods_completed=10
-periods_killed=11
-tasks_completed=12
-)");
-}
+// ---------------------------------------------------------------------------
+// The scenario replay format ("nowsched-scenario v1").
+// ---------------------------------------------------------------------------
 
-TEST(CheckpointRestart, ReplayEncoderOutputIsPinnedByteForByte) {
+TEST(ScenarioReplay, ReplayEncoderOutputIsPinnedByteForByte) {
   ScenarioSpec spec;
   spec.policy = PolicyKind::kDpOptimal;
   spec.owner = OwnerKind::kMarkovModulated;
@@ -234,68 +233,7 @@ group_seed=42
 )");
 }
 
-TEST(CheckpointRestart, ResumeContinuesBitIdenticallyUnderGeneratedTraces) {
-  // Owner behaviour comes from the generated process adversaries: record
-  // each one's interrupt trace against the policy, then check that pausing
-  // after EVERY possible interrupt count, serializing, parsing back, and
-  // resuming reproduces the uninterrupted session's metrics field-for-field.
-  const EqualizedGuidelinePolicy equalized;
-  const AdaptiveGuidelinePolicy adaptive;
-  const Opportunity opp{6000, 4};
-  const Params params{16};
-
-  std::vector<std::unique_ptr<adversary::Adversary>> owners;
-  owners.push_back(std::make_unique<adversary::MarkovModulatedAdversary>(
-      2000.0, 120.0, 1500.0, 600.0, 0xA1));
-  owners.push_back(std::make_unique<adversary::InhomogeneousPoissonAdversary>(
-      900.0, 0.8, 2500.0, 1.0, 0xB2));
-  owners.push_back(
-      std::make_unique<adversary::BurstyAdversary>(1200.0, 1.2, 3.0, 40.0, 0xC3));
-  owners.push_back(std::make_unique<adversary::CorrelatedShockAdversary>(
-      800.0, 0.9, 0xD4, 0xE5));
-
-  for (auto& owner : owners) {
-    for (const SchedulingPolicy* policy :
-         {static_cast<const SchedulingPolicy*>(&equalized),
-          static_cast<const SchedulingPolicy*>(&adaptive)}) {
-      owner->reset(0x5EED);
-      adversary::RecordingAdversary recorder(*owner);
-      const SessionMetrics full = run_session(*policy, recorder, opp, params);
-      const adversary::InterruptTrace trace = recorder.trace();
-      ASSERT_GT(full.interrupts, 0) << owner->name() << ": trace never fired — "
-                                    << "the round trip would be vacuous";
-
-      for (int k = 1; k <= full.interrupts; ++k) {
-        adversary::TraceAdversary replay(trace);
-        const SessionCheckpoint ckpt =
-            run_session_until_interrupt(*policy, replay, opp, params, k);
-        // Serialize / restore through the text format before resuming.
-        const SessionCheckpoint restored = parse_session_checkpoint(serialize(ckpt));
-        adversary::TraceAdversary tail(trace.shifted(restored.metrics.lifespan_used));
-        const SessionMetrics merged =
-            resume_session(*policy, tail, restored, params);
-        expect_metrics_equal(merged, full,
-                             owner->name() + " + " + policy->name() +
-                                 " pause_after=" + std::to_string(k));
-      }
-    }
-  }
-}
-
-TEST(CheckpointRestart, PauseBeyondLastInterruptJustFinishes) {
-  const EqualizedGuidelinePolicy policy;
-  adversary::NoOpAdversary owner;
-  const SessionCheckpoint ckpt =
-      run_session_until_interrupt(policy, owner, Opportunity{2000, 2}, kParams, 1);
-  EXPECT_TRUE(ckpt.finished);
-  EXPECT_EQ(ckpt.residual, 0);
-  // Resuming a finished checkpoint is the identity.
-  adversary::NoOpAdversary tail;
-  const SessionMetrics merged = resume_session(policy, tail, ckpt, kParams);
-  expect_metrics_equal(merged, ckpt.metrics, "finished resume");
-}
-
-TEST(CheckpointRestart, ReplayParserRejectsNonFiniteNumbers) {
+TEST(ScenarioReplay, ReplayParserRejectsNonFiniteNumbers) {
   // "nan" and "inf" parse whole-string through strtod but poison every
   // range check downstream (a NaN response probability hangs the shock
   // sampler), so the replay parser refuses them outright.
@@ -308,7 +246,7 @@ TEST(CheckpointRestart, ReplayParserRejectsNonFiniteNumbers) {
   EXPECT_THROW(scenario_from_replay(record("inf")), std::invalid_argument);
 }
 
-TEST(CheckpointRestart, GeneratedScenarioTracesSurviveReplayFormat) {
+TEST(ScenarioReplay, GeneratedScenarioTracesSurviveReplayFormat) {
   // End-to-end with the scenario layer: a generated spec's serialized form
   // rebuilds a spec whose session produces identical metrics.
   ScenarioDomain domain;
@@ -328,31 +266,7 @@ TEST(CheckpointRestart, GeneratedScenarioTracesSurviveReplayFormat) {
   }
 }
 
-TEST(CheckpointRestart, ParserRejectsValuesOutsideTheFieldType) {
-  // Every decoded integer is range-checked into its field's type: nothing
-  // narrows (int) or wraps (size_t), and the bool takes only 0 or 1.
-  SessionCheckpoint ckpt;
-  ckpt.residual = 100;
-  ckpt.interrupts_left = 2;
-  ckpt.metrics.episodes = 3;
-  const std::string good = serialize(ckpt);
-  ASSERT_NO_THROW(parse_session_checkpoint(good));
-  const auto with = [&good](const std::string& from, const std::string& to) {
-    std::string text = good;
-    const std::size_t pos = text.find(from);
-    EXPECT_NE(pos, std::string::npos) << from;
-    return text.replace(pos, from.size(), to);
-  };
-  EXPECT_THROW(parse_session_checkpoint(with("episodes=3\n", "episodes=-1\n")),
-               std::invalid_argument);
-  EXPECT_THROW(parse_session_checkpoint(
-                   with("interrupts_left=2\n", "interrupts_left=4294967298\n")),
-               std::invalid_argument);
-  EXPECT_THROW(parse_session_checkpoint(with("finished=0\n", "finished=7\n")),
-               std::invalid_argument);
-}
-
-TEST(CheckpointRestart, ReplayParserRejectsOutOfRangeAndDuplicateKeys) {
+TEST(ScenarioReplay, ReplayParserRejectsOutOfRangeAndDuplicateKeys) {
   const std::string record =
       "nowsched-scenario v1\npolicy=equalized\nowner=poisson\nc=16\n"
       "lifespan=100\nseed=1\nmax_interrupts=";

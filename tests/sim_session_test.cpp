@@ -170,6 +170,55 @@ TEST(Session, PolicyNotSpanningResidualIsAnError) {
                std::logic_error);
 }
 
+TEST(Session, MidPeriodInterruptKillsItsPeriodAndConsumesItsTick) {
+  // Episode {30, 20, 10} at c = 10: period 0 is ticks 1..30, period 1 ticks
+  // 31..50. An interrupt anywhere in period 1, its last instant included,
+  // kills period 1 after period 0 banked its 20; one at tick 30 kills period
+  // 0 and banks nothing. The interrupt consumes exactly its own tick of
+  // lifespan, so a mid-period hit leaves the rest of the session more
+  // residual than a last-instant one (Observation (a)).
+  class ThreePeriodPolicy final : public SchedulingPolicy {
+   public:
+    std::string name() const override { return "three-period"; }
+    EpisodeSchedule episode(Ticks residual, int, const Params&) const override {
+      return residual == 60 ? EpisodeSchedule({30, 20, 10}) : EpisodeSchedule({residual});
+    }
+  };
+  const ThreePeriodPolicy policy;
+  const Params params{10};
+  struct Case {
+    Ticks tick;
+    Ticks banked;  ///< banked before the interrupt
+    Ticks lost;    ///< capacity of the killed period
+    std::size_t completed;
+  };
+  for (const Case& c : {Case{31, 20, 10, 1}, Case{35, 20, 10, 1}, Case{50, 20, 10, 1},
+                        Case{30, 0, 20, 0}}) {
+    const std::string what = "interrupt at tick " + std::to_string(c.tick);
+    adversary::TraceAdversary owner(adversary::InterruptTrace({c.tick}));
+    SessionActor actor(policy, owner, Opportunity{60, 1}, params);
+    actor.start(0);
+    SessionMetrics before;
+    while (actor.metrics().interrupts == 0) {
+      ASSERT_TRUE(actor.next_event().has_value()) << what;
+      before = actor.metrics();
+      actor.step();
+    }
+    const SessionMetrics after = actor.metrics();
+    EXPECT_EQ(before.banked_work, c.banked) << what;
+    EXPECT_EQ(after.banked_work, c.banked) << what;
+    EXPECT_EQ(after.periods_completed, c.completed) << what;
+    EXPECT_EQ(after.periods_killed, 1u) << what;
+    EXPECT_EQ(after.lost_work, c.lost) << what;
+    EXPECT_EQ(after.lifespan_used - before.lifespan_used, c.tick) << what;
+
+    // The rest runs uninterrupted as one block of the 60 - tick left.
+    while (actor.next_event()) actor.step();
+    EXPECT_EQ(actor.metrics().banked_work, c.banked + (60 - c.tick - 10)) << what;
+    EXPECT_EQ(actor.metrics().lifespan_used, 60) << what;
+  }
+}
+
 TEST(SessionActor, UninterruptedEventsAreThePeriodEndsFromTheStartTime) {
   adversary::NoOpAdversary owner;
   AdaptiveGuidelinePolicy policy;
@@ -187,7 +236,6 @@ TEST(SessionActor, UninterruptedEventsAreThePeriodEndsFromTheStartTime) {
     EXPECT_EQ(times[k], t0 + episode.end(k)) << "period " << k;
   }
   EXPECT_TRUE(actor.finished());
-  EXPECT_FALSE(actor.paused());
   EXPECT_EQ(actor.metrics().lifespan_used, 1000);
 }
 
@@ -225,14 +273,12 @@ TEST(SessionActor, StepWithoutAPendingEventThrows) {
   EXPECT_TRUE(empty.finished());
   EXPECT_THROW(empty.step(), std::logic_error);
 
-  SessionActor paused(policy, owner, Opportunity{2000, 2}, kParams);
-  paused.pause_after_interrupts(1);
-  paused.start(0);
-  while (paused.next_event()) paused.step();
-  EXPECT_TRUE(paused.paused());
-  EXPECT_FALSE(paused.finished());
-  EXPECT_EQ(paused.metrics().interrupts, 1);
-  EXPECT_THROW(paused.step(), std::logic_error);
+  SessionActor done(policy, owner, Opportunity{2000, 2}, kParams);
+  done.start(0);
+  while (done.next_event()) done.step();
+  EXPECT_TRUE(done.finished());
+  EXPECT_EQ(done.metrics().interrupts, 2);
+  EXPECT_THROW(done.step(), std::logic_error);
 }
 
 /// FNV-1a over every SessionMetrics field, in field-table order.

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <vector>
 
 namespace nowsched::util {
@@ -120,25 +119,6 @@ TEST(Rng, SplitStreamsAreIndependentlySeeded) {
   int same = 0;
   for (int i = 0; i < 64; ++i) same += (child1.next() == child2.next());
   EXPECT_EQ(same, 0);
-}
-
-TEST(Rng, SampleDistinctProducesSortedDistinct) {
-  Rng rng(31);
-  for (std::uint64_t k : {0ull, 1ull, 5ull, 20ull}) {
-    const auto sample = rng.sample_distinct(20, k);
-    ASSERT_EQ(sample.size(), k);
-    std::set<std::uint64_t> uniq(sample.begin(), sample.end());
-    EXPECT_EQ(uniq.size(), k);
-    EXPECT_TRUE(std::is_sorted(sample.begin(), sample.end()));
-    for (auto v : sample) EXPECT_LT(v, 20u);
-  }
-}
-
-TEST(Rng, SampleDistinctFullRangeIsPermutationOfAll) {
-  Rng rng(37);
-  const auto sample = rng.sample_distinct(10, 10);
-  ASSERT_EQ(sample.size(), 10u);
-  for (std::uint64_t i = 0; i < 10; ++i) EXPECT_EQ(sample[i], i);
 }
 
 }  // namespace
