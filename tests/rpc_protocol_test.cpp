@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -128,6 +129,23 @@ TEST(RpcProtocol, JobStateWireCodesAreFrozenAndRoundTrip) {
   }
   EXPECT_FALSE(service::job_state_from_wire(-1).has_value());
   EXPECT_FALSE(service::job_state_from_wire(6).has_value());
+}
+
+TEST(RpcProtocol, SubmitStatusAndJobStateNamesAreDistinct) {
+  // The daemon and the service example print these names for the codes a
+  // reply carries; two codes sharing a name would read as one outcome.
+  std::set<std::string> statuses;
+  for (int code = 0; code <= 5; ++code) {
+    const std::string name = service::to_string(*service::submit_status_from_wire(code));
+    EXPECT_NE(name, "") << code;
+    EXPECT_TRUE(statuses.insert(name).second) << name;
+  }
+  std::set<std::string> states;
+  for (int code = 0; code <= 5; ++code) {
+    const std::string name = service::to_string(*service::job_state_from_wire(code));
+    EXPECT_NE(name, "") << code;
+    EXPECT_TRUE(states.insert(name).second) << name;
+  }
 }
 
 // --------------------------------------------------------------------------

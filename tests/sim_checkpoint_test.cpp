@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "adversary/heuristics.h"
 #include "adversary/processes.h"
@@ -148,6 +150,31 @@ adversary::InterruptTrace rebased(const adversary::InterruptTrace& trace, Ticks 
   return out;
 }
 
+/// Steps a session against `trace` to its k-th interrupt, runs a fresh
+/// session on what is left against the re-based trace, and expects the two
+/// parts to add up to `full`, the whole session's metrics. Returns the
+/// lifespan the first part used.
+Ticks expect_continuation(const SchedulingPolicy& policy,
+                          const adversary::InterruptTrace& trace, Opportunity opp,
+                          Params params, int k, const SessionMetrics& full,
+                          const std::string& what) {
+  adversary::TraceAdversary replay(trace);
+  SessionActor actor(policy, replay, opp, params);
+  actor.start(0);
+  while (actor.metrics().interrupts < k) actor.step();
+  SessionMetrics merged = actor.metrics();
+  // The actor has already begun the episode after interrupt k, and the tail
+  // session counts that episode again.
+  if (!actor.finished()) merged.episodes -= 1;
+  const Ticks used = merged.lifespan_used;
+  adversary::TraceAdversary tail(rebased(trace, used));
+  merged.merge(run_session(policy, tail,
+                           Opportunity{opp.lifespan - used, opp.max_interrupts - k},
+                           params));
+  expect_metrics_equal(merged, full, what);
+  return used;
+}
+
 TEST(SessionContinuation, TailAfterEveryInterruptIsAFreshSession) {
   // Owner behaviour comes from the generated process adversaries: record
   // each one's interrupt trace against the policy, then check after EVERY
@@ -180,25 +207,48 @@ TEST(SessionContinuation, TailAfterEveryInterruptIsAFreshSession) {
                                     << "the continuation would be vacuous";
 
       for (int k = 1; k <= full.interrupts; ++k) {
-        adversary::TraceAdversary replay(trace);
-        SessionActor actor(*policy, replay, opp, params);
-        actor.start(0);
-        while (actor.metrics().interrupts < k) actor.step();
-        SessionMetrics merged = actor.metrics();
-        // The actor has already begun the episode after interrupt k, and
-        // the tail session counts that episode again.
-        if (!actor.finished()) merged.episodes -= 1;
-        const Ticks used = merged.lifespan_used;
-        adversary::TraceAdversary tail(rebased(trace, used));
-        merged.merge(run_session(
-            *policy, tail, Opportunity{opp.lifespan - used, opp.max_interrupts - k},
-            params));
-        expect_metrics_equal(merged, full,
-                             owner->name() + " + " + policy->name() +
-                                 " after interrupt " + std::to_string(k));
+        expect_continuation(*policy, trace, opp, params, k, full,
+                            owner->name() + " + " + policy->name() +
+                                " after interrupt " + std::to_string(k));
       }
     }
   }
+}
+
+TEST(SessionContinuation, InterruptAtTheLastTickLeavesAnEmptyTail) {
+  // The second interrupt lands on the lifespan's last tick: the session
+  // ends there with no episode after it, and the tail is a session on zero
+  // lifespan that adds nothing.
+  const EqualizedGuidelinePolicy policy;
+  const Opportunity opp{6000, 3};
+  adversary::TraceAdversary owner(adversary::InterruptTrace({1000, 6000}));
+  const SessionMetrics full = run_session(policy, owner, opp, kParams);
+  ASSERT_EQ(full.interrupts, 2);
+  ASSERT_EQ(full.lifespan_used, 6000);
+  const adversary::InterruptTrace trace({1000, 6000});
+  EXPECT_EQ(expect_continuation(policy, trace, opp, kParams, 1, full, "k = 1"), 1000);
+  EXPECT_EQ(expect_continuation(policy, trace, opp, kParams, 2, full, "k = 2"), 6000);
+
+  adversary::NoOpAdversary none;
+  const SessionMetrics empty = run_session(policy, none, Opportunity{0, 1}, kParams);
+  EXPECT_EQ(empty.episodes, 0u);
+  EXPECT_EQ(empty.lifespan_used, 0);
+}
+
+TEST(SessionContinuation, TraceEntriesPastTheBudgetAreIgnoredByTheTail) {
+  // The owner's trace outlasts the interrupt budget: once p interrupts are
+  // spent the whole session ignores the rest, and so must the tail, which
+  // runs with no interrupts left against a trace that still has entries.
+  const AdaptiveGuidelinePolicy policy;
+  const Opportunity opp{6000, 2};
+  const adversary::InterruptTrace trace({700, 1900, 2600, 4100, 5300});
+  adversary::TraceAdversary owner(trace);
+  const SessionMetrics full = run_session(policy, owner, opp, kParams);
+  ASSERT_EQ(full.interrupts, 2);
+  EXPECT_EQ(expect_continuation(policy, trace, opp, kParams, 1, full, "k = 1"), 700);
+  const Ticks used = expect_continuation(policy, trace, opp, kParams, 2, full, "k = 2");
+  EXPECT_EQ(used, 1900);
+  EXPECT_EQ(rebased(trace, used).times().size(), 3u);
 }
 
 // ---------------------------------------------------------------------------
@@ -276,6 +326,34 @@ TEST(ScenarioReplay, ReplayParserRejectsOutOfRangeAndDuplicateKeys) {
   // Which of two seed= lines a reader keeps must never decide the scenario
   // being reproduced.
   EXPECT_THROW(scenario_from_replay(record + "1\nseed=2\n"), std::invalid_argument);
+}
+
+TEST(ScenarioReplay, ReplayParserRejectsValuesOutsideTheFieldType) {
+  // Each number is read as its field's own type, whole-string: a value that
+  // does not fit or carries trailing text is an error, never a wrap-around
+  // or a truncation that replays a different scenario.
+  const auto record = [](const std::string& key, const std::string& value) {
+    std::string text = "nowsched-scenario v1\npolicy=equalized\nowner=poisson\n";
+    for (const auto& [k, v] : {std::pair<std::string, std::string>{"c", "16"},
+                               {"lifespan", "100"},
+                               {"max_interrupts", "1"},
+                               {"seed", "1"}}) {
+      text += k + "=" + (k == key ? value : v) + "\n";
+    }
+    return text;
+  };
+  EXPECT_EQ(scenario_from_replay(record("seed", "18446744073709551615")).seed,
+            18446744073709551615ull);
+  EXPECT_THROW(scenario_from_replay(record("seed", "18446744073709551616")),
+               std::invalid_argument);
+  EXPECT_THROW(scenario_from_replay(record("seed", "-1")), std::invalid_argument);
+  EXPECT_THROW(scenario_from_replay(record("lifespan", "12abc")), std::invalid_argument);
+  EXPECT_THROW(scenario_from_replay(record("lifespan", "")), std::invalid_argument);
+  EXPECT_THROW(scenario_from_replay(record("lifespan", "9223372036854775808")),
+               std::invalid_argument);
+  EXPECT_THROW(scenario_from_replay(record("c", "1.5")), std::invalid_argument);
+  EXPECT_THROW(scenario_from_replay(record("max_interrupts", "-2147483649")),
+               std::invalid_argument);
 }
 
 }  // namespace

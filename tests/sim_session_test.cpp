@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -170,6 +171,18 @@ TEST(Session, PolicyNotSpanningResidualIsAnError) {
                std::logic_error);
 }
 
+/// Plays episode {30, 20, 10} on a 60-tick lifespan (run at c = 10); any
+/// other residual runs as one block.
+class ThreePeriodPolicy final : public SchedulingPolicy {
+ public:
+  std::string name() const override { return "three-period"; }
+  EpisodeSchedule episode(Ticks residual, int, const Params&) const override {
+    return residual == 60 ? EpisodeSchedule({30, 20, 10}) : EpisodeSchedule({residual});
+  }
+};
+
+constexpr Params kThreePeriodParams{10};
+
 TEST(Session, MidPeriodInterruptKillsItsPeriodAndConsumesItsTick) {
   // Episode {30, 20, 10} at c = 10: period 0 is ticks 1..30, period 1 ticks
   // 31..50. An interrupt anywhere in period 1, its last instant included,
@@ -177,15 +190,8 @@ TEST(Session, MidPeriodInterruptKillsItsPeriodAndConsumesItsTick) {
   // 0 and banks nothing. The interrupt consumes exactly its own tick of
   // lifespan, so a mid-period hit leaves the rest of the session more
   // residual than a last-instant one (Observation (a)).
-  class ThreePeriodPolicy final : public SchedulingPolicy {
-   public:
-    std::string name() const override { return "three-period"; }
-    EpisodeSchedule episode(Ticks residual, int, const Params&) const override {
-      return residual == 60 ? EpisodeSchedule({30, 20, 10}) : EpisodeSchedule({residual});
-    }
-  };
   const ThreePeriodPolicy policy;
-  const Params params{10};
+  const Params params = kThreePeriodParams;
   struct Case {
     Ticks tick;
     Ticks banked;  ///< banked before the interrupt
@@ -217,6 +223,186 @@ TEST(Session, MidPeriodInterruptKillsItsPeriodAndConsumesItsTick) {
     EXPECT_EQ(actor.metrics().banked_work, c.banked + (60 - c.tick - 10)) << what;
     EXPECT_EQ(actor.metrics().lifespan_used, 60) << what;
   }
+}
+
+// --- outcomes ---------------------------------------------------------------
+// One episode's outcome under each kind of interrupt, read off the
+// simulator: the work it banks and the residual lifespan it leaves. The
+// expected values come from EpisodeSchedule's own prefix accounting.
+
+/// Steps a ThreePeriodPolicy session on (60, 1) against one interrupt at
+/// `tick` until that interrupt has been handled; returns its metrics.
+SessionMetrics outcome_of_interrupt_at(Ticks tick) {
+  const ThreePeriodPolicy policy;
+  adversary::TraceAdversary owner(adversary::InterruptTrace({tick}));
+  SessionActor actor(policy, owner, Opportunity{60, 1}, kThreePeriodParams);
+  actor.start(0);
+  while (actor.metrics().interrupts == 0) actor.step();
+  return actor.metrics();
+}
+
+/// Index of the period of `episode` that contains 1-based tick `tick`.
+std::size_t period_containing(const EpisodeSchedule& episode, Ticks tick) {
+  std::size_t k = 0;
+  while (episode.end(k) < tick) ++k;
+  return k;
+}
+
+TEST(Outcomes, UninterruptedEpisode) {
+  const ThreePeriodPolicy policy;
+  const EpisodeSchedule episode = policy.episode(60, 1, kThreePeriodParams);
+  adversary::NoOpAdversary owner;
+  const SessionMetrics m =
+      run_session(policy, owner, Opportunity{60, 1}, kThreePeriodParams);
+  EXPECT_EQ(m.interrupts, 0);
+  EXPECT_EQ(m.banked_work, 20 + 10 + 0);
+  EXPECT_EQ(m.banked_work, episode.work_if_uninterrupted(kThreePeriodParams));
+  EXPECT_EQ(m.periods_completed, 3u);
+  EXPECT_EQ(m.comm_overhead, 30);
+  EXPECT_EQ(m.lost_work, 0);
+  EXPECT_EQ(m.lifespan_used, 60);  // no residual left
+}
+
+TEST(Outcomes, InterruptAtPeriodEndBanksPrefixOnly) {
+  // Killing period 1 at its last instant (tick 50) banks period 0's 20 and
+  // loses period 1's 10; period 2 never begins. The 10 ticks left run as one
+  // block that is all overhead, so the session ends on 20.
+  const SessionMetrics at = outcome_of_interrupt_at(50);
+  EXPECT_EQ(at.banked_work, 20);
+  EXPECT_EQ(at.periods_completed, 1u);
+  EXPECT_EQ(at.periods_killed, 1u);
+  EXPECT_EQ(at.lost_work, 10);
+  EXPECT_EQ(60 - at.lifespan_used, 10);  // T_2 = 50 consumed
+
+  const ThreePeriodPolicy policy;
+  adversary::TraceAdversary owner(adversary::InterruptTrace({50}));
+  const SessionMetrics whole =
+      run_session(policy, owner, Opportunity{60, 1}, kThreePeriodParams);
+  EXPECT_EQ(whole.banked_work, 20);
+  EXPECT_EQ(whole.episodes, 2u);
+  EXPECT_EQ(whole.lifespan_used, 60);
+}
+
+TEST(Outcomes, InterruptFirstPeriodBanksNothing) {
+  const SessionMetrics at = outcome_of_interrupt_at(30);
+  EXPECT_EQ(at.banked_work, 0);
+  EXPECT_EQ(at.periods_completed, 0u);
+  EXPECT_EQ(at.lost_work, 20);
+  EXPECT_EQ(60 - at.lifespan_used, 30);
+
+  // The first-period heuristic owner strikes at the same instant.
+  const ThreePeriodPolicy policy;
+  adversary::FirstPeriodAdversary owner;
+  SessionActor actor(policy, owner, Opportunity{60, 1}, kThreePeriodParams);
+  actor.start(0);
+  ASSERT_EQ(actor.next_event(), std::optional<Ticks>(30));
+  actor.step();
+  EXPECT_EQ(actor.metrics().interrupts, 1);
+  EXPECT_EQ(actor.metrics().banked_work, 0);
+  EXPECT_EQ(actor.metrics().lifespan_used, 30);
+}
+
+TEST(Outcomes, InterruptAtTimeFindsContainingPeriod) {
+  // Every tick of the episode: the interrupt kills the period containing it
+  // and banks exactly the periods before it.
+  const EpisodeSchedule episode =
+      ThreePeriodPolicy().episode(60, 1, kThreePeriodParams);
+  for (Ticks tick = 1; tick <= 60; ++tick) {
+    const std::size_t k = period_containing(episode, tick);
+    const SessionMetrics at = outcome_of_interrupt_at(tick);
+    EXPECT_EQ(at.periods_completed, k) << "tick " << tick;
+    EXPECT_EQ(at.periods_killed, 1u) << "tick " << tick;
+    EXPECT_EQ(at.banked_work, episode.banked_work(k, kThreePeriodParams))
+        << "tick " << tick;
+    EXPECT_EQ(at.lost_work, positive_sub(episode.period(k), kThreePeriodParams.c))
+        << "tick " << tick;
+    EXPECT_EQ(60 - at.lifespan_used, 60 - tick) << "tick " << tick;
+  }
+  // Tick 31 opens period 1 (ticks 31..50).
+  EXPECT_EQ(outcome_of_interrupt_at(31).banked_work, 20);
+  EXPECT_EQ(60 - outcome_of_interrupt_at(31).lifespan_used, 60 - 31);
+}
+
+TEST(Outcomes, LastInstantTickMatchesPeriodEndSemantics) {
+  // An interrupt at a period's last instant is the event handled at that
+  // instant, in place of the period end: the period is killed, never banked,
+  // exactly as if the owner had struck at its first tick.
+  const ThreePeriodPolicy policy;
+  const EpisodeSchedule episode = policy.episode(60, 1, kThreePeriodParams);
+  for (std::size_t k = 0; k < episode.size(); ++k) {
+    const std::string what = "period " + std::to_string(k);
+    adversary::TraceAdversary owner(adversary::InterruptTrace({episode.end(k)}));
+    SessionActor actor(policy, owner, Opportunity{60, 1}, kThreePeriodParams);
+    actor.start(0);
+    while (actor.metrics().periods_completed < k) actor.step();
+    ASSERT_EQ(actor.next_event(), std::optional<Ticks>(episode.end(k))) << what;
+    actor.step();
+    const SessionMetrics last = actor.metrics();
+    EXPECT_EQ(last.interrupts, 1) << what;
+    EXPECT_EQ(last.periods_completed, k) << what;
+    EXPECT_EQ(last.banked_work, episode.banked_work(k, kThreePeriodParams)) << what;
+    EXPECT_EQ(last.lifespan_used, episode.end(k)) << what;
+
+    const SessionMetrics first = outcome_of_interrupt_at(episode.start(k) + 1);
+    EXPECT_EQ(last.banked_work, first.banked_work) << what;
+    EXPECT_EQ(last.lost_work, first.lost_work) << what;
+    EXPECT_EQ(last.periods_completed, first.periods_completed) << what;
+  }
+}
+
+TEST(Outcomes, MidPeriodInterruptIsDominated) {
+  // Observation (a): against any tick inside a period, the owner does at
+  // least as well by waiting for the period's last instant. Same banked
+  // work when it strikes, strictly less residual left whenever it waited,
+  // and never more work for the whole session.
+  const ThreePeriodPolicy policy;
+  const EpisodeSchedule episode = policy.episode(60, 1, kThreePeriodParams);
+  const auto whole_session = [&](Ticks tick) {
+    adversary::TraceAdversary owner(adversary::InterruptTrace({tick}));
+    return run_session(policy, owner, Opportunity{60, 1}, kThreePeriodParams);
+  };
+  for (Ticks tick = 1; tick <= 60; ++tick) {
+    const Ticks end = episode.end(period_containing(episode, tick));
+    const SessionMetrics mid = outcome_of_interrupt_at(tick);
+    const SessionMetrics last = outcome_of_interrupt_at(end);
+    EXPECT_EQ(mid.banked_work, last.banked_work) << "tick " << tick;
+    if (tick < end) {
+      EXPECT_GT(60 - mid.lifespan_used, 60 - last.lifespan_used) << "tick " << tick;
+    }
+    EXPECT_GE(whole_session(tick).banked_work, whole_session(end).banked_work)
+        << "tick " << tick;
+  }
+  EXPECT_EQ(whole_session(35).banked_work, 20 + (25 - 10));
+  EXPECT_EQ(whole_session(50).banked_work, 20);
+}
+
+TEST(Outcomes, BoundsChecked) {
+  // An owner must strike during the episode, at a tick in [1, total].
+  class FixedTickAdversary final : public adversary::Adversary {
+   public:
+    explicit FixedTickAdversary(Ticks tick) : tick_(tick) {}
+    std::string name() const override { return "fixed-tick"; }
+    std::optional<Ticks> plan_interrupt(const EpisodeSchedule&,
+                                        const adversary::EpisodeContext&) override {
+      return tick_;
+    }
+
+   private:
+    Ticks tick_;
+  };
+  const ThreePeriodPolicy policy;
+  for (const Ticks tick : {Ticks{-1}, Ticks{0}, Ticks{61}}) {
+    FixedTickAdversary owner(tick);
+    EXPECT_THROW(run_session(policy, owner, Opportunity{60, 1}, kThreePeriodParams),
+                 std::logic_error)
+        << "tick " << tick;
+  }
+  FixedTickAdversary at_the_end(60);
+  const SessionMetrics m =
+      run_session(policy, at_the_end, Opportunity{60, 1}, kThreePeriodParams);
+  EXPECT_EQ(m.interrupts, 1);
+  EXPECT_EQ(m.banked_work, 20 + 10);
+  EXPECT_EQ(m.lifespan_used, 60);
 }
 
 TEST(SessionActor, UninterruptedEventsAreThePeriodEndsFromTheStartTime) {
@@ -279,6 +465,45 @@ TEST(SessionActor, StepWithoutAPendingEventThrows) {
   EXPECT_TRUE(done.finished());
   EXPECT_EQ(done.metrics().interrupts, 2);
   EXPECT_THROW(done.step(), std::logic_error);
+}
+
+TEST(SessionActor, NextEventIsEmptyOnlyOnceFinished) {
+  // A session has no other way to stop: across generated scenarios, after
+  // start and after every step, an actor has a pending event exactly when
+  // it has not finished, and stepping it to the end reproduces run_session.
+  ScenarioDomain domain;
+  domain.min_lifespan = 256;
+  domain.max_lifespan = 8192;
+  domain.max_interrupts = 5;
+  domain.policies = {PolicyKind::kEqualized, PolicyKind::kAdaptivePaper,
+                     PolicyKind::kNonAdaptiveRestart};
+  ScenarioGenerator gen(domain, 0xE7E7);
+  Ticks interrupts = 0;
+  for (const ScenarioSpec& spec : gen.batch(64)) {
+    const auto policy = make_policy(spec);
+    const auto owner = make_owner(spec);
+    const Opportunity opp{spec.lifespan, spec.max_interrupts};
+    SessionActor actor(*policy, *owner, opp, spec.params);
+    actor.start(0);
+    std::size_t steps = 0;
+    while (true) {
+      ASSERT_EQ(actor.next_event().has_value(), !actor.finished())
+          << to_replay_string(spec) << "after " << steps << " steps";
+      if (actor.finished()) break;
+      actor.step();
+      ++steps;
+    }
+    const SessionMetrics& m = actor.metrics();
+    EXPECT_EQ(steps, m.periods_completed + static_cast<std::size_t>(m.interrupts));
+    EXPECT_EQ(m.lifespan_used, spec.lifespan);
+    interrupts += m.interrupts;
+
+    const auto fresh_owner = make_owner(spec);
+    const SessionMetrics again = run_session(*policy, *fresh_owner, opp, spec.params);
+    EXPECT_EQ(again.banked_work, m.banked_work) << to_replay_string(spec);
+    EXPECT_EQ(again.interrupts, m.interrupts) << to_replay_string(spec);
+  }
+  EXPECT_GT(interrupts, 0);  // the owners actually fired
 }
 
 /// FNV-1a over every SessionMetrics field, in field-table order.
