@@ -86,7 +86,6 @@ void run(harness::Context& ctx) {
 const harness::Experiment& experiment_adaptive_vs_optimal() {
   static const harness::Experiment e{
       "E5", "adaptive_vs_optimal", "§5.2 guideline deviation from the DP optimum",
-      "bench_adaptive_vs_optimal",
       "W(p)[U] − W(guideline) for the printed and equalized guidelines across a "
       "U sweep, normalized by √(cU) and by U, plus a gap ≈ a + b·√U fit whose "
       "near-zero slope is the empirical form of '§5.2: optimal up to low-order "

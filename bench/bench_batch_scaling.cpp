@@ -193,7 +193,6 @@ const harness::Experiment& experiment_batch_scaling() {
   static const harness::Experiment e{
       "E13", "batch_scaling",
       "Batch scaling: many-session engine across the solve-cache tiers",
-      "bench_batch_scaling",
       "Throughput of sim::BatchRunner on a cache-friendly scenario mix — many "
       "dp-optimal sessions over few distinct canonical solver inputs — "
       "sweeping pool threads against the full cache-tier ladder (naive, "

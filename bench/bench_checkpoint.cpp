@@ -88,7 +88,6 @@ void run(harness::Context& ctx) {
 const harness::Experiment& experiment_checkpoint() {
   static const harness::Experiment e{
       "E9", "checkpoint", "Checkpoint ablation: value of intra-period checkpoints",
-      "bench_checkpoint",
       "The paper's model makes period boundaries the only checkpoints. Adding "
       "intra-period checkpoints of varying density and cost shows free dense "
       "checkpoints rescuing the single-block plan, while at realistic costs "

@@ -97,7 +97,6 @@ void run(harness::Context& ctx) {
 const harness::Experiment& experiment_farm_scaling() {
   static const harness::Experiment e{
       "E12", "farm_scaling", "Farm scaling: shared task bag across workstations",
-      "bench_farm_scaling",
       "Farm-size sweep of the discrete-event simulator in the paper's §1 "
       "setting — many borrowed workstations draining one shared task bag — "
       "reporting deterministic model outputs (banked work, makespan, events) "

@@ -79,7 +79,6 @@ void run(harness::Context& ctx) {
 const harness::Experiment& experiment_nonadaptive() {
   static const harness::Experiment e{
       "E3", "nonadaptive", "§3.1 non-adaptive guideline vs closed form",
-      "bench_nonadaptive",
       "The committed equal-period guideline S_na(p)[U] evaluated exactly "
       "(best-response DP) against the corrected closed form U − 2√(pcU) + pc, "
       "the OCR misreading U − √(2pcU) + pc, the exhaustive best equal-period "

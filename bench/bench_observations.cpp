@@ -111,7 +111,6 @@ void run(harness::Context& ctx) {
 const harness::Experiment& experiment_observations() {
   static const harness::Experiment e{
       "E7", "observations", "§4.1 Observations (a)–(c) verified exhaustively",
-      "bench_observations",
       "Exhaustive small-grid verification of the three §4.1 observations — "
       "last-instant interrupt dominance, the adversary always spending its "
       "interrupts, and interrupts landing in the early window — plus one "

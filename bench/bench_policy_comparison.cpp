@@ -138,7 +138,6 @@ void run(harness::Context& ctx) {
 const harness::Experiment& experiment_policy_comparison() {
   static const harness::Experiment e{
       "E6", "policy_comparison", "§1.1 policy comparison under the malicious adversary",
-      "bench_policy_comparison",
       "Guaranteed work of the whole policy zoo — naive baselines, the paper's "
       "guidelines, and the DP optimum — plus an ablation showing the Thm "
       "4.1/4.2 transforms rescuing a pathological committed schedule.",

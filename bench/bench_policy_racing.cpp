@@ -217,7 +217,6 @@ const harness::Experiment& experiment_policy_racing() {
   static const harness::Experiment e{
       "E16", "policy_racing",
       "Policy racing: adaptive vs fixed simulation budgets, and regret hunting",
-      "bench_policy_racing",
       "Races (policy, scenario-region) arms with successive halving and "
       "LUCB-style best-arm identification against the fixed-allocation "
       "baseline under one (delta, epsilon) stopping rule, reporting the "

@@ -253,7 +253,6 @@ const harness::Experiment& experiment_rpc_roundtrip() {
   static const harness::Experiment e{
       "E17", "rpc_roundtrip",
       "RPC round trip: wire-protocol cost over the in-process ticket API",
-      "bench_rpc_roundtrip",
       "Drives the same workload through the in-process JobTicket API and "
       "through the full nowsched-rpc v1 stack (rpc::Client over a Unix "
       "socket to a one-thread rpc::Server daemon); reports p50/p99/max "

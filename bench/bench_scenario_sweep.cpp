@@ -231,7 +231,6 @@ const harness::Experiment& experiment_scenario_sweep() {
   static const harness::Experiment e{
       "E14", "scenario_sweep",
       "Scenario sweep: batch throughput across the generated workload space",
-      "bench_scenario_sweep",
       "sim::BatchRunner throughput over ScenarioGenerator batches along the "
       "cache-affinity axis (contract classes folded -> fully heterogeneous), "
       "the owner-process mix, and correlated farm groups — each profile cold "

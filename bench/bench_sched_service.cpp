@@ -237,7 +237,6 @@ const harness::Experiment& experiment_sched_service() {
   static const harness::Experiment e{
       "E15", "sched_service",
       "Scheduler service: multi-tenant fairness and throughput under skew",
-      "bench_sched_service",
       "service::SchedulerService under a skewed multi-tenant load — one hog "
       "bursting ahead of modest tenants — sweeping queue policy (FIFO vs "
       "deficit round robin) and worker count; reports Jain's fairness index "

@@ -84,7 +84,6 @@ void run(harness::Context& ctx) {
 const harness::Experiment& experiment_sim_perf() {
   static const harness::Experiment e{
       "E11", "sim_perf", "Simulator throughput baselines",
-      "bench_sim_perf",
       "Wall-clock baselines for the discrete-event simulator: full scheduling "
       "sessions with and without a task bag attached, and task-bag packing "
       "throughput.",

@@ -195,7 +195,6 @@ void run(harness::Context& ctx) {
 const harness::Experiment& experiment_solver_perf() {
   static const harness::Experiment e{
       "E10", "solver_perf", "Solver performance baselines",
-      "bench_solver_perf",
       "Wall-clock baselines for the solvers: reference O(P·N²) vs fast "
       "O(P·N) with empirical scaling exponents, the level-fill kernel ladder "
       "(legacy binary-search scan vs the inverse scan, fill-only on "

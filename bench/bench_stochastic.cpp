@@ -99,7 +99,6 @@ void run(harness::Context& ctx) {
 const harness::Experiment& experiment_stochastic() {
   static const harness::Experiment e{
       "E8", "stochastic", "Stochastic owners: expected vs guaranteed output",
-      "bench_stochastic",
       "Monte-Carlo expected work of each policy under Poisson, Pareto, and "
       "uniform owners on the discrete-event simulator, next to the minimax "
       "guarantee — what worst-case insurance costs against benign owners.",

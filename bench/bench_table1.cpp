@@ -94,7 +94,6 @@ void run(harness::Context& ctx) {
 const harness::Experiment& experiment_table1() {
   static const harness::Experiment e{
       "E1", "table1", "Table 1: the consequences of the adversary's options",
-      "bench_table1",
       "For each opportunity (U, p) and the DP-optimal episode schedule, every "
       "adversary option (interrupt period k, or never) is enumerated with its "
       "episode work, residual lifespan, and total opportunity work. The paper's "

@@ -43,9 +43,7 @@ void run(harness::Context& ctx) {
     const double w_approx = bounds::optimal_p1_work(ud, c);
 
     // §3.2 guideline.
-    AdaptiveLayout layout;
-    const auto guideline = adaptive_episode_guideline(u, 1, params,
-                                                      PivotRule::kAsPrinted, &layout);
+    const auto guideline = adaptive_episode_guideline(u, 1, params);
     const Ticks w_guideline = guaranteed_work_p1(guideline, u, params);
     const std::size_t m_paper = adaptive_period_count_paper(u, 1, params);
 
@@ -64,7 +62,7 @@ void run(harness::Context& ctx) {
                  util::Table::fmt(static_cast<long long>(w_opt)),
                  util::Table::fmt(w_approx, 6),
                  util::Table::fmt(static_cast<long long>(m_paper)),
-                 util::Table::fmt(static_cast<long long>(layout.total_periods)),
+                 util::Table::fmt(static_cast<long long>(guideline.size())),
                  util::Table::fmt(static_cast<long long>(w_guideline)),
                  util::Table::fmt(static_cast<long long>(w_dp))});
 
@@ -73,7 +71,7 @@ void run(harness::Context& ctx) {
                        static_cast<double>(opt.m), opt.alpha,
                        static_cast<double>(w_opt), w_approx,
                        static_cast<double>(m_paper),
-                       static_cast<double>(layout.total_periods),
+                       static_cast<double>(guideline.size()),
                        static_cast<double>(w_guideline), static_cast<double>(w_dp)});
   }
   ctx.table(out, "Table 2 (c = " + std::to_string(params.c) + " ticks)");
@@ -91,7 +89,6 @@ void run(harness::Context& ctx) {
 const harness::Experiment& experiment_table2() {
   static const harness::Experiment e{
       "E2", "table2", "Table 2: parameter values for the case p = 1",
-      "bench_table2",
       "Per lifespan ratio U/c: the closed-form optimal 1-interrupt schedule "
       "(period count m, pivot α, first/last periods, guaranteed work) next to "
       "the paper's approximations, the §3.2 adaptive guideline, and the DP "

@@ -94,7 +94,6 @@ void run(harness::Context& ctx) {
 const harness::Experiment& experiment_theorem51() {
   static const harness::Experiment e{
       "E4", "theorem51", "Theorem 5.1: guaranteed work of the adaptive guidelines",
-      "bench_theorem51",
       "Exact policy-evaluation of the printed, rationalized-pivot, and "
       "equalized guidelines against the Thm 5.1 leading-order bound and the DP "
       "optimum; deficits are normalized by √(2cU) to expose the limiting "

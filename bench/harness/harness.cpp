@@ -212,7 +212,7 @@ RunResult run_experiment(const Experiment& e, Tier tier, const util::Flags& flag
   const std::string prefix = artifact_prefix.empty() ? outdir : artifact_prefix;
   std::ostringstream md;
   md << "## " << e.id << " — " << e.title << "\n\n";
-  md << "*Binary:* `" << e.binary << "` · *tier:* " << tier_name(tier);
+  md << "*Binary:* `bench_" << e.slug << "` · *tier:* " << tier_name(tier);
   if (!result.csv_path.empty()) {
     md << " · *series:* `" << prefix << "/" << e.slug << ".csv`";
   }
@@ -235,7 +235,7 @@ RunResult run_experiment(const Experiment& e, Tier tier, const util::Flags& flag
          << "  \"id\": \"" << json_escape(e.id) << "\",\n"
          << "  \"slug\": \"" << json_escape(e.slug) << "\",\n"
          << "  \"title\": \"" << json_escape(e.title) << "\",\n"
-         << "  \"binary\": \"" << json_escape(e.binary) << "\",\n"
+         << "  \"binary\": \"" << json_escape("bench_" + e.slug) << "\",\n"
          << "  \"tier\": \"" << tier_name(tier) << "\",\n"
          << "  \"host_threads\": "
          << std::max(1u, std::thread::hardware_concurrency()) << ",\n"

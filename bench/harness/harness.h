@@ -1,6 +1,6 @@
 // Experiment-runner harness shared by all bench binaries.
 //
-// Each experiment E1–E14 declares its grids ONCE inside a run function that
+// Each experiment E1–E17 declares its grids ONCE inside a run function that
 // receives a Context. The Context tees every table and note to three
 // synchronized artifacts:
 //   * the console (same ASCII layout the standalone binaries always printed),
@@ -91,10 +91,10 @@ class Context {
 };
 
 struct Experiment {
-  std::string id;       ///< "E1" … "E14" — EXPERIMENTS.md section order.
-  std::string slug;     ///< artifact basename: <slug>.csv, BENCH_<slug>.json
+  std::string id;       ///< "E1" … "E17" — EXPERIMENTS.md section order.
+  std::string slug;     ///< artifact basename: <slug>.csv, BENCH_<slug>.json;
+                        ///< the standalone executable is bench_<slug>
   std::string title;    ///< section heading
-  std::string binary;   ///< standalone executable name
   std::string summary;  ///< one paragraph under the heading
   std::function<void(Context&)> run;
 };
@@ -115,7 +115,7 @@ class Registry {
   std::vector<Experiment> experiments_;
 };
 
-/// Registers E1–E14 in order. Idempotent (second call is a no-op), so tests,
+/// Registers E1–E17 in order. Idempotent (second call is a no-op), so tests,
 /// standalone binaries, and the driver can all call it unconditionally.
 void register_all_experiments();
 

@@ -1,4 +1,4 @@
-// Experiment driver: runs the registered experiments E1–E14 in order and
+// Experiment driver: runs the registered experiments E1–E17 in order and
 // regenerates EXPERIMENTS.md plus the per-experiment CSV series and
 // BENCH_<slug>.json timing records in one command.
 //
@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
 
   if (flags.get_bool("list", false)) {
     for (const auto& e : registry.experiments()) {
-      std::cout << e.id << "  " << e.slug << "  (" << e.binary << ")  " << e.title
+      std::cout << e.id << "  " << e.slug << "  (bench_" << e.slug << ")  " << e.title
                 << "\n";
     }
     return 0;
@@ -128,7 +128,7 @@ int main(int argc, char** argv) {
      << "| :--- | :--- | :--- | ---: |\n";
   for (const auto& r : results) {
     const auto* e = registry.find(r.id);
-    md << "| " << r.id << " | " << e->title << " | `" << e->binary << "` | "
+    md << "| " << r.id << " | " << e->title << " | `bench_" << e->slug << "` | "
        << r.csv_rows << " |\n";
   }
   md << "\n";

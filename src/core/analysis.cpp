@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "core/closed_form.h"
+
 namespace nowsched {
 
 std::string ScheduleDiagnostics::to_string() const {
@@ -38,19 +40,6 @@ ScheduleDiagnostics analyze(const EpisodeSchedule& sched, const Params& params) 
   d.overhead_fraction =
       static_cast<double>(d.setup_overhead) / static_cast<double>(d.total);
   return d;
-}
-
-std::vector<Ticks> kill_option_profile_p1(const EpisodeSchedule& sched, Ticks lifespan,
-                                          const Params& params) {
-  std::vector<Ticks> profile;
-  profile.reserve(sched.size());
-  Ticks banked = 0;
-  for (std::size_t k = 0; k < sched.size(); ++k) {
-    const Ticks rest = positive_sub(positive_sub(lifespan, sched.end(k)), params.c);
-    profile.push_back(banked + rest);
-    banked += positive_sub(sched.period(k), params.c);
-  }
-  return profile;
 }
 
 Ticks equalization_spread_p1(const EpisodeSchedule& sched, Ticks lifespan,

@@ -4,7 +4,6 @@
 
 #include <cstddef>
 #include <string>
-#include <vector>
 
 #include "core/schedule.h"
 #include "core/types.h"
@@ -38,14 +37,9 @@ struct ScheduleDiagnostics {
 
 ScheduleDiagnostics analyze(const EpisodeSchedule& sched, const Params& params);
 
-/// The adversary's kill-option values under optimal 0-interrupt
-/// continuation: option[k] = banked(k) + (U − T_{k+1}) ⊖ c. For schedules
-/// honouring Thm 4.3's equalization these are flat over the early periods.
-std::vector<Ticks> kill_option_profile_p1(const EpisodeSchedule& sched, Ticks lifespan,
-                                          const Params& params);
-
-/// max − min of the kill-option profile restricted to the first
-/// `periods − immune_tail` options (0 when fewer than 2 such options).
+/// max − min of kill_option_profile_p1 (core/closed_form.h) restricted to
+/// the first `periods − immune_tail` options (0 when fewer than 2 such
+/// options).
 Ticks equalization_spread_p1(const EpisodeSchedule& sched, Ticks lifespan,
                              const Params& params, std::size_t immune_tail = 2);
 

@@ -69,19 +69,4 @@ EpisodeSchedule GeometricPolicy::episode(Ticks residual, int /*interrupts_left*/
   return EpisodeSchedule(std::move(periods));
 }
 
-EqualSplitPolicy::EqualSplitPolicy(std::size_t periods) : periods_(periods) {
-  if (periods == 0) throw std::invalid_argument("EqualSplitPolicy: need >= 1 period");
-}
-
-std::string EqualSplitPolicy::name() const {
-  return "equal-split-" + std::to_string(periods_);
-}
-
-EpisodeSchedule EqualSplitPolicy::episode(Ticks residual, int /*interrupts_left*/,
-                                          const Params& /*params*/) const {
-  const std::size_t m =
-      std::min<std::size_t>(periods_, static_cast<std::size_t>(residual));
-  return EpisodeSchedule::equal_split(residual, std::max<std::size_t>(1, m));
-}
-
 }  // namespace nowsched

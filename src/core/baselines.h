@@ -3,8 +3,6 @@
 // chunks" [Atallah et al. 1992] is modelled by FixedChunkPolicy.
 #pragma once
 
-#include <cstddef>
-
 #include "core/policy.h"
 
 namespace nowsched {
@@ -44,18 +42,6 @@ class GeometricPolicy final : public SchedulingPolicy {
  private:
   double divisor_;
   double floor_in_c_;
-};
-
-/// Fixed number of equal periods regardless of (L, p).
-class EqualSplitPolicy final : public SchedulingPolicy {
- public:
-  explicit EqualSplitPolicy(std::size_t periods);
-  std::string name() const override;
-  EpisodeSchedule episode(Ticks residual, int interrupts_left,
-                          const Params& params) const override;
-
- private:
-  std::size_t periods_;
 };
 
 }  // namespace nowsched

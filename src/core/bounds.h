@@ -23,6 +23,8 @@ double nonadaptive_work_ocr(double lifespan, int p, double c);
 double adaptive_work_leading(double lifespan, int p, double c);
 
 /// The deficit coefficient (2 − 2^{1−p})√2 multiplying √(cU) in Thm 5.1.
+/// Pins the printed Thm 5.1 constant that optimal_deficit_coefficient and
+/// the measured DP deficits are compared against.
 double adaptive_deficit_coefficient(int p);
 
 /// The EXACT asymptotic optimal deficit coefficient a_p in
@@ -47,10 +49,12 @@ double optimal_deficit_coefficient(int p);
 /// Table 2 approximation of the 1-interrupt optimum: W(1)[U] ≈ U − √(2cU) − c/2.
 double optimal_p1_work(double lifespan, double c);
 
-/// Table 2 approximation of the optimal period count: m(1)[U] ≈ √(2U/c − 7/4) − 1/2.
+/// Table 2 approximation of the optimal period count: m(1)[U] ≈ √(2U/c − 7/4) − 1/2
+/// (eq. 5.1; 1 when 2U/c <= 7/4). optimal_p1_schedule starts from its ceiling.
 double optimal_p1_period_count(double lifespan, double c);
 
-/// Prop 4.1(c): W(p)[U] = 0 whenever U <= (p+1)c.
+/// Prop 4.1(c): W(p)[U] = 0 whenever U <= (p+1)c. Pins that claim as the
+/// oracle the value-table tests and the conformance suite check W against.
 nowsched::Ticks zero_work_threshold(int p, nowsched::Ticks c);
 
 }  // namespace nowsched::bounds

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/bounds.h"
+
 namespace nowsched {
 
 namespace {
@@ -18,20 +20,13 @@ double alpha_for(Ticks lifespan, std::size_t m, const Params& params) {
 
 }  // namespace
 
-std::size_t opt_p1_period_count_raw(Ticks lifespan, const Params& params) {
+OptP1 optimal_p1_schedule(Ticks lifespan, const Params& params) {
   require_valid(params);
   if (lifespan < 1) throw std::invalid_argument("opt_p1: lifespan must be >= 1");
-  const double u = static_cast<double>(lifespan);
-  const double c = static_cast<double>(params.c);
-  const double inner = 2.0 * u / c - 1.75;
-  if (inner <= 0.0) return 1;
-  const double m = std::ceil(std::sqrt(inner) - 0.5);
-  return static_cast<std::size_t>(std::max(1.0, m));
-}
-
-OptP1 optimal_p1_schedule(Ticks lifespan, const Params& params) {
   OptP1 out;
-  std::size_t m = opt_p1_period_count_raw(lifespan, params);
+  std::size_t m = static_cast<std::size_t>(std::max(
+      1.0, std::ceil(bounds::optimal_p1_period_count(static_cast<double>(lifespan),
+                                                     static_cast<double>(params.c)))));
 
   if (lifespan < 2 * (params.c + 1) || m < 2) {
     // Too short for the (1+α)c twin-tail structure; W(1) here is 0 or near 0
@@ -44,14 +39,12 @@ OptP1 optimal_p1_schedule(Ticks lifespan, const Params& params) {
   // Keep α in (0, 1]; eq. (5.1) can land one off at band boundaries because
   // of the discretized U.
   double alpha = alpha_for(lifespan, m, params);
-  const std::size_t m_raw = m;
   for (int guard = 0; guard < 64 && (alpha <= 0.0 || alpha > 1.0); ++guard) {
     if (alpha <= 0.0 && m > 2) --m;
     else if (alpha > 1.0) ++m;
     else break;
     alpha = alpha_for(lifespan, m, params);
   }
-  out.adjusted = (m != m_raw);
   out.m = m;
   out.alpha = alpha;
 
@@ -67,20 +60,27 @@ OptP1 optimal_p1_schedule(Ticks lifespan, const Params& params) {
   return out;
 }
 
+std::vector<Ticks> kill_option_profile_p1(const EpisodeSchedule& sched, Ticks lifespan,
+                                          const Params& params) {
+  std::vector<Ticks> profile;
+  profile.reserve(sched.size());
+  Ticks banked = 0;
+  for (std::size_t k = 0; k < sched.size(); ++k) {
+    const Ticks rest = positive_sub(positive_sub(lifespan, sched.end(k)), params.c);
+    profile.push_back(banked + rest);
+    banked += positive_sub(sched.period(k), params.c);
+  }
+  return profile;
+}
+
 Ticks guaranteed_work_p1(const EpisodeSchedule& sched, Ticks lifespan,
                          const Params& params) {
   if (sched.total() != lifespan) {
     throw std::invalid_argument("guaranteed_work_p1: schedule must span the lifespan");
   }
   Ticks best = sched.work_if_uninterrupted(params);
-  Ticks banked = 0;
-  for (std::size_t k = 0; k < sched.size(); ++k) {
-    // Adversary kills 0-based period k at its last instant; afterwards the
-    // unique optimal 0-interrupt continuation is one long period
-    // (Prop 4.1(d)) worth (U − T_{k+1}) ⊖ c.
-    const Ticks tail = positive_sub(positive_sub(lifespan, sched.end(k)), params.c);
-    best = std::min(best, banked + tail);
-    banked += positive_sub(sched.period(k), params.c);
+  for (Ticks option : kill_option_profile_p1(sched, lifespan, params)) {
+    best = std::min(best, option);
   }
   return best;
 }

@@ -9,31 +9,38 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "core/schedule.h"
 #include "core/types.h"
 
 namespace nowsched {
 
-/// eq. (5.1) period count, before the ±1 adjustment that keeps α in (0, 1].
-std::size_t opt_p1_period_count_raw(Ticks lifespan, const Params& params);
-
 struct OptP1 {
   std::size_t m = 0;       ///< realized period count
   double alpha = 0.0;      ///< α ∈ (0, 1] (meaningful when m >= 2)
-  bool adjusted = false;   ///< eq. (5.1) needed a ±1 correction
   EpisodeSchedule schedule;
 };
 
-/// Constructs S_opt(1)[U] on the tick grid (largest-remainder rounding).
+/// Constructs S_opt(1)[U] on the tick grid (largest-remainder rounding),
+/// starting from m = max(1, ⌈bounds::optimal_p1_period_count⌉) and stepping
+/// m by ±1 where the discrete U pushes α out of (0, 1].
 /// For lifespans too short for the two-period structure, degrades to a
 /// single period (which is then optimal only when W(1)[U] = 0).
 OptP1 optimal_p1_schedule(Ticks lifespan, const Params& params);
 
+/// The adversary's kill-option values under optimal 0-interrupt
+/// continuation: option[k] = banked(k) + (U − T_{k+1}) ⊖ c — kill period k
+/// at its last instant, then run the residual as one long period
+/// (Prop 4.1(d)). For schedules honouring Thm 4.3's equalization these are
+/// flat over the early periods.
+std::vector<Ticks> kill_option_profile_p1(const EpisodeSchedule& sched, Ticks lifespan,
+                                          const Params& params);
+
 /// Exact guaranteed work of an arbitrary committed episode against one
 /// potential interrupt, assuming optimal continuation afterwards
 /// (Prop 4.1(d): the residual is run as a single period, worth (L−T_k) ⊖ c):
-///   W = min( Σ(t_i ⊖ c),  min_k [ banked(k) + (U − T_{k+1}) ⊖ c ] ).
+///   W = min( Σ(t_i ⊖ c),  min kill_option_profile_p1 ).
 /// Requires sched.total() == lifespan.
 Ticks guaranteed_work_p1(const EpisodeSchedule& sched, Ticks lifespan,
                          const Params& params);

@@ -39,7 +39,9 @@ double analytic_guaranteed_work(int q, double lifespan, double c);
 double analytic_guaranteed_work_inverse(int q, double value, double c);
 
 /// Builds the equalized episode-schedule for (L, p). p == 0 is the single
-/// period L. Returns the realized equalized value via `value_out` if given.
+/// period L. Returns the realized equalized value V via `value_out` if given;
+/// the equalized tests pin V against a reference bisection and against
+/// guaranteed_work_p1.
 EpisodeSchedule equalized_episode(Ticks lifespan, int p, const Params& params,
                                   double* value_out = nullptr);
 

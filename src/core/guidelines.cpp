@@ -72,7 +72,6 @@ EpisodeSchedule adaptive_episode_guideline(Ticks lifespan, int p, const Params& 
 
   if (p == 0) {
     // Prop 4.1(d): the unique 0-interrupt optimum is the single period U.
-    lay.total_periods = 1;
     return EpisodeSchedule({lifespan});
   }
 
@@ -91,9 +90,6 @@ EpisodeSchedule adaptive_episode_guideline(Ticks lifespan, int p, const Params& 
       pivot = 1.5 * c;
       break;
   }
-  lay.pivot_ticks = pivot;
-  lay.step_ticks = step;
-  lay.tail_count = tail;
 
   const double l = static_cast<double>(lifespan);
   const double mandatory = tail_len * static_cast<double>(tail) + pivot;
@@ -103,7 +99,6 @@ EpisodeSchedule adaptive_episode_guideline(Ticks lifespan, int p, const Params& 
     lay.degenerate = true;
     const auto m = static_cast<Ticks>(std::max(1.0, std::floor(l / tail_len)));
     const Ticks count = std::max<Ticks>(1, std::min<Ticks>(m, lifespan));
-    lay.total_periods = static_cast<std::size_t>(count);
     return EpisodeSchedule::equal_split(lifespan, static_cast<std::size_t>(count));
   }
 
@@ -125,6 +120,11 @@ EpisodeSchedule adaptive_episode_guideline(Ticks lifespan, int p, const Params& 
   auto r = static_cast<std::size_t>(std::max(0.0, std::floor(r_est)));
   while (ramp_sum(static_cast<double>(r + 1)) <= budget) ++r;
   while (r > 0 && ramp_sum(static_cast<double>(r)) > budget) --r;
+  if (r + 1 + tail > static_cast<std::size_t>(lifespan)) {
+    // More periods than ticks (tiny c): one tick per period is all that fits.
+    lay.degenerate = true;
+    return EpisodeSchedule::equal_split(lifespan, static_cast<std::size_t>(lifespan));
+  }
   lay.ramp_count = r;
 
   // Assemble real-valued lengths: ramp (longest first), pivot, tail.
@@ -141,8 +141,6 @@ EpisodeSchedule adaptive_episode_guideline(Ticks lifespan, int p, const Params& 
   const double assigned = mandatory + ramp_sum(static_cast<double>(r));
   const double leftover = l - assigned;
   lengths.front() += leftover;
-  lay.residual_absorbed = static_cast<Ticks>(std::llround(leftover));
-  lay.total_periods = lengths.size();
 
   return EpisodeSchedule::from_real(lengths, lifespan);
 }

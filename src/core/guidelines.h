@@ -31,6 +31,8 @@ namespace nowsched {
 // ---------------------------------------------------------------------------
 
 /// m(p)[U] = ⌊√(pU/c)⌋, clamped to [1, U]. p == 0 yields 1 (single period).
+/// Pins §3.1's period count, which the equal-period search tests compare
+/// against the exhaustive optimum.
 std::size_t nonadaptive_period_count(Ticks lifespan, int p, const Params& params);
 
 /// The equal-period non-adaptive schedule S_na(p)[U].
@@ -50,7 +52,8 @@ enum class PivotRule {
   kRationalized,
 };
 
-/// ℓ_p = ⌈2p/3⌉, the number of short tail periods (0 when p == 0).
+/// ℓ_p = ⌈2p/3⌉, the number of short tail periods (0 when p == 0). Pins
+/// §3.2's tail length: a non-degenerate S_a(p)[L] ends in this many periods.
 std::size_t adaptive_tail_count(int p);
 
 /// The printed schedule-length formula ⌊2^{p−1/2}√(L/c)⌋ + p·2^{2p−1}
@@ -58,16 +61,14 @@ std::size_t adaptive_tail_count(int p);
 std::size_t adaptive_period_count_paper(Ticks lifespan, int p, const Params& params);
 
 /// The printed pivot multiplier (p − (2 − 2^{2−p})√(2p) + ½); may be negative.
+/// Pins §3.2's pivot formula, including the OCR anomaly for p ∈ {3..6}.
 double adaptive_pivot_factor(int p);
 
-/// Introspection data for benches/tests.
+/// How the returned schedule was laid out. When not degenerate, the schedule
+/// is ramp_count ramp periods, the pivot, then adaptive_tail_count(p) tail
+/// periods.
 struct AdaptiveLayout {
-  std::size_t tail_count = 0;      ///< ℓ_p short periods of 3c/2
   std::size_t ramp_count = 0;      ///< periods strictly above the pivot
-  std::size_t total_periods = 0;   ///< m
-  double pivot_ticks = 0.0;        ///< realized pivot length (real, ticks)
-  double step_ticks = 0.0;         ///< 4^{1−p}·c
-  Ticks residual_absorbed = 0;     ///< ticks folded into the first period
   bool degenerate = false;         ///< fell back to equal-split / single period
 };
 

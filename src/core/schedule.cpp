@@ -117,11 +117,6 @@ bool EpisodeSchedule::is_productive(const Params& params) const noexcept {
   return true;
 }
 
-bool EpisodeSchedule::is_fully_productive(const Params& params) const noexcept {
-  return std::all_of(periods_.begin(), periods_.end(),
-                     [&](Ticks t) { return t > params.c; });
-}
-
 std::string EpisodeSchedule::to_string() const {
   std::ostringstream os;
   const std::size_t limit = 12;

@@ -59,10 +59,8 @@ class EpisodeSchedule {
   Ticks banked_work(std::size_t k, const Params& params) const;
 
   /// "Productive" (Thm 4.1): every period except possibly the last exceeds c.
+  /// Test oracle: pins the postcondition of Thm 4.1's make_productive.
   bool is_productive(const Params& params) const noexcept;
-
-  /// "Fully productive" (§4.1): every period exceeds c.
-  bool is_fully_productive(const Params& params) const noexcept;
 
   /// Human-readable rendering "t1,t2,...,tm (sum=L)"; long schedules elided.
   std::string to_string() const;

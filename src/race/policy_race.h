@@ -129,10 +129,6 @@ class PolicyRace {
   /// Runs the race and distills verdicts. Deterministic given construction.
   PolicyRaceResult run();
 
-  const std::vector<Region>& regions() const noexcept { return regions_; }
-  const std::vector<PolicyArm>& arms() const noexcept { return arms_; }
-  const PolicyRaceOptions& options() const noexcept { return options_; }
-
   /// banked_work / lifespan of one session — THE score the race banks.
   static double score_of(const sim::SessionMetrics& metrics,
                          const sim::ScenarioSpec& spec);

@@ -20,8 +20,7 @@ struct ExactValues {
   Ticks guideline = 0;  ///< R_π(p, U)
 };
 
-ExactValues exact_values(const sim::ScenarioSpec& spec, solver::SolveCache& cache,
-                         util::ThreadPool* pool) {
+ExactValues exact_values(const sim::ScenarioSpec& spec, solver::SolveCache& cache) {
   const auto table = cache.get_or_solve(
       solver::SolveRequest{spec.max_interrupts, spec.lifespan, spec.params});
   ExactValues values;
@@ -32,8 +31,8 @@ ExactValues exact_values(const sim::ScenarioSpec& spec, solver::SolveCache& cach
     return values;
   }
   const auto policy = sim::make_policy(spec);
-  values.guideline = solver::evaluate_policy(*policy, spec.lifespan,
-                                             spec.max_interrupts, spec.params, pool);
+  values.guideline =
+      solver::evaluate_policy(*policy, spec.lifespan, spec.max_interrupts, spec.params);
   return values;
 }
 
@@ -51,16 +50,9 @@ Ticks geometric_mid(Ticks lo, Ticks hi) {
 
 }  // namespace
 
-Ticks regret_ticks(const sim::ScenarioSpec& spec, solver::SolveCache& cache,
-                   util::ThreadPool* pool) {
-  const ExactValues values = exact_values(spec, cache, pool);
+Ticks regret_ticks(const sim::ScenarioSpec& spec, solver::SolveCache& cache) {
+  const ExactValues values = exact_values(spec, cache);
   return values.dp - values.guideline;
-}
-
-double regret_score(const sim::ScenarioSpec& spec, solver::SolveCache& cache,
-                    util::ThreadPool* pool) {
-  return static_cast<double>(regret_ticks(spec, cache, pool)) /
-         static_cast<double>(spec.lifespan);
 }
 
 std::vector<Region> split_region(const Region& region) {
@@ -114,7 +106,7 @@ void RegretHuntOptions::validate() const {
 RegretHuntResult hunt_regret(const Region& root,
                              const std::vector<sim::PolicyKind>& policies,
                              const RegretHuntOptions& options,
-                             solver::SolveCache& cache, util::ThreadPool* pool) {
+                             solver::SolveCache& cache) {
   options.validate();
   root.domain.validate();
   if (policies.empty()) {
@@ -158,7 +150,7 @@ RegretHuntResult hunt_regret(const Region& root,
         double worst = -1.0;
         for (std::size_t i = 0; i < options.probes_per_region; ++i) {
           const sim::ScenarioSpec spec = gen.at(i);
-          const ExactValues values = exact_values(spec, cache, pool);
+          const ExactValues values = exact_values(spec, cache);
           const double u = static_cast<double>(spec.lifespan);
           const double regret =
               static_cast<double>(values.dp - values.guideline) / u;

@@ -7,7 +7,7 @@
 //
 //     regret(spec) = W(p)[U] − R_π(p, U)
 //
-// where W comes from the (cached) value table of solver/solve.h and R_π from
+// where W comes from the (cached) value table of solver/solve_cache.h and R_π from
 // solver::evaluate_policy — both worst-case guarantees, so regret is a
 // deterministic function of the CONTRACT alone (the owner process only
 // steers which contracts a region draws). dp-optimal scenarios have regret 0
@@ -33,19 +33,14 @@
 
 #include "race/policy_race.h"
 #include "solver/solve_cache.h"
-#include "util/thread_pool.h"
 #include "util/welford.h"
 
 namespace nowsched::race {
 
 /// Exact regret of one spec in ticks (0 for kDpOptimal specs). Solves go
-/// through `cache`. Throws std::invalid_argument on an invalid spec.
-Ticks regret_ticks(const sim::ScenarioSpec& spec, solver::SolveCache& cache,
-                   util::ThreadPool* pool = nullptr);
-
-/// regret_ticks normalized by the lifespan — in [0, 1].
-double regret_score(const sim::ScenarioSpec& spec, solver::SolveCache& cache,
-                    util::ThreadPool* pool = nullptr);
+/// through `cache`. Throws std::invalid_argument on an invalid spec. The
+/// hunt's normalized regret is this divided by the lifespan.
+Ticks regret_ticks(const sim::ScenarioSpec& spec, solver::SolveCache& cache);
 
 /// Splits a region into two halves along its widest contract axis (lifespan,
 /// then c, then interrupts, by log-width; a point region splits into two
@@ -103,7 +98,6 @@ struct RegretHuntResult {
 RegretHuntResult hunt_regret(const Region& root,
                              const std::vector<sim::PolicyKind>& policies,
                              const RegretHuntOptions& options,
-                             solver::SolveCache& cache,
-                             util::ThreadPool* pool = nullptr);
+                             solver::SolveCache& cache);
 
 }  // namespace nowsched::race

@@ -83,10 +83,6 @@ class ScenarioGenerator {
   /// response probabilities. Cursor advances by `stations`.
   std::vector<ScenarioSpec> farm_group(std::size_t stations);
 
-  const ScenarioDomain& domain() const noexcept { return domain_; }
-  std::uint64_t seed() const noexcept { return seed_; }
-  std::uint64_t cursor() const noexcept { return cursor_; }
-
  private:
   ScenarioDomain domain_;
   std::uint64_t seed_;

@@ -52,6 +52,9 @@ class SessionActor {
   /// plans the next one. Requires next_event().
   void step();
 
+  /// True once the session has ended (then next_event() is nullopt). The
+  /// continuation tests read it to tell whether the actor already began the
+  /// episode after its last interrupt.
   bool finished() const noexcept { return finished_; }
 
   const SessionMetrics& metrics() const noexcept { return metrics_; }

@@ -43,6 +43,8 @@ class TaskBag {
 
   std::size_t pending() const noexcept { return pending_.size(); }
   Ticks pending_work() const noexcept { return pending_work_; }
+  /// The bag's own count of finished tasks and work: the oracle the session
+  /// and farm tests check SessionMetrics' task counters against.
   std::size_t completed() const noexcept { return completed_count_; }
   Ticks completed_work() const noexcept { return completed_work_; }
   bool done() const noexcept { return pending_.empty(); }

@@ -36,15 +36,16 @@ Ticks best_period_length(const ValueTable& table, int p, Ticks lifespan);
 /// cost is O(log d) when the crossover lies d ticks from the hint.
 Ticks best_period_length(const ValueTable& table, int p, Ticks lifespan, Ticks hint);
 
-/// The O(L) reference scan for best_period_length (bit-identical choice),
-/// with the same range contract.
+/// Test oracle: the O(L) reference scan for best_period_length (bit-identical
+/// choice), with the same range contract.
 Ticks best_period_length_linear(const ValueTable& table, int p, Ticks lifespan);
 
 /// Thm 4.3 predicts, for the early ("non-immune") periods,
 ///   t_k = c + W(p−1)[U − T_k] − W(p−1)[U − T_{k+1}]        (1-based k),
 /// i.e. each period equalizes the impact of the interrupts it exposes.
 /// Returns per-period residuals t_k − (c + ΔW) for a given episode; small
-/// residuals on the early periods corroborate the theorem on the grid.
+/// residuals on the early periods corroborate the theorem on the grid (the
+/// extraction tests' Thm 4.3 oracle).
 std::vector<Ticks> equalization_residuals(const ValueTable& table,
                                           const EpisodeSchedule& episode, int p,
                                           Ticks lifespan);

@@ -76,17 +76,14 @@ Ticks nonadaptive_guaranteed_work(const EpisodeSchedule& sched, Ticks lifespan, 
   return nonadaptive_best_response(sched, lifespan, p, params).value;
 }
 
-EqualPeriodSearch best_equal_period_count(Ticks lifespan, int p, const Params& params,
-                                          std::size_t max_m) {
+EqualPeriodSearch best_equal_period_count(Ticks lifespan, int p, const Params& params) {
   require_valid(params);
   if (lifespan < 1) throw std::invalid_argument("best_equal_period_count: lifespan >= 1");
-  if (max_m == 0) {
-    const double guess = std::sqrt(static_cast<double>(p) *
-                                   static_cast<double>(lifespan) /
-                                   static_cast<double>(params.c));
-    max_m = static_cast<std::size_t>(4.0 * std::ceil(guess)) + 8;
-  }
-  max_m = std::min<std::size_t>(max_m, static_cast<std::size_t>(lifespan));
+  const double guess = std::sqrt(static_cast<double>(p) * static_cast<double>(lifespan) /
+                                 static_cast<double>(params.c));
+  const std::size_t max_m = std::min<std::size_t>(
+      static_cast<std::size_t>(4.0 * std::ceil(guess)) + 8,
+      static_cast<std::size_t>(lifespan));
 
   EqualPeriodSearch out;
   out.best_value = -kInf;

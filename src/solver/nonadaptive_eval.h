@@ -39,10 +39,9 @@ struct EqualPeriodSearch {
   std::vector<Ticks> value_by_m;  ///< value_by_m[m-1] = work with m equal periods
 };
 
-/// Exhaustive search over the number of equal periods m in [1, max_m]
-/// (max_m == 0 selects a safe upper bound 4·⌈√(pU/c)⌉ + 8, capped by U).
-/// Used to test §3.1's claim that m = ⌊√(pU/c)⌋ "cannot be improved".
-EqualPeriodSearch best_equal_period_count(Ticks lifespan, int p, const Params& params,
-                                          std::size_t max_m = 0);
+/// Exhaustive search over the number of equal periods m in [1, 4·⌈√(pU/c)⌉ + 8],
+/// capped by U. Used to test §3.1's claim that m = ⌊√(pU/c)⌋ "cannot be
+/// improved".
+EqualPeriodSearch best_equal_period_count(Ticks lifespan, int p, const Params& params);
 
 }  // namespace nowsched::solver

@@ -70,13 +70,14 @@ Ticks evaluate_policy(const SchedulingPolicy& policy, Ticks lifespan, int p,
 }
 
 BestResponse best_response(const SchedulingPolicy& policy, Ticks lifespan, int p,
-                           const Params& params, util::ThreadPool* pool) {
+                           const Params& params) {
   require_valid(params);
   // Keep all levels so the optimal play can be walked forward.
   std::vector<std::vector<Ticks>> levels;  // levels[q]
-  levels.push_back(compute_level(policy, lifespan, 0, params, nullptr, pool));
+  levels.push_back(compute_level(policy, lifespan, 0, params, nullptr, /*pool=*/nullptr));
   for (int q = 1; q <= p; ++q) {
-    levels.push_back(compute_level(policy, lifespan, q, params, &levels.back(), pool));
+    levels.push_back(
+        compute_level(policy, lifespan, q, params, &levels.back(), /*pool=*/nullptr));
   }
 
   BestResponse out;

@@ -46,6 +46,6 @@ struct BestResponse {
   std::vector<AdversaryMove> moves;
 };
 BestResponse best_response(const SchedulingPolicy& policy, Ticks lifespan, int p,
-                           const Params& params, util::ThreadPool* pool = nullptr);
+                           const Params& params);
 
 }  // namespace nowsched::solver

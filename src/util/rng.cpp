@@ -61,6 +61,4 @@ double Rng::pareto(double x_m, double alpha) noexcept {
 
 bool Rng::bernoulli(double p) noexcept { return uniform01() < p; }
 
-Rng Rng::split() noexcept { return Rng(next()); }
-
 }  // namespace nowsched::util

@@ -50,9 +50,6 @@ class Rng {
   /// Bernoulli trial with success probability p in [0, 1].
   bool bernoulli(double p) noexcept;
 
-  /// Derive an independent child stream (for per-entity RNGs).
-  Rng split() noexcept;
-
  private:
   std::uint64_t state_;
 };

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <numeric>
-#include <sstream>
 
 namespace nowsched::util {
 
@@ -15,20 +13,7 @@ void Accumulator::add(double x) noexcept {
     min_ = std::min(min_, x);
     max_ = std::max(max_, x);
   }
-  sum_ += x;
   moments_.add(x);
-}
-
-void Accumulator::merge(const Accumulator& other) noexcept {
-  if (other.moments_.n == 0) return;
-  if (moments_.n == 0) {
-    *this = other;
-    return;
-  }
-  moments_.merge(other.moments_);
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
 }
 
 Summary::Summary(std::vector<double> samples) : sorted_(std::move(samples)) {
@@ -51,14 +36,6 @@ double Summary::quantile(double q) const {
   const std::size_t hi = std::min(lo + 1, sorted_.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return sorted_[lo] * (1.0 - frac) + sorted_[hi] * frac;
-}
-
-std::string Summary::to_string() const {
-  std::ostringstream os;
-  os << "n=" << count() << " mean=" << mean() << " sd=" << stddev()
-     << " min=" << min() << " p50=" << quantile(0.5) << " p95=" << quantile(0.95)
-     << " max=" << max();
-  return os.str();
 }
 
 LinearFit fit_linear(const std::vector<double>& x, const std::vector<double>& y) {

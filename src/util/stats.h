@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "util/welford.h"
@@ -21,19 +20,11 @@ class Accumulator {
   double stddev() const noexcept { return moments_.stddev(); }
   double min() const noexcept { return moments_.n ? min_ : 0.0; }
   double max() const noexcept { return moments_.n ? max_ : 0.0; }
-  double sum() const noexcept { return sum_; }
-
-  /// The bare mergeable moment statistic (what the racing layer consumes).
-  const Welford& moments() const noexcept { return moments_; }
-
-  /// Merge another accumulator (parallel reduction; Chan et al. update).
-  void merge(const Accumulator& other) noexcept;
 
  private:
   Welford moments_;
   double min_ = 0.0;
   double max_ = 0.0;
-  double sum_ = 0.0;
 };
 
 /// Batch summary with quantiles. Input copied and sorted once.
@@ -48,10 +39,6 @@ class Summary {
   double max() const noexcept;
   /// Linear-interpolation quantile, q in [0, 1].
   double quantile(double q) const;
-  double median() const { return quantile(0.5); }
-
-  /// One-line human-readable rendering (used by benches).
-  std::string to_string() const;
 
  private:
   std::vector<double> sorted_;

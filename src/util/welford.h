@@ -12,7 +12,7 @@
 // Kept deliberately tiny — three doubles of state, header-only, aggregate-
 // initializable — so per-arm statistics in a race are cheap to copy into
 // result records and to reason about in tests. util::Accumulator layers
-// min/max/sum bookkeeping on top for the experiment harnesses.
+// min/max bookkeeping on top for the experiment harnesses.
 #pragma once
 
 #include <cmath>

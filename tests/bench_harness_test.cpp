@@ -45,7 +45,6 @@ TEST(Registry, KnowsAllSeventeenExperimentsInOrder) {
   for (std::size_t i = 0; i < registry.size(); ++i) {
     const Experiment& e = registry.experiments()[i];
     EXPECT_EQ(e.id, "E" + std::to_string(i + 1));
-    EXPECT_EQ(e.binary, "bench_" + e.slug);
     EXPECT_FALSE(e.title.empty());
     EXPECT_FALSE(e.summary.empty());
     EXPECT_TRUE(e.run != nullptr) << e.id;
@@ -138,7 +137,7 @@ TEST(Runner, EmittersRoundTripASampleRecord) {
 }
 
 TEST(Runner, FailingExperimentIsCapturedNotPropagated) {
-  const Experiment boom{"EX", "boom", "always throws", "bench_boom", "kaboom",
+  const Experiment boom{"EX", "boom", "always throws", "kaboom",
                         [](Context&) { throw std::runtime_error("kaboom"); }};
   const util::Flags flags = no_flags();
   const std::string outdir = fresh_outdir("boom");

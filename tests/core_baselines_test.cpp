@@ -79,28 +79,9 @@ TEST(Geometric, TinyResidualSinglePeriod) {
   EXPECT_EQ(s.size(), 1u);
 }
 
-TEST(EqualSplit, FixedPeriodCount) {
-  EqualSplitPolicy policy(8);
-  const auto s = policy.episode(1000, 1, kParams);
-  EXPECT_EQ(s.size(), 8u);
-  EXPECT_EQ(s.total(), 1000);
-}
-
-TEST(EqualSplit, ClampsWhenResidualTooSmall) {
-  EqualSplitPolicy policy(8);
-  const auto s = policy.episode(3, 1, kParams);
-  EXPECT_EQ(s.size(), 3u);
-  EXPECT_EQ(s.total(), 3);
-}
-
-TEST(EqualSplit, RejectsZeroPeriods) {
-  EXPECT_THROW(EqualSplitPolicy{0}, std::invalid_argument);
-}
-
 TEST(BaselineNames, AreDescriptive) {
   EXPECT_EQ(FixedChunkPolicy{4.0}.name().substr(0, 11), "fixed-chunk");
   EXPECT_EQ(GeometricPolicy(2.0, 2.0).name().substr(0, 9), "geometric");
-  EXPECT_EQ(EqualSplitPolicy{4}.name(), "equal-split-4");
 }
 
 }  // namespace

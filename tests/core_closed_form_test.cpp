@@ -10,14 +10,14 @@ namespace nowsched {
 namespace {
 
 TEST(OptP1Count, MatchesEquationFiveOne) {
-  const Params params{16};
   // U/c = 512: sqrt(2*512 - 1.75) - 0.5 = sqrt(1022.25) - 0.5 ≈ 31.47 → ⌈⌉ = 32.
-  EXPECT_EQ(opt_p1_period_count_raw(16 * 512, params), 32u);
+  EXPECT_EQ(std::ceil(bounds::optimal_p1_period_count(16.0 * 512.0, 16.0)), 32.0);
+  EXPECT_EQ(optimal_p1_schedule(16 * 512, Params{16}).m, 32u);
 }
 
 TEST(OptP1Count, TinyLifespanGivesOnePeriod) {
-  const Params params{100};
-  EXPECT_EQ(opt_p1_period_count_raw(50, params), 1u);
+  EXPECT_EQ(bounds::optimal_p1_period_count(50.0, 100.0), 1.0);
+  EXPECT_EQ(optimal_p1_schedule(50, Params{100}).m, 1u);
 }
 
 struct P1Case {

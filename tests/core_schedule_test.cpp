@@ -48,9 +48,7 @@ TEST(EpisodeSchedule, WorkAccountingUsesPositiveSubtraction) {
 
 TEST(EpisodeSchedule, ProductivePredicates) {
   EXPECT_TRUE(EpisodeSchedule({11, 12, 5}).is_productive(kParams));   // last may be short
-  EXPECT_FALSE(EpisodeSchedule({11, 12, 5}).is_fully_productive(kParams));
   EXPECT_FALSE(EpisodeSchedule({10, 12, 11}).is_productive(kParams));  // 10 == c
-  EXPECT_TRUE(EpisodeSchedule({11, 12, 11}).is_fully_productive(kParams));
   EXPECT_TRUE(EpisodeSchedule{}.is_productive(kParams));
 }
 

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "core/closed_form.h"
 #include "core/equalized.h"
 #include "core/guidelines.h"
 #include "core/transforms.h"
@@ -308,6 +309,31 @@ TEST(Fuzz, EqualizedEpisodeAlwaysFeasible) {
     const auto sched = equalized_episode(u, p, params);
     ASSERT_EQ(sched.total(), u) << "c=" << params.c << " u=" << u << " p=" << p;
     ASSERT_GE(sched.size(), 1u);
+  }
+}
+
+TEST(Fuzz, OneInterruptEvaluatorsAgreeOnRandomSchedules) {
+  // Three readings of the p = 1 kill option (kill period k at its last
+  // instant, then run the residual as one long period): the §5.2 closed form,
+  // the committed-schedule evaluator at p = 1, and the minimum of the
+  // kill-option profile against the uninterrupted work.
+  util::Rng rng(0x9E1);
+  const int cases = 10 * fuzz_cases(200);
+  for (int i = 0; i < cases; ++i) {
+    const Params params{static_cast<Ticks>(rng.uniform_int(1, 40))};
+    std::vector<Ticks> periods(static_cast<std::size_t>(rng.uniform_int(1, 30)));
+    for (Ticks& t : periods) t = rng.uniform_int(1, 3 * params.c);
+    const EpisodeSchedule s(std::move(periods));
+    const Ticks u = s.total();
+    Ticks profile_min = s.work_if_uninterrupted(params);
+    for (Ticks option : kill_option_profile_p1(s, u, params)) {
+      profile_min = std::min(profile_min, option);
+    }
+    const Ticks closed = guaranteed_work_p1(s, u, params);
+    ASSERT_EQ(closed, solver::nonadaptive_guaranteed_work(s, u, 1, params))
+        << "case " << i << " c=" << params.c << " s=" << s.to_string();
+    ASSERT_EQ(closed, profile_min)
+        << "case " << i << " c=" << params.c << " s=" << s.to_string();
   }
 }
 

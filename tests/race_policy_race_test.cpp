@@ -524,7 +524,9 @@ TEST(RegretHunt, FindsRegretAndIsDeterministic) {
     // The banked worst spec replays to the same exact regret.
     const sim::ScenarioSpec replayed =
         sim::scenario_from_replay(sim::to_replay_string(rr.worst));
-    EXPECT_DOUBLE_EQ(regret_score(replayed, cache), rr.worst_regret);
+    EXPECT_DOUBLE_EQ(static_cast<double>(regret_ticks(replayed, cache)) /
+                         static_cast<double>(replayed.lifespan),
+                     rr.worst_regret);
   }
   for (const VerdictRecord& v : a.verdicts) {
     EXPECT_EQ(v.kind, "regret");

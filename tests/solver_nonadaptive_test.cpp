@@ -158,8 +158,9 @@ TEST(EqualPeriodSearch, ValueByMHasSingleRoughPeak) {
 }
 
 TEST(EqualPeriodSearch, CapsAtLifespan) {
-  const auto search = best_equal_period_count(12, 1, kParams, 100);
-  EXPECT_LE(search.value_by_m.size(), 12u);
+  // The bound 4·⌈√(pU/c)⌉ + 8 = 12 exceeds U = 5.
+  const auto search = best_equal_period_count(5, 1, kParams);
+  EXPECT_EQ(search.value_by_m.size(), 5u);
 }
 
 }  // namespace

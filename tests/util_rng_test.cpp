@@ -112,14 +112,5 @@ TEST(Rng, BernoulliFrequency) {
   EXPECT_NEAR(hits / static_cast<double>(n), 0.3, 0.01);
 }
 
-TEST(Rng, SplitStreamsAreIndependentlySeeded) {
-  Rng parent(5);
-  Rng child1 = parent.split();
-  Rng child2 = parent.split();
-  int same = 0;
-  for (int i = 0; i < 64; ++i) same += (child1.next() == child2.next());
-  EXPECT_EQ(same, 0);
-}
-
 }  // namespace
 }  // namespace nowsched::util
