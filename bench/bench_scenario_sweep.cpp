@@ -221,7 +221,9 @@ void run(harness::Context& ctx) {
       "profile with a cold RAM cache over its pre-baked read-only persistent\n"
       "store — the warm-start tier pays off most where the RAM cache helps\n"
       "least (`hetero_mapped_over_cold`: every one-off table becomes an mmap\n"
-      "read instead of a solve). Every profile's pooled and mapped-store\n"
+      "read instead of a solve). `resident MB` counts what the cache's byte\n"
+      "budget meters: tables plus the opening-episode memo's notes and\n"
+      "episodes. Every profile's pooled and mapped-store\n"
       "aggregates matched its serial aggregate bit-for-bit.");
 }
 

@@ -134,7 +134,8 @@ TicketSubmission SchedulerService::submit_job(const std::string& tenant,
   TicketSubmission out;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    TenantStats& t = tenant_locked(tenant).books;
+    Tenant& tenant_state = tenant_locked(tenant);
+    TenantStats& t = tenant_state.books;
     ++t.submitted_jobs;
 
     // Fixed rejection order: shutdown > invalid > global full > tenant full
@@ -166,11 +167,16 @@ TicketSubmission SchedulerService::submit_job(const std::string& tenant,
                    std::to_string(options_.max_queued_jobs_per_tenant) + " jobs)";
       return out;
     }
-    if (t.pending_scenarios + cost > options_.max_pending_scenarios_per_tenant) {
+    // Completed results nobody has fetched yet hold memory too, so they
+    // share the budget with the queued and running scenarios.
+    const std::size_t unfetched = tenant_state.unfetched_scenarios;
+    if (t.pending_scenarios + unfetched + cost >
+        options_.max_pending_scenarios_per_tenant) {
       ++t.rejected_throttled;
       out.status = SubmitStatus::kThrottled;
       out.reason = "tenant pending-scenario budget exceeded (" +
                    std::to_string(t.pending_scenarios) + " pending + " +
+                   std::to_string(unfetched) + " unfetched + " +
                    std::to_string(cost) + " > " +
                    std::to_string(options_.max_pending_scenarios_per_tenant) + ")";
       return out;
@@ -188,7 +194,9 @@ TicketSubmission SchedulerService::submit_job(const std::string& tenant,
 
     // The record MUST land under the same critical section that enqueues
     // the job: a record is kQueued exactly while its job is in the queue.
-    jobs_.emplace(job.id, JobRecord{});
+    JobRecord& record = jobs_[job.id];
+    record.tenant = &tenant_state;
+    record.cost = cost;
 
     ++t.accepted_jobs;
     t.submitted_scenarios += cost;
@@ -225,7 +233,7 @@ FetchOutcome SchedulerService::fetch_result(JobId id, bool wait) {
     // fetch (or a concurrent one) sees kUnknown.
     out.error = std::move(record.error);
     out.result = std::move(record.result);
-    jobs_.erase(it);
+    erase_record_locked(it);
   }
   return out;
 }
@@ -251,7 +259,7 @@ bool SchedulerService::forget(JobId id) {
     const bool queued = it->second.state == JobState::kQueued;
     // A running job still settles its counters in execute(); settle_locked
     // finds no record to publish into.
-    jobs_.erase(it);
+    erase_record_locked(it);
     // Never run work nobody will read.
     if (queued) cancel_locked(*queue_->remove(id), kCancelledMessage, settled);
   }
@@ -314,6 +322,14 @@ void SchedulerService::settle_locked(JobId id, JobState state, std::string error
   record.state = state;
   record.error = std::move(error);
   record.result = std::move(result);
+  if (state == JobState::kDone) record.tenant->unfetched_scenarios += record.cost;
+}
+
+void SchedulerService::erase_record_locked(
+    std::unordered_map<JobId, JobRecord>::iterator it) {
+  const JobRecord& record = it->second;
+  if (record.state == JobState::kDone) record.tenant->unfetched_scenarios -= record.cost;
+  jobs_.erase(it);
 }
 
 void SchedulerService::notify_settled(std::vector<JobId>& settled) {

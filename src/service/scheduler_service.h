@@ -131,6 +131,8 @@ struct ServiceOptions {
   // that the job-depth limits would wave through).
   std::size_t max_queued_jobs_per_tenant = 64;
   std::size_t max_queued_jobs_total = 256;
+  /// Scenarios a tenant may have queued, running, or completed but not yet
+  /// fetched or forgotten.
   std::size_t max_pending_scenarios_per_tenant = 1u << 16;
 
   /// SolveCache byte quota for tenants that never got an explicit
@@ -173,8 +175,11 @@ class SchedulerService {
   /// load). The job's lifecycle is then observed through job_state() and
   /// consumed through fetch_result() — EXACTLY ONCE: the first fetch of a
   /// terminal outcome releases the job record, after which the id reads
-  /// kUnknown. A ticket never fetched (and never forgotten) retains its
-  /// result for the service's lifetime.
+  /// kUnknown. A completed result waits for its fetch (or forget), and
+  /// until then its scenarios count against the tenant's
+  /// max_pending_scenarios_per_tenant budget beside the queued and running
+  /// ones, so a tenant that never fetches is throttled instead of growing
+  /// the service.
   TicketSubmission submit_job(const std::string& tenant,
                               std::vector<sim::ScenarioSpec> specs);
 
@@ -271,12 +276,18 @@ class SchedulerService {
     /// struct stats() reports (its `tenant`, `cache` and `latency` fields
     /// are filled in by stats() alone).
     TenantStats books;
+    /// Scenarios of kDone records not yet fetched or forgotten; admission
+    /// counts them with books.pending_scenarios.
+    std::size_t unfetched_scenarios = 0;
   };
 
   /// Ticket bookkeeping and outcome for one submit_job, kept only while the
   /// outcome may still be read: fetch_result and forget erase it. Its state
-  /// is kQueued exactly while the job is in queue_. Guarded by mu_.
+  /// is kQueued exactly while the job is in queue_. While kDone, its `cost`
+  /// is charged to `tenant->unfetched_scenarios`. Guarded by mu_.
   struct JobRecord {
+    Tenant* tenant = nullptr;
+    std::size_t cost = 0;  ///< the job's scenario count
     JobState state = JobState::kQueued;
     std::string error;  ///< set once kFailed or kCancelled
     JobResult result;   ///< set once kDone
@@ -295,9 +306,12 @@ class SchedulerService {
   void cancel_locked(const QueuedJob& job, const char* message,
                      std::vector<JobId>& settled);
   /// Lock held: publishes a terminal outcome in the job's record; a no-op
-  /// when the record was forgotten.
+  /// when the record was forgotten. A kDone outcome starts charging the
+  /// record's cost to its tenant's unfetched scenarios.
   void settle_locked(JobId id, JobState state, std::string error,
                      JobResult result);
+  /// Lock held: erases a record, releasing what a kDone one charged.
+  void erase_record_locked(std::unordered_map<JobId, JobRecord>::iterator it);
   /// Lock NOT held: wakes settled_cv_ waiters and fires the completion hook
   /// for each id in `settled`, then clears it.
   void notify_settled(std::vector<JobId>& settled);

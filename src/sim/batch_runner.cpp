@@ -2,6 +2,8 @@
 
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "adversary/processes.h"
 #include "adversary/stochastic.h"
@@ -27,6 +29,46 @@ void validate_spec(const ScenarioSpec& spec, std::size_t index) {
     throw std::invalid_argument("BatchRunner: scenario #" + std::to_string(index) +
                                 " invalid: " + e.what());
   }
+}
+
+/// Answers a session's opening (U, p) with the cache's memoized episode and
+/// delegates every later episode to the policy. Episodes are a pure function
+/// of (residual, interrupts left, c), so the session runs exactly what the
+/// policy would have built.
+class MemoizedOpening final : public SchedulingPolicy {
+ public:
+  MemoizedOpening(const SchedulingPolicy& policy, Opportunity opening,
+                  solver::SolveCache::EpisodePtr episode)
+      : policy_(policy), opening_(opening), episode_(std::move(episode)) {}
+
+  std::string name() const override { return policy_.name(); }
+
+  EpisodeSchedule episode(Ticks residual, int interrupts_left,
+                          const Params& params) const override {
+    if (residual == opening_.lifespan && interrupts_left == opening_.max_interrupts) {
+      return *episode_;
+    }
+    return policy_.episode(residual, interrupts_left, params);
+  }
+
+ private:
+  const SchedulingPolicy& policy_;
+  Opportunity opening_;
+  solver::SolveCache::EpisodePtr episode_;
+};
+
+/// The spec's memoized opening episode, or nullptr when its key misses for
+/// the first time: the memo stores an episode only once its key repeats.
+solver::SolveCache::EpisodePtr opening_episode(solver::SolveCache& cache,
+                                               const ScenarioSpec& spec,
+                                               const SchedulingPolicy& policy) {
+  const solver::EpisodeKey key{static_cast<int>(spec.policy), spec.max_interrupts,
+                               spec.lifespan, spec.params.c};
+  const auto lookup = cache.find_episode(key);
+  if (!lookup.admit) return lookup.episode;
+  return cache.insert_episode(
+      key, std::make_shared<const EpisodeSchedule>(
+               policy.episode(spec.lifespan, spec.max_interrupts, spec.params)));
 }
 
 }  // namespace
@@ -122,15 +164,25 @@ BatchResult BatchRunner::run(const std::vector<ScenarioSpec>& specs) {
 
   // Each task writes only its own slot; parallel_for's return is the
   // barrier that publishes every slot to this thread. grain = 1 because
-  // every index is an entire session simulation (ms-scale): dispatch
-  // overhead is negligible against the body, and fine chunks are what let
-  // a small batch use the whole pool and heavy naive-mode sessions balance.
+  // every index is an entire session simulation (tens of microseconds, and
+  // a whole solve in naive mode): dispatch overhead is small against the
+  // body, and fine chunks are what let a small batch use the whole pool and
+  // heavy naive-mode sessions balance.
+  solver::SolveCache* const cache = options_.shared_cache;
   auto body = [&](std::size_t i) {
     const ScenarioSpec& spec = specs[i];
-    const auto policy = make_policy(spec, options_.shared_cache);
+    const auto policy = make_policy(spec, cache);
     const auto owner = make_owner(spec);
-    result.per_scenario[i] = run_session(
-        *policy, *owner, Opportunity{spec.lifespan, spec.max_interrupts}, spec.params);
+    const Opportunity opportunity{spec.lifespan, spec.max_interrupts};
+    auto opening = cache != nullptr && spec.lifespan > 0
+                       ? opening_episode(*cache, spec, *policy)
+                       : nullptr;
+    if (opening == nullptr) {
+      result.per_scenario[i] = run_session(*policy, *owner, opportunity, spec.params);
+      return;
+    }
+    const MemoizedOpening memoized(*policy, opportunity, std::move(opening));
+    result.per_scenario[i] = run_session(memoized, *owner, opportunity, spec.params);
   };
   if (options_.pool != nullptr && specs.size() > 1) {
     options_.pool->parallel_for(0, specs.size(), body, /*grain=*/1);
@@ -139,7 +191,7 @@ BatchResult BatchRunner::run(const std::vector<ScenarioSpec>& specs) {
   }
 
   for (const SessionMetrics& m : result.per_scenario) result.aggregate.merge(m);
-  if (options_.shared_cache != nullptr) result.cache = options_.shared_cache->stats();
+  if (cache != nullptr) result.cache = cache->stats();
   return result;
 }
 

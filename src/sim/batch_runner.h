@@ -1,22 +1,28 @@
 // Batched many-session simulation: thousands of heterogeneous cycle-stealing
-// sessions, executed in parallel, with the underlying W(p)[L] solves
-// deduplicated through solver::SolveCache.
+// sessions, executed in parallel, with the underlying W(p)[L] solves and
+// the sessions' opening episodes deduplicated through solver::SolveCache.
 //
 // Where sim::run_farm interleaves a handful of workstations on ONE shared
 // clock (they drain a common task bag), BatchRunner is the throughput layer
 // above it: every ScenarioSpec is an independent session (own clock, own
 // adversary stream), so a batch is embarrassingly parallel — the only shared
-// state is the solve cache, which is exactly the state worth sharing because
+// state is the solve cache, which is exactly the state worth sharing:
 // dp-optimal scenarios with equal canonical solver inputs (see
-// solver/solve_cache.h) re-use one table instead of re-solving per session.
+// solver/solve_cache.h) re-use one table instead of re-solving per session,
+// and scenarios with the same policy kind and exact contract (c, U, p)
+// re-use one memoized opening episode instead of rebuilding it (the cache
+// stores it once the key repeats). Episodes after an interrupt are built by
+// the policy as before.
 //
 // Determinism contract: run() fills per_scenario[i] from spec i alone — the
 // adversary stream is derived from spec.seed via util::hash_combine (no
 // global RNG, no time, no thread identity) and the aggregate is merged in
 // index order after the parallel region. Results are therefore bit-identical
-// across thread counts, submission orders, and with or without a cache (the
-// cache only changes WHO solves a table, never its contents). Verified by
-// tests/sim_batch_determinism_test.cpp at 1/2/8 threads.
+// across thread counts, submission orders, and with or without a cache: the
+// cache only changes WHO solves a table or builds an opening episode, never
+// what the table or the episode is. Verified by
+// tests/sim_batch_determinism_test.cpp at 1/2/8 threads and against the
+// uncached runner over every policy and owner kind.
 //
 // Threading contract: run() drives options.pool through one blocking
 // parallel_for, so call it from a thread that is not itself a pool worker
@@ -91,11 +97,12 @@ struct BatchOptions {
   /// Pool the sessions fan out on; nullptr runs the batch on the calling
   /// thread (still through the same code path, so results are identical).
   util::ThreadPool* pool = nullptr;
-  /// The cache dp-optimal solves go through, owned by the caller and
-  /// outliving the runner. Callers share one cache across runners and runs:
-  /// service::SchedulerService passes each tenant's quota-budgeted cache to
-  /// every job the tenant runs. nullptr (the default) means every dp-optimal
-  /// scenario solves its own table — the "naive per-session re-solving"
+  /// The cache dp-optimal solves and opening episodes go through, owned by
+  /// the caller and outliving the runner. Callers share one cache across
+  /// runners and runs: service::SchedulerService passes each tenant's
+  /// quota-budgeted cache to every job the tenant runs. nullptr (the
+  /// default) means every dp-optimal scenario solves its own table and every
+  /// session builds its own episodes — the "naive per-session re-solving"
   /// baseline E13 measures against.
   solver::SolveCache* shared_cache = nullptr;
 };

@@ -27,7 +27,7 @@ SolveCache::SolveCache(Options options)
 
 std::shared_ptr<const ValueTable> SolveCache::get_or_solve(const SolveRequest& req) {
   const SolveKey key = canonical_key(req);
-  Shard& shard = shards_[static_cast<std::size_t>(key.hash()) & (shard_count_ - 1)];
+  Shard& shard = shard_for(key.hash());
 
   std::promise<TablePtr> promise;
   Future future;  // stays invalid for the owner
@@ -40,7 +40,10 @@ std::shared_ptr<const ValueTable> SolveCache::get_or_solve(const SolveRequest& r
       misses_.fetch_add(1, std::memory_order_relaxed);
     } else {
       hits_.fetch_add(1, std::memory_order_relaxed);
-      entry.last_used = ++shard.clock;  // a hit is a recency touch
+      if (entry.bytes != 0) {  // a hit on a finished table is a recency touch
+        shard.lru.splice(shard.lru.end(), shard.lru, entry.lru);
+        shard.newest_table = key;
+      }
       future = entry.future;  // copy out, then get() outside the lock
     }
   }
@@ -73,9 +76,10 @@ std::shared_ptr<const ValueTable> SolveCache::get_or_solve(const SolveRequest& r
     std::lock_guard<std::mutex> guard(shard.mu);
     Entry& entry = shard.map.find(key)->second;
     entry.bytes = table->bytes();
-    entry.last_used = ++shard.clock;
+    entry.lru = shard.lru.insert(shard.lru.end(), key);
+    shard.newest_table = key;
     shard.bytes += entry.bytes;
-    evict_excess_locked(shard, key);
+    evict_excess_locked(shard, nullptr);
   }
   // Spill a FRESH solve to the persistent tier, outside every lock — a
   // store hit is already on disk, and a failed spill only costs the next
@@ -86,22 +90,71 @@ std::shared_ptr<const ValueTable> SolveCache::get_or_solve(const SolveRequest& r
   return table;
 }
 
-void SolveCache::evict_excess_locked(Shard& shard, const SolveKey& keep) {
-  // `keep` — the table whose arrival triggered this pass — always survives,
-  // so a single oversized table parks in its shard instead of thrashing.
+SolveCache::EpisodeLookup SolveCache::find_episode(const EpisodeKey& key) {
+  Shard& shard = shard_for(key.hash());
+  std::lock_guard<std::mutex> guard(shard.mu);
+  auto [it, inserted] = shard.episodes.try_emplace(key);
+  EpisodeEntry& entry = it->second;
+  if (inserted) {
+    entry.bytes = kEpisodeNoteBytes;
+    entry.lru = shard.lru.insert(shard.lru.end(), key);
+    shard.bytes += entry.bytes;
+    evict_excess_locked(shard, &key);
+    return {};
+  }
+  shard.lru.splice(shard.lru.end(), shard.lru, entry.lru);
+  return {entry.episode, entry.episode == nullptr};
+}
+
+SolveCache::EpisodePtr SolveCache::insert_episode(const EpisodeKey& key,
+                                                  EpisodePtr episode) {
+  const std::size_t bytes = kEpisodeNoteBytes + sizeof(EpisodeSchedule) +
+                            (2 * episode->size() + 1) * sizeof(Ticks);
+  Shard& shard = shard_for(key.hash());
+  std::lock_guard<std::mutex> guard(shard.mu);
+  auto [it, inserted] = shard.episodes.try_emplace(key);
+  EpisodeEntry& entry = it->second;
+  if (inserted) {
+    entry.lru = shard.lru.insert(shard.lru.end(), key);
+  } else {
+    shard.lru.splice(shard.lru.end(), shard.lru, entry.lru);
+    // Another builder got here first; both built the same episode.
+    if (entry.episode != nullptr) return entry.episode;
+    shard.bytes -= entry.bytes;  // the note becomes the episode
+  }
+  entry.episode = std::move(episode);
+  entry.bytes = bytes;
+  shard.bytes += bytes;
+  evict_excess_locked(shard, &key);  // never erases `entry`
+  return entry.episode;
+}
+
+void SolveCache::evict_excess_locked(Shard& shard, const EpisodeKey* keep_episode) {
+  // The newest finished table survives, so a single oversized table parks
+  // in its shard instead of thrashing, and an episode or note arriving
+  // right after the table its session just used cannot displace that table.
   const std::size_t budget = per_shard_budget_.load(std::memory_order_relaxed);
-  while (shard.bytes > budget) {
-    auto victim = shard.map.end();
-    for (auto it = shard.map.begin(); it != shard.map.end(); ++it) {
-      if (it->second.bytes == 0 || it->first == keep) continue;
-      if (victim == shard.map.end() ||
-          it->second.last_used < victim->second.last_used) {
-        victim = it;
+  auto it = shard.lru.begin();
+  while (shard.bytes > budget && it != shard.lru.end()) {
+    if (const SolveKey* table = std::get_if<SolveKey>(&*it)) {
+      if (*table == shard.newest_table) {
+        ++it;
+        continue;
       }
+      const auto victim = shard.map.find(*table);
+      shard.bytes -= victim->second.bytes;
+      shard.map.erase(victim);
+    } else {
+      const EpisodeKey& episode = std::get<EpisodeKey>(*it);
+      if (keep_episode != nullptr && episode == *keep_episode) {
+        ++it;
+        continue;
+      }
+      const auto victim = shard.episodes.find(episode);
+      shard.bytes -= victim->second.bytes;
+      shard.episodes.erase(victim);
     }
-    if (victim == shard.map.end()) break;  // nothing evictable remains
-    shard.bytes -= victim->second.bytes;
-    shard.map.erase(victim);
+    it = shard.lru.erase(it);
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -115,15 +168,7 @@ void SolveCache::set_max_bytes(std::size_t max_bytes) {
   for (std::size_t i = 0; i < shard_count_; ++i) {
     Shard& shard = shards_[i];
     std::lock_guard<std::mutex> guard(shard.mu);
-    auto newest = shard.map.end();
-    for (auto it = shard.map.begin(); it != shard.map.end(); ++it) {
-      if (it->second.bytes == 0) continue;
-      if (newest == shard.map.end() ||
-          it->second.last_used > newest->second.last_used) {
-        newest = it;
-      }
-    }
-    if (newest != shard.map.end()) evict_excess_locked(shard, newest->first);
+    evict_excess_locked(shard, nullptr);
   }
 }
 
@@ -137,7 +182,7 @@ SolveCacheStats SolveCache::stats() const {
   for (std::size_t i = 0; i < shard_count_; ++i) {
     const Shard& shard = shards_[i];
     std::lock_guard<std::mutex> guard(shard.mu);
-    s.entries += shard.map.size();
+    s.entries += shard.map.size() + shard.episodes.size();
     s.resident_bytes += shard.bytes;
   }
   return s;

@@ -1,5 +1,6 @@
-// Tiered memoization of solve_fast results, and the shared_ptr-returning
-// solve entry point the cache (and sim::BatchRunner) is built on.
+// Tiered memoization of solve_fast results, the shared_ptr-returning solve
+// entry point the cache (and sim::BatchRunner) is built on, and a memo of
+// opening episodes kept under the same byte budget.
 //
 // A W(p)[L] table is expensive to compute and cheap to share: it is
 // immutable after solve_fast returns, and solver::OptimalPolicy already
@@ -12,9 +13,10 @@
 //   4. solve_fast                           → solve, then SPILL to the store
 //
 // Requests hash onto one of S shards (the low bits of SolveKey::hash()), and
-// each shard owns a mutex and ONE map whose entry for a key carries the
+// each shard owns a mutex and ONE table map whose entry for a key carries the
 // key's shared_future from insertion to eviction: in flight until its owner
-// records the table's byte size and an LRU stamp, finished (resident) after.
+// records the table's byte size and its place in the shard's recency list,
+// finished (resident) after.
 // Concurrent requests for one key perform exactly ONE solve: the first
 // thread inserts the in-flight entry, resolves it outside the lock, and
 // finishes the SAME entry in place under the same shard lock, while later
@@ -42,16 +44,36 @@
 // Counters: hits + misses == completed get_or_solve calls, and
 // misses == fresh solves + store_hits — the persistent tier converts
 // would-be solves into mmap reads, it never changes results.
+//
+// Opening episodes. A policy commits its episode as a pure function of
+// (residual, interrupts left, c), so every session of one contract (c, U, p)
+// under one policy opens with the same episode. find_episode/insert_episode
+// memoize it under an EpisodeKey: the caller's policy tag and the EXACT
+// contract (an opening episode spans exactly U, so it is not canonicalized).
+// A key's first miss only notes the key; the episode is stored from its
+// second miss on. So a contract that never repeats (every scenario of an
+// unfolded workload) costs a note of about a hundred bytes, not a stored copy
+// of its episode. Notes and episodes sit in the same shards as tables, share
+// their recency list and are metered by the same byte budget, so `entries`,
+// `resident_bytes` and `evictions` count all three. The hit/miss/store/spill
+// counters count table lookups only, and the persistent tier never sees an
+// episode. An episode is never in flight: two threads that miss one key at
+// once may both build it, and insert-if-absent keeps the first (the builds
+// are identical).
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <future>
+#include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
+#include <variant>
 
+#include "core/schedule.h"
 #include "solver/solve_key.h"
 #include "solver/table_store.h"
 #include "solver/value_table.h"
@@ -64,19 +86,37 @@ namespace nowsched::solver {
 /// caching; SolveCache calls this on a full miss.
 std::shared_ptr<const ValueTable> solve_shared(const SolveRequest& req);
 
+/// Identity of a memoized opening episode: a caller-chosen policy tag and
+/// the exact contract (c, U, p). Unlike SolveKey it is not canonicalized.
+struct EpisodeKey {
+  int policy = 0;
+  int max_p = 0;
+  Ticks lifespan = 0;
+  Ticks c = 1;
+
+  bool operator==(const EpisodeKey&) const = default;
+
+  std::uint64_t hash() const noexcept {
+    std::uint64_t h = util::hash_combine(0, static_cast<std::uint64_t>(policy));
+    h = util::hash_combine(h, static_cast<std::uint64_t>(max_p));
+    h = util::hash_combine(h, static_cast<std::uint64_t>(lifespan));
+    return util::hash_combine(h, static_cast<std::uint64_t>(c));
+  }
+};
+
 /// Lifetime counters. hits + misses == completed get_or_solve calls;
 /// misses == (fresh solves) + store_hits; entries/evictions/resident_bytes
-/// describe the resident set.
+/// describe the resident set: tables and the opening-episode memo together.
 struct SolveCacheStats {
   std::uint64_t hits = 0;        ///< RAM tier hits + waits on in-flight solves
   std::uint64_t misses = 0;      ///< requests no RAM tier could answer
   std::uint64_t store_hits = 0;  ///< misses answered by the persistent tier
                                  ///< (a mapped read instead of a solve)
   std::uint64_t spills = 0;      ///< fresh solves newly persisted to the store
-  std::uint64_t evictions = 0;
-  std::size_t entries = 0;       ///< resident tables + in-flight solves
-  /// Bytes of finished resident tables (in-flight solves count 0 until
-  /// their size is known).
+  std::uint64_t evictions = 0;    ///< tables, episodes and notes evicted
+  std::size_t entries = 0;       ///< tables (resident or in flight), episodes, notes
+  /// Bytes of finished resident tables, episodes and notes (in-flight
+  /// solves count 0 until their size is known).
   std::size_t resident_bytes = 0;
 
   double hit_rate() const noexcept {
@@ -102,9 +142,11 @@ class SolveCache {
   struct Options {
     /// Shard count; rounded up to a power of two (at most 2^20).
     std::size_t shards = 8;
-    /// Total byte budget for resident tables across all shards (split
-    /// evenly). Each shard always keeps its most recently used table even
-    /// when it alone exceeds the slice.
+    /// Total byte budget across all shards (split evenly) for resident
+    /// tables and the opening-episode memo's episodes and notes. Each shard
+    /// always keeps its most recently used table even when it alone exceeds
+    /// the slice, and an arriving episode or note survives the eviction
+    /// pass it triggers.
     std::size_t max_bytes = 64u << 20;  // 64 MiB
     /// Optional persistent tier probed on a RAM miss and spilled to after a
     /// fresh solve (a MappedTableStore; see table_store.h). Shared_ptr so
@@ -128,15 +170,36 @@ class SolveCache {
   /// Safe to call from many threads, including ThreadPool workers.
   std::shared_ptr<const ValueTable> get_or_solve(const SolveRequest& req);
 
+  using EpisodePtr = std::shared_ptr<const EpisodeSchedule>;
+
+  struct EpisodeLookup {
+    EpisodePtr episode;  ///< the memoized episode; nullptr on a miss
+    /// On a miss: the key missed before, so the caller should build its
+    /// episode and insert_episode it. False on a key's first miss, which
+    /// only notes the key.
+    bool admit = false;
+  };
+
+  /// Looks `key` up in the opening-episode memo. A hit or a repeated miss
+  /// is an LRU touch; a first miss notes the key (metered like an entry).
+  /// No outcome moves a table counter.
+  EpisodeLookup find_episode(const EpisodeKey& key);
+
+  /// Memoizes `episode` under `key` unless an episode is already resident
+  /// there, and returns the resident one. Its bytes join the shard's budget;
+  /// the eviction pass it triggers keeps it and the shard's most recently
+  /// used table.
+  EpisodePtr insert_episode(const EpisodeKey& key, EpisodePtr episode);
+
   /// Point-in-time totals (counters are exact; `entries` sums shard sizes
   /// without a global lock, so it is approximate under concurrent writes).
   SolveCacheStats stats() const;
 
   /// Re-budgets the RAM tier to `max_bytes` total (re-split evenly across
-  /// shards) and immediately evicts LRU tables in every shard that no
-  /// longer fits its slice. The keep-newest guarantee survives a shrink:
-  /// each shard retains its most recently used table even when that table
-  /// alone exceeds the new slice, so resizing to 0 degrades to
+  /// shards) and immediately evicts LRU tables and episodes in every shard
+  /// that no longer fits its slice. The keep-newest guarantee survives a
+  /// shrink: each shard retains its most recently used table even when that
+  /// table alone exceeds the new slice, so resizing to 0 degrades to
   /// one-table-per-shard rather than an always-cold cache. Growing never
   /// evicts, and in-flight solves are never evicted. Thread-safe against
   /// concurrent get_or_solve/stats; the service layer calls this for live
@@ -155,10 +218,16 @@ class SolveCache {
   using Future = std::shared_future<TablePtr>;
 
   struct KeyHash {
-    std::size_t operator()(const SolveKey& key) const noexcept {
+    template <class Key>
+    std::size_t operator()(const Key& key) const noexcept {
       return static_cast<std::size_t>(key.hash());
     }
   };
+
+  /// A resident entry's place in its shard's recency list: the key of a
+  /// finished table, or of an episode or note.
+  using LruKey = std::variant<SolveKey, EpisodeKey>;
+  using Lru = std::list<LruKey>;
 
   /// One key's life in the cache. Every request for the key reads the same
   /// shared_future: it blocks while the owner's solve is in flight and is
@@ -166,22 +235,46 @@ class SolveCache {
   /// one path. `bytes` marks which: 0 in flight, the table's (never-zero)
   /// size once finished.
   struct Entry {
-    Future future;                ///< the owner's shared_future
-    std::uint64_t last_used = 0;  ///< shard-local LRU clock value
-    std::size_t bytes = 0;        ///< table->bytes() once finished, else 0
+    Future future;          ///< the owner's shared_future
+    std::size_t bytes = 0;  ///< table->bytes() once finished, else 0
+    Lru::iterator lru;      ///< valid once finished
+  };
+
+  /// One memoized opening episode, or the note of a key's first miss
+  /// (`episode` nullptr); never in flight.
+  struct EpisodeEntry {
+    EpisodePtr episode;
+    std::size_t bytes = 0;
+    Lru::iterator lru;
   };
 
   struct Shard {
     mutable std::mutex mu;  ///< guards every field below
     std::unordered_map<SolveKey, Entry, KeyHash> map;
-    std::uint64_t clock = 0;  ///< monotone per-shard use counter
-    std::size_t bytes = 0;    ///< Σ entry.bytes of this map
+    std::unordered_map<EpisodeKey, EpisodeEntry, KeyHash> episodes;
+    /// Finished tables, episodes and notes, least recently used first: a use
+    /// splices its key to the back, eviction takes from the front.
+    Lru lru;
+    /// The most recently used finished table, which eviction keeps.
+    std::optional<SolveKey> newest_table;
+    std::size_t bytes = 0;  ///< Σ entry.bytes of both maps
   };
 
-  /// Evicts LRU finished tables until the shard fits its slice or only
-  /// `keep` remains (the keep-newest guarantee). In-flight entries are
-  /// never victims.
-  void evict_excess_locked(Shard& shard, const SolveKey& keep);
+  /// What one note is metered at: its map node (key, entry, link, cached
+  /// hash), bucket slot and recency-list node (key, two links). An episode
+  /// adds its schedule's object and period and prefix vectors.
+  static constexpr std::size_t kEpisodeNoteBytes =
+      sizeof(EpisodeKey) + sizeof(EpisodeEntry) + sizeof(LruKey) + 5 * sizeof(void*);
+
+  Shard& shard_for(std::uint64_t hash) noexcept {
+    return shards_[static_cast<std::size_t>(hash) & (shard_count_ - 1)];
+  }
+
+  /// Evicts the least recently used tables and episodes until the shard
+  /// fits its slice. Never victims: in-flight tables, the shard's most
+  /// recently used finished table (the keep-newest guarantee) and
+  /// `keep_episode` (the arrival that triggered the pass, when non-null).
+  void evict_excess_locked(Shard& shard, const EpisodeKey* keep_episode);
 
   std::size_t shard_count_;  ///< a power of two: a hash's low bits pick the shard
   std::unique_ptr<Shard[]> shards_;

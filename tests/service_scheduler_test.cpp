@@ -306,6 +306,37 @@ TEST(SchedulerService, ScenarioBudgetThrottlesBigBatches) {
   service.drain();
 }
 
+TEST(SchedulerService, UnfetchedResultsHoldTheScenarioBudgetUntilFetchedOrForgotten) {
+  // A tenant that runs jobs and never fetches them is throttled once its
+  // completed results fill the budget, instead of growing the service.
+  ServiceOptions options = manual_options(QueueKind::kFifo);
+  options.max_pending_scenarios_per_tenant = 4;
+  SchedulerService service(options);
+  const JobTicket first = expect_accepted(service, "a", quick_batch(2, 1));
+  ASSERT_TRUE(service.run_next());
+  const JobTicket second = expect_accepted(service, "a", quick_batch(2, 3));
+  ASSERT_TRUE(service.run_next());
+  EXPECT_EQ(service.stats().tenant("a")->pending_scenarios, 0u);  // nothing queued
+
+  const TicketSubmission throttled = service.submit_job("a", quick_batch(1, 5));
+  EXPECT_EQ(throttled.status, SubmitStatus::kThrottled);
+  EXPECT_NE(throttled.reason.find("4 unfetched"), std::string::npos) << throttled.reason;
+  // Another tenant's budget is its own.
+  (void)expect_accepted(service, "b", quick_batch(4, 6));
+
+  // A fetch releases what its result held...
+  (void)fetch_done(service, first.id);
+  const JobTicket third = expect_accepted(service, "a", quick_batch(2, 7));
+  EXPECT_EQ(service.submit_job("a", quick_batch(1, 9)).status, SubmitStatus::kThrottled);
+  // ...and so does forgetting an unfetched result.
+  EXPECT_TRUE(service.forget(second.id));
+  (void)expect_accepted(service, "a", quick_batch(2, 10));
+  service.drain();
+  (void)fetch_done(service, third.id);
+  EXPECT_EQ(service.stats().tenant("a")->rejected_throttled, 2u);
+  expect_conservation(service.stats());
+}
+
 TEST(SchedulerService, BackpressureRetrySucceedsAfterCapacityFrees) {
   ServiceOptions options = manual_options(QueueKind::kFifo);
   options.max_queued_jobs_per_tenant = 1;
@@ -817,8 +848,9 @@ TEST(SchedulerService, ZeroQuotaTenantStillCompletesJobs) {
   ASSERT_NE(z, nullptr);
   EXPECT_EQ(z->quota_bytes, 0u);
   EXPECT_EQ(z->completed_jobs, 3u);
-  // Keep-newest degrades a zero quota to one table per shard, never zero.
-  EXPECT_EQ(z->cache.entries, 1u);
+  // Keep-newest degrades a zero quota to one table per shard, never zero;
+  // the last job's opening episode survives the pass its arrival triggered.
+  EXPECT_EQ(z->cache.entries, 2u);
   EXPECT_GE(z->cache.evictions, 2u);
 }
 
@@ -833,9 +865,9 @@ TEST(SchedulerService, QuotaResizeShrinksLiveCacheAndGrowKeepsTables) {
   }
   service.drain();
   const std::size_t resident_before = service.stats().tenant("t")->cache.resident_bytes;
-  EXPECT_EQ(service.stats().tenant("t")->cache.entries, 4u);
+  EXPECT_EQ(service.stats().tenant("t")->cache.entries, 8u);  // 4 tables + 4 episodes
 
-  service.set_tenant_quota("t", 1);  // shrink: evict down, keep newest
+  service.set_tenant_quota("t", 1);  // shrink: evict down, keep the newest table
   const ServiceStats shrunk = service.stats();  // keep the snapshot alive
   const TenantStats* after = shrunk.tenant("t");
   EXPECT_EQ(after->quota_bytes, 1u);
@@ -844,7 +876,7 @@ TEST(SchedulerService, QuotaResizeShrinksLiveCacheAndGrowKeepsTables) {
 
   service.set_tenant_quota("t", 1u << 20);  // grow: nothing more evicted
   EXPECT_EQ(service.stats().tenant("t")->cache.entries, 1u);
-  EXPECT_EQ(service.stats().tenant("t")->cache.evictions, 3u);
+  EXPECT_EQ(service.stats().tenant("t")->cache.evictions, 7u);
 }
 
 TEST(SchedulerService, LatencyStatsCountCompletionsAndStayOrdered) {

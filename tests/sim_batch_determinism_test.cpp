@@ -1,16 +1,22 @@
 // The BatchRunner determinism contract, tested end to end: one scenario
 // list, same seeds ⇒ byte-identical per-scenario and aggregated metrics at
-// 1, 2, and 8 pool threads, serial (no pool), and with or without a cache.
-// This is the property that makes batched results citable — EXPERIMENTS.md
-// numbers cannot depend on the machine's core count. (Run under TSan in CI.)
+// 1, 2, and 8 pool threads, serial (no pool), and with or without a cache,
+// whose memoized opening episodes must replay exactly what every policy
+// builds. This is the property that makes batched results citable —
+// EXPERIMENTS.md numbers cannot depend on the machine's core count. (Run
+// under TSan in CI.)
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "fuzz_cases.h"
 #include "sim/batch_runner.h"
+#include "sim/scenario_gen.h"
 #include "util/thread_pool.h"
 
 namespace nowsched::sim {
@@ -108,6 +114,87 @@ TEST(BatchDeterminism, SubmissionOrderOnlyPermutesSlots) {
   }
   // Aggregate merge is commutative over these fields.
   EXPECT_EQ(forward.aggregate.to_string(), backward.aggregate.to_string());
+}
+
+TEST(BatchDeterminism, MemoWarmCacheMatchesTheUncachedRunnerForEveryPolicyAndOwner) {
+  // Every policy x owner kind, contracts folded into a few classes so
+  // opening episodes repeat within the batch. A pool of 4 runs every pass,
+  // so concurrent first use of one key is exercised. The first pass notes
+  // each key and memoizes the repeated ones, the second memoizes the rest,
+  // and the third answers every opening episode from the memo. Each pass
+  // must equal the uncached runner scenario by scenario, bit for bit.
+  const PolicyKind policies[] = {PolicyKind::kEqualized, PolicyKind::kAdaptivePaper,
+                                 PolicyKind::kNonAdaptiveRestart,
+                                 PolicyKind::kDpOptimal};
+  const OwnerKind owners[] = {OwnerKind::kPoisson,         OwnerKind::kPareto,
+                              OwnerKind::kUniform,         OwnerKind::kMarkovModulated,
+                              OwnerKind::kInhomogeneous,   OwnerKind::kBursty,
+                              OwnerKind::kCorrelatedShock};
+  const int per_pair = std::max(2, testing::fuzz_cases(200) / 28);
+  std::vector<ScenarioSpec> specs;
+  std::uint64_t seed = 0xE915;
+  for (const PolicyKind policy : policies) {
+    for (const OwnerKind owner : owners) {
+      ScenarioDomain domain;
+      domain.policies = {policy};
+      domain.owners = {owner};
+      domain.max_lifespan = 2048;
+      domain.contract_classes = 3;
+      const ScenarioGenerator generator(domain, seed++);
+      for (int i = 0; i < per_pair; ++i) {
+        specs.push_back(generator.at(static_cast<std::uint64_t>(i)));
+      }
+    }
+  }
+
+  const BatchResult want = BatchRunner().run(specs);
+  util::ThreadPool pool(4);
+  solver::SolveCache cache;
+  BatchOptions options;
+  options.pool = &pool;
+  options.shared_cache = &cache;
+  BatchRunner runner(options);
+  const BatchResult passes[] = {runner.run(specs), runner.run(specs), runner.run(specs)};
+  for (int pass = 0; pass < 3; ++pass) {
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      ASSERT_EQ(passes[pass].per_scenario[i].to_string(), want.per_scenario[i].to_string())
+          << "pass " << pass << ", scenario " << i << ": " << to_replay_string(specs[i]);
+    }
+  }
+  const BatchResult& warm = passes[2];
+  EXPECT_EQ(fingerprint(warm), fingerprint(want));
+
+  // The memo holds, for every spec, exactly the opening episode its policy
+  // builds.
+  for (const ScenarioSpec& spec : specs) {
+    if (spec.lifespan == 0) continue;
+    const auto memo = cache.find_episode({static_cast<int>(spec.policy), spec.max_interrupts,
+                                          spec.lifespan, spec.params.c});
+    ASSERT_NE(memo.episode, nullptr) << to_replay_string(spec);
+    EXPECT_EQ(*memo.episode,
+              make_policy(spec)->episode(spec.lifespan, spec.max_interrupts, spec.params))
+        << to_replay_string(spec);
+  }
+
+  // The roomy cache evicted nothing, so it holds exactly one table per
+  // dp-optimal canonical key and one episode per (policy, c, U, p) with
+  // U >= 1.
+  std::set<std::tuple<int, Ticks, Ticks>> tables;
+  std::set<std::tuple<PolicyKind, int, Ticks, Ticks>> episodes;
+  for (const ScenarioSpec& spec : specs) {
+    if (spec.policy == PolicyKind::kDpOptimal) {
+      const solver::SolveKey key = solver::canonical_key(
+          {spec.max_interrupts, spec.lifespan, spec.params});
+      tables.emplace(key.max_p, key.max_lifespan, key.c);
+    }
+    if (spec.lifespan > 0) {
+      episodes.emplace(spec.policy, spec.max_interrupts, spec.lifespan, spec.params.c);
+    }
+  }
+  EXPECT_EQ(warm.cache.evictions, 0u);
+  EXPECT_EQ(warm.cache.entries, tables.size() + episodes.size());
+  EXPECT_LT(episodes.size(), specs.size());  // some opening episodes repeated
+  EXPECT_EQ(warm.cache.misses, tables.size());
 }
 
 }  // namespace

@@ -620,6 +620,165 @@ TEST(SolveShared, PoolTaskSolvesMatchSerialSolvesOfTheCanonicalKey) {
 }
 
 // ---------------------------------------------------------------------------
+// Opening episodes: memoized beside the tables, under the same byte budget
+// ---------------------------------------------------------------------------
+
+SolveCache::EpisodePtr split_episode(Ticks total, std::size_t periods) {
+  return std::make_shared<const EpisodeSchedule>(EpisodeSchedule::equal_split(total, periods));
+}
+
+TEST(SolveCacheEpisodes, FirstMissNotesTheKeyAndARepeatedMissAdmitsIt) {
+  SolveCache cache;
+  const EpisodeKey key{0, 2, 300, 16};
+  SolveCache::EpisodeLookup lookup = cache.find_episode(key);
+  EXPECT_EQ(lookup.episode, nullptr);
+  EXPECT_FALSE(lookup.admit);  // a note: no episode is built for one sighting
+  const std::size_t note_bytes = cache.stats().resident_bytes;
+  EXPECT_GT(note_bytes, 0u);
+  lookup = cache.find_episode(key);
+  EXPECT_EQ(lookup.episode, nullptr);
+  EXPECT_TRUE(lookup.admit);  // the key repeated: build and insert
+
+  const auto first = split_episode(300, 5);
+  EXPECT_EQ(cache.insert_episode(key, first).get(), first.get());
+  // A second builder of the same key gets the resident episode back.
+  EXPECT_EQ(cache.insert_episode(key, split_episode(300, 5)).get(), first.get());
+  EXPECT_EQ(cache.find_episode(key).episode.get(), first.get());
+  // The episode replaced the note: the schedule object, 5 periods and 6
+  // prefix sums on top of what the note cost.
+  EXPECT_EQ(cache.stats().resident_bytes,
+            note_bytes + sizeof(EpisodeSchedule) + 11 * sizeof(Ticks));
+  EXPECT_EQ(cache.stats().entries, 1u);
+
+  // The key is exact: a rounding-equivalent U or another policy tag is a
+  // first miss of its own.
+  EXPECT_FALSE(cache.find_episode({0, 2, 299, 16}).admit);
+  EXPECT_FALSE(cache.find_episode({1, 2, 300, 16}).admit);
+  EXPECT_EQ(cache.stats().entries, 3u);
+
+  // Table lookups beside the memo count as before; the memo moved none.
+  (void)cache.get_or_solve({2, 300, Params{16}});
+  (void)cache.get_or_solve({2, 300, Params{16}});
+  const SolveCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.store_hits, 0u);
+  EXPECT_EQ(stats.spills, 0u);
+  EXPECT_EQ(stats.entries, 4u);
+}
+
+TEST(SolveCacheEpisodes, ZeroQuotaEpisodeInsertKeepsTheTableItsScenarioUsed) {
+  SolveCache cache({1, 0, nullptr});
+  const auto table = cache.get_or_solve({2, 512, Params{16}});
+  (void)cache.insert_episode({3, 2, 512, 16}, split_episode(512, 8));
+  SolveCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(cache.get_or_solve({2, 512, Params{16}}).get(), table.get());
+  EXPECT_EQ(cache.stats().misses, 1u);
+
+  // A later note or episode evicts the older episode; the newest table stays.
+  (void)cache.find_episode({0, 2, 512, 16});
+  EXPECT_FALSE(cache.find_episode({3, 2, 512, 16}).admit);  // noted afresh
+  EXPECT_EQ(cache.stats().entries, 2u);
+  EXPECT_EQ(cache.get_or_solve({2, 512, Params{16}}).get(), table.get());
+  EXPECT_EQ(cache.stats().misses, 1u);
+
+  // The next table arrival displaces the older table and the note.
+  const auto next = cache.get_or_solve({2, 640, Params{16}});
+  stats = cache.stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.evictions, 4u);
+  EXPECT_EQ(stats.resident_bytes, next->bytes());
+}
+
+TEST(SolveCacheEpisodes, ZeroQuotaBatchSolvesEachTableOnceAcrossPolicies) {
+  // One contract, dp-optimal scenarios interleaved with a guideline policy:
+  // every opening-episode note or insert keeps the table the last dp session
+  // used, so one shard under a zero quota still solves the table once.
+  std::vector<sim::ScenarioSpec> specs;
+  for (int i = 0; i < 8; ++i) {
+    sim::ScenarioSpec spec;
+    spec.policy = i % 2 == 0 ? sim::PolicyKind::kDpOptimal : sim::PolicyKind::kEqualized;
+    spec.owner_a = 300.0;
+    spec.params = Params{16};
+    spec.lifespan = 768;
+    spec.max_interrupts = 2;
+    spec.seed = 0xE0 + static_cast<std::uint64_t>(i);
+    specs.push_back(spec);
+  }
+  SolveCache cache({1, 0, nullptr});
+  sim::BatchOptions options;
+  options.shared_cache = &cache;
+  const sim::BatchResult got = sim::BatchRunner(options).run(specs);
+  EXPECT_EQ(got.cache.misses, 1u);
+  EXPECT_EQ(got.cache.hits, 3u);
+  const sim::BatchResult want = sim::BatchRunner().run(specs);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(got.per_scenario[i].to_string(), want.per_scenario[i].to_string()) << i;
+  }
+}
+
+TEST(SolveCacheEpisodes, UniqueContractsStayWithinTheByteBudget) {
+  // The cold_solve shape: every scenario has its own contract, so no table
+  // and no opening episode repeats. Episodes are metered with the tables,
+  // so the memo cannot grow the cache past its quota.
+  constexpr std::size_t kBudget = 4u << 20;
+  constexpr int kContracts = 10000;
+  SolveCache cache({4, kBudget, nullptr});
+  sim::BatchOptions options;
+  options.shared_cache = &cache;
+  sim::BatchRunner runner(options);
+  std::vector<sim::ScenarioSpec> specs;
+  for (int i = 0; i < kContracts; ++i) {
+    // i mod 21 picks (c, p); U steps by 8 >= c, so canonical keys differ too.
+    sim::ScenarioSpec spec;
+    spec.policy = sim::PolicyKind::kDpOptimal;
+    spec.owner_a = 300.0;
+    spec.params = Params{2 + i % 7};
+    spec.max_interrupts = 1 + i % 3;
+    spec.lifespan = 64 + 8 * (i / 21);
+    spec.seed = static_cast<std::uint64_t>(i);
+    specs.push_back(spec);
+    if (specs.size() == 500 || i + 1 == kContracts) {
+      (void)runner.run(specs);
+      specs.clear();
+      const SolveCacheStats stats = cache.stats();
+      ASSERT_LE(stats.resident_bytes, kBudget) << "after contract " << i;
+    }
+  }
+  const SolveCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, static_cast<std::uint64_t>(kContracts));
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_LT(stats.entries, static_cast<std::size_t>(kContracts));
+}
+
+TEST(SolveCacheEpisodes, ConcurrentInsertsOfOneKeyAgreeOnOneEpisode) {
+  // Workers that miss one key at once each build the episode; insert-if-
+  // absent keeps the first, and every builder gets that one back, whether
+  // or not another thread's lookup noted the key first.
+  SolveCache cache({2, 1u << 20, nullptr});
+  const EpisodeKey key{1, 3, 4096, 8};
+  constexpr int kThreads = 8;
+  std::latch start(kThreads);
+  std::vector<const EpisodeSchedule*> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      auto episode = cache.find_episode(key).episode;
+      if (episode == nullptr) episode = cache.insert_episode(key, split_episode(4096, 64));
+      got[static_cast<std::size_t>(t)] = episode.get();
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(got[static_cast<std::size_t>(t)], got[0]);
+  EXPECT_EQ(cache.find_episode(key).episode.get(), got[0]);
+  EXPECT_EQ(cache.stats().entries, 1u);
+}
+
+// ---------------------------------------------------------------------------
 // Tiering: the persistent store beneath the RAM tier
 // ---------------------------------------------------------------------------
 
