@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "core/bounds.h"
@@ -72,10 +73,13 @@ TEST(EqualizedEpisode, ZeroInterruptsIsSinglePeriod) {
   EXPECT_EQ(s.total(), 1000);
 }
 
+// Every field is a Ticks so the struct has no padding bytes: gtest names each
+// case after the bytes of its parameter, and padding bytes are indeterminate.
 struct EqCase {
   Ticks u;
-  int p;
+  Ticks p;
 };
+static_assert(std::has_unique_object_representations_v<EqCase>);
 
 class EqualizedProperty : public ::testing::TestWithParam<EqCase> {};
 

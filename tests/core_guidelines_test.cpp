@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <type_traits>
 
 namespace nowsched {
 namespace {
@@ -39,11 +40,14 @@ TEST(NonAdaptive, RejectsBadInputs) {
   EXPECT_THROW(nonadaptive_period_count(10, 1, Params{0}), std::invalid_argument);
 }
 
+// Every field is a Ticks so the struct has no padding bytes: gtest names each
+// case after the bytes of its parameter, and padding bytes are indeterminate.
 struct NaCase {
   Ticks u;
-  int p;
+  Ticks p;
   Ticks c;
 };
+static_assert(std::has_unique_object_representations_v<NaCase>);
 
 class NonAdaptiveProperty : public ::testing::TestWithParam<NaCase> {};
 
@@ -116,11 +120,14 @@ TEST(AdaptiveEpisode, ZeroInterruptsIsSingleLongPeriod) {
   EXPECT_EQ(s.total(), 5000);
 }
 
+// Every field is a Ticks so the struct has no padding bytes: gtest names each
+// case after the bytes of its parameter, and padding bytes are indeterminate.
 struct AdCase {
   Ticks u;
-  int p;
+  Ticks p;
   Ticks c;
 };
+static_assert(std::has_unique_object_representations_v<AdCase>);
 
 class AdaptiveEpisodeProperty : public ::testing::TestWithParam<AdCase> {};
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <type_traits>
 
 #include "core/bounds.h"
 #include "core/closed_form.h"
@@ -28,10 +29,13 @@ double sqrt_cu(Ticks u) {
 // Thm 5.1 and the §5.2 near-optimality claim
 // ---------------------------------------------------------------------------
 
+// Every field is a Ticks so the struct has no padding bytes: gtest names each
+// case after the bytes of its parameter, and padding bytes are indeterminate.
 struct Thm51Case {
   Ticks u;
-  int p;
+  Ticks p;
 };
+static_assert(std::has_unique_object_representations_v<Thm51Case>);
 
 class Theorem51 : public ::testing::TestWithParam<Thm51Case> {};
 

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -13,11 +14,14 @@
 namespace nowsched::solver {
 namespace {
 
+// Every field is a Ticks so the struct has no padding bytes: gtest names each
+// case after the bytes of its parameter, and padding bytes are indeterminate.
 struct GridCase {
-  int max_p;
+  Ticks max_p;
   Ticks max_l;
   Ticks c;
 };
+static_assert(std::has_unique_object_representations_v<GridCase>);
 
 class CrossCheck : public ::testing::TestWithParam<GridCase> {};
 

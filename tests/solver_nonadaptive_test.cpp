@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <type_traits>
 #include <vector>
 
 #include "core/bounds.h"
@@ -105,10 +106,13 @@ TEST(NonAdaptiveEval, RequiresSpanningSchedule) {
 // Equal-period search: §3.1's "cannot be improved" claim on the grid
 // ---------------------------------------------------------------------------
 
+// Every field is a Ticks so the struct has no padding bytes: gtest names each
+// case after the bytes of its parameter, and padding bytes are indeterminate.
 struct SearchCase {
   Ticks u;
-  int p;
+  Ticks p;
 };
+static_assert(std::has_unique_object_representations_v<SearchCase>);
 
 class EqualPeriodSearchProperty : public ::testing::TestWithParam<SearchCase> {};
 
