@@ -1,7 +1,8 @@
-// E10 — solver performance: reference O(P·N²) vs fast O(P·N), the level-fill
-// kernel ladder (legacy binary search vs the inverse scan, fill-only on
-// preallocated tables), the fast solver across interrupt budgets, the policy
-// evaluator, and guideline-construction throughput.
+// E10 — solver performance: reference O(P·N²) vs the production solve, the
+// dense level-fill kernel ladder (legacy binary search vs the inverse scan,
+// fill-only on preallocated levels), whole solves per kernel (the loss set
+// against the dense inverse scan), the fast solver across interrupt
+// budgets, the policy evaluator, and guideline-construction throughput.
 //
 // Self-timed on the harness clock (best-of-`reps` wall time) so the perf
 // record shares the tier/CSV/JSON plumbing with the model experiments; the
@@ -28,7 +29,7 @@ void run(harness::Context& ctx) {
   const Params params{16};
   const int reps = ctx.quick() ? 1 : 3;
 
-  // 1. Reference O(N²) vs fast O(N) on the same grids.
+  // 1. Reference O(N²) vs the production solve on the same grids.
   {
     util::Table out({"N", "reference ms", "fast ms", "speedup"});
     const std::vector<Ticks> sizes =
@@ -40,7 +41,7 @@ void run(harness::Context& ctx) {
           reps, [&] { solver::solve_reference(2, n, params); });
       // A fast solve at these N takes microseconds, so each sample times a
       // batch of solves; a single one would time the allocator, not the
-      // O(N) fill, and the fitted exponent would be noise.
+      // solve, and the fitted exponent would be noise.
       constexpr int kFastBatch = 64;
       const double fast_ms =
           harness::time_best_of_ms(reps, [&] {
@@ -69,7 +70,8 @@ void run(harness::Context& ctx) {
     }
     ctx.text("empirical scaling exponents (log-log slope): reference " +
              util::Table::fmt(ref_fit.slope, 3) + " (theory 2), fast " +
-             util::Table::fmt(fast_fit.slope, 3) + " (theory ~1)");
+             util::Table::fmt(fast_fit.slope, 3) +
+             " (theory <= 1: about sqrt(cN) flats plus N/32 bitset words per level)");
   }
 
   // 1b. Level-fill kernel ladder: the legacy binary search and the inverse
@@ -91,8 +93,7 @@ void run(harness::Context& ctx) {
     std::vector<Ticks> level2(static_cast<std::size_t>(n) + 1, 0);
 
     util::Table out({"kernel", "fill ms/level", "speedup vs legacy"});
-    double legacy_ms = 0.0, active_ms = 0.0;
-    const solver::SolverKernel active = solver::active_solver_kernel();
+    double legacy_ms = 0.0, inverse_ms = 0.0;
     for (solver::SolverKernel k :
          {solver::SolverKernel::kLegacy, solver::SolverKernel::kInverseScan}) {
       std::fill(level2.begin(), level2.end(), 0);
@@ -101,7 +102,7 @@ void run(harness::Context& ctx) {
         solver::run_fill_kernel(k, level2, level1, big_c.c);
       });
       if (k == solver::SolverKernel::kLegacy) legacy_ms = ms;
-      if (k == active) active_ms = ms;
+      if (k == solver::SolverKernel::kInverseScan) inverse_ms = ms;
       harness::write_perf_row(ctx, std::string("kernel_") + solver::solver_kernel_name(k),
                               static_cast<double>(n), ms, static_cast<double>(n));
       out.add_row({solver::solver_kernel_name(k), util::Table::fmt(ms, 5),
@@ -111,15 +112,41 @@ void run(harness::Context& ctx) {
                        " (fill-only, preallocated)");
     // The speedup ratio is a same-run, same-machine quantity — stable
     // enough to gate in both tiers (unlike absolute wall clocks).
-    if (legacy_ms > 0 && active_ms > 0) {
-      ctx.metric("kernel_speedup_vs_legacy", legacy_ms / active_ms);
+    if (legacy_ms > 0 && inverse_ms > 0) {
+      ctx.metric("kernel_speedup_vs_legacy", legacy_ms / inverse_ms);
     }
-    ctx.text("active kernel: " +
-             std::string(solver::solver_kernel_name(active)) +
-             (legacy_ms > 0 && active_ms > 0
-                  ? ", " + util::Table::fmt(legacy_ms / active_ms, 3) +
+    ctx.text("inverse scan: " +
+             (legacy_ms > 0 && inverse_ms > 0
+                  ? util::Table::fmt(legacy_ms / inverse_ms, 3) +
                         "x over the legacy binary-search scan"
-                  : ""));
+                  : std::string("not timed")));
+  }
+
+  // 1c. Whole solves per kernel on one cold_solve-sized contract: the
+  //     production loss set against a forced dense inverse scan (which
+  //     fills each level into scratch and compresses it). Allocation and
+  //     compression are in both, so this is what a cache miss costs.
+  {
+    const Params mid_c{32};
+    const int p = 6;
+    const Ticks n = ctx.quick() ? (1 << 15) : (1 << 17);
+    util::Table out({"kernel", "solve ms", "speedup vs inverse scan"});
+    double inverse_ms = 0.0;
+    for (solver::SolverKernel k :
+         {solver::SolverKernel::kInverseScan, solver::SolverKernel::kLossSet}) {
+      solver::force_solver_kernel(k);
+      (void)solver::solve_fast(p, n, mid_c);  // warm
+      const double ms = harness::time_best_of_ms(
+          std::max(reps, 3), [&] { (void)solver::solve_fast(p, n, mid_c); });
+      solver::clear_forced_solver_kernel();
+      if (k == solver::SolverKernel::kInverseScan) inverse_ms = ms;
+      harness::write_perf_row(ctx, std::string("solve_") + solver::solver_kernel_name(k),
+                              static_cast<double>(n), ms,
+                              static_cast<double>(n) * (p + 1));
+      out.add_row({solver::solver_kernel_name(k), util::Table::fmt(ms, 5),
+                   util::Table::fmt(inverse_ms > 0 && ms > 0 ? inverse_ms / ms : 0.0, 4)});
+    }
+    ctx.table(out, "whole solve per kernel, p = 6, c = 32, N = " + std::to_string(n));
   }
 
   // 2. Fast solver across interrupt budgets at a fixed grid.
@@ -195,11 +222,13 @@ void run(harness::Context& ctx) {
 const harness::Experiment& experiment_solver_perf() {
   static const harness::Experiment e{
       "E10", "solver_perf", "Solver performance baselines",
-      "Wall-clock baselines for the solvers: reference O(P·N²) vs fast "
-      "O(P·N) with empirical scaling exponents, the level-fill kernel ladder "
-      "(legacy binary-search scan vs the inverse scan, fill-only on "
-      "preallocated tables), the fast solver across interrupt budgets, the "
-      "policy-evaluation DP, and guideline construction throughput.",
+      "Wall-clock baselines for the solvers: reference O(P·N²) vs the "
+      "production loss-set solve with empirical scaling exponents, the dense "
+      "level-fill kernel ladder (legacy binary-search scan vs the inverse "
+      "scan, fill-only on preallocated levels), whole solves per kernel (loss "
+      "set vs a forced inverse scan), the fast solver across interrupt "
+      "budgets, the policy-evaluation DP, and guideline construction "
+      "throughput.",
       run};
   return e;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <span>
 #include <stdexcept>
 
 namespace nowsched::solver {
@@ -10,20 +9,20 @@ namespace nowsched::solver {
 namespace {
 
 /// Shared by both period finders: the two branches of the DP minimum at
-/// period length t from state (p, l). `cur`/`prev` are levels p and p−1.
+/// period length t from state (p, l). `cur`/`prev` read levels p and p−1
+/// unchecked: branches_at checks (p, l) once, and every read is at a
+/// residual in [0, l].
 struct Branches {
-  std::span<const Ticks> cur, prev;
+  ValueTable::LevelReader cur, prev;
   Ticks l, c;
 
   /// V_p(l): the recurrence is the max of min(A, B) over t in [1, l].
-  Ticks target() const { return cur[static_cast<std::size_t>(l)]; }
+  Ticks target() const { return cur[l]; }
   /// A(t) = (t ⊖ c) + V_p(l−t): non-increasing on [1, c] (pure table read),
   /// non-decreasing on [c, l] (V_p is 1-Lipschitz).
-  Ticks a(Ticks t) const {
-    return positive_sub(t, c) + cur[static_cast<std::size_t>(l - t)];
-  }
+  Ticks a(Ticks t) const { return positive_sub(t, c) + cur[l - t]; }
   /// B(t) = V_{p−1}(l−t): non-increasing on all of [1, l].
-  Ticks b(Ticks t) const { return prev[static_cast<std::size_t>(l - t)]; }
+  Ticks b(Ticks t) const { return prev[l - t]; }
   Ticks min_ab(Ticks t) const { return std::min(a(t), b(t)); }
 };
 
@@ -36,7 +35,7 @@ Branches branches_at(const ValueTable& table, int p, Ticks l) {
   if (l < 1 || l > table.max_lifespan()) {
     throw std::out_of_range("best_period_length: lifespan outside [1, max_lifespan]");
   }
-  return Branches{table.level(p), table.level(p - 1), l, table.params().c};
+  return Branches{table.reader(p), table.reader(p - 1), l, table.params().c};
 }
 
 /// Largest t in [lo, hi] where `pred` holds, for a `pred` that holds up to
@@ -167,7 +166,6 @@ std::vector<Ticks> equalization_residuals(const ValueTable& table,
                                           Ticks lifespan) {
   if (p < 1) throw std::invalid_argument("equalization_residuals: need p >= 1");
   const Ticks c = table.params().c;
-  const auto prev = table.level(p - 1);
   std::vector<Ticks> residuals;
   residuals.reserve(episode.size());
   // Thm 4.3 writes t_k = c + W(p−1)[U − T_k] − W(p−1)[U − T_{k+1}] where T_k
@@ -175,10 +173,8 @@ std::vector<Ticks> equalization_residuals(const ValueTable& table,
   // killing period k+1 must cost the adversary the same. The final period
   // has no successor; its residual is reported as 0.
   for (std::size_t k = 0; k + 1 < episode.size(); ++k) {
-    const Ticks w_k =
-        prev[static_cast<std::size_t>(positive_sub(lifespan, episode.end(k)))];
-    const Ticks w_next =
-        prev[static_cast<std::size_t>(positive_sub(lifespan, episode.end(k + 1)))];
+    const Ticks w_k = table.value(p - 1, positive_sub(lifespan, episode.end(k)));
+    const Ticks w_next = table.value(p - 1, positive_sub(lifespan, episode.end(k + 1)));
     residuals.push_back(episode.period(k) - (c + w_k - w_next));
   }
   if (!episode.empty()) residuals.push_back(0);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <span>
+#include <stdexcept>
+#include <vector>
 
 namespace nowsched::solver {
 
@@ -105,6 +107,25 @@ void fill_level_inverse(std::span<Ticks> cur_span, std::span<const Ticks> prev_s
   }
 }
 
+/// Replaces `flats` with level p's flats in [1, max_lifespan], given
+/// prev_value(L) = W(p−1)[L], which is called at rising L.
+///
+/// flats[c + i] = c + z + i − F_{p−1}(z − 1) for z = flats[i] (0-based i;
+/// DESIGN.md §5.2), and F_{p−1}(z − 1) = (z − 1) − W(p−1)[z − 1], so
+///   flats[c + i] = c + i + 1 + W(p−1)[flats[i] − 1].
+/// The vector grows while the loop reads it, so index, not iterate.
+template <class PrevValue>
+void grow_loss_set(const PrevValue& prev_value, Ticks c, Ticks max_lifespan,
+                   std::vector<Ticks>& flats) {
+  flats.clear();
+  for (Ticks l = 1; l <= std::min(c, max_lifespan); ++l) flats.push_back(l);
+  for (std::size_t i = 0; i < flats.size(); ++i) {
+    const Ticks next = c + static_cast<Ticks>(i) + 1 + prev_value(flats[i] - 1);
+    if (next > max_lifespan) break;
+    flats.push_back(next);
+  }
+}
+
 /// -1 = no force; otherwise the forced kernel's enum value.
 std::atomic<int> g_forced_kernel{-1};
 
@@ -114,6 +135,7 @@ const char* solver_kernel_name(SolverKernel kernel) noexcept {
   switch (kernel) {
     case SolverKernel::kLegacy: return "legacy";
     case SolverKernel::kInverseScan: return "inverse-scan";
+    case SolverKernel::kLossSet: return "loss-set";
   }
   return "unknown";
 }
@@ -121,7 +143,7 @@ const char* solver_kernel_name(SolverKernel kernel) noexcept {
 SolverKernel active_solver_kernel() noexcept {
   const int forced = g_forced_kernel.load(std::memory_order_relaxed);
   if (forced >= 0) return static_cast<SolverKernel>(forced);
-  return SolverKernel::kInverseScan;
+  return SolverKernel::kLossSet;
 }
 
 void force_solver_kernel(SolverKernel kernel) noexcept {
@@ -134,27 +156,55 @@ void clear_forced_solver_kernel() noexcept {
 
 void run_fill_kernel(SolverKernel kernel, std::span<Ticks> cur,
                      std::span<const Ticks> prev, Ticks c) {
-  if (kernel == SolverKernel::kLegacy) {
-    fill_level_legacy(cur, prev, c);
-  } else {
-    fill_level_inverse(cur, prev, c);
+  switch (kernel) {
+    case SolverKernel::kLegacy: return fill_level_legacy(cur, prev, c);
+    case SolverKernel::kInverseScan: return fill_level_inverse(cur, prev, c);
+    case SolverKernel::kLossSet: break;
   }
+  throw std::invalid_argument("run_fill_kernel: loss-set fills no dense level");
+}
+
+void next_loss_set(std::span<const Ticks> prev_flats, Ticks c, Ticks max_lifespan,
+                   std::vector<Ticks>& flats) {
+  // W(p−1)[L] = L − F_{p−1}(L), with F_{p−1} counted by a forward walk.
+  std::size_t at_or_below = 0;
+  const auto prev_value = [&](Ticks l) {
+    while (at_or_below < prev_flats.size() && prev_flats[at_or_below] <= l) ++at_or_below;
+    return l - static_cast<Ticks>(at_or_below);
+  };
+  grow_loss_set(prev_value, c, max_lifespan, flats);
 }
 
 ValueTable solve_fast(int max_p, Ticks max_lifespan, const Params& params) {
-  // No zero pass: level 0 and every level's L = 0 entry are written here,
-  // and the kernel writes every other cell.
-  ValueTable table(max_p, max_lifespan, params, ValueTable::kUninitialized);
+  ValueTable table(max_p, max_lifespan, params);
   const Ticks c = params.c;
   const SolverKernel kernel = active_solver_kernel();
 
-  auto level0 = table.mutable_level(0);
-  for (Ticks l = 0; l <= max_lifespan; ++l) {
-    level0[static_cast<std::size_t>(l)] = positive_sub(l, c);
+  if (kernel == SolverKernel::kLossSet) {
+    std::vector<Ticks> flats;
+    for (Ticks l = 1; l <= std::min(c, max_lifespan); ++l) flats.push_back(l);
+    table.assign_flats(0, flats);
+    for (int p = 1; p <= max_p; ++p) {
+      // Level p − 1 is final, so its rank reader answers W(p−1)[L] in O(1).
+      const ValueTable::LevelReader prev = table.reader(p - 1);
+      grow_loss_set([prev](Ticks l) { return prev[l]; }, c, max_lifespan, flats);
+      table.assign_flats(p, flats);
+    }
+    return table;
   }
+
+  // A dense oracle: fill each level into scratch, then compress it.
+  std::vector<Ticks> prev(static_cast<std::size_t>(max_lifespan) + 1);
+  std::vector<Ticks> cur(prev.size());
+  for (Ticks l = 0; l <= max_lifespan; ++l) {
+    prev[static_cast<std::size_t>(l)] = positive_sub(l, c);
+  }
+  table.assign_level(0, prev);
   for (int p = 1; p <= max_p; ++p) {
-    table.mutable_level(p)[0] = 0;
-    run_fill_kernel(kernel, table.mutable_level(p), table.level(p - 1), c);
+    cur[0] = 0;
+    run_fill_kernel(kernel, cur, prev, c);
+    table.assign_level(p, cur);
+    std::swap(prev, cur);
   }
   return table;
 }

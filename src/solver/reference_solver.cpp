@@ -1,6 +1,8 @@
 #include "solver/reference_solver.h"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 namespace nowsched::solver {
 
@@ -8,14 +10,14 @@ ValueTable solve_reference(int max_p, Ticks max_lifespan, const Params& params) 
   ValueTable table(max_p, max_lifespan, params);
   const Ticks c = params.c;
 
-  auto level0 = table.mutable_level(0);
+  std::vector<Ticks> prev(static_cast<std::size_t>(max_lifespan) + 1);
+  std::vector<Ticks> cur(prev.size());
   for (Ticks l = 0; l <= max_lifespan; ++l) {
-    level0[static_cast<std::size_t>(l)] = positive_sub(l, c);
+    prev[static_cast<std::size_t>(l)] = positive_sub(l, c);
   }
+  table.assign_level(0, prev);
 
   for (int p = 1; p <= max_p; ++p) {
-    auto cur = table.mutable_level(p);
-    auto prev = table.level(p - 1);
     cur[0] = 0;
     for (Ticks l = 1; l <= max_lifespan; ++l) {
       Ticks best = 0;
@@ -27,6 +29,8 @@ ValueTable solve_reference(int max_p, Ticks max_lifespan, const Params& params) 
       }
       cur[static_cast<std::size_t>(l)] = best;
     }
+    table.assign_level(p, cur);
+    std::swap(prev, cur);
   }
   return table;
 }

@@ -9,7 +9,7 @@
 //
 //   1. finished table resident in RAM       → hit
 //   2. in-flight solve for the same key     → wait on its shared_future (hit)
-//   3. persistent tier (Options::store)     → store_hit (mmap, zero-copy)
+//   3. persistent tier (Options::store)     → store_hit (mmap + compress)
 //   4. solve_fast                           → solve, then SPILL to the store
 //
 // Requests hash onto one of S shards (the low bits of SolveKey::hash()), and
@@ -38,8 +38,8 @@
 // content-addresses.
 //
 // Determinism across tiers: a solve is a pure function of the canonical
-// key, the store checksums what it persists, and a mapped table is an
-// immutable view over the file's pages — so whichever tier answers, the
+// key, the store checksums what it persists, and a loaded table is the
+// compressed copy of the slab a solve writes — so whichever tier answers, the
 // caller sees the same bits (tests/conformance pins this per field).
 // Counters: hits + misses == completed get_or_solve calls, and
 // misses == fresh solves + store_hits — the persistent tier converts

@@ -123,6 +123,27 @@ std::string hex16(std::uint64_t value) {
   return out;
 }
 
+/// Compresses a checked file's payload into a table. Returns the reason the
+/// payload is not a table — some level is not a legal W level — or empty,
+/// with the table in *out.
+std::string decode_payload(const util::MappedFile& file, const FileHeader& header,
+                           std::shared_ptr<const ValueTable>* out) {
+  const auto* slab = reinterpret_cast<const Ticks*>(file.data() + sizeof(FileHeader));
+  const std::size_t stride = static_cast<std::size_t>(header.max_lifespan) + 1;
+  try {
+    auto table = std::make_shared<ValueTable>(static_cast<int>(header.max_p),
+                                              header.max_lifespan, Params{header.c});
+    for (int p = 0; p <= table->max_interrupts(); ++p) {
+      table->assign_level(p, std::span<const Ticks>(
+                                 slab + static_cast<std::size_t>(p) * stride, stride));
+    }
+    if (out != nullptr) *out = std::move(table);
+  } catch (const std::invalid_argument& e) {
+    return std::string("payload is not a value table: ") + e.what();
+  }
+  return {};
+}
+
 }  // namespace
 
 MappedTableStore::MappedTableStore(Options options)
@@ -161,7 +182,9 @@ std::shared_ptr<const ValueTable> MappedTableStore::load(const SolveKey& key) {
     return nullptr;
   }
   FileHeader header;
-  const std::string defect = check_mapped(*file, &key, &header);
+  std::shared_ptr<const ValueTable> table;
+  std::string defect = check_mapped(*file, &key, &header);
+  if (defect.empty()) defect = decode_payload(*file, header, &table);
   if (!defect.empty()) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     if (!options_.read_only && options_.purge_rejected) {
@@ -170,17 +193,6 @@ std::shared_ptr<const ValueTable> MappedTableStore::load(const SolveKey& key) {
     }
     return nullptr;
   }
-  // Zero-copy: the table is a view over the mapping's own payload bytes,
-  // and the shared MappedFile keepalive pins the mapping for as long as any
-  // copy of the table (or any policy holding it) lives.
-  std::shared_ptr<const util::MappedFile> keepalive(std::move(file));
-  const Ticks* slab =
-      reinterpret_cast<const Ticks*>(keepalive->data() + sizeof(FileHeader));
-  const std::size_t count =
-      static_cast<std::size_t>(header.slab_bytes) / sizeof(Ticks);
-  auto table = std::make_shared<const ValueTable>(ValueTable::view(
-      static_cast<int>(header.max_p), header.max_lifespan, Params{header.c},
-      std::span<const Ticks>(slab, count), keepalive));
   hits_.fetch_add(1, std::memory_order_relaxed);
   return table;
 }
@@ -199,8 +211,8 @@ bool MappedTableStore::store(const SolveKey& key,
     store_skips_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  const std::span<const Ticks> slab = table->slab();
-  const std::size_t slab_bytes = slab.size_bytes();
+  const std::vector<Ticks> slab = table->slab();
+  const std::size_t slab_bytes = slab.size() * sizeof(Ticks);
   const FileHeader header = make_header(
       key, slab_bytes, util::checksum_bytes(slab.data(), slab_bytes));
 
@@ -261,7 +273,9 @@ std::string MappedTableStore::validate_file(const std::string& path,
                                             const SolveKey* expect) {
   std::unique_ptr<util::MappedFile> file = util::MappedFile::open(path);
   if (file == nullptr) return "cannot open '" + path + "'";
-  return check_mapped(*file, expect, nullptr);
+  FileHeader header;
+  const std::string defect = check_mapped(*file, expect, &header);
+  return defect.empty() ? decode_payload(*file, header, nullptr) : defect;
 }
 
 }  // namespace nowsched::solver

@@ -6,8 +6,8 @@
 // narrow interface (load / store / clear / stats) is what lets a persistent
 // tier slot underneath it: RAM hit → mapped-store hit → solve + spill, with
 // identical results in every tier by construction (solves are
-// deterministic, stored slabs are checksummed, and a mapped table is an
-// immutable ValueTable view over the file's own pages).
+// deterministic, stored slabs are checksummed, and a loaded table is the
+// compressed copy of exactly the slab a solve would write).
 //
 // ## On-disk format: `nowsched-table v1`
 //
@@ -31,8 +31,9 @@
 // versioned, strict, round-trip tested. Strictness is total — ANY defect
 // (short file, wrong magic, stale version, either checksum, header key
 // fields that do not match the file's name/request, payload length that
-// disagrees with the dims or the file size) REJECTS the file and reads as a
-// cache miss; the caller falls back to a fresh solve and the corrupt file
+// disagrees with the dims or the file size, a level that is not a legal W
+// level: one starting at 0 and stepping by 0 or 1) REJECTS the file and
+// reads as a cache miss; the caller falls back to a fresh solve and the corrupt file
 // is unlinked so the next spill heals the store. Integers are stored in
 // native byte order: a store directory is shared between processes on one
 // host (the multi-process scale-out story), not shipped between
@@ -44,10 +45,11 @@
 // and skips keys whose file already exists, so N processes racing to bake
 // one key produce one valid entry — every writer that publishes publishes
 // the same complete bytes (deterministic solver), and rename is atomic, so
-// a reader NEVER sees a torn file. load() maps the file read-only and wraps
-// the payload in a zero-copy ValueTable view whose keepalive pins the
-// mapping; the kernel page cache makes the second and later mappings of a
-// table effectively free, across processes.
+// a reader NEVER sees a torn file. load() maps the file read-only, checks
+// it, and compresses the dense payload into a ValueTable's flat bitsets
+// (solver/value_table.h); the mapping is released before load() returns,
+// so a loaded table costs what a solved one does. The on-disk format stays
+// the dense slab.
 #pragma once
 
 #include <atomic>
@@ -105,7 +107,7 @@ class TableStore {
 
 /// The persistent tier: a directory of `nowsched-table v1` files (format
 /// above), content-addressed by canonical key hash. load() mmaps read-only
-/// and returns a zero-copy ValueTable view; store() is build-once via
+/// and compresses the payload into a table; store() is build-once via
 /// atomic rename. Thread-safe and multi-process-safe by construction (see
 /// the header comment); every defective file is rejected, counted, and —
 /// unless the store is mounted read-only — unlinked so a later spill
@@ -134,15 +136,15 @@ class MappedTableStore final : public TableStore {
 
   /// Maps the key's file, validates the full format (magic, version, both
   /// checksums, header-vs-key identity, payload length vs dims AND file
-  /// size), and returns a read-only view table pinning the mapping. Any
-  /// defect → nullptr (and the `rejected` counter; the file is unlinked
-  /// unless read_only or !purge_rejected). Validation reads the whole
-  /// payload once (the checksum pass); later access is served from the
-  /// page cache.
+  /// size, every level a legal W level), and returns the payload
+  /// compressed into a table. Any defect → nullptr (and the `rejected`
+  /// counter; the file is unlinked unless read_only or !purge_rejected).
+  /// Reads the whole payload twice: the checksum pass, then the compression
+  /// pass that also checks each level.
   std::shared_ptr<const ValueTable> load(const SolveKey& key) override;
 
   /// Build-once spill: no-op when the key's file already exists or the
-  /// store is read-only; otherwise serializes header + slab and publishes
+  /// store is read-only; otherwise serializes header + slab() and publishes
   /// atomically. I/O failures return false and are counted, never thrown.
   bool store(const SolveKey& key,
              const std::shared_ptr<const ValueTable>& table) override;

@@ -13,159 +13,133 @@
 //   V_p(L) = max_{1<=t<=L} min( (t ⊖ c) + V_p(L−t),  V_{p−1}(L−t) )
 //
 // Values are exact integers; `solve_reference` is the O(P·N²) oracle and
-// `solve_fast` the O(P·N) production solver (they agree bit-for-bit;
-// see tests/solver_cross_check_test.cpp).
+// `solve_fast` the production solver (they agree bit-for-bit; see
+// tests/solver_cross_check_test.cpp).
 //
-// Storage is one contiguous slab of (max_p+1) × (max_lifespan+1) Ticks in
-// level-major order, so level(p) / mutable_level(p) are zero-copy spans into
-// adjacent memory — the level fill walks level p and level p−1 together and
-// wants both streams prefetch-friendly.
+// ## Storage: one flat bitset with a rank directory per level
 //
-// Two storage modes share one read interface:
-//   * OWNING  — the constructor allocates the slab; the solvers fill it via
-//     mutable_level. This is every freshly solved table.
-//   * VIEW    — ValueTable::view wraps an externally owned, already-final
-//     slab (in practice: the payload of a memory-mapped store file, see
-//     solver/table_store.h) without copying a byte. The view holds a
-//     type-erased keepalive so the backing storage outlives every reader;
-//     mutable_level on a view throws std::logic_error — a mapped table is
-//     immutable BY CONSTRUCTION, which is what makes "mapped and solved
-//     tables are bit-identical" a provable property rather than a
-//     convention.
+// Every level starts at 0 and steps by 0 or 1 (non-decreasing and
+// 1-Lipschitz, Prop 4.1(a)), so it is fixed by its FLATS
+//   Z_p = { L >= 1 : W(p)[L] = W(p)[L−1] },
+// and W(p)[L] = L − rank_p(L) with rank_p(L) = |Z_p ∩ [1, L]|. A level is
+// stored as one 64-bit word per 32 lifespans: the low half holds the flat
+// bits of L = 32b .. 32b + 31, the high half the number of flats below 32b.
+// A read is one load, one mask and one popcount; a table costs 2 bits per
+// cell instead of a dense slab's 64. The rank half is a u32, so a table
+// accepts lifespans up to kMaxLifespan, where every rank still fits.
+//
+// Levels are written once, by assign_flats (the loss-set solver) or
+// assign_level (the dense oracles and the table store's loader, which
+// compress a dense level and reject one that is not a legal W level).
+// Everything else only reads: a published table is a
+// shared_ptr<const ValueTable>.
 #pragma once
 
 #include <cstddef>
-#include <memory>
-#include <new>
+#include <cstdint>
+#include <limits>
 #include <span>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "core/types.h"
 
 namespace nowsched::solver {
 
-/// Alignment of every owning slab: one cache line, so a table never shares
-/// its first line with a neighbouring allocation that another thread may be
-/// writing. (Mapped-store views are page-aligned by mmap, which is
-/// stricter.)
-inline constexpr std::size_t kSlabAlignment = 64;
-
-/// Minimal aligned allocator for the slab vector. Stateless: all instances
-/// are interchangeable, so vector moves/swaps behave exactly as with
-/// std::allocator.
-template <class T>
-struct SlabAllocator {
-  using value_type = T;
-  SlabAllocator() = default;
-  template <class U>
-  SlabAllocator(const SlabAllocator<U>&) noexcept {}
-  T* allocate(std::size_t n) {
-    return static_cast<T*>(
-        ::operator new(n * sizeof(T), std::align_val_t{kSlabAlignment}));
-  }
-  void deallocate(T* p, std::size_t n) noexcept {
-    ::operator delete(p, n * sizeof(T), std::align_val_t{kSlabAlignment});
-  }
-  /// Default-initializes rather than value-initializes, so resize() leaves
-  /// cells unwritten (what ValueTable's kUninitialized constructor relies
-  /// on); construct(p, args...) — assign, copies — behaves as usual.
-  template <class U>
-  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
-    ::new (static_cast<void*>(p)) U;
-  }
-  template <class U, class... Args>
-  void construct(U* p, Args&&... args) {
-    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
-  }
-  template <class U>
-  friend bool operator==(const SlabAllocator&, const SlabAllocator<U>&) noexcept {
-    return true;
-  }
-};
-
-/// The owning storage type for a level-major table slab.
-using TableSlab = std::vector<Ticks, SlabAllocator<Ticks>>;
+/// Bit count of a 32-bit word without a library call: the portable x86-64
+/// baseline has no popcnt instruction, and std::popcount then calls into
+/// libgcc, which costs more than this whole sequence.
+constexpr std::uint32_t popcount32(std::uint32_t x) noexcept {
+  x = x - ((x >> 1) & 0x55555555u);
+  x = (x & 0x33333333u) + ((x >> 2) & 0x33333333u);
+  x = (x + (x >> 4)) & 0x0F0F0F0Fu;
+  return (x * 0x01010101u) >> 24;
+}
 
 class ValueTable {
  public:
-  /// A zero-initialized owning table; filled by the solvers.
+  /// The largest max_lifespan a table accepts: every rank it stores is at
+  /// most max_lifespan and must fit the u32 rank half of a word.
+  static constexpr Ticks kMaxLifespan = std::numeric_limits<std::uint32_t>::max();
+
+  /// Validates dimensions and returns the storage a table of them costs,
+  /// without allocating anything: (max_p + 1) levels of
+  /// (max_lifespan / 32 + 1) words. Throws std::invalid_argument on invalid
+  /// params, max_p < 0, max_lifespan outside [0, kMaxLifespan], or a size
+  /// that overflows size_t.
+  static std::size_t storage_bytes(int max_p, Ticks max_lifespan, const Params& params);
+
+  /// A table of these dimensions whose levels have no flats yet
+  /// (W(p)[L] = L) until the solver assigns each one. Runs the dimension
+  /// check of storage_bytes before allocating.
   ValueTable(int max_p, Ticks max_lifespan, const Params& params);
 
-  struct UninitializedTag {};
-  static constexpr UninitializedTag kUninitialized{};
+  /// Sets level p from its flats: the lifespans L >= 1 with
+  /// W(p)[L] = W(p)[L−1], strictly increasing within [1, max_lifespan].
+  /// Throws std::out_of_range for a bad p and std::invalid_argument for a
+  /// list that is not such a set; level p then holds unspecified (but
+  /// in-bounds) words and the table should be dropped.
+  void assign_flats(int p, std::span<const Ticks> flats);
 
-  /// An owning table whose cells hold indeterminate values until written.
-  /// For a solver that writes every cell before anything reads one
-  /// (solve_fast): it saves the zero pass over the whole slab.
-  ValueTable(int max_p, Ticks max_lifespan, const Params& params,
-             UninitializedTag);
+  /// Sets level p from the dense W(p)[0..max_lifespan]. Throws
+  /// std::out_of_range for a bad p and std::invalid_argument when `level`
+  /// has the wrong length or is not a legal W level (it must start at 0 and
+  /// step by 0 or 1); after an illegal level, level p is unspecified as
+  /// for assign_flats.
+  void assign_level(int p, std::span<const Ticks> level);
 
-  /// A non-owning, read-only table over an externally owned slab. `slab`
-  /// must hold exactly (max_p+1) × (max_lifespan+1) entries in level-major
-  /// order and must stay valid for as long as `keepalive` is held (the view
-  /// and every copy of it hold `keepalive` for their whole lifetime).
-  /// Throws std::invalid_argument on a dimension/size mismatch.
-  static ValueTable view(int max_p, Ticks max_lifespan, const Params& params,
-                         std::span<const Ticks> slab,
-                         std::shared_ptr<const void> keepalive);
+  /// Unchecked reads of one level: operator[] requires
+  /// 0 <= L <= max_lifespan and does not check it. For inner loops that
+  /// validated their range once (solver/extract.cpp); everyone else reads
+  /// through value().
+  class LevelReader {
+   public:
+    Ticks operator[](Ticks lifespan) const noexcept {
+      const auto l = static_cast<std::uint64_t>(lifespan);
+      const std::uint64_t word = words_[l >> 5];
+      const auto flats_to_l =
+          static_cast<std::uint32_t>(word) & (std::uint32_t{0xFFFFFFFF} >> (31 - (l & 31)));
+      return lifespan - static_cast<Ticks>((word >> 32) + popcount32(flats_to_l));
+    }
+
+   private:
+    friend class ValueTable;
+    explicit LevelReader(const std::uint64_t* words) noexcept : words_(words) {}
+    const std::uint64_t* words_;
+  };
+
+  /// The reader of level p; throws std::out_of_range unless 0 <= p <= max_p.
+  LevelReader reader(int p) const;
 
   /// W(p)[L]; requires 0 <= p <= max_p and 0 <= L <= max_lifespan.
   Ticks value(int p, Ticks lifespan) const;
-
-  /// The whole level p as a span over L = 0..max_lifespan.
-  std::span<const Ticks> level(int p) const;
 
   int max_interrupts() const noexcept { return max_p_; }
   Ticks max_lifespan() const noexcept { return max_l_; }
   const Params& params() const noexcept { return params_; }
 
-  /// True when this table owns its slab (and mutable_level is usable);
-  /// false for views over external storage.
-  bool owns_storage() const noexcept { return view_data_ == nullptr; }
+  /// A dense level-major copy of the table, (max_p+1) × (max_lifespan+1)
+  /// values, W(p)[L] at index p·(max_lifespan+1) + L. What the table store
+  /// writes and what the bit-identity tests compare; it allocates and
+  /// writes the whole dense slab on every call.
+  std::vector<Ticks> slab() const;
 
-  /// The full level-major slab — what the table store serializes and what
-  /// the bit-identity tests compare. Valid for owning tables and views.
-  std::span<const Ticks> slab() const noexcept { return {data(), entries()}; }
-
-  /// Slab size in bytes — what a resident table costs a cache (the
-  /// (max_p+1) × (max_lifespan+1) value storage; the struct header is
-  /// negligible against any real table). Identical for an owning table and
-  /// a view of it: byte budgets meter logical table size, not which tier's
-  /// memory currently backs it.
-  std::size_t bytes() const noexcept { return entries() * sizeof(Ticks); }
-
-  /// Mutable level access for the solvers. Owning tables only: a view is
-  /// immutable by construction and throws std::logic_error.
-  ///
-  /// Distinct levels are disjoint element ranges of one slab. The spans are
-  /// stable: no member function invalidates them after construction.
-  std::span<Ticks> mutable_level(int p);
+  /// What a resident table costs a cache: its compact storage
+  /// (storage_bytes of its dimensions; the struct header is negligible).
+  std::size_t bytes() const noexcept { return words_.size() * sizeof(std::uint64_t); }
 
  private:
-  /// The view constructor: no slab of its own, `view_data` is the base.
-  ValueTable(int max_p, Ticks max_lifespan, const Params& params,
-             const Ticks* view_data, std::shared_ptr<const void> keepalive);
-
-  std::size_t stride() const noexcept { return static_cast<std::size_t>(max_l_) + 1; }
-  std::size_t entries() const noexcept {
-    return (static_cast<std::size_t>(max_p_) + 1) * stride();
+  std::size_t words_per_level() const noexcept {
+    return static_cast<std::size_t>(max_l_ >> 5) + 1;
   }
-  /// The slab base, whichever storage mode backs it. Owning tables resolve
-  /// through owned_ on every call (not a cached pointer), so copies and
-  /// moves need no special member functions to stay correct.
-  const Ticks* data() const noexcept {
-    return view_data_ != nullptr ? view_data_ : owned_.data();
-  }
+  std::uint64_t* level_words(int p);
+  /// Turns level p's high halves from per-word flat counts into ranks
+  /// (flats below the word).
+  void finish_ranks(std::uint64_t* level) const noexcept;
 
   int max_p_;
   Ticks max_l_;
   Params params_;
-  TableSlab owned_;                  // level-major: data()[p * stride() + L],
-                                     // kSlabAlignment-aligned base
-  const Ticks* view_data_ = nullptr; // non-null IFF this is a view
-  std::shared_ptr<const void> keepalive_;  // pins a view's backing storage
+  std::vector<std::uint64_t> words_;  // level-major: level p at p·words_per_level()
 };
 
 }  // namespace nowsched::solver

@@ -9,10 +9,10 @@
 // through hash_combine, so corruption detection does not depend on where in
 // the slab the damage landed.
 //
-// MappedFile is the zero-copy read path: the kernel's page cache IS the
-// shared cache when N processes map one store file, and a mapping outlives
-// the MappedFile only through the shared_ptr keepalive its users hold
-// (solver::ValueTable views hold exactly that). On platforms without
+// MappedFile is the read path: the kernel's page cache IS the shared cache
+// when N processes map one store file, and the table store compresses a
+// mapped payload into its own table before it drops the mapping. On
+// platforms without
 // <sys/mman.h> the class degrades to read-the-file-into-memory — same
 // interface, same correctness, no sharing.
 //

@@ -97,10 +97,10 @@ CheckResult check_fast_vs_reference(const sim::ScenarioSpec& spec,
 CheckResult check_kernel_differential(const sim::ScenarioSpec& spec,
                                       const Options& options) {
   const ClampedContract g = clamp_contract(spec, options);
-  // Build the table level-by-level through run_fill_kernel with the
-  // production inverse scan and with the legacy reference, and demand
-  // bit-identity. No global kernel forcing: explicit dispatch keeps this
-  // check reentrant.
+  // Build the table level-by-level through run_fill_kernel with the dense
+  // inverse scan and with the legacy reference, and the production loss
+  // sets through next_loss_set, and demand bit-identity. No global kernel
+  // forcing: explicit dispatch keeps this check reentrant.
   const std::size_t stride = static_cast<std::size_t>(g.l) + 1;
   auto build = [&](solver::SolverKernel kernel) {
     std::vector<Ticks> slab(static_cast<std::size_t>(g.p + 1) * stride, 0);
@@ -123,6 +123,27 @@ CheckResult check_kernel_differential(const sim::ScenarioSpec& spec,
       os << "W(" << i / stride << ")[" << i % stride << "] inverse-scan="
          << inverse[i] << " legacy=" << legacy[i] << " (c=" << g.params.c << ")";
       return fail("kernel-differential", os.str());
+    }
+  }
+  std::vector<Ticks> flats, next;
+  for (Ticks l = 1; l <= std::min(g.params.c, g.l); ++l) flats.push_back(l);
+  for (int q = 0; q <= g.p; ++q) {
+    if (q > 0) {
+      solver::next_loss_set(flats, g.params.c, g.l, next);
+      std::swap(flats, next);
+    }
+    std::size_t at = 0;  // flats[at] is the next flat the walk expects
+    for (Ticks l = 1; l <= g.l; ++l) {
+      const std::size_t i = static_cast<std::size_t>(q) * stride + static_cast<std::size_t>(l);
+      const bool flat = at < flats.size() && flats[at] == l;
+      if (flat != (legacy[i] == legacy[i - 1])) {
+        std::ostringstream os;
+        os << "W(" << q << ")[" << l << "] loss-set " << (flat ? "has" : "lacks")
+           << " a flat the legacy level " << (flat ? "lacks" : "has") << " (c="
+           << g.params.c << ")";
+        return fail("kernel-differential", os.str());
+      }
+      at += flat ? 1 : 0;
     }
   }
   return {};

@@ -302,7 +302,7 @@ TEST(RpcServer, SettledCancellationTextsCrossTheWireByteForByte) {
 }
 
 TEST(RpcServer, FailedJobArrivesAsFailedReplyWithItsError) {
-  // A dp-optimal spec whose table slab overflows size_t passes admission and
+  // A dp-optimal spec whose lifespan no value table accepts passes admission and
   // fails when it runs; the failure crosses the wire as kFailed + message.
   ManualRig rig;
   RawClient client(rig.server.socket_path());
@@ -325,7 +325,7 @@ TEST(RpcServer, FailedJobArrivesAsFailedReplyWithItsError) {
   ASSERT_EQ(frame.type, wire_code(MsgType::kJobResultReply));
   const JobResultReply result = decode_job_result_reply(frame.payload);
   EXPECT_EQ(result.state, service::JobState::kFailed);
-  EXPECT_EQ(result.error, "ValueTable: dimensions overflow size_t");
+  EXPECT_EQ(result.error, "ValueTable: max_lifespan outside [0, 4294967295]");
 }
 
 TEST(RpcServer, BadPayloadDrawsErrorReplyAndConnectionSurvives) {

@@ -50,8 +50,9 @@ std::vector<sim::ScenarioSpec> quick_batch(std::size_t n, std::uint64_t seed0) {
 }
 
 // Admission validates scenarios but sizes no table, so a dp-optimal spec
-// whose slab overflows size_t is accepted and fails only when it runs.
-sim::ScenarioSpec overflowing_spec() {
+// whose lifespan no value table accepts is accepted and fails only when it
+// runs.
+sim::ScenarioSpec too_long_spec() {
   sim::ScenarioSpec spec = dp_spec(Ticks{1} << 40, 1);
   spec.max_interrupts = INT_MAX;
   return spec;
@@ -61,7 +62,7 @@ sim::ScenarioSpec overflowing_spec() {
 constexpr const char* kCancelledText =
     "SchedulerService: job cancelled before execution";
 constexpr const char* kShutdownText = "SchedulerService: job cancelled by shutdown";
-constexpr const char* kOverflowText = "ValueTable: dimensions overflow size_t";
+constexpr const char* kTooLongText = "ValueTable: max_lifespan outside [0, 4294967295]";
 
 ServiceOptions manual_options(QueueKind queue, std::size_t quantum = 1) {
   ServiceOptions options;
@@ -453,14 +454,14 @@ TEST(SchedulerService, FetchConsumesTheOutcomeExactlyOnce) {
 
 TEST(SchedulerService, FailedSolveSettlesAsFailedAndFetchesOnce) {
   SchedulerService service(manual_options(QueueKind::kFifo));
-  const JobTicket ticket = expect_accepted(service, "a", {overflowing_spec()});
+  const JobTicket ticket = expect_accepted(service, "a", {too_long_spec()});
   ASSERT_TRUE(service.run_next());
   EXPECT_EQ(service.job_state(ticket.id), JobState::kFailed);
 
   const FetchOutcome failed = service.fetch_result(ticket.id);
   EXPECT_EQ(failed.state, JobState::kFailed);
   EXPECT_FALSE(failed.done());
-  EXPECT_EQ(failed.error, kOverflowText);
+  EXPECT_EQ(failed.error, kTooLongText);
   EXPECT_EQ(service.fetch_result(ticket.id).state, JobState::kUnknown);
 
   const ServiceStats stats = service.stats();
@@ -637,13 +638,13 @@ TEST(SchedulerService, WaitingFetchWakesWhenRunNextCompletesTheJob) {
 
 TEST(SchedulerService, WaitingFetchWakesWhenTheJobFails) {
   SchedulerService service(manual_options(QueueKind::kFifo));
-  const JobTicket ticket = expect_accepted(service, "a", {overflowing_spec()});
+  const JobTicket ticket = expect_accepted(service, "a", {too_long_spec()});
   WaitingFetch waiter(service, ticket.id);
   ASSERT_TRUE(service.run_next());
 
   const FetchOutcome outcome = waiter.join();
   EXPECT_EQ(outcome.state, JobState::kFailed);
-  EXPECT_EQ(outcome.error, kOverflowText);
+  EXPECT_EQ(outcome.error, kTooLongText);
   EXPECT_TRUE(outcome.result.batch.per_scenario.empty());
   EXPECT_EQ(service.job_state(ticket.id), JobState::kUnknown);
 }
@@ -803,7 +804,10 @@ TEST(SchedulerService, WorkerResultsMatchADirectBatchRun) {
 TEST(SchedulerService, QuotaIsolationHostileTenantCannotEvictQuietTenant) {
   ServiceOptions options = manual_options(QueueKind::kFifo);
   options.tenant_cache_shards = 1;            // one shard: eviction observable
-  options.default_tenant_quota_bytes = 6000;  // holds ~1 of the hog's tables
+  // Holds ~1 of the hog's tables (408 to 888 bytes each: 3 levels of
+  // lifespan/32 + 1 words).
+  constexpr std::size_t kQuota = 1000;
+  options.default_tenant_quota_bytes = kQuota;
   SchedulerService service(options);
 
   // quiet warms its cache with one dp table...
@@ -829,7 +833,7 @@ TEST(SchedulerService, QuotaIsolationHostileTenantCannotEvictQuietTenant) {
   EXPECT_EQ(quiet->cache.hits, 1u);
   EXPECT_EQ(quiet->cache.evictions, 0u);   // hog's churn never touched quiet
   EXPECT_GT(hog->cache.evictions, 0u);     // hog really did churn
-  EXPECT_LE(hog->cache.resident_bytes, quiet->cache.resident_bytes * 2 + 6000);
+  EXPECT_LE(hog->cache.resident_bytes, quiet->cache.resident_bytes * 2 + kQuota);
 }
 
 TEST(SchedulerService, ZeroQuotaTenantStillCompletesJobs) {

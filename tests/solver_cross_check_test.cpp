@@ -84,9 +84,7 @@ TEST(FastSolver, RepeatedSolvesAreBitIdentical) {
   const auto first = solve_fast(3, 640, params);
   for (int round = 0; round < 2; ++round) {
     const auto again = solve_fast(3, 640, params);
-    ASSERT_TRUE(std::equal(again.slab().begin(), again.slab().end(),
-                           first.slab().begin(), first.slab().end()))
-        << "round " << round;
+    ASSERT_EQ(again.slab(), first.slab()) << "round " << round;
   }
 }
 
@@ -125,11 +123,7 @@ TEST(FastSolver, ConcurrentSolvesFromPoolTasksMatchReference) {
       [&](std::size_t i) {
         const auto& [max_p, max_l, c] = grids[i % grids.size()];
         const auto fast = solve_fast(max_p, max_l, Params{c});
-        const auto ref = refs[i % grids.size()].slab();
-        exact[i] = std::equal(fast.slab().begin(), fast.slab().end(), ref.begin(),
-                              ref.end())
-                       ? 1
-                       : 0;
+        exact[i] = fast.slab() == refs[i % grids.size()].slab() ? 1 : 0;
       },
       /*grain=*/1);
   for (std::size_t i = 0; i < exact.size(); ++i) {

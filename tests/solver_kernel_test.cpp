@@ -1,21 +1,24 @@
-// Level-fill kernel differential: the production inverse scan must be
-// bit-identical to the legacy binary search and to the O(P·N²) reference on
-// generated scenarios, synthetic monotone tables, levels of every length,
-// c = 1, lifespans below c, degenerate grids and forced-kernel whole solves
-// — plus the write contract of run_fill_kernel (every cell of the level but
-// cur[0] written before it is read, nothing outside [1, cur.size())
-// written).
+// Solver kernel differential: the production loss-set solve and the dense
+// inverse scan must be bit-identical to the legacy binary search and to the
+// O(P·N²) reference on generated scenarios, synthetic monotone tables,
+// levels of every length, c = 1, lifespans below c, degenerate grids and
+// forced-kernel whole solves — plus the write contract of run_fill_kernel
+// (every cell of the level but cur[0] written before it is read, nothing
+// outside [1, cur.size()) written) and the loss-set level 1 against the
+// §5.2 closed form at paper scale.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <span>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "core/closed_form.h"
 #include "fuzz_cases.h"
 #include "sim/scenario_gen.h"
 #include "solver/fast_solver.h"
@@ -25,8 +28,12 @@
 namespace nowsched::solver {
 namespace {
 
+/// The dense level-fill kernels (run_fill_kernel's domain).
 constexpr SolverKernel kKernels[] = {SolverKernel::kLegacy,
                                      SolverKernel::kInverseScan};
+/// Every kernel solve_fast can be forced to.
+constexpr SolverKernel kSolveKernels[] = {
+    SolverKernel::kLegacy, SolverKernel::kInverseScan, SolverKernel::kLossSet};
 
 /// Restores the un-forced dispatch state however a test exits.
 struct KernelForceGuard {
@@ -59,22 +66,23 @@ std::vector<Ticks> fill_with(SolverKernel kernel, const std::vector<Ticks>& cur0
 TEST(KernelDispatch, NamesAreStable) {
   EXPECT_STREQ(solver_kernel_name(SolverKernel::kLegacy), "legacy");
   EXPECT_STREQ(solver_kernel_name(SolverKernel::kInverseScan), "inverse-scan");
+  EXPECT_STREQ(solver_kernel_name(SolverKernel::kLossSet), "loss-set");
 }
 
 TEST(KernelDispatch, AutoNeverPicksLegacy) {
   KernelForceGuard guard;
   clear_forced_solver_kernel();
-  EXPECT_EQ(active_solver_kernel(), SolverKernel::kInverseScan);
+  EXPECT_EQ(active_solver_kernel(), SolverKernel::kLossSet);
 }
 
 TEST(KernelDispatch, ForceAndClear) {
   KernelForceGuard guard;
-  for (SolverKernel k : kKernels) {
+  for (SolverKernel k : kSolveKernels) {
     force_solver_kernel(k);
     EXPECT_EQ(active_solver_kernel(), k);
   }
   clear_forced_solver_kernel();
-  EXPECT_EQ(active_solver_kernel(), SolverKernel::kInverseScan);
+  EXPECT_EQ(active_solver_kernel(), SolverKernel::kLossSet);
 }
 
 // ---------------------------------------------------------------------------
@@ -84,7 +92,7 @@ TEST(KernelDispatch, ForceAndClear) {
 TEST(KernelDifferential, GeneratedScenariosBitIdenticalAcrossKernels) {
   // NOWSCHED_FUZZ_CASES generated scenarios. Per scenario, every level is
   // built by the legacy kernel and by the inverse scan, and both must match
-  // the O(P·N²) reference entry-for-entry.
+  // the O(P·N²) reference entry-for-entry; so must the loss-set solve.
   sim::ScenarioDomain domain;
   domain.min_c = 1;
   domain.max_c = 49;
@@ -99,11 +107,14 @@ TEST(KernelDifferential, GeneratedScenariosBitIdenticalAcrossKernels) {
     const Ticks n = spec.lifespan;
     const Ticks c = spec.params.c;
     const int max_q = std::max(1, spec.max_interrupts);
-    const ValueTable ref = solve_reference(max_q, n, spec.params);
+    const std::vector<Ticks> ref = solve_reference(max_q, n, spec.params).slab();
+    ASSERT_EQ(solve_fast(max_q, n, spec.params).slab(), ref)
+        << "loss set, case " << i << " c=" << c;
     std::vector<Ticks> prev = level_zero(n, c);
     const std::vector<Ticks> zero(static_cast<std::size_t>(n) + 1, 0);
     for (int q = 1; q <= max_q; ++q) {
-      const std::span<const Ticks> want = ref.level(q);
+      const auto want = std::span<const Ticks>(ref).subspan(
+          static_cast<std::size_t>(q) * prev.size(), prev.size());
       const auto legacy = fill_with(SolverKernel::kLegacy, zero, prev, c);
       ASSERT_TRUE(std::equal(legacy.begin(), legacy.end(), want.begin()))
           << "legacy, case " << i << " q=" << q << " c=" << c;
@@ -141,12 +152,10 @@ TEST(KernelDifferential, ForcedDispatchSolvesMatchReference) {
   for (const auto& [max_p, n, c] : std::vector<std::tuple<int, Ticks, Ticks>>{
            {3, 400, 13}, {4, 300, 1}, {2, 257, 2}, {5, 200, 64}, {3, 90, 100}}) {
     const Params params{c};
-    const auto ref = solve_reference(max_p, n, params);
-    for (SolverKernel k : kKernels) {
+    const std::vector<Ticks> ref = solve_reference(max_p, n, params).slab();
+    for (SolverKernel k : kSolveKernels) {
       force_solver_kernel(k);
-      const auto fast = solve_fast(max_p, n, params);
-      ASSERT_TRUE(std::equal(fast.slab().begin(), fast.slab().end(),
-                             ref.slab().begin()))
+      ASSERT_EQ(solve_fast(max_p, n, params).slab(), ref)
           << "kernel " << solver_kernel_name(k) << " c=" << c;
     }
   }
@@ -167,10 +176,8 @@ TEST(KernelDifferential, DegenerateGrids) {
   }
   for (const auto& [max_p, n, c] : std::vector<std::tuple<int, Ticks, Ticks>>{
            {0, 0, 1}, {0, 10, 3}, {3, 0, 4}, {2, 1, 1}, {4, 5, 9}, {1, 64, 1}}) {
-    const auto ref = solve_reference(max_p, n, Params{c});
-    const auto fast = solve_fast(max_p, n, Params{c});
-    ASSERT_TRUE(std::equal(fast.slab().begin(), fast.slab().end(),
-                           ref.slab().begin(), ref.slab().end()))
+    ASSERT_EQ(solve_fast(max_p, n, Params{c}).slab(),
+              solve_reference(max_p, n, Params{c}).slab())
         << "p=" << max_p << " n=" << n << " c=" << c;
   }
 }
@@ -310,23 +317,63 @@ TEST(KernelDifferential, EveryLevelLengthIsAPrefixOfTheLongestFill) {
   }
 }
 
+TEST(KernelContract, LossSetFillsNoDenseLevel) {
+  std::vector<Ticks> cur(9, 0);
+  const std::vector<Ticks> prev = level_zero(8, 2);
+  EXPECT_THROW(run_fill_kernel(SolverKernel::kLossSet, cur, prev, 2),
+               std::invalid_argument);
+}
+
 // ---------------------------------------------------------------------------
-// Slab alignment
+// Loss sets
 // ---------------------------------------------------------------------------
 
-TEST(ValueTableSlab, OwningSlabIsVectorAligned) {
-  for (const auto& [p, n] : std::vector<std::pair<int, Ticks>>{
-           {0, 0}, {1, 7}, {3, 1000}, {5, 4097}}) {
-    const ValueTable table(p, n, Params{8});
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(table.slab().data()) %
-                  kSlabAlignment,
-              0u)
-        << "p=" << p << " n=" << n;
-    const ValueTable raw(p, n, Params{8}, ValueTable::kUninitialized);
-    EXPECT_EQ(raw.slab().size(), table.slab().size());
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(raw.slab().data()) % kSlabAlignment,
-              0u)
-        << "p=" << p << " n=" << n;
+/// The flats of a dense level: the L >= 1 with level[L] == level[L − 1].
+std::vector<Ticks> flats_of(std::span<const Ticks> level) {
+  std::vector<Ticks> flats;
+  for (std::size_t l = 1; l < level.size(); ++l) {
+    if (level[l] == level[l - 1]) flats.push_back(static_cast<Ticks>(l));
+  }
+  return flats;
+}
+
+TEST(LossSet, EveryLevelMatchesTheDenseFillsFlats) {
+  // next_loss_set on the flat lists alone, level after level, against the
+  // flats of the legacy fill, on random grids with c below and above N.
+  util::Rng rng(0x1055);
+  for (int iter = 0; iter < fuzz_cases(200); ++iter) {
+    const Ticks n = rng.uniform_int(0, 3000);
+    const Ticks c = rng.uniform_int(1, 80);
+    std::vector<Ticks> dense = level_zero(n, c);
+    std::vector<Ticks> flats = flats_of(dense);
+    std::vector<Ticks> next;
+    for (int q = 1; q <= 6; ++q) {
+      const std::vector<Ticks> zero(dense.size(), 0);
+      dense = fill_with(SolverKernel::kLegacy, zero, dense, c);
+      next_loss_set(flats, c, n, next);
+      ASSERT_EQ(next, flats_of(dense)) << "iter " << iter << " q=" << q << " n=" << n
+                                       << " c=" << c;
+      std::swap(flats, next);
+    }
+  }
+}
+
+TEST(LossSet, LevelOneMatchesTheClosedFormAtPaperScale) {
+  // W(1)[U] = U − |Z_1 ∩ [1, U]| against §5.2's closed form, on the flat
+  // list alone (no table): |Z_1| is about √(2cU), so U = 2^33 costs a few
+  // hundred thousand flats, not 2^33 cells.
+  for (const Ticks c : {Ticks{1}, Ticks{3}, Ticks{16}, Ticks{64}, Ticks{1000}}) {
+    for (const Ticks u : {Ticks{1000}, Ticks{1} << 16, (Ticks{1} << 20) + 7,
+                          (Ticks{1} << 27) - 1, Ticks{1} << 33}) {
+      std::vector<Ticks> level0;
+      for (Ticks l = 1; l <= std::min(c, u); ++l) level0.push_back(l);
+      std::vector<Ticks> level1;
+      next_loss_set(level0, c, u, level1);
+      const Params params{c};
+      EXPECT_EQ(u - static_cast<Ticks>(level1.size()),
+                guaranteed_work_p1(optimal_p1_schedule(u, params).schedule, u, params))
+          << "U=" << u << " c=" << c;
+    }
   }
 }
 

@@ -90,19 +90,19 @@ TEST(SolveCache, DistinctKeysGetDistinctTables) {
   EXPECT_EQ(cache.stats().entries, 3u);
 }
 
-// Canonical table slab sizes used by the byte-budget tests below:
-// key (max_p, L, c) costs (max_p+1) * (L+1) * sizeof(Ticks) bytes.
-constexpr std::size_t table_bytes(int max_p, Ticks l) {
-  return static_cast<std::size_t>(max_p + 1) * static_cast<std::size_t>(l + 1) *
-         sizeof(Ticks);
+// Canonical table sizes used by the byte-budget tests below (c = 16):
+// key (max_p, L, c) costs ValueTable::storage_bytes, (max_p+1) levels of
+// L/32 + 1 words.
+std::size_t table_bytes(int max_p, Ticks l) {
+  return ValueTable::storage_bytes(max_p, l, Params{16});
 }
 
 TEST(SolveCache, EvictsLeastRecentlyUsedOverByteBudget) {
   SolveCache::Options options;
   options.shards = 1;  // one shard makes the LRU order observable
-  // a (272 B) + b (528 B) fit; adding c (784 B) breaches and must evict
+  // a (16 B) + b (32 B) fit; adding c (32 B) breaches and must evict
   // exactly the LRU entry.
-  options.max_bytes = table_bytes(1, 16) + table_bytes(1, 32) + 300;
+  options.max_bytes = table_bytes(1, 16) + table_bytes(1, 32) + 8;
   SolveCache cache(options);
 
   const SolveRequest a{1, 16, Params{16}};
@@ -179,7 +179,7 @@ TEST(SolveCache, MixedLifespanBatchEvictsButStaysDeterministic) {
   }
 
   // One shard whose budget holds ~1.5 of the larger tables.
-  SolveCache cache({1, 3 * 6200 * sizeof(Ticks) / 2, nullptr});
+  SolveCache cache({1, 3 * ValueTable::storage_bytes(2, 5376, Params{16}) / 2, nullptr});
   sim::BatchOptions tight;
   tight.shared_cache = &cache;
   sim::BatchRunner constrained(tight);
@@ -612,8 +612,7 @@ TEST(SolveShared, PoolTaskSolvesMatchSerialSolvesOfTheCanonicalKey) {
     EXPECT_EQ(tables[i]->max_interrupts(), key.max_p);
     EXPECT_EQ(tables[i]->max_lifespan(), key.max_lifespan);
     const ValueTable serial = solve_fast(key.max_p, key.max_lifespan, Params{key.c});
-    EXPECT_TRUE(std::equal(tables[i]->slab().begin(), tables[i]->slab().end(),
-                           serial.slab().begin(), serial.slab().end()))
+    EXPECT_TRUE(tables[i]->slab() == serial.slab())
         << "request " << i % requests.size();
   }
   EXPECT_NE(tables[0].get(), tables[requests.size()].get());  // not shared
@@ -803,7 +802,6 @@ TEST(SolveCacheTiered, LookupWalksRamThenStoreThenSolves) {
 
   // Cold everywhere: miss → fresh solve → spill to the store.
   const auto solved = cache.get_or_solve(req);
-  EXPECT_TRUE(solved->owns_storage());
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().store_hits, 0u);
   EXPECT_EQ(cache.stats().spills, 1u);
@@ -813,12 +811,10 @@ TEST(SolveCacheTiered, LookupWalksRamThenStoreThenSolves) {
   EXPECT_EQ(cache.stats().hits, 1u);
 
   // A second cache over the same store starts with cold RAM: its miss is
-  // answered by a mapped read — a zero-copy view, counted as store_hit,
-  // NOT a second spill — and the mapped table is bit-identical to the
-  // solved one.
+  // answered by a store load — counted as store_hit, NOT a second spill —
+  // and the loaded table is bit-identical to the solved one.
   SolveCache second({2, 16u << 20, store});
   const auto mapped = second.get_or_solve(req);
-  EXPECT_FALSE(mapped->owns_storage());
   expect_tables_identical(*solved, *mapped);
   const SolveCacheStats stats = second.stats();
   EXPECT_EQ(stats.misses, 1u);

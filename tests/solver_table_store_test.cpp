@@ -93,16 +93,16 @@ TEST(MappedTableStore, RoundTripsBitIdentically) {
   ASSERT_NE(mapped, nullptr);
   expect_tables_identical(*solved, *mapped);
 
-  // The mapped table is a zero-copy view: immutable by construction.
-  EXPECT_FALSE(mapped->owns_storage());
-  EXPECT_TRUE(solved->owns_storage());
+  // The loaded table is compressed like a solved one; the file holds the
+  // dense slab.
   EXPECT_EQ(mapped->bytes(), solved->bytes());
+  EXPECT_EQ(mapped->slab(), solved->slab());
 
   const TableStoreStats stats = store.stats();
   EXPECT_EQ(stats.stores, 1u);
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.bytes, solved->bytes());
+  EXPECT_EQ(stats.bytes, solved->slab().size() * sizeof(Ticks));
 }
 
 TEST(MappedTableStore, FileNameIsContentAddressedAndStable) {
@@ -254,6 +254,40 @@ TEST(MappedTableStoreCorruption, StaleFormatVersionRejected) {
     const std::uint64_t sum = util::checksum_bytes(bytes.data(), 56);
     std::memcpy(bytes.data() + 56, &sum, sizeof(sum));
     return bytes;
+  });
+}
+
+/// Adds `delta` to the payload value W(p)[L] of a baked `small_request()`
+/// file and recomputes both checksums, so only the value check can object.
+std::string rewrite_payload_value(std::string bytes, int p, Ticks l, Ticks delta) {
+  constexpr std::size_t kHeader = 64;
+  const std::size_t stride = static_cast<std::size_t>(small_request().max_lifespan) + 1;
+  const std::size_t at = kHeader + (static_cast<std::size_t>(p) * stride +
+                                    static_cast<std::size_t>(l)) * sizeof(Ticks);
+  Ticks value;
+  std::memcpy(&value, bytes.data() + at, sizeof(value));
+  value += delta;
+  std::memcpy(bytes.data() + at, &value, sizeof(value));
+  const std::uint64_t slab_sum =
+      util::checksum_bytes(bytes.data() + kHeader, bytes.size() - kHeader);
+  std::memcpy(bytes.data() + 48, &slab_sum, sizeof(slab_sum));
+  const std::uint64_t header_sum = util::checksum_bytes(bytes.data(), 56);
+  std::memcpy(bytes.data() + 56, &header_sum, sizeof(header_sum));
+  return bytes;
+}
+
+TEST(MappedTableStoreCorruption, IllegalLevelWithValidChecksumRejected) {
+  // Checksummed payloads that are not W levels: a level that jumps by 3, one
+  // that steps down, and one that does not start at 0. Each passes every
+  // format check and must still be rejected by the compression pass.
+  expect_rejected_and_healed("level-jumps", [](std::string bytes) {
+    return rewrite_payload_value(std::move(bytes), 1, 40, 3);
+  });
+  expect_rejected_and_healed("level-steps-down", [](std::string bytes) {
+    return rewrite_payload_value(std::move(bytes), 2, 50, -3);
+  });
+  expect_rejected_and_healed("level-starts-above-zero", [](std::string bytes) {
+    return rewrite_payload_value(std::move(bytes), 0, 0, 1);
   });
 }
 

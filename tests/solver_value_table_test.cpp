@@ -4,10 +4,13 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/bounds.h"
@@ -112,17 +115,20 @@ TEST(ValueTable, AccessorsAndBounds) {
   EXPECT_EQ(table.max_interrupts(), 2);
   EXPECT_EQ(table.max_lifespan(), 100);
   EXPECT_EQ(table.params().c, 8);
-  EXPECT_EQ(table.level(0).size(), 101u);
+  EXPECT_EQ(table.slab().size(), 3u * 101u);
   EXPECT_THROW(table.value(3, 50), std::out_of_range);
   EXPECT_THROW(table.value(0, 101), std::out_of_range);
   EXPECT_THROW(table.value(-1, 0), std::out_of_range);
-  EXPECT_THROW(table.level(5), std::out_of_range);
+  EXPECT_THROW(table.reader(5), std::out_of_range);
+  EXPECT_THROW(table.reader(-1), std::out_of_range);
 }
 
 TEST(ValueTable, RejectsInvalidConstruction) {
   EXPECT_THROW(ValueTable(-1, 10, Params{8}), std::invalid_argument);
   EXPECT_THROW(ValueTable(1, -1, Params{8}), std::invalid_argument);
   EXPECT_THROW(ValueTable(1, 10, Params{0}), std::invalid_argument);
+  EXPECT_THROW(ValueTable::storage_bytes(-1, 20, Params{4}), std::invalid_argument);
+  EXPECT_THROW(ValueTable::storage_bytes(1, 20, Params{0}), std::invalid_argument);
 }
 
 TEST(ValueTable, HandComputedTinyInstance) {
@@ -136,118 +142,141 @@ TEST(ValueTable, HandComputedTinyInstance) {
   EXPECT_GT(table.value(1, 6), table.value(1, 5));
 }
 
-TEST(ValueTable, ViewReadsExternalSlabWithoutCopying) {
-  // The mapped-store read path: a view over an externally owned slab must
-  // be indistinguishable from the owning table on every read accessor.
-  const auto owner = solve_reference(2, 60, Params{8});
-  const auto slab = owner.slab();
-  const ValueTable view =
-      ValueTable::view(2, 60, Params{8}, slab, nullptr);
-  EXPECT_FALSE(view.owns_storage());
-  EXPECT_TRUE(owner.owns_storage());
-  EXPECT_EQ(view.bytes(), owner.bytes());
-  EXPECT_EQ(view.slab().data(), slab.data());  // zero-copy: same memory
-  for (int p = 0; p <= 2; ++p) {
-    for (Ticks l = 0; l <= 60; ++l) {
-      ASSERT_EQ(view.value(p, l), owner.value(p, l));
+TEST(ValueTable, FreshLevelsHaveNoFlatsUntilAssigned) {
+  // Before a level is assigned it has no flats, W(p)[L] = L, across word
+  // boundaries and at a lifespan that ends mid-word; assigning one level
+  // leaves the others alone.
+  for (const Ticks n : {Ticks{0}, Ticks{1}, Ticks{31}, Ticks{32}, Ticks{33}, Ticks{100}}) {
+    ValueTable table(2, n, Params{3});
+    table.assign_level(1, std::vector<Ticks>(static_cast<std::size_t>(n) + 1, 0));
+    for (Ticks l = 0; l <= n; ++l) {
+      ASSERT_EQ(table.value(0, l), l) << "n=" << n;
+      ASSERT_EQ(table.value(1, l), 0) << "n=" << n;
+      ASSERT_EQ(table.value(2, l), l) << "n=" << n;
     }
   }
-  EXPECT_THROW(view.value(3, 0), std::out_of_range);  // bounds still apply
 }
 
-TEST(ValueTable, ViewIsImmutableByConstruction) {
-  const auto owner = solve_reference(1, 20, Params{4});
-  ValueTable view = ValueTable::view(1, 20, Params{4}, owner.slab(), nullptr);
-  EXPECT_THROW(view.mutable_level(0), std::logic_error);
+TEST(ValueTable, AssignedSlabReadsLikeTheSolvedTable) {
+  // The store's load path: a table assigned level by level from another
+  // table's dense slab reads identically and costs the same bytes.
+  const auto owner = solve_reference(2, 60, Params{8});
+  const std::vector<Ticks> slab = owner.slab();
+  ValueTable copy(2, 60, Params{8});
+  for (int p = 0; p <= 2; ++p) {
+    copy.assign_level(p, std::span<const Ticks>(slab).subspan(
+                             static_cast<std::size_t>(p) * 61, 61));
+  }
+  EXPECT_EQ(copy.bytes(), owner.bytes());
+  EXPECT_EQ(copy.bytes(), ValueTable::storage_bytes(2, 60, Params{8}));
+  EXPECT_EQ(copy.slab(), slab);
+  for (int p = 0; p <= 2; ++p) {
+    for (Ticks l = 0; l <= 60; ++l) {
+      ASSERT_EQ(copy.value(p, l), owner.value(p, l));
+    }
+  }
+  EXPECT_THROW(copy.value(3, 0), std::out_of_range);  // bounds still apply
 }
 
-TEST(ValueTable, ViewRejectsDimensionMismatch) {
-  const auto owner = solve_reference(1, 20, Params{4});
-  EXPECT_THROW(ValueTable::view(2, 20, Params{4}, owner.slab(), nullptr),
+TEST(ValueTable, AssignLevelRejectsLengthMismatch) {
+  ValueTable table(1, 20, Params{4});
+  EXPECT_THROW(table.assign_level(0, std::vector<Ticks>(20, 0)), std::invalid_argument);
+  EXPECT_THROW(table.assign_level(0, std::vector<Ticks>(22, 0)), std::invalid_argument);
+  EXPECT_THROW(table.assign_level(0, std::vector<Ticks>{}), std::invalid_argument);
+  EXPECT_THROW(table.assign_level(2, std::vector<Ticks>(21, 0)), std::out_of_range);
+  EXPECT_THROW(table.assign_level(-1, std::vector<Ticks>(21, 0)), std::out_of_range);
+}
+
+TEST(ValueTable, ViewRejectsInvalidParamsAndNegativeLevels) {
+  // Reading a dense slab into a table (the store's load path) and reading a
+  // level through its view both refuse invalid params and negative levels.
+  EXPECT_THROW(ValueTable::storage_bytes(-1, 20, Params{4}), std::invalid_argument);
+  EXPECT_THROW(ValueTable::storage_bytes(1, 20, Params{0}), std::invalid_argument);
+  EXPECT_THROW(ValueTable(-1, 20, Params{4}), std::invalid_argument);
+  EXPECT_THROW(ValueTable(1, 20, Params{0}), std::invalid_argument);
+  // An empty slab matches no dimensions: even (0, 0) needs one entry.
+  ValueTable tiny(0, 0, Params{4});
+  EXPECT_THROW(tiny.assign_level(0, std::vector<Ticks>{}), std::invalid_argument);
+  EXPECT_NO_THROW(tiny.assign_level(0, std::vector<Ticks>{0}));
+  EXPECT_EQ(tiny.value(0, 0), 0);
+  EXPECT_THROW(tiny.assign_level(-1, std::vector<Ticks>{0}), std::out_of_range);
+  EXPECT_THROW(tiny.reader(-1), std::out_of_range);
+  EXPECT_THROW(tiny.value(-1, 0), std::out_of_range);
+}
+
+TEST(ValueTable, AssignLevelRejectsIllegalLevels) {
+  // A legal level starts at 0 and steps by 0 or 1; anything else is not a
+  // W level and cannot be held as flats.
+  ValueTable table(0, 6, Params{1});
+  EXPECT_NO_THROW(table.assign_level(0, std::vector<Ticks>{0, 0, 1, 2, 2, 3, 4}));
+  EXPECT_EQ(table.value(0, 6), 4);
+  EXPECT_THROW(table.assign_level(0, std::vector<Ticks>{1, 1, 2, 3, 3, 4, 5}),
                std::invalid_argument);
-  EXPECT_THROW(ValueTable::view(1, 21, Params{4}, owner.slab(), nullptr),
+  EXPECT_THROW(table.assign_level(0, std::vector<Ticks>{0, 2, 3, 4, 5, 6, 7}),
                std::invalid_argument);
-  EXPECT_THROW(ValueTable::view(1, -1, Params{4}, owner.slab(), nullptr),
+  EXPECT_THROW(table.assign_level(0, std::vector<Ticks>{0, 1, 0, 1, 2, 3, 4}),
+               std::invalid_argument);
+  EXPECT_THROW(table.assign_level(0, std::vector<Ticks>{0, 1, 2, 3, 4, 5, -9}),
                std::invalid_argument);
 }
 
-TEST(ValueTable, ViewChecksDimensionsWithoutAllocatingThem) {
-  // Dimensions implying a slab far larger than memory are a size mismatch,
-  // not an allocation: view never materializes a table of its dimensions.
-  const auto owner = solve_reference(1, 20, Params{4});
-  EXPECT_THROW(ValueTable::view(1 << 20, Ticks{1} << 40, Params{4}, owner.slab(),
-                                nullptr),
+TEST(ValueTable, AssignFlatsRejectsWhatIsNotAFlatSet) {
+  ValueTable table(1, 40, Params{2});
+  EXPECT_NO_THROW(table.assign_flats(1, std::vector<Ticks>{1, 2, 5, 31, 32, 40}));
+  EXPECT_EQ(table.value(1, 40), 40 - 6);
+  EXPECT_EQ(table.value(1, 31), 31 - 4);
+  EXPECT_EQ(table.value(1, 30), 30 - 3);
+  EXPECT_THROW(table.assign_flats(1, std::vector<Ticks>{0, 3}), std::invalid_argument);
+  EXPECT_THROW(table.assign_flats(1, std::vector<Ticks>{3, 3}), std::invalid_argument);
+  EXPECT_THROW(table.assign_flats(1, std::vector<Ticks>{4, 3}), std::invalid_argument);
+  EXPECT_THROW(table.assign_flats(1, std::vector<Ticks>{1, 41}), std::invalid_argument);
+  EXPECT_THROW(table.assign_flats(2, std::vector<Ticks>{1}), std::out_of_range);
+}
+
+TEST(ValueTable, DimensionCheckAllocatesNothing) {
+  // Every rank a table stores is at most its max_lifespan, held in a u32,
+  // so the largest lifespan accepted is the largest u32 and the next one is
+  // refused before anything is allocated. storage_bytes runs the same check
+  // the constructor does without allocating, so this test builds no large
+  // table.
+  static_assert(ValueTable::kMaxLifespan == std::numeric_limits<std::uint32_t>::max());
+  EXPECT_EQ(ValueTable::storage_bytes(0, ValueTable::kMaxLifespan, Params{4}),
+            ((std::size_t{1} << 27)) * sizeof(std::uint64_t));
+  EXPECT_EQ(ValueTable::storage_bytes(6, 131072, Params{4}), 7u * 4097u * 8u);
+  EXPECT_THROW(ValueTable::storage_bytes(0, ValueTable::kMaxLifespan + 1, Params{4}),
                std::invalid_argument);
-  // Dimensions whose entry count overflows size_t are rejected outright.
-  EXPECT_THROW(ValueTable::view(std::numeric_limits<int>::max(),
-                                std::numeric_limits<Ticks>::max(), Params{4},
-                                owner.slab(), nullptr),
+  EXPECT_THROW(ValueTable(1, ValueTable::kMaxLifespan + 1, Params{4}),
+               std::invalid_argument);
+  EXPECT_THROW(ValueTable(std::numeric_limits<int>::max(),
+                          std::numeric_limits<Ticks>::max(), Params{4}),
                std::invalid_argument);
 }
 
 TEST(ValueTable, OwningConstructorSharesTheDimensionCheck) {
-  // The owning constructors reject what view rejects, before allocating:
-  // an entry count that overflows size_t is invalid_argument, not bad_alloc.
-  EXPECT_THROW(ValueTable(std::numeric_limits<int>::max(),
-                          std::numeric_limits<Ticks>::max(), Params{4}),
-               std::invalid_argument);
-  EXPECT_THROW(ValueTable(std::numeric_limits<int>::max(),
-                          std::numeric_limits<Ticks>::max(), Params{4},
-                          ValueTable::kUninitialized),
-               std::invalid_argument);
-  EXPECT_THROW(ValueTable(-1, 10, Params{8}, ValueTable::kUninitialized),
-               std::invalid_argument);
-  EXPECT_THROW(ValueTable(1, 10, Params{0}, ValueTable::kUninitialized),
-               std::invalid_argument);
-}
-
-TEST(ValueTable, ViewRejectsInvalidParamsAndNegativeLevels) {
-  const auto owner = solve_reference(1, 20, Params{4});
-  EXPECT_THROW(ValueTable::view(-1, 20, Params{4}, owner.slab(), nullptr),
-               std::invalid_argument);
-  EXPECT_THROW(ValueTable::view(1, 20, Params{0}, owner.slab(), nullptr),
-               std::invalid_argument);
-  // An empty slab matches no dimensions: even (0, 0) needs one entry.
-  EXPECT_THROW(ValueTable::view(0, 0, Params{4}, {}, nullptr), std::invalid_argument);
-}
-
-TEST(ValueTable, UninitializedTableHasTheOwningLayout) {
-  // kUninitialized skips only the zero pass: dimensions, byte size and the
-  // level-major layout of adjacent, disjoint level spans are the owning
-  // table's.
-  ValueTable table(3, 50, Params{8}, ValueTable::kUninitialized);
-  const ValueTable zeroed(3, 50, Params{8});
-  EXPECT_TRUE(table.owns_storage());
-  EXPECT_EQ(table.max_interrupts(), 3);
-  EXPECT_EQ(table.max_lifespan(), 50);
-  EXPECT_EQ(table.bytes(), zeroed.bytes());
-  EXPECT_EQ(table.slab().size(), 4u * 51u);
-  for (int p = 0; p <= 3; ++p) {
-    const auto level = table.mutable_level(p);
-    ASSERT_EQ(level.size(), 51u);
-    EXPECT_EQ(level.data(), table.slab().data() + static_cast<std::ptrdiff_t>(p) * 51);
-    for (Ticks l = 0; l <= 50; ++l) level[static_cast<std::size_t>(l)] = 100 * p + l;
+  // The constructor rejects what storage_bytes rejects, before allocating.
+  for (const auto& [max_p, max_l] : std::vector<std::pair<int, Ticks>>{
+           {-1, 10}, {1, -1}, {0, ValueTable::kMaxLifespan + 1},
+           {std::numeric_limits<int>::max(), std::numeric_limits<Ticks>::max()}}) {
+    EXPECT_THROW(ValueTable::storage_bytes(max_p, max_l, Params{4}),
+                 std::invalid_argument);
+    EXPECT_THROW(ValueTable(max_p, max_l, Params{4}), std::invalid_argument);
   }
-  for (int p = 0; p <= 3; ++p) {
-    for (Ticks l = 0; l <= 50; ++l) ASSERT_EQ(table.value(p, l), 100 * p + l);
-  }
-  EXPECT_TRUE(std::all_of(zeroed.slab().begin(), zeroed.slab().end(),
-                          [](Ticks v) { return v == 0; }));
 }
 
-TEST(ValueTable, ViewKeepaliveOutlivesTheSource) {
-  // The keepalive is the view's ONLY lifetime anchor: hand it a buffer
-  // owned by a shared_ptr, drop every other reference, and the view (and
-  // its copies) must keep reading valid data.
+TEST(ValueTable, AssignedTableOutlivesItsSource) {
+  // A table owns its storage: the dense buffer it was assigned from can go,
+  // and copies of the table read the same values.
   const auto owner = solve_reference(1, 30, Params{4});
-  auto backing = std::make_shared<std::vector<Ticks>>(
-      owner.slab().begin(), owner.slab().end());
-  ValueTable view = ValueTable::view(
-      1, 30, Params{4}, std::span<const Ticks>(*backing), backing);
+  auto backing = std::make_unique<std::vector<Ticks>>(owner.slab());
+  ValueTable table(1, 30, Params{4});
+  for (int p = 0; p <= 1; ++p) {
+    table.assign_level(p, std::span<const Ticks>(*backing).subspan(
+                              static_cast<std::size_t>(p) * 31, 31));
+  }
   const Ticks expect = owner.value(1, 30);
-  backing.reset();                  // view's keepalive is now the only owner
-  ValueTable copy = view;           // copies share the keepalive
-  EXPECT_EQ(view.value(1, 30), expect);
+  backing.reset();
+  const ValueTable copy = table;
+  EXPECT_EQ(table.value(1, 30), expect);
   EXPECT_EQ(copy.value(1, 30), expect);
 }
 
