@@ -1,19 +1,46 @@
-// E11 — simulator throughput: single sessions and task-bag packing.
-// Self-timed on the harness clock; the farm-scale sweep lives in E12
-// (bench_farm_scaling).
+// E11 — simulator throughput: single sessions, dp-optimal sessions (built
+// prefix versus whole episodes) and task-bag packing. Self-timed on the
+// harness clock; the farm-scale sweep lives in E12 (bench_farm_scaling).
 #include <memory>
 #include <vector>
 
 #include "harness/harness.h"
 
 #include "adversary/stochastic.h"
+#include "adversary/trace.h"
 #include "core/equalized.h"
 #include "core/guidelines.h"
 #include "sim/session.h"
 #include "sim/taskbag.h"
+#include "solver/extract.h"
+#include "solver/fast_solver.h"
 
 namespace nowsched::bench {
 namespace {
+
+/// Forwards to a policy and counts the periods it builds.
+class CountingPolicy final : public SchedulingPolicy {
+ public:
+  explicit CountingPolicy(const SchedulingPolicy& inner) : inner_(inner) {}
+  std::string name() const override { return inner_.name(); }
+  EpisodeSchedule episode(Ticks residual, int interrupts_left,
+                          const Params& params) const override {
+    return counted(inner_.episode(residual, interrupts_left, params));
+  }
+  EpisodeSchedule episode_prefix(Ticks residual, int interrupts_left,
+                                 const Params& params, Ticks until) const override {
+    return counted(inner_.episode_prefix(residual, interrupts_left, params, until));
+  }
+  std::size_t built() const noexcept { return built_; }
+
+ private:
+  EpisodeSchedule counted(EpisodeSchedule episode) const {
+    built_ += episode.size();
+    return episode;
+  }
+  const SchedulingPolicy& inner_;
+  mutable std::size_t built_ = 0;
+};
 
 void run(harness::Context& ctx) {
   const int reps = ctx.quick() ? 1 : 3;
@@ -57,7 +84,52 @@ void run(harness::Context& ctx) {
     ctx.table(out, "single sessions, U = 65536, p = 4, Poisson owner");
   }
 
-  // 2. Task-bag packing: draining a bag through batched take/complete.
+  // 2. dp-optimal sessions. The Poisson owner is oblivious, so a session
+  // builds each interrupted episode only through the killed period; behind
+  // a RecordingAdversary (schedule-aware) it builds every episode whole.
+  // Both runs bank the same work; the table is solved outside the clock.
+  // The owner's mean gap is U / 8, so its four interrupts spread over the
+  // lifespan instead of all landing in the first episodes' opening periods.
+  {
+    const int sessions = ctx.quick() ? 100 : 1000;
+    const Opportunity opp{16 * 4096, 4};
+    const Params params{16};
+    const double mean_gap = static_cast<double>(opp.lifespan) / 8;
+    const solver::OptimalPolicy optimal(std::make_shared<const solver::ValueTable>(
+        solver::solve_fast(opp.max_interrupts, opp.lifespan, params)));
+
+    util::Table out({"episodes built", "sessions", "ms", "us/session",
+                     "periods built/session", "periods run/session"});
+    for (const bool whole : {false, true}) {
+      const auto session = [&](const SchedulingPolicy& policy,
+                               adversary::PoissonAdversary& owner) {
+        owner.reset(42);
+        if (!whole) return sim::run_session(policy, owner, opp, params);
+        adversary::RecordingAdversary recorded(owner);
+        return sim::run_session(policy, recorded, opp, params);
+      };
+      const double ms = harness::time_best_of_ms(reps, [&] {
+        adversary::PoissonAdversary owner(mean_gap, 42);
+        for (int i = 0; i < sessions; ++i) session(optimal, owner);
+      });
+      // One untimed session counts the periods (every session is the same).
+      const CountingPolicy counting(optimal);
+      adversary::PoissonAdversary owner(mean_gap, 42);
+      const sim::SessionMetrics m = session(counting, owner);
+      const std::size_t run = m.periods_completed + m.periods_killed;
+      harness::write_perf_row(ctx, whole ? "dp_optimal_whole_episodes" : "dp_optimal_prefix",
+                              static_cast<double>(sessions), ms,
+                              static_cast<double>(sessions));
+      out.add_row({whole ? "whole (recorded owner)" : "prefix (oblivious owner)",
+                   util::Table::fmt(static_cast<long long>(sessions)),
+                   util::Table::fmt(ms, 5), util::Table::fmt(ms * 1000.0 / sessions, 5),
+                   util::Table::fmt(static_cast<unsigned long long>(counting.built())),
+                   util::Table::fmt(static_cast<unsigned long long>(run))});
+    }
+    ctx.table(out, "dp-optimal sessions, U = 65536, p = 4, c = 16, Poisson owner (mean gap U/8)");
+  }
+
+  // 3. Task-bag packing: draining a bag through batched take/complete.
   {
     const std::size_t tasks = ctx.quick() ? (1u << 12) : (1u << 14);
     const double ms = harness::time_best_of_ms(reps, [&] {
@@ -85,8 +157,9 @@ const harness::Experiment& experiment_sim_perf() {
   static const harness::Experiment e{
       "E11", "sim_perf", "Simulator throughput baselines",
       "Wall-clock baselines for the discrete-event simulator: full scheduling "
-      "sessions with and without a task bag attached, and task-bag packing "
-      "throughput.",
+      "sessions with and without a task bag attached, dp-optimal sessions "
+      "building only the periods the owner reaches versus whole episodes, and "
+      "task-bag packing throughput.",
       run};
   return e;
 }

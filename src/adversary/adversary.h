@@ -3,10 +3,14 @@
 // The paper's game-theoretic adversary is malicious and schedule-aware
 // (§4: "a game against a malicious adversary"); real owners are oblivious
 // stochastic processes. Both implement this interface: at the start of each
-// episode the adversary sees the committed episode-schedule and decides
-// where (if anywhere) inside it the interrupt lands. Oblivious owners whose
-// returns form a point process in absolute opportunity time derive from
-// ArrivalAdversary, which owns the one rule for firing them.
+// episode the adversary decides where (if anywhere) inside it the interrupt
+// lands. A schedule-aware owner sees the committed episode-schedule first.
+// An oblivious owner (ObliviousAdversary) decides from the EpisodeContext
+// alone, so a session asks it before the episode is built and builds only
+// the periods up to the one the interrupt kills (§2.2: the schedule after
+// it never runs). Oblivious owners whose returns form a point process in
+// absolute opportunity time derive from ArrivalAdversary, which owns the
+// one rule for firing them.
 #pragma once
 
 #include <algorithm>
@@ -46,6 +50,21 @@ class Adversary {
   virtual void reset(std::uint64_t /*seed*/) {}
 };
 
+/// An owner that does not read the schedule: its interrupt depends on the
+/// EpisodeContext alone, where ctx.residual is the episode total.
+class ObliviousAdversary : public Adversary {
+ public:
+  /// 1-based tick in [1, ctx.residual] during which the owner interrupts,
+  /// or nullopt. Called only when interrupts_left > 0.
+  virtual std::optional<Ticks> plan_interrupt(const EpisodeContext& ctx) = 0;
+
+  /// The schedule-aware entry: the episode is not read.
+  std::optional<Ticks> plan_interrupt(const EpisodeSchedule& /*episode*/,
+                                      const EpisodeContext& ctx) final {
+    return plan_interrupt(ctx);
+  }
+};
+
 /// An owner whose returns are a point process in absolute opportunity time,
 /// so the stream is consistent across episode boundaries. One arrival is
 /// armed at a time: arrivals at or before an episode's start fell into
@@ -53,16 +72,16 @@ class Adversary {
 /// interrupts the episode it lands in, and the next one is armed. The first
 /// arrival is armed at the first plan_interrupt, so a subclass's RNG draws
 /// happen in stream order.
-class ArrivalAdversary : public Adversary {
+class ArrivalAdversary : public ObliviousAdversary {
  public:
   /// An arrival time that never comes (past every episode).
   static constexpr Ticks kNever = std::numeric_limits<Ticks>::max() / 2;
 
-  std::optional<Ticks> plan_interrupt(const EpisodeSchedule& episode,
-                                      const EpisodeContext& ctx) final {
+  using ObliviousAdversary::plan_interrupt;
+  std::optional<Ticks> plan_interrupt(const EpisodeContext& ctx) final {
     while (armed_ <= ctx.episode_start) armed_ = next_arrival(armed_);
     const Ticks offset = armed_ - ctx.episode_start;
-    if (offset > episode.total()) return std::nullopt;  // beyond this episode
+    if (offset > ctx.residual) return std::nullopt;  // beyond this episode
     armed_ = next_arrival(armed_);  // the arrival fires; arm the next one
     return offset;
   }

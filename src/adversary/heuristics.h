@@ -1,6 +1,7 @@
 // Deterministic, schedule-aware adversary heuristics mirroring §4.1's
 // Observations: interrupts at last instants, spent early, never wasted on a
-// lifespan that cannot produce work.
+// lifespan that cannot produce work. They read the committed episode, so a
+// session builds it whole before asking them.
 #pragma once
 
 #include "adversary/adversary.h"

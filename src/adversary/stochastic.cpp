@@ -37,10 +37,9 @@ UniformEpisodeAdversary::UniformEpisodeAdversary(double prob, std::uint64_t seed
 
 void UniformEpisodeAdversary::reset(std::uint64_t seed) { rng_ = util::Rng(seed); }
 
-std::optional<Ticks> UniformEpisodeAdversary::plan_interrupt(
-    const EpisodeSchedule& episode, const EpisodeContext&) {
-  if (episode.total() < 1 || !rng_.bernoulli(prob_)) return std::nullopt;
-  return rng_.uniform_int(1, episode.total());
+std::optional<Ticks> UniformEpisodeAdversary::plan_interrupt(const EpisodeContext& ctx) {
+  if (ctx.residual < 1 || !rng_.bernoulli(prob_)) return std::nullopt;
+  return rng_.uniform_int(1, ctx.residual);
 }
 
 }  // namespace nowsched::adversary

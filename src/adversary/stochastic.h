@@ -42,12 +42,12 @@ class ParetoSessionAdversary final : public ArrivalAdversary {
 
 /// Uniform-position owner: with probability `prob` per episode, interrupts
 /// at a uniformly random tick of the episode. A simple null model.
-class UniformEpisodeAdversary final : public Adversary {
+class UniformEpisodeAdversary final : public ObliviousAdversary {
  public:
   UniformEpisodeAdversary(double prob, std::uint64_t seed);
   std::string name() const override { return "uniform-owner"; }
-  std::optional<Ticks> plan_interrupt(const EpisodeSchedule& episode,
-                                      const EpisodeContext& ctx) override;
+  using ObliviousAdversary::plan_interrupt;
+  std::optional<Ticks> plan_interrupt(const EpisodeContext& ctx) override;
   void reset(std::uint64_t seed) override;
 
  private:

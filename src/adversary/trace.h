@@ -45,7 +45,10 @@ class TraceAdversary final : public ArrivalAdversary {
   std::size_t next_ = 0;  ///< index of the next recorded time to arm
 };
 
-/// Records every interrupt another adversary issues (decorator).
+/// Records every interrupt another adversary issues (decorator). It wraps
+/// either kind of owner through the schedule-aware entry, so it stays
+/// schedule-aware itself: a session under it builds whole episodes even when
+/// the wrapped owner is oblivious.
 class RecordingAdversary final : public Adversary {
  public:
   explicit RecordingAdversary(Adversary& inner) : inner_(inner) {}

@@ -25,6 +25,17 @@ class SchedulingPolicy {
   /// Called only with residual >= 1.
   virtual EpisodeSchedule episode(Ticks residual, int interrupts_left,
                                   const Params& params) const = 0;
+
+  /// The leading periods of episode(residual, interrupts_left, params),
+  /// through the first period whose end is >= `until` (1 <= until <=
+  /// residual): all a session runs when the owner interrupts during tick
+  /// `until`. An override may return more leading periods than that, never
+  /// fewer; the default returns the whole episode.
+  virtual EpisodeSchedule episode_prefix(Ticks residual, int interrupts_left,
+                                         const Params& params,
+                                         Ticks /*until*/) const {
+    return episode(residual, interrupts_left, params);
+  }
 };
 
 using PolicyPtr = std::shared_ptr<const SchedulingPolicy>;

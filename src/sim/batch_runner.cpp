@@ -32,9 +32,9 @@ void validate_spec(const ScenarioSpec& spec, std::size_t index) {
 }
 
 /// Answers a session's opening (U, p) with the cache's memoized episode and
-/// delegates every later episode to the policy. Episodes are a pure function
-/// of (residual, interrupts left, c), so the session runs exactly what the
-/// policy would have built.
+/// delegates every later episode, whole or prefix, to the policy. Episodes
+/// are a pure function of (residual, interrupts left, c), so the session
+/// runs exactly what the policy would have built.
 class MemoizedOpening final : public SchedulingPolicy {
  public:
   MemoizedOpening(const SchedulingPolicy& policy, Opportunity opening,
@@ -45,13 +45,21 @@ class MemoizedOpening final : public SchedulingPolicy {
 
   EpisodeSchedule episode(Ticks residual, int interrupts_left,
                           const Params& params) const override {
-    if (residual == opening_.lifespan && interrupts_left == opening_.max_interrupts) {
-      return *episode_;
-    }
+    if (is_opening(residual, interrupts_left)) return *episode_;
     return policy_.episode(residual, interrupts_left, params);
   }
 
+  EpisodeSchedule episode_prefix(Ticks residual, int interrupts_left,
+                                 const Params& params, Ticks until) const override {
+    if (is_opening(residual, interrupts_left)) return *episode_;
+    return policy_.episode_prefix(residual, interrupts_left, params, until);
+  }
+
  private:
+  bool is_opening(Ticks residual, int interrupts_left) const noexcept {
+    return residual == opening_.lifespan && interrupts_left == opening_.max_interrupts;
+  }
+
   const SchedulingPolicy& policy_;
   Opportunity opening_;
   solver::SolveCache::EpisodePtr episode_;

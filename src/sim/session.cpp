@@ -11,6 +11,7 @@ SessionActor::SessionActor(const SchedulingPolicy& policy,
                            std::optional<Checkpointing> checkpointing)
     : policy_(policy),
       adversary_(adversary),
+      oblivious_(dynamic_cast<adversary::ObliviousAdversary*>(&adversary)),
       opportunity_(opportunity),
       params_(params),
       bag_(bag),
@@ -44,27 +45,42 @@ void SessionActor::step() {
 }
 
 void SessionActor::begin_episode(Ticks now) {
-  episode_ = policy_.episode(residual_, interrupts_left_, params_);
-  if (episode_.total() != residual_) {
-    throw std::logic_error("SessionActor: policy episode does not span the residual");
-  }
   episode_start_abs_ = now;
   metrics_.episodes += 1;
   current_period_ = 0;
   interrupt_tick_.reset();
 
-  if (interrupts_left_ > 0) {
-    adversary::EpisodeContext ctx;
-    ctx.episode_start = episode_start_abs_ - opportunity_start_;
-    ctx.residual = residual_;
-    ctx.interrupts_left = interrupts_left_;
-    ctx.params = params_;
-    auto planned = adversary_.plan_interrupt(episode_, ctx);
-    if (planned) {
-      if (*planned < 1 || *planned > episode_.total()) {
-        throw std::logic_error("SessionActor: adversary interrupt outside episode");
-      }
-      interrupt_tick_ = planned;
+  adversary::EpisodeContext ctx;
+  ctx.episode_start = episode_start_abs_ - opportunity_start_;
+  ctx.residual = residual_;
+  ctx.interrupts_left = interrupts_left_;
+  ctx.params = params_;
+  const auto plan = [this](std::optional<Ticks> planned) {
+    if (planned && (*planned < 1 || *planned > residual_)) {
+      throw std::logic_error("SessionActor: adversary interrupt outside episode");
+    }
+    interrupt_tick_ = planned;
+  };
+
+  // An oblivious owner plans first, so an interrupted episode is built only
+  // through the period the interrupt kills.
+  if (oblivious_ != nullptr && interrupts_left_ > 0) {
+    plan(oblivious_->plan_interrupt(ctx));
+  }
+  if (interrupt_tick_) {
+    episode_ =
+        policy_.episode_prefix(residual_, interrupts_left_, params_, *interrupt_tick_);
+    if (episode_.total() < *interrupt_tick_ || episode_.total() > residual_) {
+      throw std::logic_error(
+          "SessionActor: policy episode prefix does not reach the interrupt");
+    }
+  } else {
+    episode_ = policy_.episode(residual_, interrupts_left_, params_);
+    if (episode_.total() != residual_) {
+      throw std::logic_error("SessionActor: policy episode does not span the residual");
+    }
+    if (oblivious_ == nullptr && interrupts_left_ > 0) {
+      plan(adversary_.plan_interrupt(episode_, ctx));
     }
   }
   begin_period();

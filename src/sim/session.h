@@ -8,7 +8,10 @@
 // interleaves many actors the same way on one clock.
 // Interrupt semantics follow the model exactly: an interrupt during period k
 // kills that period's work; periods checkpoint (B returns results) at their
-// ends. With a TaskBag attached, each period carries a greedily packed batch
+// ends, and the periods after k never run. So with an oblivious owner the
+// actor plans the interrupt first and asks the policy only for the episode's
+// prefix through period k (SchedulingPolicy::episode_prefix); a
+// schedule-aware owner sees the whole episode before it plans. With a TaskBag attached, each period carries a greedily packed batch
 // of indivisible tasks; killed batches return to the bag.
 //
 // A session runs start to finish. After an interrupt the rest of it depends
@@ -68,6 +71,7 @@ class SessionActor {
   // Configuration.
   const SchedulingPolicy& policy_;
   adversary::Adversary& adversary_;
+  adversary::ObliviousAdversary* oblivious_;  ///< adversary_, when it is oblivious
   Opportunity opportunity_;
   Params params_;
   TaskBag* bag_;

@@ -1,6 +1,7 @@
 #include "solver/extract.h"
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 
@@ -46,7 +47,8 @@ Branches branches_at(const ValueTable& table, int p, Ticks l) {
 /// hint. Without one it bisects all of [lo, hi]. The hint changes only the
 /// cost, never the answer.
 template <class Pred>
-Ticks last_true(const Pred& pred, Ticks lo, Ticks hi, std::optional<Ticks> hint) {
+NOWSCHED_INLINE_INTO_CLONES Ticks last_true(const Pred& pred, Ticks lo, Ticks hi,
+                                            std::optional<Ticks> hint) {
   Ticks yes = lo - 1;  // pred holds at every t in [lo, yes]
   Ticks no = hi + 1;   // pred fails at every t in [no, hi]
   if (hint && lo <= hi) {
@@ -83,7 +85,8 @@ Ticks last_true(const Pred& pred, Ticks lo, Ticks hi, std::optional<Ticks> hint)
 
 /// Longest t in [1, f.l] attaining V_p(l); `hint` seeds the crossover
 /// search (extraction passes the previous period's length).
-Ticks best_period(const Branches& f, std::optional<Ticks> hint) {
+NOWSCHED_INLINE_INTO_CLONES Ticks best_period(const Branches& f,
+                                              std::optional<Ticks> hint) {
   const Ticks c = f.c, l = f.l;
   const Ticks target = f.target();
 
@@ -138,7 +141,9 @@ Ticks best_period_length(const ValueTable& table, int p, Ticks l, Ticks hint) {
   return best_period(branches_at(table, p, l), hint);
 }
 
-EpisodeSchedule extract_episode(const ValueTable& table, int p, Ticks lifespan) {
+NOWSCHED_POPCNT_CLONES
+EpisodeSchedule extract_episode(const ValueTable& table, int p, Ticks lifespan,
+                                Ticks until) {
   if (lifespan < 0 || lifespan > table.max_lifespan()) {
     throw std::out_of_range("extract_episode: lifespan outside the table");
   }
@@ -149,10 +154,11 @@ EpisodeSchedule extract_episode(const ValueTable& table, int p, Ticks lifespan) 
   if (p == 0) return EpisodeSchedule({lifespan});  // Prop 4.1(d)
 
   // Consecutive periods of an optimal episode differ by a few ticks, so
-  // each period's search gallops out from the one before it.
+  // each period's search gallops out from the one before it. The first
+  // period ending at or past `until` is the last one built.
   Branches f = branches_at(table, p, lifespan);
   std::vector<Ticks> periods;
-  while (f.l > 0) {
+  while (f.l > 0 && lifespan - f.l < until) {
     const Ticks t = best_period(f, periods.empty() ? std::nullopt
                                                    : std::optional(periods.back()));
     periods.push_back(t);
@@ -188,11 +194,16 @@ OptimalPolicy::OptimalPolicy(std::shared_ptr<const ValueTable> table)
 
 EpisodeSchedule OptimalPolicy::episode(Ticks residual, int interrupts_left,
                                        const Params& params) const {
+  return episode_prefix(residual, interrupts_left, params, residual);
+}
+
+EpisodeSchedule OptimalPolicy::episode_prefix(Ticks residual, int interrupts_left,
+                                              const Params& params, Ticks until) const {
   if (params.c != table_->params().c) {
     throw std::invalid_argument("OptimalPolicy: params mismatch with table");
   }
   const int p = std::min(interrupts_left, table_->max_interrupts());
-  return extract_episode(*table_, p, residual);
+  return extract_episode(*table_, p, residual, until);
 }
 
 }  // namespace nowsched::solver

@@ -2,6 +2,7 @@
 // the W(p)[L] value tables.
 #pragma once
 
+#include <limits>
 #include <vector>
 
 #include "core/policy.h"
@@ -24,7 +25,13 @@ namespace nowsched::solver {
 /// best_period_length_linear is the O(L) scan it replaced, kept as the
 /// oracle for the equivalence tests (tests/solver_extract_test.cpp): every
 /// extracted period is the identical (longest) attaining period.
-EpisodeSchedule extract_episode(const ValueTable& table, int p, Ticks lifespan);
+///
+/// With `until`, extraction stops after the first period whose end is
+/// >= until: the leading periods of the whole episode, bit for bit (each
+/// search gallops from the same hint), which are all a session runs when
+/// the owner interrupts during tick `until`. The default builds it whole.
+EpisodeSchedule extract_episode(const ValueTable& table, int p, Ticks lifespan,
+                                Ticks until = std::numeric_limits<Ticks>::max());
 
 /// Longest t in [1, L] attaining V_p(L), by O(log L) crossover search.
 /// Requires 1 <= p <= table.max_interrupts() and 1 <= L <= max_lifespan;
@@ -58,6 +65,9 @@ class OptimalPolicy final : public SchedulingPolicy {
   std::string name() const override { return "dp-optimal"; }
   EpisodeSchedule episode(Ticks residual, int interrupts_left,
                           const Params& params) const override;
+  /// Extracts only the periods through the one `until` falls in.
+  EpisodeSchedule episode_prefix(Ticks residual, int interrupts_left,
+                                 const Params& params, Ticks until) const override;
 
  private:
   std::shared_ptr<const ValueTable> table_;

@@ -115,14 +115,30 @@ void fill_level_inverse(std::span<Ticks> cur_span, std::span<const Ticks> prev_s
 ///   flats[c + i] = c + i + 1 + W(p−1)[flats[i] − 1].
 /// The vector grows while the loop reads it, so index, not iterate.
 template <class PrevValue>
-void grow_loss_set(const PrevValue& prev_value, Ticks c, Ticks max_lifespan,
-                   std::vector<Ticks>& flats) {
+NOWSCHED_INLINE_INTO_CLONES void grow_loss_set(const PrevValue& prev_value, Ticks c,
+                                               Ticks max_lifespan,
+                                               std::vector<Ticks>& flats) {
   flats.clear();
   for (Ticks l = 1; l <= std::min(c, max_lifespan); ++l) flats.push_back(l);
   for (std::size_t i = 0; i < flats.size(); ++i) {
     const Ticks next = c + static_cast<Ticks>(i) + 1 + prev_value(flats[i] - 1);
     if (next > max_lifespan) break;
     flats.push_back(next);
+  }
+}
+
+/// The production solve: level 0 in closed form, then each level's flats
+/// from the recurrence, reading level p − 1 through its rank reader.
+NOWSCHED_POPCNT_CLONES
+void solve_loss_sets(ValueTable& table, int max_p, Ticks max_lifespan, Ticks c) {
+  std::vector<Ticks> flats;
+  for (Ticks l = 1; l <= std::min(c, max_lifespan); ++l) flats.push_back(l);
+  table.assign_flats(0, flats);
+  for (int p = 1; p <= max_p; ++p) {
+    // Level p − 1 is final, so its rank reader answers W(p−1)[L] in O(1).
+    const ValueTable::LevelReader prev = table.reader(p - 1);
+    grow_loss_set([prev](Ticks l) { return prev[l]; }, c, max_lifespan, flats);
+    table.assign_flats(p, flats);
   }
 }
 
@@ -181,15 +197,7 @@ ValueTable solve_fast(int max_p, Ticks max_lifespan, const Params& params) {
   const SolverKernel kernel = active_solver_kernel();
 
   if (kernel == SolverKernel::kLossSet) {
-    std::vector<Ticks> flats;
-    for (Ticks l = 1; l <= std::min(c, max_lifespan); ++l) flats.push_back(l);
-    table.assign_flats(0, flats);
-    for (int p = 1; p <= max_p; ++p) {
-      // Level p − 1 is final, so its rank reader answers W(p−1)[L] in O(1).
-      const ValueTable::LevelReader prev = table.reader(p - 1);
-      grow_loss_set([prev](Ticks l) { return prev[l]; }, c, max_lifespan, flats);
-      table.assign_flats(p, flats);
-    }
+    solve_loss_sets(table, max_p, max_lifespan, c);
     return table;
   }
 

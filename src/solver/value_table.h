@@ -47,13 +47,28 @@ namespace nowsched::solver {
 
 /// Bit count of a 32-bit word without a library call: the portable x86-64
 /// baseline has no popcnt instruction, and std::popcount then calls into
-/// libgcc, which costs more than this whole sequence.
+/// libgcc, which costs more than this whole sequence. GCC recognises the
+/// sequence and emits one popcnt where the target has it, so the two
+/// rank-reading kernels get the instruction from NOWSCHED_POPCNT_CLONES.
 constexpr std::uint32_t popcount32(std::uint32_t x) noexcept {
   x = x - ((x >> 1) & 0x55555555u);
   x = (x & 0x33333333u) + ((x >> 2) & 0x33333333u);
   x = (x + (x >> 4)) & 0x0F0F0F0Fu;
   return (x * 0x01010101u) >> 24;
 }
+
+// The loops that read ranks (the loss-set solve and episode extraction) are
+// built twice on x86-64: for the baseline, and with popcnt. The loader
+// picks the copy the CPU can run (an ifunc), so the baseline build stays
+// portable. The readers they call must inline into both copies, hence
+// NOWSCHED_INLINE_INTO_CLONES on those helpers.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define NOWSCHED_POPCNT_CLONES [[gnu::target_clones("popcnt", "default")]]
+#define NOWSCHED_INLINE_INTO_CLONES [[gnu::always_inline]] inline
+#else
+#define NOWSCHED_POPCNT_CLONES
+#define NOWSCHED_INLINE_INTO_CLONES inline
+#endif
 
 class ValueTable {
  public:

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <initializer_list>
+#include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "adversary/heuristics.h"
@@ -13,6 +16,8 @@
 #include "core/baselines.h"
 #include "core/guidelines.h"
 #include "sim/scenario_gen.h"
+#include "solver/extract.h"
+#include "solver/fast_solver.h"
 #include "solver/policy_eval.h"
 
 namespace nowsched::sim {
@@ -506,11 +511,16 @@ TEST(SessionActor, NextEventIsEmptyOnlyOnceFinished) {
   EXPECT_GT(interrupts, 0);  // the owners actually fired
 }
 
-/// FNV-1a over every SessionMetrics field, in field-table order.
-std::uint64_t fold_metrics(std::uint64_t h, const SessionMetrics& m) {
+/// Every SessionMetrics field, in field-table order.
+std::string metrics_text(const SessionMetrics& m) {
   std::string text;
   util::write_fields(text, kSessionMetricsFields, m);
-  for (const unsigned char ch : text) {
+  return text;
+}
+
+/// FNV-1a over metrics_text(m).
+std::uint64_t fold_metrics(std::uint64_t h, const SessionMetrics& m) {
+  for (const unsigned char ch : metrics_text(m)) {
     h ^= ch;
     h *= 0x100000001B3ull;
   }
@@ -566,6 +576,138 @@ TEST(Session, GoldenDigestAcrossEveryPolicyAndOwner) {
   ASSERT_GT(interrupts, 0);
   EXPECT_EQ(model, 0xd3c94213bfd199a4ull) << std::hex << model;
   EXPECT_EQ(tasks, 0x942d96a2a063863eull) << std::hex << tasks;
+}
+
+/// Wraps a policy and counts the periods it hands out, by entry point.
+class CountingPolicy final : public SchedulingPolicy {
+ public:
+  explicit CountingPolicy(const SchedulingPolicy& inner) : inner_(inner) {}
+  std::string name() const override { return inner_.name(); }
+  EpisodeSchedule episode(Ticks residual, int interrupts_left,
+                          const Params& params) const override {
+    EpisodeSchedule e = inner_.episode(residual, interrupts_left, params);
+    whole_periods += e.size();
+    return e;
+  }
+  EpisodeSchedule episode_prefix(Ticks residual, int interrupts_left,
+                                 const Params& params, Ticks until) const override {
+    EpisodeSchedule e = inner_.episode_prefix(residual, interrupts_left, params, until);
+    prefix_periods += e.size();
+    prefix_calls += 1;
+    return e;
+  }
+
+  mutable std::size_t whole_periods = 0;
+  mutable std::size_t prefix_periods = 0;
+  mutable std::size_t prefix_calls = 0;
+
+ private:
+  const SchedulingPolicy& inner_;
+};
+
+std::vector<ScenarioSpec> dp_optimal_specs(OwnerKind owner) {
+  ScenarioDomain domain;
+  domain.policies = {PolicyKind::kDpOptimal};
+  domain.owners = {owner};
+  domain.min_interrupts = 1;
+  ScenarioGenerator gen(domain, 0x9F3E);
+  return gen.batch(12);
+}
+
+TEST(SessionPrefix, ObliviousOwnersGetNoPeriodPastTheKilledOne) {
+  // Every owner the batch runner makes is oblivious: the session plans its
+  // interrupt first, so each interrupted episode is built through the killed
+  // period and no further, and only an uninterrupted episode is built whole.
+  // Every period built is therefore run. Wrapping the same owner in a
+  // RecordingAdversary (schedule-aware) makes the session build whole
+  // episodes instead; the metrics must not change.
+  const OwnerKind owners[] = {OwnerKind::kPoisson,         OwnerKind::kPareto,
+                              OwnerKind::kUniform,         OwnerKind::kMarkovModulated,
+                              OwnerKind::kInhomogeneous,   OwnerKind::kBursty,
+                              OwnerKind::kCorrelatedShock};
+  for (const OwnerKind kind : owners) {
+    std::size_t prefix_calls = 0, built = 0, built_whole = 0;
+    for (const ScenarioSpec& spec : dp_optimal_specs(kind)) {
+      const auto policy = make_policy(spec);
+      const Opportunity opp{spec.lifespan, spec.max_interrupts};
+
+      const CountingPolicy counted(*policy);
+      const auto owner = make_owner(spec);
+      const SessionMetrics m = run_session(counted, *owner, opp, spec.params);
+      EXPECT_EQ(counted.whole_periods + counted.prefix_periods,
+                m.periods_completed + m.periods_killed)
+          << to_replay_string(spec);
+      EXPECT_EQ(counted.prefix_calls, static_cast<std::size_t>(m.interrupts))
+          << to_replay_string(spec);
+
+      const CountingPolicy counted_whole(*policy);
+      const auto inner = make_owner(spec);
+      adversary::RecordingAdversary recorded(*inner);
+      const SessionMetrics whole = run_session(counted_whole, recorded, opp, spec.params);
+      EXPECT_EQ(counted_whole.prefix_calls, 0u) << to_replay_string(spec);
+      EXPECT_EQ(metrics_text(whole), metrics_text(m)) << to_replay_string(spec);
+
+      prefix_calls += counted.prefix_calls;
+      built += counted.whole_periods + counted.prefix_periods;
+      built_whole += counted_whole.whole_periods;
+    }
+    EXPECT_GT(prefix_calls, 0u) << to_string(kind);  // the owner actually fired
+    EXPECT_LT(built, built_whole) << to_string(kind);
+  }
+}
+
+TEST(SessionPrefix, ScheduleAwareOwnersGetWholeEpisodes) {
+  // The heuristic owners read the committed episode, so the session builds
+  // each one whole before it asks them.
+  const solver::OptimalPolicy policy(
+      std::make_shared<const solver::ValueTable>(solver::solve_fast(4, 8192, kParams)));
+  adversary::FirstPeriodAdversary first;
+  adversary::LargestPeriodAdversary largest;
+  adversary::ObservationAdversary observation;
+  std::size_t built = 0, run = 0;
+  for (adversary::Adversary* owner :
+       std::initializer_list<adversary::Adversary*>{&first, &largest, &observation}) {
+    const CountingPolicy counted(policy);
+    const SessionMetrics m = run_session(counted, *owner, Opportunity{8192, 4}, kParams);
+    EXPECT_GT(m.interrupts, 0) << owner->name();
+    EXPECT_EQ(counted.prefix_calls, 0u) << owner->name();
+    built += counted.whole_periods;
+    run += m.periods_completed + m.periods_killed;
+  }
+  EXPECT_GT(built, run);  // the killed periods were not the episodes' last
+}
+
+TEST(SessionPrefix, PrefixMustReachTheInterrupt) {
+  // A prefix that ends before the interrupt's tick, or runs past the
+  // residual, is a policy bug the session refuses.
+  class BadPrefixPolicy final : public SchedulingPolicy {
+   public:
+    explicit BadPrefixPolicy(EpisodeSchedule prefix) : prefix_(std::move(prefix)) {}
+    std::string name() const override { return "bad-prefix"; }
+    EpisodeSchedule episode(Ticks residual, int, const Params&) const override {
+      return EpisodeSchedule({residual});
+    }
+    EpisodeSchedule episode_prefix(Ticks, int, const Params&, Ticks) const override {
+      return prefix_;
+    }
+
+   private:
+    EpisodeSchedule prefix_;
+  };
+  for (const std::vector<Ticks>& periods :
+       {std::vector<Ticks>{29}, std::vector<Ticks>{30, 31}}) {
+    const BadPrefixPolicy policy{EpisodeSchedule(periods)};
+    adversary::TraceAdversary owner(adversary::InterruptTrace({30}));
+    EXPECT_THROW(run_session(policy, owner, Opportunity{60, 1}, kThreePeriodParams),
+                 std::logic_error);
+  }
+  const BadPrefixPolicy exact{EpisodeSchedule({30})};
+  adversary::TraceAdversary owner(adversary::InterruptTrace({30}));
+  const SessionMetrics m =
+      run_session(exact, owner, Opportunity{60, 1}, kThreePeriodParams);
+  EXPECT_EQ(m.interrupts, 1);
+  EXPECT_EQ(m.periods_killed, 1u);
+  EXPECT_EQ(m.lifespan_used, 60);
 }
 
 TEST(SessionMetrics, MergeAddsFields) {

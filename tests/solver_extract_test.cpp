@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "core/closed_form.h"
 #include "solver/fast_solver.h"
 #include "solver/reference_solver.h"
+#include "util/rng.h"
 
 namespace nowsched::solver {
 namespace {
@@ -186,6 +189,49 @@ TEST(ExtractEpisode, EveryPeriodMatchesLinearScanAtLargeU) {
                       Ticks{9999}, g.max_l - 1, g.max_l}) {
         ASSERT_NO_FATAL_FAILURE(expect_every_period_linear(table, p, l));
       }
+    }
+  }
+}
+
+// Extraction with `until` stops after the first period ending at or past
+// it. Its periods are the whole episode's leading periods, bit for bit, and
+// every one is the linear scan's choice at its state. The cases include
+// `until` exactly at a period end (that period is the killed one, so the
+// prefix ends with it), until = 1 (first period only) and until = L (the
+// whole episode), through OptimalPolicy::episode_prefix as well.
+TEST(ExtractEpisode, PrefixIsTheLeadingPeriodsOfTheWholeEpisode) {
+  constexpr Ticks kC = 16;
+  constexpr Ticks kMaxL = 4096;
+  constexpr int kMaxP = 4;
+  const auto table = std::make_shared<const ValueTable>(solve_fast(kMaxP, kMaxL, Params{kC}));
+  const OptimalPolicy policy(table);
+  util::Rng rng(0x9E1F1C);
+  const int cases = 200;
+  for (int i = 0; i < cases; ++i) {
+    const int p = static_cast<int>(rng.uniform_int(0, kMaxP));
+    const Ticks l = rng.uniform_int(1, kMaxL);
+    const EpisodeSchedule whole = extract_episode(*table, p, l);
+    const auto j = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(whole.size()) - 1));
+    for (const Ticks until : {rng.uniform_int(1, l), whole.end(j), Ticks{1}, l}) {
+      const EpisodeSchedule prefix = extract_episode(*table, p, l, until);
+      std::size_t k = 0;
+      while (whole.end(k) < until) ++k;
+      ASSERT_EQ(prefix.size(), k + 1) << "p=" << p << " L=" << l << " until=" << until;
+      if (until == whole.end(j)) {
+        EXPECT_EQ(k, j);
+      }
+      Ticks rest = l;
+      for (std::size_t m = 0; m <= k; ++m) {
+        ASSERT_EQ(prefix.period(m), whole.period(m))
+            << "p=" << p << " L=" << l << " until=" << until << " period " << m;
+        if (p > 0) {
+          ASSERT_EQ(prefix.period(m), best_period_length_linear(*table, p, rest))
+              << "p=" << p << " L=" << l << " until=" << until << " period " << m;
+        }
+        rest -= prefix.period(m);
+      }
+      EXPECT_EQ(policy.episode_prefix(l, p, Params{kC}, until), prefix);
     }
   }
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -15,6 +16,7 @@
 
 #include "core/bounds.h"
 #include "solver/reference_solver.h"
+#include "util/rng.h"
 
 namespace nowsched::solver {
 namespace {
@@ -297,6 +299,23 @@ TEST(ValueTable, P1AgreesWithDirectMinimaxScan) {
     v1[static_cast<std::size_t>(l)] = best;
     ASSERT_EQ(table.value(1, l), best) << "l=" << l;
   }
+}
+
+TEST(ValueTable, Popcount32MatchesStdPopcount) {
+  // The rank reads' bit count, which the popcnt clones compile to one
+  // instruction: every 16-bit pattern in the low half, the high half and
+  // both, then random words.
+  for (std::uint32_t v = 0; v <= 0xFFFFu; ++v) {
+    for (const std::uint32_t x : {v, v << 16, v | (v << 16), v | (~v << 16)}) {
+      ASSERT_EQ(popcount32(x), static_cast<std::uint32_t>(std::popcount(x))) << x;
+    }
+  }
+  util::Rng rng(0xB17C0);
+  for (int i = 0; i < 100000; ++i) {
+    const auto x = static_cast<std::uint32_t>(rng.next());
+    ASSERT_EQ(popcount32(x), static_cast<std::uint32_t>(std::popcount(x))) << x;
+  }
+  static_assert(popcount32(0xFFFFFFFFu) == 32 && popcount32(0) == 0);
 }
 
 }  // namespace
