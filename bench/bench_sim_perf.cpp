@@ -1,7 +1,9 @@
 // E11 — simulator throughput: single sessions, dp-optimal sessions (built
-// prefix versus whole episodes) and task-bag packing. Self-timed on the
-// harness clock; the farm-scale sweep lives in E12 (bench_farm_scaling).
+// prefix versus whole episodes), guideline sessions (built versus memoized
+// opening episode) and task-bag packing. Self-timed on the harness clock;
+// the farm-scale sweep lives in E12 (bench_farm_scaling).
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "harness/harness.h"
@@ -10,6 +12,7 @@
 #include "adversary/trace.h"
 #include "core/equalized.h"
 #include "core/guidelines.h"
+#include "sim/batch_runner.h"
 #include "sim/session.h"
 #include "sim/taskbag.h"
 #include "solver/extract.h"
@@ -129,7 +132,45 @@ void run(harness::Context& ctx) {
     ctx.table(out, "dp-optimal sessions, U = 65536, p = 4, c = 16, Poisson owner (mean gap U/8)");
   }
 
-  // 3. Task-bag packing: draining a bag through batched take/complete.
+  // 3. Guideline sessions, whose episodes are built from real-valued
+  // lengths rounded to ticks. Without a cache every session builds its
+  // opening episode; with one, the opening is memoized by an untimed warm-up
+  // run and only the later episodes are built. One thread, no task bag.
+  {
+    const int sessions = ctx.quick() ? 200 : 2000;
+    std::vector<sim::ScenarioSpec> specs(static_cast<std::size_t>(sessions));
+    util::Table out({"policy", "opening", "sessions", "ms", "us/session"});
+    for (const auto& [kind, slug] :
+         {std::pair{sim::PolicyKind::kEqualized, "equalized"},
+          std::pair{sim::PolicyKind::kAdaptivePaper, "adaptive_paper"}}) {
+      for (std::size_t i = 0; i < specs.size(); ++i) {
+        specs[i].policy = kind;
+        specs[i].owner = sim::OwnerKind::kPoisson;
+        specs[i].owner_a = 65536.0 / 8;
+        specs[i].params = Params{16};
+        specs[i].lifespan = 65536;
+        specs[i].max_interrupts = 4;
+        specs[i].seed = i;
+      }
+      for (const bool memoized : {false, true}) {
+        solver::SolveCache cache;
+        sim::BatchOptions options;
+        if (memoized) options.shared_cache = &cache;
+        sim::BatchRunner runner(options);
+        if (memoized) runner.run(specs);
+        const double ms = harness::time_best_of_ms(reps, [&] { runner.run(specs); });
+        const std::string opening = memoized ? "memoized" : "built";
+        harness::write_perf_row(ctx, std::string(slug) + "_session_" + opening + "_opening",
+                                static_cast<double>(sessions), ms,
+                                static_cast<double>(sessions));
+        out.add_row({slug, opening, util::Table::fmt(static_cast<long long>(sessions)),
+                     util::Table::fmt(ms, 5), util::Table::fmt(ms * 1000.0 / sessions, 5)});
+      }
+    }
+    ctx.table(out, "guideline sessions, U = 65536, p = 4, c = 16, Poisson owner (mean gap U/8)");
+  }
+
+  // 4. Task-bag packing: draining a bag through batched take/complete.
   {
     const std::size_t tasks = ctx.quick() ? (1u << 12) : (1u << 14);
     const double ms = harness::time_best_of_ms(reps, [&] {
@@ -158,8 +199,9 @@ const harness::Experiment& experiment_sim_perf() {
       "E11", "sim_perf", "Simulator throughput baselines",
       "Wall-clock baselines for the discrete-event simulator: full scheduling "
       "sessions with and without a task bag attached, dp-optimal sessions "
-      "building only the periods the owner reaches versus whole episodes, and "
-      "task-bag packing throughput.",
+      "building only the periods the owner reaches versus whole episodes, "
+      "equalized and adaptive-paper sessions with a built versus a memoized "
+      "opening episode, and task-bag packing throughput.",
       run};
   return e;
 }

@@ -1,6 +1,7 @@
 #include "core/equalized.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
@@ -39,50 +40,92 @@ struct EqualizedProblem {
   }
 };
 
-/// Decides whether equalized value `v` is feasible: false when `v` is too
-/// ambitious (some forced period would be unproductive or the no-interrupt
-/// work falls short of v). When `out` is given and `v` is feasible, the
-/// real-valued period lengths are appended to it; a bisection probe passes
-/// no `out` and allocates nothing.
-bool try_build(const EqualizedProblem& e, double v, std::vector<double>* out) {
-  const double c = e.c;
-  std::size_t periods = 0;
-  double t_begin = 0.0;  // running T_{k-1}
-  double banked = 0.0;
-  const auto emit = [&](double t) {
-    ++periods;
-    if (out != nullptr) out->push_back(t);
-  };
+/// The forced periods of one candidate value v: each exposes the adversary
+/// option worth exactly v, and they run until v is banked.
+class ForcedWalk {
+ public:
+  enum class Step { kEmitted, kBanked, kInfeasible };
 
-  // Forced periods: each exposes the adversary option worth exactly v.
-  while (true) {
-    const double need = v - banked;
-    if (need <= 0.0) break;
+  explicit ForcedWalk(double v) : v_(v) {}
+
+  /// Takes the next forced period. kEmitted stores its length in *t;
+  /// kBanked means v is banked (need = v − banked <= 0); kInfeasible means
+  /// v is too ambitious (a forced period would be unproductive, or the
+  /// runaway guard tripped).
+  Step step(const EqualizedProblem& e, double* t) {
+    const double need = v_ - banked_;
+    if (need <= 0.0) return Step::kBanked;
     const double x = e.inverse(need);
     const double t_end = e.lifespan - x;
-    const double t = t_end - t_begin;
-    if (t <= c) return false;  // unproductive forced period: v too big
-    emit(t);
-    banked += t - c;
-    t_begin = t_end;
-    if (periods > 4096u) return false;  // runaway guard
+    *t = t_end - t_begin_;
+    if (*t <= e.c) return Step::kInfeasible;
+    banked_ += *t - e.c;
+    t_begin_ = t_end;
+    if (++periods_ > 4096u) return Step::kInfeasible;  // runaway guard
+    return Step::kEmitted;
   }
 
-  // Immune remainder: cut into the Thm-4.2 band (3c/2 pieces).
-  double rest = e.lifespan - t_begin;
-  double total_work = banked;
+  /// T at the end of the last forced period taken.
+  double t_begin() const noexcept { return t_begin_; }
+
+ private:
+  double v_;
+  double t_begin_ = 0.0;  // running T_{k-1}
+  double banked_ = 0.0;
+  std::size_t periods_ = 0;
+};
+
+// Why a value is feasible as soon as its forced walk banks it. The full
+// construction then cuts the remainder L − T into immune pieces and keeps v
+// only if the episode has a period and its no-interrupt work reaches v.
+// Both always hold. The walk stops with need = v − banked <= 0, and for
+// finite doubles that holds exactly when banked >= v: with gradual underflow
+// (no flush-to-zero) the difference of two unequal finite doubles never
+// rounds to zero. The
+// immune pieces add only non-negative amounts to the work (0.5c per 3c/2
+// piece, max(0, rest − c) for the last), and rounded addition of a
+// non-negative term never lowers a sum, so the work stays >= banked >= v.
+// With no forced period, rest = L >= 1 > 0, so at least one piece is cut.
+// Feasibility is therefore decided by the forced periods alone.
+
+/// Whether equalized values v[0], v[1], v[2] are feasible. The three walks
+/// advance in lockstep so their inverse's sqrt chains, which do not depend
+/// on each other, overlap in the CPU.
+std::array<bool, 3> feasible3(const EqualizedProblem& e, const std::array<double, 3>& v) {
+  using Step = ForcedWalk::Step;
+  std::array<ForcedWalk, 3> walks = {ForcedWalk(v[0]), ForcedWalk(v[1]), ForcedWalk(v[2])};
+  std::array<Step, 3> state = {Step::kEmitted, Step::kEmitted, Step::kEmitted};
+  double t = 0.0;
+  while (state[0] == Step::kEmitted || state[1] == Step::kEmitted ||
+         state[2] == Step::kEmitted) {
+    for (std::size_t k = 0; k < 3; ++k) {
+      if (state[k] == Step::kEmitted) state[k] = walks[k].step(e, &t);
+    }
+  }
+  return {state[0] == Step::kBanked, state[1] == Step::kBanked,
+          state[2] == Step::kBanked};
+}
+
+/// The real-valued period lengths for a value v that feasible3 accepted:
+/// the forced periods, then the immune remainder cut into the Thm-4.2 band
+/// (3c/2 pieces).
+std::vector<double> build(const EqualizedProblem& e, double v) {
+  std::vector<double> lengths;
+  ForcedWalk walk(v);
+  double t = 0.0;
+  ForcedWalk::Step step;
+  while ((step = walk.step(e, &t)) == ForcedWalk::Step::kEmitted) lengths.push_back(t);
+  if (step != ForcedWalk::Step::kBanked) {
+    throw std::logic_error("equalized_episode: a probed-feasible value failed to build");
+  }
+  const double c = e.c;
+  double rest = e.lifespan - walk.t_begin();
   while (rest > 3.0 * c) {
-    emit(1.5 * c);
-    total_work += 0.5 * c;
+    lengths.push_back(1.5 * c);
     rest -= 1.5 * c;
   }
-  if (rest > 0.0) {
-    emit(rest);
-    total_work += std::max(0.0, rest - c);
-  }
-  if (periods == 0) return false;
-  // The no-interrupt option must also be worth at least v.
-  return total_work >= v;
+  if (rest > 0.0) lengths.push_back(rest);
+  return lengths;
 }
 
 }  // namespace
@@ -120,29 +163,42 @@ EpisodeSchedule equalized_episode(Ticks lifespan, int p, const Params& params,
   const double c = static_cast<double>(params.c);
 
   // Bisect for the largest feasible equalized value V. The probes only
-  // decide feasibility; the periods are built once, for the final V.
+  // decide feasibility; the periods are built once, for the final V. Each
+  // round takes two bisection steps: it probes mid together with both
+  // candidates for the next mid, (mid + hi)/2 if mid is feasible and
+  // (lo + mid)/2 if not, and mid's outcome picks which one is kept. The mids,
+  // the decisions and the 64-step / 0.25 stop rule are those of a one-probe
+  // bisection, bit for bit; a round cut short by the stop rule wastes a probe.
   const EqualizedProblem problem(l, p, c);
   double lo = 0.0, hi = std::max(0.0, l - c);
-  bool feasible = try_build(problem, 0.0, nullptr);
   double best_v = 0.0;
-  for (int iter = 0; iter < 64 && hi - lo > 0.25; ++iter) {
-    const double mid = (lo + hi) / 2.0;
-    if (try_build(problem, mid, nullptr)) {
-      feasible = true;
+  int iter = 0;
+  const auto keep = [&](double mid, bool feasible) {
+    if (feasible) {
       best_v = mid;
       lo = mid;
     } else {
       hi = mid;
     }
+    ++iter;
+    return iter < 64 && hi - lo > 0.25;
+  };
+  while (iter < 64 && hi - lo > 0.25) {
+    const double mid = (lo + hi) / 2.0;
+    const double upper = (mid + hi) / 2.0;
+    const double lower = (lo + mid) / 2.0;
+    const auto ok = feasible3(problem, {mid, upper, lower});
+    if (!keep(mid, ok[0])) break;
+    if (ok[0]) {
+      keep(upper, ok[1]);
+    } else {
+      keep(lower, ok[2]);
+    }
   }
-  std::vector<double> lengths;
-  if (!feasible || !try_build(problem, best_v, &lengths)) {
-    // No productive split exists (L at or below the Prop 4.1(c) threshold):
-    // a single period is as good as anything.
-    return EpisodeSchedule({lifespan});
-  }
+  // V = 0 is always feasible (no forced period), so there is always a build;
+  // with L at or below the Prop 4.1(c) threshold it is one period.
   if (value_out != nullptr) *value_out = best_v;
-  return EpisodeSchedule::from_real(lengths, lifespan);
+  return EpisodeSchedule::from_real(build(problem, best_v), lifespan);
 }
 
 EpisodeSchedule EqualizedGuidelinePolicy::episode(Ticks residual, int interrupts_left,

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace nowsched {
 
@@ -41,21 +41,24 @@ EpisodeSchedule EpisodeSchedule::from_real(const std::vector<double>& lengths,
                                            Ticks total) {
   if (total < 1) throw std::invalid_argument("from_real: total must be >= 1");
 
-  // Keep positive entries only, preserving order.
-  std::vector<double> pos;
-  pos.reserve(lengths.size());
+  // Only the positive entries become periods, in order; sum them left to
+  // right.
+  std::size_t m = 0;
+  double sum = 0.0;
   for (double x : lengths) {
-    if (x > 0.0) pos.push_back(x);
+    if (!std::isfinite(x)) throw std::invalid_argument("from_real: non-finite length");
+    if (x > 0.0) {
+      sum += x;
+      ++m;
+    }
   }
-  if (pos.empty()) return EpisodeSchedule({total});
+  if (m == 0) return EpisodeSchedule({total});
+  if (!std::isfinite(sum)) throw std::invalid_argument("from_real: non-finite sum");
 
   // Scale so the real lengths sum to `total`, then apportion by largest
   // remainder. Floors can make some periods 0; such periods are bumped to 1
   // and the excess is taken back from the largest periods.
-  const double sum = std::accumulate(pos.begin(), pos.end(), 0.0);
   const double scale = static_cast<double>(total) / sum;
-
-  const std::size_t m = pos.size();
   if (static_cast<Ticks>(m) > total) {
     // More periods than ticks: collapse to the feasible maximum.
     return equal_split(total, static_cast<std::size_t>(total));
@@ -64,19 +67,36 @@ EpisodeSchedule EpisodeSchedule::from_real(const std::vector<double>& lengths,
   std::vector<Ticks> periods(m);
   std::vector<std::pair<double, std::size_t>> remainders(m);
   Ticks assigned = 0;
-  for (std::size_t i = 0; i < m; ++i) {
-    const double scaled = pos[i] * scale;
+  std::size_t k = 0;
+  for (double x : lengths) {
+    if (!(x > 0.0)) continue;
+    const double scaled = x * scale;
     const double fl = std::floor(scaled);
-    periods[i] = static_cast<Ticks>(fl);
-    remainders[i] = {scaled - fl, i};
-    assigned += periods[i];
+    periods[k] = static_cast<Ticks>(fl);
+    remainders[k] = {scaled - fl, k};
+    assigned += periods[k];
+    ++k;
   }
-  // Hand out the leftover ticks to the largest fractional remainders.
-  std::sort(remainders.begin(), remainders.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-  Ticks leftover = total - assigned;
-  for (std::size_t j = 0; leftover > 0; j = (j + 1) % m, --leftover) {
-    periods[remainders[j].second] += 1;
+  // Hand out the leftover ticks: a whole round to every period while at
+  // least m are left, then one each to the largest remainders, equal
+  // remainders lower index first. Under that total order the receivers are
+  // one well-defined set, and selecting it is O(m); no sort is needed.
+  const Ticks leftover = total - assigned;
+  if (leftover > 0) {
+    const Ticks rounds = leftover / static_cast<Ticks>(m);
+    const auto extra = static_cast<std::ptrdiff_t>(leftover % static_cast<Ticks>(m));
+    if (rounds > 0) {
+      for (Ticks& t : periods) t += rounds;
+    }
+    if (extra > 0) {
+      const auto first = remainders.begin();
+      std::nth_element(first, first + (extra - 1), remainders.end(),
+                       [](const auto& a, const auto& b) {
+                         return a.first > b.first ||
+                                (a.first == b.first && a.second < b.second);
+                       });
+      for (auto it = first; it != first + extra; ++it) periods[it->second] += 1;
+    }
   }
   // Repair zero-length periods (possible when a real length rounded to 0).
   for (std::size_t i = 0; i < m; ++i) {

@@ -30,8 +30,14 @@ class EpisodeSchedule {
 
   /// Builds a schedule from real-valued period lengths, rounded so the sum
   /// is exactly `total` (largest-remainder apportionment; every period >= 1).
+  /// The lengths are scaled to sum to `total` and floored; the leftover
+  /// ticks go one each to the periods with the largest fractional
+  /// remainders, and equal remainders go to the lower index first (a
+  /// leftover of m or more first gives every period leftover / m ticks).
   /// Non-positive real lengths are dropped. If the real lengths cannot
   /// accommodate `total` (e.g. all dropped), returns a single period.
+  /// Throws std::invalid_argument when `total` < 1 or when a length or the
+  /// sum of the positive lengths is not finite.
   static EpisodeSchedule from_real(const std::vector<double>& lengths, Ticks total);
 
   std::size_t size() const noexcept { return periods_.size(); }

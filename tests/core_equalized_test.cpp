@@ -12,6 +12,8 @@
 
 #include "core/bounds.h"
 #include "core/closed_form.h"
+#include "fuzz_cases.h"
+#include "util/rng.h"
 
 namespace nowsched {
 namespace {
@@ -238,6 +240,21 @@ EpisodeSchedule oracle_episode(Ticks lifespan, int p, const Params& params,
   return EpisodeSchedule::from_real(*best, lifespan);
 }
 
+/// Asserts equalized_episode(u, p, c) matches the oracle in periods and,
+/// bit for bit, in the realized value.
+void expect_matches_oracle(Ticks u, int p, Ticks c) {
+  const Params params{c};
+  double want_v = -1.0, got_v = -2.0;
+  const EpisodeSchedule want = oracle_episode(u, p, params, &want_v);
+  const EpisodeSchedule got = equalized_episode(u, p, params, &got_v);
+  ASSERT_TRUE(std::ranges::equal(got.periods(), want.periods()))
+      << "c=" << c << " U=" << u << " p=" << p << "\n got  " << got.to_string()
+      << "\n want " << want.to_string();
+  ASSERT_EQ(std::bit_cast<std::uint64_t>(got_v), std::bit_cast<std::uint64_t>(want_v))
+      << "c=" << c << " U=" << u << " p=" << p << " got V=" << got_v
+      << " want V=" << want_v;
+}
+
 TEST(EqualizedEpisode, BitIdenticalToVectorBuildingBisection) {
   std::size_t cases = 0;
   for (Ticks c : {Ticks{1}, Ticks{2}, Ticks{16}, Ticks{64}, Ticks{1000}}) {
@@ -251,21 +268,22 @@ TEST(EqualizedEpisode, BitIdenticalToVectorBuildingBisection) {
     for (Ticks u : lifespans) {
       if (u < 1 || u > 65536) continue;
       for (int p = 0; p <= 6; ++p) {
-        const Params params{c};
-        double want_v = -1.0, got_v = -2.0;
-        const EpisodeSchedule want = oracle_episode(u, p, params, &want_v);
-        const EpisodeSchedule got = equalized_episode(u, p, params, &got_v);
-        ASSERT_TRUE(std::ranges::equal(got.periods(), want.periods()))
-            << "c=" << c << " U=" << u << " p=" << p << "\n got  " << got.to_string()
-            << "\n want " << want.to_string();
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(got_v), std::bit_cast<std::uint64_t>(want_v))
-            << "c=" << c << " U=" << u << " p=" << p << " got V=" << got_v
-            << " want V=" << want_v;
+        ASSERT_NO_FATAL_FAILURE(expect_matches_oracle(u, p, c));
         ++cases;
       }
     }
   }
   EXPECT_GT(cases, 900u);
+
+  // Random contracts over the service's range: U <= 131072, c <= 64, p <= 6.
+  util::Rng rng(0xE9A1);
+  const int draws = testing::fuzz_cases(200);
+  for (int i = 0; i < draws; ++i) {
+    const Ticks u = rng.uniform_int(1, 131072);
+    const Ticks c = rng.uniform_int(1, 64);
+    const int p = static_cast<int>(rng.uniform_int(0, 6));
+    ASSERT_NO_FATAL_FAILURE(expect_matches_oracle(u, p, c)) << "draw " << i;
+  }
 }
 
 }  // namespace

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <numeric>
+#include <utility>
 #include <vector>
+
+#include "fuzz_cases.h"
+#include "util/rng.h"
 
 namespace nowsched {
 namespace {
@@ -133,6 +140,101 @@ TEST_P(FromRealProperty, AlwaysSumsToTotalWithPositivePeriods) {
 
 INSTANTIATE_TEST_SUITE_P(Totals, FromRealProperty,
                          ::testing::Values(6, 7, 13, 100, 101, 9999, 65536));
+
+std::vector<Ticks> periods_of(const EpisodeSchedule& s) {
+  return {s.periods().begin(), s.periods().end()};
+}
+
+TEST(FromReal, EqualRemaindersStraddlingTheCutoffGoToTheLowerIndex) {
+  // 1.5 each scales to 5/3: floors 1, 1, 1 leave 2 ticks for three equal
+  // remainders, so the first two periods take them.
+  EXPECT_EQ(periods_of(EpisodeSchedule::from_real({1.5, 1.5, 1.5}, 5)),
+            (std::vector<Ticks>{2, 2, 1}));
+  // Four remainders of exactly 0.5 and 2 ticks left.
+  EXPECT_EQ(periods_of(EpisodeSchedule::from_real({1.0, 1.0, 1.0, 1.0}, 6)),
+            (std::vector<Ticks>{2, 2, 1, 1}));
+  // Remainders 0.2, 0.5, 0.5, 0.8 and 2 ticks left: the largest takes one,
+  // and of the tied pair straddling the cutoff the lower index takes the other.
+  EXPECT_EQ(periods_of(EpisodeSchedule::from_real({1.2, 1.5, 1.5, 1.8}, 6)),
+            (std::vector<Ticks>{1, 2, 1, 2}));
+  // Forty remainders of 0.5 and 20 ticks left: the first twenty take them,
+  // also past the sizes an insertion sort would have kept stable.
+  std::vector<Ticks> want(40, 1);
+  std::fill(want.begin(), want.begin() + 20, 2);
+  EXPECT_EQ(periods_of(EpisodeSchedule::from_real(std::vector<double>(40, 1.0), 60)), want);
+}
+
+TEST(FromReal, LeftoverOfMGivesEveryPeriodARound) {
+  // Both scaled lengths land just below an integer (325.99999999999994 and
+  // 598.9999999999999), so the floors leave m = 2 ticks: one each.
+  EXPECT_EQ(periods_of(EpisodeSchedule::from_real({0.7277011452951581, 1.3370950491772997},
+                                                  925)),
+            (std::vector<Ticks>{326, 599}));
+}
+
+TEST(FromReal, RejectsNonFiniteLengthsAndSums) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double big = std::numeric_limits<double>::max();
+  EXPECT_THROW(EpisodeSchedule::from_real({inf, inf, 1.0}, 10), std::invalid_argument);
+  EXPECT_THROW(EpisodeSchedule::from_real({1.0, nan}, 10), std::invalid_argument);
+  EXPECT_THROW(EpisodeSchedule::from_real({-inf, 1.0}, 10), std::invalid_argument);
+  EXPECT_THROW(EpisodeSchedule::from_real({big, big}, 10), std::invalid_argument);
+  EXPECT_THROW(EpisodeSchedule::from_real({1.0}, 0), std::invalid_argument);
+}
+
+/// from_real with the leftover ticks handed out in a stable sort of the
+/// remainders (descending) and wrapped round, the rule the O(m) selection
+/// must reproduce.
+std::vector<Ticks> reference_from_real(const std::vector<double>& lengths, Ticks total) {
+  std::vector<double> pos;
+  for (double x : lengths) {
+    if (x > 0.0) pos.push_back(x);
+  }
+  if (pos.empty()) return {total};
+  const double scale = static_cast<double>(total) / std::accumulate(pos.begin(), pos.end(), 0.0);
+  const std::size_t m = pos.size();
+  if (static_cast<Ticks>(m) > total) return std::vector<Ticks>(static_cast<std::size_t>(total), 1);
+  std::vector<Ticks> periods(m);
+  std::vector<std::pair<double, std::size_t>> remainders(m);
+  Ticks leftover = total;
+  for (std::size_t i = 0; i < m; ++i) {
+    const double scaled = pos[i] * scale;
+    const double fl = std::floor(scaled);
+    periods[i] = static_cast<Ticks>(fl);
+    remainders[i] = {scaled - fl, i};
+    leftover -= periods[i];
+  }
+  std::stable_sort(remainders.begin(), remainders.end(),
+                   [](const auto& a, const auto& b) { return a.first > b.first; });
+  for (std::size_t j = 0; leftover > 0; j = (j + 1) % m, --leftover) {
+    periods[remainders[j].second] += 1;
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    while (periods[i] < 1) {
+      auto biggest = std::max_element(periods.begin(), periods.end());
+      *biggest -= 1;
+      periods[i] += 1;
+    }
+  }
+  return periods;
+}
+
+TEST(FromReal, MatchesStableSortReferenceWithForcedTies) {
+  // Lengths drawn from a coarse grid so equal remainders are common, with
+  // some non-positive entries to drop and totals from tight to loose.
+  util::Rng rng(0xF0F0);
+  const int cases = testing::fuzz_cases(400);
+  for (int trial = 0; trial < cases; ++trial) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 60));
+    std::vector<double> lengths(n);
+    for (double& x : lengths) x = 0.25 * static_cast<double>(rng.uniform_int(-2, 12));
+    const Ticks total = rng.uniform_int(static_cast<Ticks>(n), 40 * static_cast<Ticks>(n));
+    const auto got = EpisodeSchedule::from_real(lengths, total);
+    const auto want = reference_from_real(lengths, total);
+    ASSERT_EQ(periods_of(got), want) << "trial " << trial << " total " << total;
+  }
+}
 
 TEST(EpisodeSchedule, ToStringShowsCountAndSum) {
   EpisodeSchedule s({30, 20, 10});

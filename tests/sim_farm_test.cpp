@@ -184,7 +184,7 @@ TEST(Farm, GoldenEqualTimeTies) {
                               station("t3", 4000, 2, policy, noop),
                               station("t4", 4000, 2, policy, first)},
                              bag);
-  expect_pinned(farm, {0xc4109711810df99dull, 4000, 76, 2600, 79291});
+  expect_pinned(farm, {0xa1a8dd543111c9d9ull, 4000, 76, 2600, 79291});
 }
 
 TEST(Farm, GoldenStaggeredMixedOwners) {
@@ -226,7 +226,7 @@ TEST(Farm, GoldenStaggeredMixedOwners) {
        station("idle", 0, 0, adaptive, std::make_shared<adversary::NoOpAdversary>(),
                4500)},
       bag);
-  expect_pinned(farm, {0xedc993e10f4a543dull, 10000, 358, 19261, 886266});
+  expect_pinned(farm, {0x2cf01c2c38e6a8b5ull, 10000, 357, 19261, 886266});
 }
 
 TEST(Farm, GoldenDrainedBag) {
