@@ -1,7 +1,7 @@
 #include "rpc/protocol.h"
 
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "sim/scenario_gen.h"
 #include "util/text_record.h"
@@ -124,15 +124,31 @@ void append_metrics(std::string& out, const char* key, const sim::SessionMetrics
   out += '\n';
 }
 
-sim::SessionMetrics expect_metrics(util::RecordReader& r, const char* key) {
-  std::istringstream is(r.expect_value(key));
-  std::string token;
+/// Copies the next token of `rest` into `token` and consumes it, splitting
+/// at the blanks `std::istream >>` skips in the C locale (' ' and '\t'
+/// through '\r'); false when only blanks are left.
+bool next_token(std::string_view& rest, std::string& token) {
+  const auto blank = [](char c) { return c == ' ' || (c >= '\t' && c <= '\r'); };
+  std::size_t begin = 0;
+  while (begin < rest.size() && blank(rest[begin])) ++begin;
+  if (begin == rest.size()) return false;
+  std::size_t end = begin;
+  while (end < rest.size() && !blank(rest[end])) ++end;
+  token.assign(rest.substr(begin, end - begin));
+  rest.remove_prefix(end);
+  return true;
+}
+
+/// `token` is scratch space, reused across lines.
+sim::SessionMetrics expect_metrics(util::RecordReader& r, const char* key,
+                                   std::string& token) {
+  std::string_view rest = r.expect_value(key);
   sim::SessionMetrics m;
   for (const auto& f : sim::kSessionMetricsFields) {
-    if (!(is >> token)) r.fail("too few metrics fields");
+    if (!next_token(rest, token)) r.fail("too few metrics fields");
     r.checked([&] { f.read(m, token); });
   }
-  if (is >> token) r.fail("too many metrics fields");
+  if (next_token(rest, token)) r.fail("too many metrics fields");
   return m;
 }
 
@@ -173,11 +189,17 @@ std::string encode_submit_batch(const SubmitBatchRequest& req) {
   if (req.tenant.find_first_of("\r\n") != std::string::npos) {
     bad("tenant id must not contain newline characters");
   }
-  std::string out = "nowsched-submit v1\ntenant=" + req.tenant +
-                    "\nscenarios=" + std::to_string(req.specs.size()) + '\n';
+  // A scenario record is about 200 bytes; 256 leaves room for long doubles.
+  std::string out;
+  out.reserve(64 + req.tenant.size() + 256 * req.specs.size());
+  out += "nowsched-submit v1\ntenant=";
+  out += req.tenant;
+  out += "\nscenarios=";
+  util::append_value(out, req.specs.size());
+  out += '\n';
   for (const sim::ScenarioSpec& spec : req.specs) {
     out += '\n';
-    out += sim::to_replay_string(spec);
+    sim::append_replay(out, spec);
   }
   return out;
 }
@@ -196,7 +218,7 @@ SubmitBatchRequest decode_submit_batch(const std::string& payload) {
     // block() consumes the blank line that terminates it, so only the first
     // record is still preceded by an unconsumed separator.
     if (i == 0) r.expect_blank();
-    const std::string record = r.block();
+    const std::string_view record = r.block();
     if (record.empty()) bad("missing scenario record " + std::to_string(i));
     req.specs.push_back(sim::scenario_from_replay(record));
   }
@@ -260,7 +282,9 @@ std::string encode_job_result_reply(const JobResultReply& reply) {
   }
   util::write_fields(out, kResultDoneFields, reply);
   util::write_fields(out, solver::kSolveCacheStatsFields, reply.cache);
-  out += "scenarios=" + std::to_string(reply.per_scenario.size()) + '\n';
+  out += "scenarios=";
+  util::append_value(out, reply.per_scenario.size());
+  out += '\n';
   for (const sim::SessionMetrics& m : reply.per_scenario) {
     append_metrics(out, "metrics", m);
   }
@@ -290,10 +314,11 @@ JobResultReply decode_job_result_reply(const std::string& payload) {
   // separators + newline).
   const std::size_t count = r.expect_count("scenarios", 32);
   reply.per_scenario.reserve(count);
+  std::string token;
   for (std::size_t i = 0; i < count; ++i) {
-    reply.per_scenario.push_back(expect_metrics(r, "metrics"));
+    reply.per_scenario.push_back(expect_metrics(r, "metrics", token));
   }
-  reply.aggregate = expect_metrics(r, "aggregate");
+  reply.aggregate = expect_metrics(r, "aggregate", token);
   r.expect_eof();
   return reply;
 }

@@ -221,7 +221,13 @@ constexpr util::Field<ScenarioSpec> kScenarioFields[] = {
 }  // namespace
 
 std::string to_replay_string(const ScenarioSpec& spec) {
-  return util::write_record(kReplayHeader, kScenarioFields, spec);
+  std::string out;
+  append_replay(out, spec);
+  return out;
+}
+
+void append_replay(std::string& out, const ScenarioSpec& spec) {
+  util::append_record(out, kReplayHeader, kScenarioFields, spec);
 }
 
 PolicyKind policy_kind_from_string(const std::string& name) {
@@ -238,7 +244,7 @@ OwnerKind owner_kind_from_string(const std::string& name) {
   throw std::invalid_argument("unknown owner kind: '" + name + "'");
 }
 
-ScenarioSpec scenario_from_replay(const std::string& text) {
+ScenarioSpec scenario_from_replay(std::string_view text) {
   util::RecordReader in("scenario replay", text, kReplayHeader);
   ScenarioSpec spec;
   in.section("", util::bind(kScenarioFields, spec));

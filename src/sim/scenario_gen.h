@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/batch_runner.h"
@@ -96,10 +97,14 @@ class ScenarioGenerator {
 /// re-runs one.
 std::string to_replay_string(const ScenarioSpec& spec);
 
+/// The same record appended to `out` (the rpc submit payload writes its
+/// scenarios in place this way).
+void append_replay(std::string& out, const ScenarioSpec& spec);
+
 /// Parses a replay record; throws std::invalid_argument naming the first
 /// bad line. Unknown and duplicate keys are errors (typos must not silently
 /// change the scenario being reproduced).
-ScenarioSpec scenario_from_replay(const std::string& text);
+ScenarioSpec scenario_from_replay(std::string_view text);
 
 /// Enum round-trips for the replay format ("dp-optimal", "bursty", ...).
 /// Throw std::invalid_argument on unknown names.

@@ -1,12 +1,11 @@
 #include "util/text_record.h"
 
-#include <cstdio>
-
 namespace nowsched::util {
 
 void append_value(std::string& out, double v) {
-  char buf[32];
-  out.append(buf, static_cast<std::size_t>(std::snprintf(buf, sizeof(buf), "%.17g", v)));
+  char buf[32];  // "%.17g" of a double is at most 24 characters
+  out.append(buf,
+             std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 17).ptr);
 }
 
 RecordReader::RecordReader(const char* format, std::string_view text,
@@ -64,13 +63,12 @@ void RecordReader::expect_blank() {
   if (!line_.empty()) fail("expected a blank separator line");
 }
 
-std::string RecordReader::block() {
-  std::string out;
-  while (take_line() && !line_.empty()) {
-    out += line_;
-    out += '\n';
-  }
-  return out;
+std::string_view RecordReader::block() {
+  const char* begin = rest_.data();
+  const char* end = begin;
+  // rest_ starts just past each taken line's newline (or at the text's end).
+  while (take_line() && !line_.empty()) end = rest_.data();
+  return {begin, static_cast<std::size_t>(end - begin)};
 }
 
 void RecordReader::expect_eof() {

@@ -5,7 +5,8 @@
 //   * Line 1 is the exact version header ("nowsched-scenario v1", ...).
 //   * Every other line is `key=value`, split at the first '='.
 //   * Integers print in decimal, bools as 0/1, doubles with 17 significant
-//     digits (max_digits10: every IEEE double round-trips bit-exactly).
+//     digits (max_digits10: every IEEE double round-trips bit-exactly),
+//     written by std::to_chars(general, 17), which is printf's "%.17g".
 //   * A value parses whole-string into its field's exact type: a malformed
 //     number, a sign the type forbids, or a value outside the type's range
 //     is an error — never a consumed prefix or a narrowed integer.
@@ -122,13 +123,21 @@ void write_fields(std::string& out, std::type_identity_t<FieldTable<R>> table,
   }
 }
 
-/// The header line, then write_fields.
+/// Appends the header line, then write_fields.
+template <typename R>
+void append_record(std::string& out, std::string_view header,
+                   std::type_identity_t<FieldTable<R>> table, const R& record) {
+  out += header;
+  out += '\n';
+  write_fields(out, table, record);
+}
+
+/// append_record into a fresh string.
 template <typename R>
 std::string write_record(std::string_view header,
                          std::type_identity_t<FieldTable<R>> table, const R& record) {
-  std::string out(header);
-  out += '\n';
-  write_fields(out, table, record);
+  std::string out;
+  append_record(out, header, table, record);
   return out;
 }
 
@@ -210,8 +219,8 @@ class RecordReader {
   void expect_blank();
 
   /// Lines up to (not including) the next blank line or the end, each with
-  /// its newline — one embedded keyed record.
-  std::string block();
+  /// its newline — one embedded keyed record, viewed in place in the text.
+  std::string_view block();
 
   void expect_eof();
 

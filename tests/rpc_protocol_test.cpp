@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -543,6 +544,61 @@ TEST(RpcProtocol, ResultReplyRejectsWrongMetricsArity) {
   ASSERT_NE(last_space, std::string::npos);
   payload.erase(last_space, line_end - last_space);
   EXPECT_THROW(decode_job_result_reply(payload), std::invalid_argument);
+}
+
+TEST(RpcProtocol, MetricsLinesSplitOnEveryBlankStreamExtractionSkips) {
+  // A metrics line splits on the C-locale blanks `std::istream >>` skips
+  // (space, \t, \v, \f, \r), in runs and at either end; 12 fields, no more
+  // and no fewer.
+  JobResultReply reply;
+  reply.state = service::JobState::kDone;
+  reply.tenant = "t";
+  reply.job_id = 1;
+  reply.per_scenario = {sample_metrics(1)};
+  const std::string payload = encode_job_result_reply(reply);
+  const std::string good = "metrics=2 3 4 5 6 7 8 1 2 9 1 10\n";
+  const std::size_t pos = payload.find(good);
+  ASSERT_NE(pos, std::string::npos) << payload;
+  const auto with_line = [&](const std::string& line) {
+    std::string text = payload;
+    return text.replace(pos, good.size(), line + '\n');
+  };
+  for (const std::string line : {
+           "metrics=2\t3\t4\t5\t6\t7\t8\t1\t2\t9\t1\t10",
+           "metrics=2   3  4 5 6 7 8 1 2 9 1     10",
+           "metrics=  2 3 4 5 6 7 8 1 2 9 1 10  ",
+           "metrics=2 3 4 5 6 7 8 1 2 9 1 10\r",
+           "metrics=\t \v2\f3\r4 5 6 7 8 1 2 9 1 10 \t\r",
+       }) {
+    const JobResultReply got = decode_job_result_reply(with_line(line));
+    ASSERT_EQ(got.per_scenario.size(), 1u);
+    expect_metrics_eq(got.per_scenario[0], reply.per_scenario[0]);
+  }
+  const std::size_t line_no =
+      static_cast<std::size_t>(std::count(payload.begin(), payload.begin() + pos, '\n')) + 1;
+  const auto error_of = [&](const std::string& line) -> std::string {
+    try {
+      decode_job_result_reply(with_line(line));
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  const auto message = [&](const char* what, const std::string& line) {
+    return std::string("nowsched-rpc payload: ") + what + " in line " +
+           std::to_string(line_no) + ": '" + line + "'";
+  };
+  for (const std::string line : {"metrics=2 3 4 5 6 7 8 1 2 9 1",
+                                 "metrics= 2 3 4 5 6 7 8 1 2 9 1 \t\r", "metrics="}) {
+    EXPECT_EQ(error_of(line), message("too few metrics fields", line));
+  }
+  for (const std::string line : {"metrics=2 3 4 5 6 7 8 1 2 9 1 10 11",
+                                 "metrics=2 3 4 5 6 7 8 1 2 9 1 10\r11"}) {
+    EXPECT_EQ(error_of(line), message("too many metrics fields", line));
+  }
+  // Other control characters are not blanks: they stay inside a token.
+  EXPECT_EQ(error_of("metrics=2\x01 3 4 5 6 7 8 1 2 9 1 10"),
+            message("malformed integer", "metrics=2\x01 3 4 5 6 7 8 1 2 9 1 10"));
 }
 
 TEST(RpcProtocol, SubmitBatchRejectsInterruptBoundOutsideIntRange) {
